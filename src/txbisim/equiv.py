@@ -14,16 +14,20 @@ Both routes produce the same answers; ``method="both"`` runs the two and
 raises :class:`~txbisim.errors.MethodDisagreementError` if they ever split,
 which doubles as a strong internal consistency check.
 
-All fixpoints work set-at-a-time on integer bitmasks.  Relations are kept
-as one successor-set mask per row, so a removal round is a handful of mask
-operations per clause.  Every removal is stamped with its round and the
-violated clause; those records drive both the human-readable explanation of
+Relations are kept as one successor-set mask per row.  The direct route's
+fixpoint works set-at-a-time on those masks, a removal round being a
+handful of mask operations per clause, and stamps every removal with its
+round and the violated clause; those records drive both the explanation of
 a negative verdict and the synthesis of distinguishing formulas in
-:mod:`txbisim.modal`.
+:mod:`txbisim.modal`.  The encode route refines a partition of the wrapped
+system instead (:func:`_branching_fixpoint`) and stamps nothing: a
+negative verdict is explained by the first clause the queried pair fails
+against the final relation, found when the verdict asks for it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -97,8 +101,11 @@ class Verdict:
 
     For a positive verdict ``witness`` holds the full greatest relation over
     the explored states, which independent single-pass validators can check.
-    For a negative verdict ``reason`` names the first violated clause on the
-    removal path of the queried pair.
+    For a negative verdict ``reason`` names a violated clause of the queried
+    pair.  The direct route names the clause that removed the pair, with its
+    removal ``round``.  The encode route, and :func:`sr_branching`, name the
+    first clause the pair fails against the final relation, with no round.
+    Rooted checks name the first step that has no match, with no round.
     """
 
     equivalent: bool
@@ -130,6 +137,8 @@ class Removal:
     label failed), ``"timeout"`` (a time-out obligation under environment
     ``env`` failed), or ``"stability"`` (the other side cannot reach a
     stable state).  ``succ`` is the successor index on the failing side.
+    ``round`` is 0 for a clause found failing against a final relation
+    rather than stamped by a fixpoint round.
     """
 
     round: int
@@ -497,69 +506,187 @@ class _PairResult:
         return rec, True
 
 
-def _branching_fixpoint(lts, restricted=False, record=True):
+class _Separations(Mapping):
+    """The ordered pairs a partition puts in different blocks.
+
+    Looking a pair up scans its branching clauses, in both orientations,
+    against the partition with the pair joined, and gives the first that
+    fails as ``(removal, mirrored)``.  The partition is the greatest
+    relation, so some clause fails.  Nothing is scanned until a pair is
+    looked up; the count comes from the block sizes.
+    """
+
+    def __init__(self, lts, rel):
+        self.lts = lts
+        self.rel = rel
+
+    def __len__(self):
+        return self.lts.n_states**2 - sum(row.bit_count() for row in self.rel)
+
+    def __iter__(self):
+        full = (1 << self.lts.n_states) - 1
+        for p, row in enumerate(self.rel):
+            for q in iter_bits(full & ~row):
+                yield p, q
+
+    def __getitem__(self, pair):
+        p, q = pair
+        if self.rel[p] >> q & 1:
+            raise KeyError(pair)
+        rel = self.rel[:]
+        rel[p] |= 1 << q
+        rel[q] |= 1 << p
+        for mirror, (a, b) in enumerate(((p, q), (q, p))):
+            rec = _branching_fail(self.lts, rel, a, 1 << b)
+            if rec is not None:
+                return rec, bool(mirror)
+        raise TxbisimError("unrelated pair violates no branching clause")
+
+
+class _PartitionResult(_PairResult):
+    """A partition as a relation; ``records`` are its :class:`_Separations`."""
+
+    def record(self, p, q):
+        return self.records[p, q]
+
+
+def _branching_fail(lts, rel, p, row):
+    """First stability respecting branching clause of state ``p`` that some
+    entry of ``row`` fails against the relation ``rel``, as a round-0
+    removal; None when every entry passes."""
+    for lab in sorted(lts.out_labels(p), key=_label_order):
+        for p2 in iter_bits(lts.succ_mask(p, lab)):
+            target = rel[p2]
+            base = 0
+            for q1 in range(lts.n_states):
+                if lts.succ_mask(q1, lab) & target:
+                    base |= 1 << q1
+            if lab == "tau":
+                base |= target
+            base &= rel[p]
+            if row & ~lts.backward_tau_closure(base):
+                return Removal(0, "move", lab, p2)
+    if lts.is_stable(p) and row & ~lts.can_reach_stable_mask:
+        return Removal(0, "stability")
+    return None
+
+
+def _tau_sccs(lts):
+    """Strongly connected components of the tau steps, each a list of state
+    indices, every component after all components it reaches (Tarjan's
+    order, iteratively)."""
+    succ = [tuple(iter_bits(lts.succ_mask(i, "tau"))) for i in range(lts.n_states)]
+    index = [-1] * lts.n_states
+    low = [0] * lts.n_states
+    on_stack = [False] * lts.n_states
+    stack = []
+    sccs = []
+    seen = 0
+    for root in range(lts.n_states):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = seen
+        seen += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, 0)]
+        while work:
+            v, k = work[-1]
+            if k < len(succ[v]):
+                work[-1] = (v, k + 1)
+                w = succ[v][k]
+                if index[w] < 0:
+                    index[w] = low[w] = seen
+                    seen += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, 0))
+                elif on_stack[w]:
+                    low[v] = min(low[v], index[w])
+                continue
+            work.pop()
+            if work:
+                u = work[-1][0]
+                low[u] = min(low[u], low[v])
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp.append(w)
+                    if w == v:
+                        break
+                sccs.append(comp)
+    return sccs
+
+
+def _branching_fixpoint(lts):
     """Greatest stability respecting branching bisimulation, every label
-    treated uniformly and matched up to preceding internal steps."""
-    n = lts.n_states
-    full = (1 << n) - 1
-    moves = tuple(
-        tuple(
-            (lab, j)
-            for lab in sorted(lts.out_labels(i), key=_label_order)
-            for j in iter_bits(lts.succ_mask(i, lab))
-        )
-        for i in range(n)
-    )
-    rel = [full] * n
-    records: dict | None = {} if record else None
+    treated uniformly and matched up to preceding internal steps.
+
+    Signature refinement in the manner of Blom and Orzan.  Members of a tau
+    cycle are always related, so blocks are unions of tau components.  The
+    first split, states that can reach a stable state against the rest, is
+    the stability clause.  A round gives every component the signature
+    ``{(label, block of target)}`` over its own moves and those of the
+    components it reaches by inert tau steps (inside its block, and left
+    out themselves), computed successors first, then splits each block by
+    signature.  ``rel[i]`` is the block of state ``i``; ``records`` are the
+    pairs the blocks separate; ``rounds`` counts the rounds, the last of
+    which splits nothing.
+    """
+    sccs = _tau_sccs(lts)
+    comp = [0] * lts.n_states
+    for c, members in enumerate(sccs):
+        for i in members:
+            comp[i] = c
+    # a signature entry (label, block) is the integer block * width + label
+    codes = {lab: k for k, lab in enumerate(lts.labels)}
+    width = len(codes)
+    tau = codes.get("tau")
+    moves = []
+    exits = []
+    for c, members in enumerate(sccs):
+        own = set()
+        out = set()
+        for i in members:
+            for lab in lts.out_labels(i):
+                succ = lts.succ_mask(i, lab)
+                if lab == "tau":
+                    out.update(comp[j] for j in iter_bits(succ) if comp[j] != c)
+                else:
+                    own.update((codes[lab], comp[j]) for j in iter_bits(succ))
+        moves.append(tuple(own))
+        exits.append(tuple(out))
+    reach = lts.can_reach_stable_mask
+    block = [0 if reach >> members[0] & 1 else 1 for members in sccs]
+    count = len(set(block))
     rounds = 0
     while True:
         rounds += 1
-        snap = rel[:]
-        removals = []
-        for p in range(n):
-            remaining = snap[p]
-            if not remaining:
-                continue
-            bad_total = 0
-            within = snap[p] if restricted else -1
-            for lab, p2 in moves[p]:
-                if not remaining:
-                    break
-                target = snap[p2]
-                base = 0
-                for q1 in range(n):
-                    if lts.succ_mask(q1, lab) & target:
-                        base |= 1 << q1
-                if lab == "tau":
-                    base |= target
-                base &= snap[p]
-                ok = lts.backward_tau_closure(base, within)
-                fresh = remaining & ~ok
-                if fresh:
-                    if records is not None:
-                        for q in iter_bits(fresh):
-                            records.setdefault(
-                                (p, q), Removal(rounds, "move", lab, p2)
-                            )
-                    bad_total |= fresh
-                    remaining &= ~fresh
-            if lts.is_stable(p) and remaining:
-                fresh = remaining & ~lts.can_reach_stable_mask
-                if fresh:
-                    if records is not None:
-                        for q in iter_bits(fresh):
-                            records.setdefault((p, q), Removal(rounds, "stability"))
-                    bad_total |= fresh
-            if bad_total:
-                removals.append((p, bad_total))
-        if not removals:
+        sigs = []
+        ids = {}
+        fresh = []
+        for c in range(len(sccs)):
+            b = block[c]
+            sig = {block[d] * width + k for k, d in moves[c]}
+            for d in exits[c]:
+                if block[d] == b:
+                    sig |= sigs[d]
+                else:
+                    sig.add(block[d] * width + tau)
+            sig = frozenset(sig)
+            sigs.append(sig)
+            fresh.append(ids.setdefault((b, sig), len(ids)))
+        block = fresh
+        if len(ids) == count:
             break
-        for p, bad in removals:
-            rel[p] &= ~bad
-            for q in iter_bits(bad):
-                rel[q] &= ~(1 << p)
-    return _PairResult(rel, records or {}, rounds)
+        count = len(ids)
+    masks = [0] * count
+    for i, c in enumerate(comp):
+        masks[block[c]] |= 1 << i
+    rel = [masks[block[c]] for c in comp]
+    return _PartitionResult(rel, _Separations(lts, rel), rounds)
 
 
 def _strong_fixpoint(lts, record=True):
@@ -784,26 +911,10 @@ def branching_witness_ok(lts, store):
     pair, _ = _store_masks(lts, None, store)
     if pair is None:
         return False
-    n = lts.n_states
-    for p in range(n):
-        remaining = pair[p]
-        if not remaining:
-            continue
-        for lab in sorted(lts.out_labels(p), key=_label_order):
-            for p2 in iter_bits(lts.succ_mask(p, lab)):
-                target = pair[p2]
-                base = 0
-                for q1 in range(n):
-                    if lts.succ_mask(q1, lab) & target:
-                        base |= 1 << q1
-                if lab == "tau":
-                    base |= target
-                base &= pair[p]
-                if remaining & ~lts.backward_tau_closure(base):
-                    return False
-        if lts.is_stable(p) and remaining & ~lts.can_reach_stable_mask:
-            return False
-    return True
+    return all(
+        not pair[p] or _branching_fail(lts, pair, p, pair[p]) is None
+        for p in range(lts.n_states)
+    )
 
 
 def strong_witness_ok(lts, store):

@@ -288,6 +288,8 @@ def satisfies(lts, state, formula, mode=None):
     memo: dict = {}
 
     def sat(i, phi, env):
+        # keyed by id(): only nodes of ``formula``, which stay alive, may be
+        # evaluated, never a temporary whose id a later one could reuse
         key = (id(phi), i, env)
         hit = memo.get(key)
         if hit is None:
@@ -306,19 +308,17 @@ def satisfies(lts, state, formula, mode=None):
                 return any(
                     sat(j, sub, env) for j in iter_bits(lts.succ_mask(i, "tau"))
                 )
-            case Diamond(label, sub):
+            case HatDiamond("tau", sub):
+                return sat(i, sub, env) or any(
+                    sat(j, sub, env) for j in iter_bits(lts.succ_mask(i, "tau"))
+                )
+            case Diamond(label, sub) | HatDiamond(label, sub):
                 if env is not None and label not in env:
                     if not _lts_deadend(lts, i, env):
                         return False
                 return any(
                     sat(j, sub, None) for j in iter_bits(lts.succ_mask(i, label))
                 )
-            case HatDiamond("tau", sub):
-                return sat(i, sub, env) or any(
-                    sat(j, sub, env) for j in iter_bits(lts.succ_mask(i, "tau"))
-                )
-            case HatDiamond(label, sub):
-                return sat(i, Diamond(label, sub), env)
             case EnvDiamond(names, sub):
                 x = envset(names)
                 blocked = x if env is None else x.union(env)

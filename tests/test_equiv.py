@@ -39,17 +39,19 @@ from txbisim.equiv import (
     strong_witness_ok,
 )
 from txbisim.encoding import encode
-from txbisim.lts import disjoint_union, iter_bits, quotient
+from txbisim.lts import Lts, disjoint_union, iter_bits, quotient
 from txbisim.semantics import explore
 from txbisim.terms import envset, mk_theta, parse_term, term_text
 
 from oracles import (
+    _match,
     all_env_sets,
     ref_branching,
     ref_reactive,
     ref_rooted,
     ref_rooted_branching,
     ref_strong,
+    tau_reach,
 )
 
 DIRECT = CheckOptions(method="direct")
@@ -104,17 +106,58 @@ def test_rooted_checks_equal_reference_relation(small_corpus):
         assert eng_rt == ora_rt
 
 
+def assert_rows_match_reference(system):
+    """The partition's rows are the reference relation, and its records
+    count the ordered pairs it separates."""
+    res = _branching_fixpoint(system)
+    eng = {(i, j) for i in range(system.n_states) for j in iter_bits(res.rel[i])}
+    assert eng == ref_branching(system)
+    assert len(res.records) == system.n_states**2 - len(eng)
+
+
 def test_branching_rows_equal_reference_on_raw_and_encoded(small_corpus):
     for p, q, _ in small_corpus:
         lts = explore((p, q))
-        res = _branching_fixpoint(lts)
-        eng = {(i, j) for i in range(lts.n_states) for j in iter_bits(res.rel[i])}
-        assert eng == ref_branching(lts)
+        assert_rows_match_reference(lts)
+        assert_rows_match_reference(encode(lts, process_universe(p, q)))
 
-        enc = encode(lts, process_universe(p, q))
-        eres = _branching_fixpoint(enc)
-        eenc = {(i, j) for i in range(enc.n_states) for j in iter_bits(eres.rel[i])}
-        assert eenc == ref_branching(enc)
+
+def _hand_built_systems():
+    chain = [(i, "a", i + 1) for i in range(20)]
+    padded = [(("d", i), "tau", ("e", i)) for i in range(20)]
+    padded += [(("e", i), "a", ("d", i + 1)) for i in range(20)]
+    return {
+        # a tau cycle with an exit to a stable state, next to a.0 and to a
+        # cycle that never stabilises
+        "cycle-reaching-stable": Lts(
+            range(6),
+            [(0, "tau", 1), (1, "tau", 0), (1, "tau", 2), (0, "a", 3),
+             (2, "a", 3), (4, "a", 3), (5, "tau", 5), (5, "a", 3)],
+            (0, 4, 5),
+        ),
+        # a tau cycle that never stabilises, next to a one-state cycle and
+        # to a stable state with the same moves
+        "cycle-never-stable": Lts(
+            range(5),
+            [(0, "tau", 1), (1, "tau", 0), (0, "a", 2), (1, "b", 2),
+             (3, "tau", 3), (3, "a", 2), (3, "b", 2), (4, "a", 2), (4, "b", 2)],
+            (0, 3, 4),
+        ),
+        "a-chain-vs-tau-padded": Lts(
+            list(range(21)) + [("d", i) for i in range(21)]
+            + [("e", i) for i in range(20)],
+            [(p, lab, q) for p, lab, q in chain + padded],
+            (0, ("d", 0)),
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_hand_built_systems()))
+def test_branching_rows_equal_reference_on_hand_built_systems(name):
+    lts = _hand_built_systems()[name]
+    visible = {lab for _, lab, _ in lts.transitions() if lab not in ("tau", "t")}
+    assert_rows_match_reference(lts)
+    assert_rows_match_reference(encode(lts, envset(visible)))
 
 
 def test_rooted_branching_equals_reference(small_corpus):
@@ -265,14 +308,44 @@ def test_perturbed_witnesses_are_rejected(laws_defs):
 
 
 def test_negative_verdict_names_a_clause(stability_defs):
-    v = brb(stability_defs.defs["P0"], stability_defs.defs["Q0"], DIRECT)
-    assert not v.equivalent
-    assert v.witness is None
-    assert v.reason["clause"] in ("move", "timeout", "stability")
-    assert v.reason["side"] in ("left", "right")
-    data = v.to_json_dict()
-    assert data["equivalent"] is False
-    assert data["removal_trace"] == v.reason
+    p, q = stability_defs.defs["P0"], stability_defs.defs["Q0"]
+    for method in ("direct", "encode"):
+        v = brb(p, q, CheckOptions(method=method))
+        assert not v.equivalent
+        assert v.witness is None
+        assert v.reason["clause"] in ("move", "timeout", "stability")
+        assert v.reason["side"] in ("left", "right")
+        data = v.to_json_dict()
+        assert data["equivalent"] is False
+        assert data["removal_trace"] == v.reason
+        if method == "encode":
+            assert_clause_fails_on_encoded(Analysis(p, q), v.reason)
+
+
+def assert_clause_fails_on_encoded(an, reason):
+    """The named clause of the encoded root pair fails against the final
+    relation with that pair added, judged by the reference's matching."""
+    enc = an.encoded
+    i, j = an.enc_index(None, an.p), an.enc_index(None, an.q)
+    a, b = (i, j) if reason["side"] == "left" else (j, i)
+    rel = {(k, m) for k in range(enc.n_states) for m in iter_bits(an.enc_branch.rel[k])}
+    rel |= {(a, b), (b, a)}
+    reach = [tau_reach(enc, k) for k in range(enc.n_states)]
+    assert "round" not in reason
+    if reason["clause"] == "stability":
+        assert enc.is_stable(a)
+        assert not any(enc.is_stable(k) for k in reach[b])
+        return
+    assert reason["clause"] == "move"
+    lab = reason["label"]
+    a2 = [k for k, s in enumerate(enc.states) if enc.state_text(s) == reason["successor"]]
+    assert len(a2) == 1 and enc.succ_mask(a, lab) >> a2[0] & 1
+    assert not _match(
+        enc, reach, b, lab,
+        mid_ok=lambda q1: (a, q1) in rel,
+        end_ok=lambda q2: (a2[0], q2) in rel,
+        allow_stay=lab == "tau",
+    )
 
 
 def test_branching_and_strong_witnesses(small_corpus):

@@ -101,6 +101,13 @@ def test_hat_diamond_may_stay_for_tau():
     assert sat("a.0", "<^a>T") == sat("a.0", "<a>T")
 
 
+def test_hat_diamonds_on_different_labels_are_evaluated_apart():
+    # two visible hat diamonds in one formula once shared a memo entry
+    p = parse_term("a.0")
+    phi = And((HatDiamond("a", TOP), HatDiamond("b", TOP)))
+    assert satisfies(explore((p,)), p, phi) is False
+
+
 def test_env_diamond_consumes_the_time_out():
     assert sat("t.b.0", "<{}><b>T")
     assert sat("t.b.0", "<{}>T")
@@ -210,6 +217,15 @@ def test_distinguish_stability_trio(stability_defs):
     assert formula_text(phi) == "<eps><{}><eps>~<tau>T"
     rooted = distinguish(p0, q0, rooted=True)
     assert formula_text(rooted) == "<{}><eps>~<tau>T"
+
+
+def test_distinguish_separates_a_pair_with_visible_hat_diamonds():
+    p = parse_term("tau{a}(0) ||{b} theta{a,b;a,b}(0) + tau.b.a.0")
+    q = parse_term("tau.tau.b.b.0")
+    phi = distinguish(p, q)
+    assert phi is not None and in_subclass(phi, "Lbc")
+    lts = explore((p, q))
+    assert satisfies(lts, p, phi) and not satisfies(lts, q, phi)
 
 
 def test_distinguish_rooted_only_difference(laws_defs):
