@@ -1,10 +1,11 @@
 """Cross-validate the two decision procedures on random pairs.
 
 For each depth in a sweep this generates seeded pairs, decides plain and
-rooted equivalence with the direct fixpoint and with the environment
-encoding, and reports agreement plus wall-clock totals.  Any disagreement
-is printed in full and the script exits nonzero, so it doubles as a slow
-randomised check:
+rooted equivalence, triggered and in a seeded subset of the pair's
+actions, with the direct fixpoint and with the environment encoding, and
+reports agreement plus wall-clock totals.  Any disagreement is printed in
+full and the script exits nonzero, so it doubles as a slow randomised
+check:
 
     python3 scripts/method_agreement.py --per-depth 200 --max-depth 5
 """
@@ -19,10 +20,14 @@ from txbisim import (
     GenConfig,
     StateBudgetError,
     brb,
+    brb_x,
+    envset,
     equivalent_pair,
     explore,
+    process_universe,
     rand_term,
     rbrb,
+    rbrb_x,
 )
 from txbisim.terms import term_text
 
@@ -45,22 +50,26 @@ def sample_pairs(rng, cfg, count, cap, rewrite_share):
     return pairs
 
 
-def run_depth(rng, depth, args):
+def run_depth(rng, env_rng, depth, args):
     cfg = GenConfig(alphabet=tuple(args.alphabet.split(",")), max_depth=depth)
     pairs = sample_pairs(rng, cfg, args.per_depth, args.state_cap, 0.3)
     mismatches = []
     t_direct = t_encode = 0.0
     equivalent = 0
     for p, q in pairs:
-        for relation in (brb, rbrb):
+        # a separate generator, so the pairs are those drawn without it
+        names = sorted(process_universe(p, q))
+        env = envset(a for a in names if env_rng.random() < 0.5)
+        checks = [(brb, ()), (rbrb, ()), (brb_x, (env,)), (rbrb_x, (env,))]
+        for relation, args_x in checks:
             t0 = time.perf_counter()
-            d = bool(relation(p, q, DIRECT))
+            d = bool(relation(p, q, *args_x, DIRECT))
             t_direct += time.perf_counter() - t0
             t0 = time.perf_counter()
-            e = bool(relation(p, q, ENCODE))
+            e = bool(relation(p, q, *args_x, ENCODE))
             t_encode += time.perf_counter() - t0
             if d != e:
-                mismatches.append((relation.__name__, p, q, d, e))
+                mismatches.append((relation.__name__, p, q, args_x, d, e))
         equivalent += bool(brb(p, q, DIRECT))
     print(
         f"depth {depth}: {len(pairs)} pairs, {equivalent} equivalent, "
@@ -81,14 +90,16 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     rng = random.Random(args.seed)
+    env_rng = random.Random(args.seed)
     bad = []
     for depth in range(args.min_depth, args.max_depth + 1):
-        bad.extend(run_depth(rng, depth, args))
+        bad.extend(run_depth(rng, env_rng, depth, args))
     if bad:
         print()
-        for name, p, q, d, e in bad:
+        for name, p, q, args_x, d, e in bad:
+            env = "".join(f" in {{{','.join(x)}}}" for x in args_x)
             print(
-                f"{name}: direct={d} encode={e}\n"
+                f"{name}{env}: direct={d} encode={e}\n"
                 f"  left:  {term_text(p)}\n"
                 f"  right: {term_text(q)}"
             )

@@ -7,7 +7,7 @@ classes, and fuzzes an axiom catalogue against the checkers.
 """
 
 from .axioms import AXIOMS, Axiom, AxiomResult, axiom_by_name, fuzz_axioms
-from .encoding import EncState, encode, encoded_state_count, eps_label
+from .encoding import EncState, encode, eps_label
 from .equiv import (
     Analysis,
     CheckOptions,

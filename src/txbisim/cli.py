@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 from dataclasses import dataclass
 
 from .axioms import fuzz_axioms
-from .encoding import encode
+from .encoding import MAX_UNIVERSE, encode
 from .equiv import (
     CheckOptions,
     brb,
@@ -46,11 +47,12 @@ class RunConfig:
     """Plumbing knobs shared by the subcommands.
 
     ``max_states=None`` defers to ``TXBISIM_MAX_STATES`` or the built-in
-    default of 10000.
+    default of 10000.  ``method`` and ``max_alphabet`` are checked as
+    :class:`~txbisim.equiv.CheckOptions` checks them.
     """
 
     max_states: int | None = None
-    max_alphabet: int = 12
+    max_alphabet: int = MAX_UNIVERSE
     method: str = "both"
     seed: int = 0
     output: str = "text"
@@ -60,10 +62,9 @@ class RunConfig:
             raise TxbisimError("state budget must be positive")
         if self.max_alphabet <= 0:
             raise TxbisimError("alphabet limit must be positive")
-        if self.method not in ("encode", "direct", "both"):
-            raise TxbisimError(f"unknown method {self.method!r}")
         if self.output not in ("text", "json"):
             raise TxbisimError(f"unknown output mode {self.output!r}")
+        self.check_options()
 
     def check_options(self):
         return CheckOptions(
@@ -315,8 +316,9 @@ def _add_common(parser, suppress):
     )
     parser.add_argument(
         "--max-alphabet", type=int,
-        default=default if suppress else 12, metavar="N",
-        help="largest supported environment alphabet (default: 12)",
+        default=default if suppress else MAX_UNIVERSE, metavar="N",
+        help=f"largest supported environment alphabet, at most {MAX_UNIVERSE} "
+        f"(default: {MAX_UNIVERSE})",
     )
 
 
@@ -430,6 +432,11 @@ def main(argv=None):
         return args.run(cfg, args)
     except TxbisimError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # exit 1 means a negative verdict, so no failure may leave through it
+        logging.getLogger("txbisim").debug("unexpected failure", exc_info=True)
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

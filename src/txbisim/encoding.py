@@ -41,7 +41,6 @@ from .terms import EnvSet
 __all__ = [
     "EncState",
     "encode",
-    "encoded_state_count",
     "eps_label",
     "MAX_UNIVERSE",
 ]
@@ -153,12 +152,3 @@ def encode(base, universe, max_states=None):
             if quiet:
                 edges.append((src, "t_eps", admit(EncState(None, src.inner))))
     return Lts(queue, edges, roots, state_text=text)
-
-
-def encoded_state_count(base, universe, max_states=None):
-    """Exact reachable size of the environment closure.
-
-    Bounded above by ``|states| * (1 + 2^|universe|)``; the reachable part
-    is usually smaller.
-    """
-    return encode(base, universe, max_states=max_states).n_states

@@ -19,10 +19,15 @@ fixpoint works set-at-a-time on those masks, a removal round being a
 handful of mask operations per clause, and stamps every removal with its
 round and the violated clause; those records drive both the explanation of
 a negative verdict and the synthesis of distinguishing formulas in
-:mod:`txbisim.modal`.  The encode route refines a partition of the wrapped
-system instead (:func:`_branching_fixpoint`) and stamps nothing: a
-negative verdict is explained by the first clause the queried pair fails
-against the final relation, found when the verdict asks for it.
+:mod:`txbisim.modal`.  The plain relations, stability respecting branching
+bisimilarity (which the encode route decides on the wrapped system) and
+strong bisimilarity, share one partition refinement (:func:`_refine`)
+that stamps nothing: a negative verdict is explained by the first clause
+the queried pair fails against the final relation, found when the verdict
+asks for it.
+
+All four reactive checks, plain or rooted and triggered or in a fixed
+environment, go through :func:`_check`.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
-from .encoding import EncState, encode
+from .encoding import MAX_UNIVERSE, EncState, encode
 from .errors import (
     AlphabetLimitError,
     MethodDisagreementError,
@@ -72,15 +77,23 @@ class CheckOptions:
 
     ``method`` selects the decision route: ``"direct"``, ``"encode"``, or
     ``"both"`` (run both, cross-check, report the direct result).
+    ``max_alphabet`` bounds the visible actions of the compared terms; it
+    may not exceed :data:`~txbisim.encoding.MAX_UNIVERSE`, the most the
+    environment encoding supports.
     """
 
     method: str = "both"
     max_states: int | None = None
-    max_alphabet: int = 12
+    max_alphabet: int = MAX_UNIVERSE
 
     def __post_init__(self):
         if self.method not in ("direct", "encode", "both"):
             raise TxbisimError(f"unknown method {self.method!r}")
+        if self.max_alphabet > MAX_UNIVERSE:
+            raise AlphabetLimitError(
+                f"alphabet limit {self.max_alphabet} exceeds the ceiling of "
+                f"{MAX_UNIVERSE} actions"
+            )
 
 
 @dataclass(frozen=True)
@@ -103,9 +116,10 @@ class Verdict:
     the explored states, which independent single-pass validators can check.
     For a negative verdict ``reason`` names a violated clause of the queried
     pair.  The direct route names the clause that removed the pair, with its
-    removal ``round``.  The encode route, and :func:`sr_branching`, name the
-    first clause the pair fails against the final relation, with no round.
-    Rooted checks name the first step that has no match, with no round.
+    removal ``round``.  The encode route, :func:`sr_branching` and
+    :func:`strong` name the first clause the pair fails against the final
+    relation, with no round.  Rooted checks name the first step that has no
+    match, with no round.
     """
 
     equivalent: bool
@@ -199,7 +213,7 @@ class _Profile:
         for i in range(self.n):
             row = []
             vis = 0
-            for lab in sorted(lts.out_labels(i), key=_label_order):
+            for lab in sorted(lts.out_labels(i), key=label_sort_key):
                 for j in iter_bits(lts.succ_mask(i, lab)):
                     row.append((lab, j))
                 if lab not in ("tau", "t"):
@@ -249,9 +263,6 @@ class _Profile:
         return self.stable[i] and not self.init_vis[i] & xmask
 
 
-_label_order = label_sort_key
-
-
 # --------------------------------------------------------------------------
 # the generalized (pairs + triples) fixpoint
 
@@ -269,43 +280,55 @@ class _GenResult:
     def trip_has(self, p, x, q):
         return bool(self.trip[p][x] >> q & 1)
 
-    def pair_record(self, p, q):
-        """Own-orientation record if present, else the mirror's (negated)."""
-        rec = self.records.get(("p", p, q))
-        if rec is not None:
-            return rec, False
-        rec = self.records.get(("p", q, p))
-        if rec is None:
-            raise TxbisimError("removed pair has no removal record")
-        return rec, True
+    def pair_fail(self, p, q):
+        """None while the pair is related, else its removal as
+        ``(side, removal)``: the own orientation's record if present, else
+        the mirror's."""
+        if self.pair_has(p, q):
+            return None
+        return self._record(("p", p, q), ("p", q, p))
 
-    def trip_record(self, p, x, q):
-        rec = self.records.get(("t", p, x, q))
-        if rec is not None:
-            return rec, False
-        rec = self.records.get(("t", q, x, p))
-        if rec is None:
-            raise TxbisimError("removed triple has no removal record")
-        return rec, True
+    def trip_fail(self, p, x, q):
+        if self.trip_has(p, x, q):
+            return None
+        return self._record(("t", p, x, q), ("t", q, x, p))
+
+    def _record(self, *keys):
+        for side, key in enumerate(keys):
+            rec = self.records.get(key)
+            if rec is not None:
+                return side, rec
+        raise TxbisimError("removed entry has no removal record")
 
     def pair_round(self, p, q):
         """Removal round of a pair, or None while it is still related."""
-        if self.pair_has(p, q):
-            return None
-        return self.pair_record(p, q)[0].round
+        fail = self.pair_fail(p, q)
+        return None if fail is None else fail[1].round
 
     def trip_round(self, p, x, q):
-        if self.trip_has(p, x, q):
-            return None
-        return self.trip_record(p, x, q)[0].round
+        fail = self.trip_fail(p, x, q)
+        return None if fail is None else fail[1].round
 
 
-def _scan_pair_row(pf, p, row, snap_pair, snap_trip, restricted, sink, rnd):
+def _timeouts(pf, p, p2, snap_trip, remaining, drop, rnd):
+    """The time-out ``p -t-> p2`` under every environment ``p`` refuses:
+    ``drop`` the entries of ``remaining`` that cannot reach a time-out into
+    the triple row of ``p2`` under that environment by internal steps."""
+    lts = pf.lts
+    for x in pf.submasks_of(pf.notinit[p]):
+        ok = lts.backward_tau_closure(lts.pred_mask("t", snap_trip[p2][x]))
+        fresh = remaining & ~ok
+        if fresh:
+            remaining = drop(fresh, Removal(rnd, "timeout", "t", p2, pf.env_names(x)))
+            if not remaining:
+                return
+
+
+def _scan_pair_row(pf, p, row, snap_pair, snap_trip, sink, rnd):
     """Entries of ``row`` that violate some pair clause against the snapshot."""
     lts = pf.lts
     remaining = row
     bad_total = 0
-    within = row if restricted else -1
 
     def drop(fresh, rec):
         nonlocal remaining, bad_total
@@ -314,6 +337,7 @@ def _scan_pair_row(pf, p, row, snap_pair, snap_trip, restricted, sink, rnd):
                 sink[("p", p, q)] = rec
         bad_total |= fresh
         remaining &= ~fresh
+        return remaining
 
     for lab, p2 in pf.moves[p]:
         if not remaining:
@@ -322,32 +346,16 @@ def _scan_pair_row(pf, p, row, snap_pair, snap_trip, restricted, sink, rnd):
             # every instantaneous move needs a branching match whose endpoints
             # stay related to the source and the target respectively
             target = snap_pair[p2]
-            base = 0
-            for q1 in range(pf.n):
-                if lts.succ_mask(q1, lab) & target:
-                    base |= 1 << q1
+            base = lts.pred_mask(lab, target)
             if lab == "tau":
                 base |= target
-            base &= snap_pair[p]
-            ok = lts.backward_tau_closure(base, within)
-            fresh = remaining & ~ok
+            fresh = remaining & ~lts.backward_tau_closure(base & snap_pair[p])
             if fresh:
                 drop(fresh, Removal(rnd, "move", lab, p2))
         elif pf.stable[p]:
             # a time-out must be matched under every environment the source
             # is quiescent for, landing in the matching triple
-            for x in pf.submasks_of(pf.notinit[p]):
-                if not remaining:
-                    return bad_total
-                target = snap_trip[p2][x]
-                base = 0
-                for q1 in range(pf.n):
-                    if lts.succ_mask(q1, "t") & target:
-                        base |= 1 << q1
-                ok = lts.backward_tau_closure(base)
-                fresh = remaining & ~ok
-                if fresh:
-                    drop(fresh, Removal(rnd, "timeout", "t", p2, pf.env_names(x)))
+            _timeouts(pf, p, p2, snap_trip, remaining, drop, rnd)
     if pf.stable[p] and remaining:
         fresh = remaining & ~lts.can_reach_stable_mask
         if fresh:
@@ -355,12 +363,11 @@ def _scan_pair_row(pf, p, row, snap_pair, snap_trip, restricted, sink, rnd):
     return bad_total
 
 
-def _scan_trip_row(pf, p, x, row, snap_pair, snap_trip, restricted, sink, rnd):
+def _scan_trip_row(pf, p, x, row, snap_pair, snap_trip, sink, rnd):
     """Entries of a triple row that violate some triple clause."""
     lts = pf.lts
     remaining = row
     bad_total = 0
-    within = row if restricted else -1
     quiet = pf.deadend(p, x)
 
     def drop(fresh, rec):
@@ -370,52 +377,28 @@ def _scan_trip_row(pf, p, x, row, snap_pair, snap_trip, restricted, sink, rnd):
                 sink[("t", p, x, q)] = rec
         bad_total |= fresh
         remaining &= ~fresh
+        return remaining
 
     for lab, p2 in pf.moves[p]:
         if not remaining:
             return bad_total
         if lab == "tau":
             target = snap_trip[p2][x]
-            base = target
-            for q1 in range(pf.n):
-                if lts.succ_mask(q1, "tau") & target:
-                    base |= 1 << q1
-            base &= snap_trip[p][x]
-            ok = lts.backward_tau_closure(base, within)
-            fresh = remaining & ~ok
+            base = (target | lts.pred_mask("tau", target)) & snap_trip[p][x]
+            fresh = remaining & ~lts.backward_tau_closure(base)
             if fresh:
                 drop(fresh, Removal(rnd, "move", lab, p2))
         elif lab == "t":
             if quiet:
                 # time-outs fire under any environment extending the current
                 # one with further refused actions
-                for y in pf.submasks_of(pf.notinit[p]):
-                    if not remaining:
-                        return bad_total
-                    target = snap_trip[p2][y]
-                    base = 0
-                    for q1 in range(pf.n):
-                        if lts.succ_mask(q1, "t") & target:
-                            base |= 1 << q1
-                    ok = lts.backward_tau_closure(base)
-                    fresh = remaining & ~ok
-                    if fresh:
-                        drop(
-                            fresh,
-                            Removal(rnd, "timeout", "t", p2, pf.env_names(y)),
-                        )
+                _timeouts(pf, p, p2, snap_trip, remaining, drop, rnd)
         else:
             # visible moves count only when allowed or fired blindly from a
             # dead end; the match drops back into the plain pair relation
             if pf.ubit[lab] & x or quiet:
-                target = snap_pair[p2]
-                base = 0
-                for q1 in range(pf.n):
-                    if lts.succ_mask(q1, lab) & target:
-                        base |= 1 << q1
-                base &= snap_trip[p][x]
-                ok = lts.backward_tau_closure(base, within)
-                fresh = remaining & ~ok
+                base = lts.pred_mask(lab, snap_pair[p2]) & snap_trip[p][x]
+                fresh = remaining & ~lts.backward_tau_closure(base)
                 if fresh:
                     drop(fresh, Removal(rnd, "move", lab, p2))
     if pf.stable[p] and remaining:
@@ -425,14 +408,12 @@ def _scan_trip_row(pf, p, x, row, snap_pair, snap_trip, restricted, sink, rnd):
     return bad_total
 
 
-def _generalized_fixpoint(pf, restricted=False, record=True):
+def _generalized_fixpoint(pf, record=True):
     """Greatest relation closed under the pair and triple clauses.
 
-    ``restricted=False`` follows the clauses literally: the internal runs
-    that precede a match may pass through unrelated states.  With
-    ``restricted=True`` runs are confined to the current row, the classical
-    optimisation; the two agree on the greatest fixpoint, which the test
-    suite checks by direct comparison.
+    The clauses are followed literally: the internal runs that precede a
+    match may pass through unrelated states.  With ``record`` every removal
+    is stamped with its round and clause in ``records``.
     """
     n = pf.n
     full = pf.full
@@ -451,9 +432,7 @@ def _generalized_fixpoint(pf, restricted=False, record=True):
         for p in range(n):
             row = snap_pair[p]
             bad = (
-                _scan_pair_row(
-                    pf, p, row, snap_pair, snap_trip, restricted, records, rounds
-                )
+                _scan_pair_row(pf, p, row, snap_pair, snap_trip, records, rounds)
                 if row
                 else 0
             )
@@ -464,7 +443,7 @@ def _generalized_fixpoint(pf, restricted=False, record=True):
                 if not rowt:
                     continue
                 bad = _scan_trip_row(
-                    pf, p, x, rowt, snap_pair, snap_trip, restricted, records, rounds
+                    pf, p, x, rowt, snap_pair, snap_trip, records, rounds
                 )
                 if bad:
                     rem_trip.append((p, x, bad))
@@ -484,41 +463,44 @@ def _generalized_fixpoint(pf, restricted=False, record=True):
 
 
 # --------------------------------------------------------------------------
-# plain fixpoints over pairs only
+# plain relations by partition refinement
 
 
 @dataclass
 class _PairResult:
+    """A partition as a relation: ``rel[i]`` is the block of state ``i``,
+    ``records`` are the pairs it separates (:class:`_Separations`), and
+    ``rounds`` counts the refinement rounds, the last of which splits
+    nothing."""
+
     rel: list
-    records: dict
+    records: Mapping
     rounds: int
 
     def has(self, p, q):
         return bool(self.rel[p] >> q & 1)
 
-    def record(self, p, q):
-        rec = self.records.get((p, q))
-        if rec is not None:
-            return rec, False
-        rec = self.records.get((q, p))
-        if rec is None:
-            raise TxbisimError("removed pair has no removal record")
-        return rec, True
+    def fail(self, p, q):
+        """None for a related pair, else its failing clause as
+        ``(side, removal)``."""
+        return None if self.has(p, q) else self.records[p, q]
 
 
 class _Separations(Mapping):
     """The ordered pairs a partition puts in different blocks.
 
-    Looking a pair up scans its branching clauses, in both orientations,
-    against the partition with the pair joined, and gives the first that
-    fails as ``(removal, mirrored)``.  The partition is the greatest
-    relation, so some clause fails.  Nothing is scanned until a pair is
-    looked up; the count comes from the block sizes.
+    Looking a pair up scans its clauses (``fail``: :func:`_strong_fail` or
+    :func:`_branching_fail`), in both orientations, against the partition
+    with the pair joined, and gives the first that fails as
+    ``(side, removal)``.  The partition is the greatest relation, so some
+    clause fails.  Nothing is scanned until a pair is looked up; the count
+    comes from the block sizes.
     """
 
-    def __init__(self, lts, rel):
+    def __init__(self, lts, rel, fail):
         self.lts = lts
         self.rel = rel
+        self.fail = fail
 
     def __len__(self):
         return self.lts.n_states**2 - sum(row.bit_count() for row in self.rel)
@@ -536,39 +518,84 @@ class _Separations(Mapping):
         rel = self.rel[:]
         rel[p] |= 1 << q
         rel[q] |= 1 << p
-        for mirror, (a, b) in enumerate(((p, q), (q, p))):
-            rec = _branching_fail(self.lts, rel, a, 1 << b)
+        for side, (a, b) in enumerate(((p, q), (q, p))):
+            rec = self.fail(self.lts, rel, a, 1 << b)
             if rec is not None:
-                return rec, bool(mirror)
-        raise TxbisimError("unrelated pair violates no branching clause")
+                return side, rec
+        raise TxbisimError("unrelated pair violates no clause")
 
 
-class _PartitionResult(_PairResult):
-    """A partition as a relation; ``records`` are its :class:`_Separations`."""
-
-    def record(self, p, q):
-        return self.records[p, q]
+def _strong_fail(lts, rel, p, row):
+    """First strong bisimulation clause of state ``p`` that some entry of
+    ``row`` fails against the relation ``rel``, as a round-0 removal; None
+    when every entry passes."""
+    for lab in sorted(lts.out_labels(p), key=label_sort_key):
+        for p2 in iter_bits(lts.succ_mask(p, lab)):
+            if row & ~lts.pred_mask(lab, rel[p2]):
+                return Removal(0, "move", lab, p2)
+    return None
 
 
 def _branching_fail(lts, rel, p, row):
-    """First stability respecting branching clause of state ``p`` that some
-    entry of ``row`` fails against the relation ``rel``, as a round-0
-    removal; None when every entry passes."""
-    for lab in sorted(lts.out_labels(p), key=_label_order):
+    """Likewise for the stability respecting branching clauses."""
+    for lab in sorted(lts.out_labels(p), key=label_sort_key):
         for p2 in iter_bits(lts.succ_mask(p, lab)):
             target = rel[p2]
-            base = 0
-            for q1 in range(lts.n_states):
-                if lts.succ_mask(q1, lab) & target:
-                    base |= 1 << q1
+            base = lts.pred_mask(lab, target)
             if lab == "tau":
                 base |= target
-            base &= rel[p]
-            if row & ~lts.backward_tau_closure(base):
+            if row & ~lts.backward_tau_closure(base & rel[p]):
                 return Removal(0, "move", lab, p2)
     if lts.is_stable(p) and row & ~lts.can_reach_stable_mask:
         return Removal(0, "stability")
     return None
+
+
+def _refine(lts, comp, moves, exits, block, fail):
+    """Greatest relation by signature refinement in the manner of Blom and
+    Orzan, as a :class:`_PairResult` whose clauses are ``fail``.
+
+    State ``i`` lies in component ``comp[i]``, and the components are
+    refined whole.  Component ``c`` has the moves ``moves[c]``, pairs
+    ``(label, component)``, the tau steps ``exits[c]`` to components
+    earlier in order, and the initial block ``block[c]``.  A round gives
+    every component the signature ``{(label, block of target)}`` over its
+    own moves and those of the exits inside its block (inert steps, left
+    out themselves), computed in order, then splits each block by
+    signature, until a round splits nothing.
+    """
+    # a signature entry (label, block) is the integer block * width + label
+    codes = {lab: k for k, lab in enumerate(lts.labels)}
+    width = len(codes)
+    tau = codes.get("tau")
+    moves = [tuple((codes[lab], d) for lab, d in own) for own in moves]
+    count = len(set(block))
+    rounds = 0
+    while True:
+        rounds += 1
+        sigs = []
+        ids = {}
+        fresh = []
+        for c in range(len(block)):
+            b = block[c]
+            sig = {block[d] * width + k for k, d in moves[c]}
+            for d in exits[c]:
+                if block[d] == b:
+                    sig |= sigs[d]
+                else:
+                    sig.add(block[d] * width + tau)
+            sig = frozenset(sig)
+            sigs.append(sig)
+            fresh.append(ids.setdefault((b, sig), len(ids)))
+        block = fresh
+        if len(ids) == count:
+            break
+        count = len(ids)
+    masks = [0] * count
+    for i, c in enumerate(comp):
+        masks[block[c]] |= 1 << i
+    rel = [masks[block[c]] for c in comp]
+    return _PairResult(rel, _Separations(lts, rel, fail), rounds)
 
 
 def _tau_sccs(lts):
@@ -624,26 +651,16 @@ def _branching_fixpoint(lts):
     """Greatest stability respecting branching bisimulation, every label
     treated uniformly and matched up to preceding internal steps.
 
-    Signature refinement in the manner of Blom and Orzan.  Members of a tau
-    cycle are always related, so blocks are unions of tau components.  The
-    first split, states that can reach a stable state against the rest, is
-    the stability clause.  A round gives every component the signature
-    ``{(label, block of target)}`` over its own moves and those of the
-    components it reaches by inert tau steps (inside its block, and left
-    out themselves), computed successors first, then splits each block by
-    signature.  ``rel[i]`` is the block of state ``i``; ``records`` are the
-    pairs the blocks separate; ``rounds`` counts the rounds, the last of
-    which splits nothing.
+    Members of a tau cycle are always related, so the refined components
+    are the tau components in Tarjan's order, and the tau steps between
+    them are the exits.  The first split, states that can reach a stable
+    state against the rest, is the stability clause.
     """
     sccs = _tau_sccs(lts)
     comp = [0] * lts.n_states
     for c, members in enumerate(sccs):
         for i in members:
             comp[i] = c
-    # a signature entry (label, block) is the integer block * width + label
-    codes = {lab: k for k, lab in enumerate(lts.labels)}
-    width = len(codes)
-    tau = codes.get("tau")
     moves = []
     exits = []
     for c, members in enumerate(sccs):
@@ -655,90 +672,30 @@ def _branching_fixpoint(lts):
                 if lab == "tau":
                     out.update(comp[j] for j in iter_bits(succ) if comp[j] != c)
                 else:
-                    own.update((codes[lab], comp[j]) for j in iter_bits(succ))
-        moves.append(tuple(own))
+                    own.update((lab, comp[j]) for j in iter_bits(succ))
+        moves.append(own)
         exits.append(tuple(out))
     reach = lts.can_reach_stable_mask
     block = [0 if reach >> members[0] & 1 else 1 for members in sccs]
-    count = len(set(block))
-    rounds = 0
-    while True:
-        rounds += 1
-        sigs = []
-        ids = {}
-        fresh = []
-        for c in range(len(sccs)):
-            b = block[c]
-            sig = {block[d] * width + k for k, d in moves[c]}
-            for d in exits[c]:
-                if block[d] == b:
-                    sig |= sigs[d]
-                else:
-                    sig.add(block[d] * width + tau)
-            sig = frozenset(sig)
-            sigs.append(sig)
-            fresh.append(ids.setdefault((b, sig), len(ids)))
-        block = fresh
-        if len(ids) == count:
-            break
-        count = len(ids)
-    masks = [0] * count
-    for i, c in enumerate(comp):
-        masks[block[c]] |= 1 << i
-    rel = [masks[block[c]] for c in comp]
-    return _PartitionResult(rel, _Separations(lts, rel), rounds)
+    return _refine(lts, comp, moves, exits, block, _branching_fail)
 
 
-def _strong_fixpoint(lts, record=True):
-    """Greatest strong bisimulation: every move matched by a single step."""
+def _strong_fixpoint(lts):
+    """Greatest strong bisimulation: every move matched by a single step.
+
+    Every state is its own component, tau is an ordinary label, and all
+    states start in one block.
+    """
     n = lts.n_states
-    full = (1 << n) - 1
-    moves = tuple(
-        tuple(
+    moves = [
+        [
             (lab, j)
-            for lab in sorted(lts.out_labels(i), key=_label_order)
+            for lab in lts.out_labels(i)
             for j in iter_bits(lts.succ_mask(i, lab))
-        )
+        ]
         for i in range(n)
-    )
-    rel = [full] * n
-    records: dict | None = {} if record else None
-    rounds = 0
-    while True:
-        rounds += 1
-        snap = rel[:]
-        removals = []
-        for p in range(n):
-            remaining = snap[p]
-            if not remaining:
-                continue
-            bad_total = 0
-            for lab, p2 in moves[p]:
-                if not remaining:
-                    break
-                target = snap[p2]
-                ok = 0
-                for q1 in range(n):
-                    if lts.succ_mask(q1, lab) & target:
-                        ok |= 1 << q1
-                fresh = remaining & ~ok
-                if fresh:
-                    if records is not None:
-                        for q in iter_bits(fresh):
-                            records.setdefault(
-                                (p, q), Removal(rounds, "move", lab, p2)
-                            )
-                    bad_total |= fresh
-                    remaining &= ~fresh
-            if bad_total:
-                removals.append((p, bad_total))
-        if not removals:
-            break
-        for p, bad in removals:
-            rel[p] &= ~bad
-            for q in iter_bits(bad):
-                rel[q] &= ~(1 << p)
-    return _PairResult(rel, records or {}, rounds)
+    ]
+    return _refine(lts, range(n), moves, [()] * n, [0] * n, _strong_fail)
 
 
 # --------------------------------------------------------------------------
@@ -764,13 +721,6 @@ def _rooted_pair_fail(pf, res, p, q):
     return None
 
 
-def _rooted_pair_check(pf, res, p, q):
-    fail = _rooted_pair_fail(pf, res, p, q)
-    if fail is None:
-        return None
-    return _reason(pf.lts, fail[0], fail[1])
-
-
 def _rooted_trip_fail(pf, res, p, x, q):
     lts = pf.lts
     for side, (a, b) in enumerate(((p, q), (q, p))):
@@ -793,31 +743,24 @@ def _rooted_trip_fail(pf, res, p, x, q):
     return None
 
 
-def _rooted_trip_check(pf, res, p, x, q):
-    fail = _rooted_trip_fail(pf, res, p, x, q)
-    if fail is None:
-        return None
-    return _reason(pf.lts, fail[0], fail[1])
-
-
-def _rooted_branching_check(lts, res, p, q):
+def _rooted_branching_fail(lts, res, p, q):
     """First-step condition on a plain system: every move matched strongly
     into the unrooted relation."""
     for side, (a, b) in enumerate(((p, q), (q, p))):
-        for lab in sorted(lts.out_labels(a), key=_label_order):
+        for lab in sorted(lts.out_labels(a), key=label_sort_key):
             for a2 in iter_bits(lts.succ_mask(a, lab)):
                 if not lts.succ_mask(b, lab) & res.rel[a2]:
-                    return _reason(lts, side, Removal(0, "move", lab, a2))
+                    return side, Removal(0, "move", lab, a2)
     return None
 
 
-def _reason(lts, side, rec, round_=None):
+def _reason(lts, side, rec):
     out = {
         "side": ("left", "right")[side],
         "clause": rec.clause,
     }
-    if round_ is not None or rec.round:
-        out["round"] = round_ if round_ is not None else rec.round
+    if rec.round:
+        out["round"] = rec.round
     if rec.label is not None:
         out["label"] = rec.label
     if rec.succ is not None:
@@ -831,7 +774,8 @@ def _reason(lts, side, rec, round_=None):
 # witnesses
 
 
-def _gen_store(lts, universe, pf, res):
+def _gen_store(pf, res):
+    lts = pf.lts
     pairs = set()
     triples = set()
     for p in range(pf.n):
@@ -853,22 +797,27 @@ def _pair_store(lts, rel):
 
 
 def _store_masks(lts, pf, store):
-    """Masks from a relation store, checking symmetry on the way."""
+    """Masks from a relation store, or None when the store is not
+    symmetric, names a state outside the system, or has a triple that
+    ``pf`` (None for pairs only) cannot place in its universe."""
     n = lts.n_states
+    index = lts.index
     pair = [0] * n
     trip = [[0] * pf.nx for _ in range(n)] if pf is not None else None
     for s, t in store.pairs:
-        i, j = lts.index[s], lts.index[t]
-        pair[i] |= 1 << j
+        if s not in index or t not in index:
+            return None, None
+        pair[index[s]] |= 1 << index[t]
     for p in range(n):
         for q in iter_bits(pair[p]):
             if not pair[q] >> p & 1:
                 return None, None
     for s, x, t in store.triples:
-        if pf is None:
+        if pf is None or s not in index or t not in index:
             return None, None
-        i, j = lts.index[s], lts.index[t]
-        trip[i][pf.env_mask(x)] |= 1 << j
+        if not all(a in pf.ubit for a in x):
+            return None, None
+        trip[index[s]][pf.env_mask(x)] |= 1 << index[t]
     if trip is not None:
         for p in range(n):
             for x in range(pf.nx):
@@ -895,46 +844,70 @@ def generalized_witness_ok(lts, universe, store):
             if pair[p] & ~trip[p][x]:
                 return False
     for p in range(pf.n):
-        if pair[p] and _scan_pair_row(pf, p, pair[p], pair, trip, False, None, 0):
+        if pair[p] and _scan_pair_row(pf, p, pair[p], pair, trip, None, 0):
             return False
         for x in range(pf.nx):
             row = trip[p][x]
-            if row and _scan_trip_row(pf, p, x, row, pair, trip, False, None, 0):
+            if row and _scan_trip_row(pf, p, x, row, pair, trip, None, 0):
                 return False
     return True
 
 
-def branching_witness_ok(lts, store):
-    """One literal pass of the stability respecting branching clauses."""
-    if store.triples:
-        return False
+def _pair_witness_ok(lts, store, fail):
+    """One literal pass of the plain clauses ``fail`` over a pair store."""
     pair, _ = _store_masks(lts, None, store)
     if pair is None:
         return False
     return all(
-        not pair[p] or _branching_fail(lts, pair, p, pair[p]) is None
+        not pair[p] or fail(lts, pair, p, pair[p]) is None
         for p in range(lts.n_states)
     )
 
 
+def branching_witness_ok(lts, store):
+    """One literal pass of the stability respecting branching clauses."""
+    return _pair_witness_ok(lts, store, _branching_fail)
+
+
 def strong_witness_ok(lts, store):
-    if store.triples:
-        return False
-    pair, _ = _store_masks(lts, None, store)
-    if pair is None:
-        return False
-    for p in range(lts.n_states):
-        if not pair[p]:
-            continue
-        for lab in sorted(lts.out_labels(p), key=_label_order):
-            for p2 in iter_bits(lts.succ_mask(p, lab)):
-                ok = 0
-                for q1 in range(lts.n_states):
-                    if lts.succ_mask(q1, lab) & pair[p2]:
-                        ok |= 1 << q1
-                if pair[p] & ~ok:
-                    return False
-    return True
+    """One literal pass of the strong bisimulation clauses."""
+    return _pair_witness_ok(lts, store, _strong_fail)
+
+
+# --------------------------------------------------------------------------
+# verdicts
+
+
+def _verdict(method, fail, system, store, lts, universe=None):
+    """A negative verdict naming the failing clause ``fail``, a pair
+    ``(side, removal)`` over ``system``, or with ``fail`` None a positive
+    one carrying ``store()``."""
+    if fail is None:
+        return Verdict(True, method, store(), lts=lts, universe=universe)
+    return Verdict(
+        False, method, reason=_reason(system, *fail), lts=lts, universe=universe
+    )
+
+
+def _direct(pf, res, i, j, x, rooted, store, universe):
+    """The direct route's verdict on states ``i`` and ``j``: triggered when
+    the environment mask ``x`` is None, else in that environment."""
+    if x is None:
+        fail = _rooted_pair_fail(pf, res, i, j) if rooted else res.pair_fail(i, j)
+    elif rooted:
+        fail = _rooted_trip_fail(pf, res, i, x, j)
+    else:
+        fail = res.trip_fail(i, x, j)
+    return _verdict("direct", fail, pf.lts, store, pf.lts, universe)
+
+
+def _plain_fail(lts, res, i, j, rooted):
+    return _rooted_branching_fail(lts, res, i, j) if rooted else res.fail(i, j)
+
+
+def _plain(lts, res, s, t, rooted=False):
+    fail = _plain_fail(lts, res, lts.index[s], lts.index[t], rooted)
+    return _verdict("direct", fail, lts, lambda: _pair_store(lts, res.rel), lts)
 
 
 # --------------------------------------------------------------------------
@@ -943,24 +916,17 @@ def strong_witness_ok(lts, store):
 
 def strong(lts, s, t):
     """Strong bisimilarity of two states of one system."""
-    res = _strong_fixpoint(lts)
-    return _pair_verdict(lts, res, s, t, "direct")
+    return _plain(lts, _strong_fixpoint(lts), s, t)
 
 
 def sr_branching(lts, s, t):
     """Stability respecting branching bisimilarity of two states."""
-    res = _branching_fixpoint(lts)
-    return _pair_verdict(lts, res, s, t, "direct")
+    return _plain(lts, _branching_fixpoint(lts), s, t)
 
 
 def r_sr_branching(lts, s, t):
     """Rooted stability respecting branching bisimilarity of two states."""
-    res = _branching_fixpoint(lts)
-    i, j = lts.index[s], lts.index[t]
-    reason = _rooted_branching_check(lts, res, i, j)
-    if reason is None:
-        return Verdict(True, "direct", _pair_store(lts, res.rel), lts=lts)
-    return Verdict(False, "direct", reason=reason, lts=lts)
+    return _plain(lts, _branching_fixpoint(lts), s, t, rooted=True)
 
 
 def brb_states(lts, s, t, universe=None, rooted=False):
@@ -976,35 +942,9 @@ def brb_states(lts, s, t, universe=None, rooted=False):
         universe = envset(lab for lab in labels if lab not in ("tau", "t"))
     pf = _Profile(lts, universe)
     res = _generalized_fixpoint(pf)
-    i, j = lts.index[s], lts.index[t]
-    if rooted:
-        fail = _rooted_pair_fail(pf, res, i, j)
-        if fail is None:
-            store = _gen_store(lts, universe, pf, res)
-            return Verdict(True, "direct", store, lts=lts, universe=universe)
-        side, rec = fail
-        return Verdict(
-            False, "direct", reason=_reason(lts, side, rec), lts=lts,
-            universe=universe,
-        )
-    if res.pair_has(i, j):
-        store = _gen_store(lts, universe, pf, res)
-        return Verdict(True, "direct", store, lts=lts, universe=universe)
-    rec, mirror = res.pair_record(i, j)
-    return Verdict(
-        False, "direct",
-        reason=_reason(lts, 1 if mirror else 0, rec), lts=lts,
-        universe=universe,
-    )
-
-
-def _pair_verdict(lts, res, s, t, method):
-    i, j = lts.index[s], lts.index[t]
-    if res.has(i, j):
-        return Verdict(True, method, _pair_store(lts, res.rel), lts=lts)
-    rec, mirror = res.record(i, j)
-    return Verdict(
-        False, method, reason=_reason(lts, 1 if mirror else 0, rec), lts=lts
+    return _direct(
+        pf, res, lts.index[s], lts.index[t], None, rooted,
+        lambda: _gen_store(pf, res), universe,
     )
 
 
@@ -1060,15 +1000,8 @@ class Analysis:
     def canonical_env(self, x):
         return envset(x).intersection(self.universe)
 
-    # -- encoded-relation projections
-
-    def _enc_pair_has(self, mode, s, t):
-        i = self.enc_index(mode, s)
-        j = self.enc_index(mode, t)
-        return self.enc_branch.has(i, j)
-
     def gen_store(self):
-        return _gen_store(self.lts, self.universe, self.profile, self.gen)
+        return _gen_store(self.profile, self.gen)
 
     def encoded_projection(self):
         """The direct-style relation read off the encoded fixpoint: related
@@ -1087,16 +1020,30 @@ class Analysis:
         return RelationStore(frozenset(pairs), frozenset(triples))
 
 
-def _term_check(p, q, opts, direct_fn, encode_fn):
-    """Run one or both methods and reconcile their verdicts."""
+def _check(p, q, env, rooted, opts):
+    """Decide one of the four reactive relations of two closed terms:
+    triggered when ``env`` is None, else in the environment ``env``, and
+    rooted or not.  ``opts.method`` picks the route; ``"both"`` runs the
+    two, raises if they disagree and reports the direct verdict."""
     an = Analysis(p, q, opts)
     method = an.opts.method
-    if method == "direct":
-        return direct_fn(an)
+    if env is not None:
+        env = an.canonical_env(env)
+    if method != "encode":
+        x = None if env is None else an.profile.env_mask(env)
+        d = _direct(
+            an.profile, an.gen, an.ip, an.iq, x, rooted, an.gen_store, an.universe
+        )
+        if method == "direct":
+            return d
+    mode = None if env is None else tuple(env)
+    i, j = an.enc_index(mode, an.p), an.enc_index(mode, an.q)
+    fail = _plain_fail(an.encoded, an.enc_branch, i, j, rooted)
+    e = _verdict(
+        "encode", fail, an.encoded, an.encoded_projection, an.lts, an.universe
+    )
     if method == "encode":
-        return encode_fn(an)
-    d = direct_fn(an)
-    e = encode_fn(an)
+        return e
     if d.equivalent != e.equivalent:
         raise MethodDisagreementError(
             f"direct says {d.equivalent}, encoding says {e.equivalent} "
@@ -1107,42 +1054,7 @@ def _term_check(p, q, opts, direct_fn, encode_fn):
 
 def brb(p, q, opts=None):
     """Branching reactive bisimilarity of two closed terms."""
-
-    def direct(an):
-        res = an.gen
-        if res.pair_has(an.ip, an.iq):
-            return Verdict(
-                True, "direct", an.gen_store(), lts=an.lts, universe=an.universe
-            )
-        rec, mirror = res.pair_record(an.ip, an.iq)
-        return Verdict(
-            False,
-            "direct",
-            reason=_reason(an.lts, 1 if mirror else 0, rec),
-            lts=an.lts,
-            universe=an.universe,
-        )
-
-    def encoded(an):
-        if an._enc_pair_has(None, an.p, an.q):
-            return Verdict(
-                True,
-                "encode",
-                an.encoded_projection(),
-                lts=an.lts,
-                universe=an.universe,
-            )
-        i, j = an.enc_index(None, an.p), an.enc_index(None, an.q)
-        rec, mirror = an.enc_branch.record(i, j)
-        return Verdict(
-            False,
-            "encode",
-            reason=_reason(an.encoded, 1 if mirror else 0, rec),
-            lts=an.lts,
-            universe=an.universe,
-        )
-
-    return _term_check(p, q, opts, direct, encoded)
+    return _check(p, q, None, False, opts)
 
 
 def brb_x(p, q, x, opts=None):
@@ -1151,112 +1063,17 @@ def brb_x(p, q, x, opts=None):
     The environment is canonicalised to the actions the two terms can
     actually perform; allowing impossible actions changes nothing.
     """
-
-    def direct(an):
-        xe = an.canonical_env(x)
-        xmask = an.profile.env_mask(xe)
-        res = an.gen
-        if res.trip_has(an.ip, xmask, an.iq):
-            return Verdict(
-                True, "direct", an.gen_store(), lts=an.lts, universe=an.universe
-            )
-        rec, mirror = res.trip_record(an.ip, xmask, an.iq)
-        return Verdict(
-            False,
-            "direct",
-            reason=_reason(an.lts, 1 if mirror else 0, rec),
-            lts=an.lts,
-            universe=an.universe,
-        )
-
-    def encoded(an):
-        xe = an.canonical_env(x)
-        mode = tuple(xe)
-        if an._enc_pair_has(mode, an.p, an.q):
-            return Verdict(
-                True,
-                "encode",
-                an.encoded_projection(),
-                lts=an.lts,
-                universe=an.universe,
-            )
-        i, j = an.enc_index(mode, an.p), an.enc_index(mode, an.q)
-        rec, mirror = an.enc_branch.record(i, j)
-        return Verdict(
-            False,
-            "encode",
-            reason=_reason(an.encoded, 1 if mirror else 0, rec),
-            lts=an.lts,
-            universe=an.universe,
-        )
-
-    return _term_check(p, q, opts, direct, encoded)
+    return _check(p, q, x, False, opts)
 
 
 def rbrb(p, q, opts=None):
     """Rooted branching reactive bisimilarity: congruence-grade equality."""
-
-    def direct(an):
-        reason = _rooted_pair_check(an.profile, an.gen, an.ip, an.iq)
-        if reason is None:
-            return Verdict(
-                True, "direct", an.gen_store(), lts=an.lts, universe=an.universe
-            )
-        return Verdict(
-            False, "direct", reason=reason, lts=an.lts, universe=an.universe
-        )
-
-    def encoded(an):
-        i, j = an.enc_index(None, an.p), an.enc_index(None, an.q)
-        reason = _rooted_branching_check(an.encoded, an.enc_branch, i, j)
-        if reason is None:
-            return Verdict(
-                True,
-                "encode",
-                an.encoded_projection(),
-                lts=an.lts,
-                universe=an.universe,
-            )
-        return Verdict(
-            False, "encode", reason=reason, lts=an.lts, universe=an.universe
-        )
-
-    return _term_check(p, q, opts, direct, encoded)
+    return _check(p, q, None, True, opts)
 
 
 def rbrb_x(p, q, x, opts=None):
     """Rooted branching reactive bisimilarity in a fixed environment."""
-
-    def direct(an):
-        xe = an.canonical_env(x)
-        xmask = an.profile.env_mask(xe)
-        reason = _rooted_trip_check(an.profile, an.gen, an.ip, xmask, an.iq)
-        if reason is None:
-            return Verdict(
-                True, "direct", an.gen_store(), lts=an.lts, universe=an.universe
-            )
-        return Verdict(
-            False, "direct", reason=reason, lts=an.lts, universe=an.universe
-        )
-
-    def encoded(an):
-        xe = an.canonical_env(x)
-        mode = tuple(xe)
-        i, j = an.enc_index(mode, an.p), an.enc_index(mode, an.q)
-        reason = _rooted_branching_check(an.encoded, an.enc_branch, i, j)
-        if reason is None:
-            return Verdict(
-                True,
-                "encode",
-                an.encoded_projection(),
-                lts=an.lts,
-                universe=an.universe,
-            )
-        return Verdict(
-            False, "encode", reason=reason, lts=an.lts, universe=an.universe
-        )
-
-    return _term_check(p, q, opts, direct, encoded)
+    return _check(p, q, x, True, opts)
 
 
 def brb_partition(roots, opts=None):

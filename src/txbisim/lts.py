@@ -117,9 +117,6 @@ class Lts:
                 pred[j] |= 1 << i
         return pred
 
-    def tau_pred_mask(self, j):
-        return self._tau_pred[j]
-
     def is_stable(self, i):
         return self.succ_mask(i, "tau") == 0
 
@@ -131,29 +128,35 @@ class Lts:
                 mask |= 1 << i
         return mask
 
-    def tau_closure(self, mask, within=-1):
-        """Forward closure of a state set under tau steps inside ``within``."""
-        mask &= within
+    def tau_closure(self, mask):
+        """Forward closure of a state set under tau steps."""
         frontier = mask
         while frontier:
             grown = 0
             for i in iter_bits(frontier):
                 grown |= self.succ_mask(i, "tau")
-            frontier = grown & within & ~mask
+            frontier = grown & ~mask
             mask |= frontier
         return mask
 
-    def backward_tau_closure(self, mask, within=-1):
-        """States that reach ``mask`` by tau steps staying inside ``within``."""
-        mask &= within
+    def backward_tau_closure(self, mask):
+        """States that reach ``mask`` by tau steps."""
         frontier = mask
         while frontier:
             grown = 0
             for j in iter_bits(frontier):
                 grown |= self._tau_pred[j]
-            frontier = grown & within & ~mask
+            frontier = grown & ~mask
             mask |= frontier
         return mask
+
+    def pred_mask(self, label, target):
+        """States with a ``label`` step into the state set ``target``."""
+        base = 0
+        for q1, succ in enumerate(self._succ):
+            if succ.get(label, 0) & target:
+                base |= 1 << q1
+        return base
 
     @cached_property
     def can_reach_stable_mask(self):
@@ -178,11 +181,6 @@ class Lts:
                 if indeg[j] == 0:
                     ready.append(j)
         return done < self.n_states
-
-    @property
-    def strongly_guarded(self):
-        """No cycle of internal steps; every tau run eventually stops."""
-        return not self.divergent
 
     # -- serialisation
 

@@ -20,7 +20,7 @@ from txbisim import (
 )
 from txbisim.axioms import axiom_by_name, fuzz_axioms
 from txbisim.equiv import (
-    _rooted_pair_check,
+    _rooted_pair_fail,
     brb,
     brb_partition,
     brb_states,
@@ -49,7 +49,7 @@ def _equivalent(an):
 
 
 def _rooted_equivalent(an):
-    return _rooted_pair_check(an.profile, an.gen, an.ip, an.iq) is None
+    return _rooted_pair_fail(an.profile, an.gen, an.ip, an.iq) is None
 
 
 def test_criterion_01_stability_trio(stability_defs):

@@ -7,6 +7,7 @@ import pytest
 from jsonschema import validate
 
 from txbisim.cli import main
+from txbisim.encoding import MAX_UNIVERSE
 from txbisim.lts import parse_aut
 from txbisim.terms import parse_file
 
@@ -56,6 +57,16 @@ def test_parse_json_payload(capsys):
 
 def test_missing_file_is_an_error(capsys):
     code, _, err = run(capsys, ["parse", "no/such/file.ccspt"])
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_unexpected_failure_exits_with_an_error(capsys, tmp_path):
+    # a 600-deep prefix chain overflows the recursive printer; exit 1 would
+    # read as a negative verdict
+    deep = tmp_path / "deep.ccspt"
+    deep.write_text("def Deep = " + "a." * 600 + "0;\n")
+    code, _, err = run(capsys, ["parse", str(deep)])
     assert code == 2
     assert err.startswith("error:")
 
@@ -398,6 +409,15 @@ def test_nonpositive_budget_rejected(capsys):
     )
     assert code == 2
     assert "state budget must be positive" in err
+
+
+def test_alphabet_limit_above_the_ceiling_rejected(capsys):
+    too_wide = str(MAX_UNIVERSE + 1)
+    code, _, err = run(
+        capsys, ["check", STABILITY, "Q0", "R0", "brb", "--max-alphabet", too_wide]
+    )
+    assert code == 2
+    assert f"ceiling of {MAX_UNIVERSE} actions" in err
 
 
 def test_argparse_rejects_unknown_relation():

@@ -3,7 +3,7 @@
 import pytest
 
 from txbisim import AlphabetLimitError, StateBudgetError
-from txbisim.encoding import EncState, encode, encoded_state_count, eps_label
+from txbisim.encoding import EncState, encode, eps_label
 from txbisim.semantics import explore
 from txbisim.terms import envset, parse_term
 
@@ -107,19 +107,6 @@ def test_universe_size_is_capped():
 def test_budget_applies_to_wrapped_states():
     with pytest.raises(StateBudgetError):
         enc("a.b.0", ("a", "b"), max_states=5)
-
-
-def test_state_count_matches_exploration():
-    for source, names in [
-        ("0", ("a",)),
-        ("a.0", ("a",)),
-        ("tau.a.0 + t.b.0", ("a", "b")),
-    ]:
-        term = parse_term(source)
-        lts = explore(term)
-        assert encoded_state_count(lts, envset(names)) == encode(
-            lts, envset(names)
-        ).n_states
 
 
 # -- the closure is an ordinary system

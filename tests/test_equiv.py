@@ -20,9 +20,9 @@ from txbisim.equiv import (
     _Profile,
     _branching_fixpoint,
     _generalized_fixpoint,
-    _rooted_branching_check,
-    _rooted_pair_check,
-    _rooted_trip_check,
+    _rooted_branching_fail,
+    _rooted_pair_fail,
+    _rooted_trip_fail,
     _strong_fixpoint,
     branching_witness_ok,
     brb,
@@ -38,7 +38,7 @@ from txbisim.equiv import (
     strong,
     strong_witness_ok,
 )
-from txbisim.encoding import encode
+from txbisim.encoding import MAX_UNIVERSE, encode
 from txbisim.lts import Lts, disjoint_union, iter_bits, quotient
 from txbisim.semantics import explore
 from txbisim.terms import envset, mk_theta, parse_term, term_text
@@ -93,7 +93,7 @@ def test_rooted_checks_equal_reference_relation(small_corpus):
             (i, j)
             for i in range(pf.n)
             for j in range(pf.n)
-            if _rooted_pair_check(pf, res, i, j) is None
+            if _rooted_pair_fail(pf, res, i, j) is None
         }
         assert eng_rp == ora_rp
         eng_rt = {
@@ -101,17 +101,19 @@ def test_rooted_checks_equal_reference_relation(small_corpus):
             for i in range(pf.n)
             for x in range(pf.nx)
             for j in range(pf.n)
-            if _rooted_trip_check(pf, res, i, x, j) is None
+            if _rooted_trip_fail(pf, res, i, x, j) is None
         }
         assert eng_rt == ora_rt
 
 
-def assert_rows_match_reference(system):
+def assert_rows_match_reference(
+    system, fixpoint=_branching_fixpoint, reference=ref_branching
+):
     """The partition's rows are the reference relation, and its records
     count the ordered pairs it separates."""
-    res = _branching_fixpoint(system)
+    res = fixpoint(system)
     eng = {(i, j) for i in range(system.n_states) for j in iter_bits(res.rel[i])}
-    assert eng == ref_branching(system)
+    assert eng == reference(system)
     assert len(res.records) == system.n_states**2 - len(eng)
 
 
@@ -168,29 +170,15 @@ def test_rooted_branching_equals_reference(small_corpus):
             (i, j)
             for i in range(lts.n_states)
             for j in range(lts.n_states)
-            if _rooted_branching_check(lts, res, i, j) is None
+            if _rooted_branching_fail(lts, res, i, j) is None
         }
         assert eng == ref_rooted_branching(lts)
 
 
 def test_strong_rows_equal_reference(small_corpus):
-    for p, q, _ in small_corpus:
-        lts = explore((p, q))
-        res = _strong_fixpoint(lts)
-        eng = {(i, j) for i in range(lts.n_states) for j in iter_bits(res.rel[i])}
-        assert eng == ref_strong(lts)
-
-
-def test_restricted_and_literal_matching_agree(small_corpus):
-    # requiring the intermediate states of a matching path to be related
-    # does not change the greatest relation
-    for p, q, _ in small_corpus:
-        lts = explore((p, q))
-        pf = _Profile(lts, process_universe(p, q))
-        lit = _generalized_fixpoint(pf, restricted=False)
-        res = _generalized_fixpoint(pf, restricted=True)
-        assert lit.pair == res.pair
-        assert lit.trip == res.trip
+    systems = [explore((p, q)) for p, q, _ in small_corpus]
+    for lts in systems + list(_hand_built_systems().values()):
+        assert_rows_match_reference(lts, _strong_fixpoint, ref_strong)
 
 
 # -- the two decision methods against each other
@@ -198,10 +186,18 @@ def test_restricted_and_literal_matching_agree(small_corpus):
 
 def test_methods_agree_pairwise(small_corpus):
     for p, q, _ in small_corpus:
-        for check in (brb, rbrb):
-            d = check(p, q, CheckOptions(method="direct"))
-            e = check(p, q, CheckOptions(method="encode"))
-            b = check(p, q, CheckOptions(method="both"))
+        names = sorted(process_universe(p, q))
+        envs = [
+            envset(xs)
+            for k in range(len(names) + 1)
+            for xs in combinations(names, k)
+        ]
+        checks = [(brb, ()), (rbrb, ())]
+        checks += [(check, (x,)) for check in (brb_x, rbrb_x) for x in envs]
+        for check, env in checks:
+            d = check(p, q, *env, CheckOptions(method="direct"))
+            e = check(p, q, *env, CheckOptions(method="encode"))
+            b = check(p, q, *env, CheckOptions(method="both"))
             assert d.equivalent == e.equivalent == b.equivalent
             assert b.method == "both"
 
@@ -348,6 +344,58 @@ def assert_clause_fails_on_encoded(an, reason):
     )
 
 
+def test_strong_negative_verdict_names_a_failing_clause(small_corpus):
+    """The named clause fails against the final strong relation with the
+    queried pair joined; strong reasons carry no round."""
+    negatives = 0
+    for p, q, _ in small_corpus:
+        lts = explore((p, q))
+        v = strong(lts, p, q)
+        if v.equivalent:
+            continue
+        negatives += 1
+        assert "round" not in v.reason and v.reason["clause"] == "move"
+        i, j = lts.index[p], lts.index[q]
+        a, b = (i, j) if v.reason["side"] == "left" else (j, i)
+        rel = ref_strong(lts) | {(a, b), (b, a)}
+        lab = v.reason["label"]
+        a2 = [k for k, s in enumerate(lts.states)
+              if lts.state_text(s) == v.reason["successor"]]
+        assert len(a2) == 1 and lts.succ_mask(a, lab) >> a2[0] & 1
+        assert not any(
+            (a2[0], b2) in rel for b2 in iter_bits(lts.succ_mask(b, lab))
+        )
+    assert negatives
+
+
+@pytest.mark.parametrize("kind", ["generalized", "branching", "strong"])
+def test_validators_reject_foreign_names_without_raising(kind):
+    p = parse_term("a.0 + t.b.0")
+    lts, uni = explore(p), process_universe(p)
+    check, witness = {
+        "generalized": (
+            lambda s: generalized_witness_ok(lts, uni, s),
+            brb(p, p, DIRECT).witness,
+        ),
+        "branching": (
+            lambda s: branching_witness_ok(lts, s),
+            sr_branching(lts, p, p).witness,
+        ),
+        "strong": (
+            lambda s: strong_witness_ok(lts, s),
+            strong(lts, p, p).witness,
+        ),
+    }[kind]
+    assert check(witness)
+    stray = parse_term("zz.0")
+    outside_system = RelationStore(witness.pairs | {(stray, stray)}, witness.triples)
+    outside_universe = RelationStore(
+        witness.pairs, witness.triples | {(p, envset(("zz",)), p)}
+    )
+    assert check(outside_system) is False
+    assert check(outside_universe) is False
+
+
 def test_branching_and_strong_witnesses(small_corpus):
     for p, q, _ in small_corpus[:10]:
         lts = explore((p, q))
@@ -422,3 +470,9 @@ def test_process_universe_is_the_joint_alphabet():
 def test_check_options_validate_method():
     with pytest.raises(TxbisimError):
         CheckOptions(method="quantum")
+
+
+def test_check_options_refuse_an_alphabet_above_the_ceiling():
+    assert CheckOptions().max_alphabet == MAX_UNIVERSE
+    with pytest.raises(AlphabetLimitError, match=f"ceiling of {MAX_UNIVERSE} "):
+        CheckOptions(max_alphabet=MAX_UNIVERSE + 1)

@@ -60,7 +60,7 @@ def test_stability_and_closures():
 
 def test_divergence_detection():
     loop = Lts(range(2), [(0, "tau", 1), (1, "tau", 0)], (0,))
-    assert loop.divergent and not loop.strongly_guarded
+    assert loop.divergent
     assert not ladder().divergent
 
 
