@@ -3,7 +3,9 @@
 For each depth in a sweep this generates seeded pairs, decides plain and
 rooted equivalence, triggered and in a seeded subset of the pair's
 actions, with the direct fixpoint and with the environment encoding, and
-reports agreement plus wall-clock totals.  Any disagreement is printed in
+reports agreement plus wall-clock totals.  It also asks ``distinguish``,
+plain and rooted, for a formula separating every pair: that must return
+one exactly when the pair is inequivalent.  Any disagreement is printed in
 full and the script exits nonzero, so it doubles as a slow randomised
 check:
 
@@ -29,6 +31,7 @@ from txbisim import (
     rbrb,
     rbrb_x,
 )
+from txbisim.modal import distinguish, formula_text
 from txbisim.terms import term_text
 
 DIRECT = CheckOptions(method="direct", max_states=4000)
@@ -54,27 +57,47 @@ def run_depth(rng, env_rng, depth, args):
     cfg = GenConfig(alphabet=tuple(args.alphabet.split(",")), max_depth=depth)
     pairs = sample_pairs(rng, cfg, args.per_depth, args.state_cap, 0.3)
     mismatches = []
-    t_direct = t_encode = 0.0
+    t_direct = t_encode = t_formula = 0.0
     equivalent = 0
     for p, q in pairs:
         # a separate generator, so the pairs are those drawn without it
         names = sorted(process_universe(p, q))
         env = envset(a for a in names if env_rng.random() < 0.5)
         checks = [(brb, ()), (rbrb, ()), (brb_x, (env,)), (rbrb_x, (env,))]
+        related = {}
         for relation, args_x in checks:
             t0 = time.perf_counter()
-            d = bool(relation(p, q, *args_x, DIRECT))
+            d = related[relation] = bool(relation(p, q, *args_x, DIRECT))
             t_direct += time.perf_counter() - t0
             t0 = time.perf_counter()
             e = bool(relation(p, q, *args_x, ENCODE))
             t_encode += time.perf_counter() - t0
             if d != e:
-                mismatches.append((relation.__name__, p, q, args_x, d, e))
-        equivalent += bool(brb(p, q, DIRECT))
+                where = "".join(f" in {{{','.join(x)}}}" for x in args_x)
+                mismatches.append(
+                    (relation.__name__ + where, p, q, f"direct={d} encode={e}")
+                )
+        for relation, rooted in ((brb, False), (rbrb, True)):
+            t0 = time.perf_counter()
+            try:
+                phi = distinguish(p, q, rooted, DIRECT)
+                ok = related[relation] == (phi is None)
+                got = "None" if phi is None else formula_text(phi)
+            except Exception as exc:
+                ok, got = False, f"raised {type(exc).__name__}: {exc}"
+            t_formula += time.perf_counter() - t0
+            if not ok:
+                mismatches.append(
+                    (
+                        "distinguish --rooted" if rooted else "distinguish", p, q,
+                        f"{relation.__name__}={related[relation]} formula={got}",
+                    )
+                )
+        equivalent += related[brb]
     print(
         f"depth {depth}: {len(pairs)} pairs, {equivalent} equivalent, "
         f"direct {t_direct:.2f}s, encode {t_encode:.2f}s, "
-        f"{len(mismatches)} mismatches"
+        f"distinguish {t_formula:.2f}s, {len(mismatches)} mismatches"
     )
     return mismatches
 
@@ -96,10 +119,9 @@ def main(argv=None):
         bad.extend(run_depth(rng, env_rng, depth, args))
     if bad:
         print()
-        for name, p, q, args_x, d, e in bad:
-            env = "".join(f" in {{{','.join(x)}}}" for x in args_x)
+        for name, p, q, detail in bad:
             print(
-                f"{name}{env}: direct={d} encode={e}\n"
+                f"{name}: {detail}\n"
                 f"  left:  {term_text(p)}\n"
                 f"  right: {term_text(q)}"
             )

@@ -14,12 +14,16 @@ Both routes produce the same answers; ``method="both"`` runs the two and
 raises :class:`~txbisim.errors.MethodDisagreementError` if they ever split,
 which doubles as a strong internal consistency check.
 
-Relations are kept as one successor-set mask per row.  The direct route's
-fixpoint works set-at-a-time on those masks, a removal round being a
-handful of mask operations per clause, and stamps every removal with its
-round and the violated clause; those records drive both the explanation of
-a negative verdict and the synthesis of distinguishing formulas in
-:mod:`txbisim.modal`.  The plain relations, stability respecting branching
+Relations are kept as one successor-set mask per row.  The direct route
+keeps its relation as one table ``rows[p][x]``: a column per environment
+mask and one more, :attr:`_Profile.trig`, for the pairs.  A pair row is
+judged like a triple row in which every visible move counts, so each
+clause, the rooted first-step condition and the witness check are written
+once for all columns.  The fixpoint works set-at-a-time on those masks, a
+removal round being a handful of mask operations per clause, and stamps
+every removal with its round and the violated clause; those records drive
+both the explanation of a negative verdict and the synthesis of
+distinguishing formulas in :mod:`txbisim.modal`.  The plain relations, stability respecting branching
 bisimilarity (which the encode route decides on the wrapped system) and
 strong bisimilarity, share one partition refinement (:func:`_refine`)
 that stamps nothing: a negative verdict is explained by the first clause
@@ -42,7 +46,7 @@ from .errors import (
     MethodDisagreementError,
     TxbisimError,
 )
-from .lts import Lts, Partition, iter_bits, label_sort_key
+from .lts import Lts, Partition, iter_bits
 from .semantics import explore
 from .terms import EnvSet, Term, alphabet, envset, term_text
 
@@ -147,10 +151,12 @@ class Verdict:
 class Removal:
     """Why and when a row entry left the candidate relation.
 
-    ``clause`` is ``"move"`` (a branching-match obligation for the recorded
-    label failed), ``"timeout"`` (a time-out obligation under environment
-    ``env`` failed), or ``"stability"`` (the other side cannot reach a
-    stable state).  ``succ`` is the successor index on the failing side.
+    On the direct route the entry is ``(p, x, q)`` of its table, ``x`` the
+    pair column or an environment mask.  ``clause`` is ``"move"`` (a
+    branching-match obligation for the recorded label failed),
+    ``"timeout"`` (a time-out obligation under environment ``env``
+    failed), or ``"stability"`` (the other side cannot reach a stable
+    state).  ``succ`` is the successor index on the failing side.
     ``round`` is 0 for a clause found failing against a final relation
     rather than stamped by a fixpoint round.
     """
@@ -181,7 +187,13 @@ def process_universe(*terms, limit=None):
 
 
 class _Profile:
-    """Bit-level view of one system against a fixed environment universe."""
+    """Bit-level view of one system against a fixed environment universe.
+
+    Environments are masks over the universe, ``0 .. nx-1``.  ``trig``,
+    one past them, names the pair row's column in the direct route's
+    table: its bit lies outside every environment, so ``deadend(p, trig)``
+    is ``stable[p]``.
+    """
 
     __slots__ = (
         "lts",
@@ -190,9 +202,9 @@ class _Profile:
         "universe",
         "k",
         "nx",
+        "trig",
         "umask",
         "ubit",
-        "moves",
         "stable",
         "init_vis",
         "notinit",
@@ -206,16 +218,13 @@ class _Profile:
         self.universe = tuple(universe)
         self.k = len(self.universe)
         self.nx = 1 << self.k
+        self.trig = self.nx
         self.umask = self.nx - 1
         self.ubit = {a: 1 << i for i, a in enumerate(self.universe)}
-        moves = []
         init_vis = []
-        for i in range(self.n):
-            row = []
+        for moves in lts.moves:
             vis = 0
-            for lab in sorted(lts.out_labels(i), key=label_sort_key):
-                for j in iter_bits(lts.succ_mask(i, lab)):
-                    row.append((lab, j))
+            for lab, _ in moves:
                 if lab not in ("tau", "t"):
                     bit = self.ubit.get(lab)
                     if bit is None:
@@ -223,9 +232,7 @@ class _Profile:
                             f"label {lab!r} is outside the environment universe"
                         )
                     vis |= bit
-            moves.append(tuple(row))
             init_vis.append(vis)
-        self.moves = tuple(moves)
         self.init_vis = tuple(init_vis)
         self.stable = tuple(lts.is_stable(i) for i in range(self.n))
         self.notinit = tuple(
@@ -269,54 +276,45 @@ class _Profile:
 
 @dataclass
 class _GenResult:
-    pair: list
-    trip: list
+    """The direct route's relation as one table: ``rows[p][x]`` is the row
+    of state ``p`` under the environment mask ``x``, and ``rows[p][trig]``
+    its pair row (:attr:`_Profile.trig`).  ``records`` maps every removed
+    entry ``(p, x, q)`` to its :class:`Removal` when the fixpoint records
+    them; ``rounds`` counts its rounds, the last of which removes nothing.
+    """
+
+    rows: list
     records: dict
     rounds: int
 
-    def pair_has(self, p, q):
-        return bool(self.pair[p] >> q & 1)
+    def has(self, p, x, q):
+        return bool(self.rows[p][x] >> q & 1)
 
-    def trip_has(self, p, x, q):
-        return bool(self.trip[p][x] >> q & 1)
-
-    def pair_fail(self, p, q):
-        """None while the pair is related, else its removal as
+    def fail(self, p, x, q):
+        """None while the entry is related, else its removal as
         ``(side, removal)``: the own orientation's record if present, else
         the mirror's."""
-        if self.pair_has(p, q):
+        if self.has(p, x, q):
             return None
-        return self._record(("p", p, q), ("p", q, p))
-
-    def trip_fail(self, p, x, q):
-        if self.trip_has(p, x, q):
-            return None
-        return self._record(("t", p, x, q), ("t", q, x, p))
-
-    def _record(self, *keys):
-        for side, key in enumerate(keys):
+        for side, key in enumerate(((p, x, q), (q, x, p))):
             rec = self.records.get(key)
             if rec is not None:
                 return side, rec
         raise TxbisimError("removed entry has no removal record")
 
-    def pair_round(self, p, q):
-        """Removal round of a pair, or None while it is still related."""
-        fail = self.pair_fail(p, q)
-        return None if fail is None else fail[1].round
-
-    def trip_round(self, p, x, q):
-        fail = self.trip_fail(p, x, q)
+    def round(self, p, x, q):
+        """Removal round of an entry, or None while it is still related."""
+        fail = self.fail(p, x, q)
         return None if fail is None else fail[1].round
 
 
-def _timeouts(pf, p, p2, snap_trip, remaining, drop, rnd):
+def _timeouts(pf, p, p2, snap, remaining, drop, rnd):
     """The time-out ``p -t-> p2`` under every environment ``p`` refuses:
     ``drop`` the entries of ``remaining`` that cannot reach a time-out into
-    the triple row of ``p2`` under that environment by internal steps."""
+    the row of ``p2`` under that environment by internal steps."""
     lts = pf.lts
     for x in pf.submasks_of(pf.notinit[p]):
-        ok = lts.backward_tau_closure(lts.pred_mask("t", snap_trip[p2][x]))
+        ok = lts.backward_tau_closure(lts.pred_mask("t", snap[p2][x]))
         fresh = remaining & ~ok
         if fresh:
             remaining = drop(fresh, Removal(rnd, "timeout", "t", p2, pf.env_names(x)))
@@ -324,83 +322,51 @@ def _timeouts(pf, p, p2, snap_trip, remaining, drop, rnd):
                 return
 
 
-def _scan_pair_row(pf, p, row, snap_pair, snap_trip, sink, rnd):
-    """Entries of ``row`` that violate some pair clause against the snapshot."""
+def _scan_row(pf, p, x, row, snap, sink, rnd):
+    """Entries of ``row``, the row of ``p`` in column ``x``, that violate
+    some clause against the snapshot table ``snap``.
+
+    In the pair column every visible move counts; under an environment only
+    the allowed ones, or all of them from a dead end.  A tau step is
+    matched within column ``x``, a visible step lands in the pair column.
+    """
     lts = pf.lts
-    remaining = row
-    bad_total = 0
-
-    def drop(fresh, rec):
-        nonlocal remaining, bad_total
-        if sink is not None:
-            for q in iter_bits(fresh):
-                sink[("p", p, q)] = rec
-        bad_total |= fresh
-        remaining &= ~fresh
-        return remaining
-
-    for lab, p2 in pf.moves[p]:
-        if not remaining:
-            return bad_total
-        if lab != "t":
-            # every instantaneous move needs a branching match whose endpoints
-            # stay related to the source and the target respectively
-            target = snap_pair[p2]
-            base = lts.pred_mask(lab, target)
-            if lab == "tau":
-                base |= target
-            fresh = remaining & ~lts.backward_tau_closure(base & snap_pair[p])
-            if fresh:
-                drop(fresh, Removal(rnd, "move", lab, p2))
-        elif pf.stable[p]:
-            # a time-out must be matched under every environment the source
-            # is quiescent for, landing in the matching triple
-            _timeouts(pf, p, p2, snap_trip, remaining, drop, rnd)
-    if pf.stable[p] and remaining:
-        fresh = remaining & ~lts.can_reach_stable_mask
-        if fresh:
-            drop(fresh, Removal(rnd, "stability"))
-    return bad_total
-
-
-def _scan_trip_row(pf, p, x, row, snap_pair, snap_trip, sink, rnd):
-    """Entries of a triple row that violate some triple clause."""
-    lts = pf.lts
-    remaining = row
-    bad_total = 0
+    trig = pf.trig
+    allow = pf.umask if x == trig else x
     quiet = pf.deadend(p, x)
+    remaining = row
+    bad_total = 0
 
     def drop(fresh, rec):
         nonlocal remaining, bad_total
         if sink is not None:
             for q in iter_bits(fresh):
-                sink[("t", p, x, q)] = rec
+                sink[p, x, q] = rec
         bad_total |= fresh
         remaining &= ~fresh
         return remaining
 
-    for lab, p2 in pf.moves[p]:
+    for lab, p2 in lts.moves[p]:
         if not remaining:
             return bad_total
-        if lab == "tau":
-            target = snap_trip[p2][x]
-            base = (target | lts.pred_mask("tau", target)) & snap_trip[p][x]
-            fresh = remaining & ~lts.backward_tau_closure(base)
-            if fresh:
-                drop(fresh, Removal(rnd, "move", lab, p2))
-        elif lab == "t":
+        if lab == "t":
             if quiet:
-                # time-outs fire under any environment extending the current
-                # one with further refused actions
-                _timeouts(pf, p, p2, snap_trip, remaining, drop, rnd)
+                # a time-out must be matched under every environment that
+                # extends this one with actions the source refuses
+                _timeouts(pf, p, p2, snap, remaining, drop, rnd)
+            continue
+        # a move needs a branching match whose endpoints stay related to
+        # the source and the target respectively
+        if lab == "tau":
+            target = snap[p2][x]
+            base = lts.pred_mask(lab, target) | target
+        elif pf.ubit[lab] & allow or quiet:
+            base = lts.pred_mask(lab, snap[p2][trig])
         else:
-            # visible moves count only when allowed or fired blindly from a
-            # dead end; the match drops back into the plain pair relation
-            if pf.ubit[lab] & x or quiet:
-                base = lts.pred_mask(lab, snap_pair[p2]) & snap_trip[p][x]
-                fresh = remaining & ~lts.backward_tau_closure(base)
-                if fresh:
-                    drop(fresh, Removal(rnd, "move", lab, p2))
+            continue
+        fresh = remaining & ~lts.backward_tau_closure(base & snap[p][x])
+        if fresh:
+            drop(fresh, Removal(rnd, "move", lab, p2))
     if pf.stable[p] and remaining:
         fresh = remaining & ~lts.can_reach_stable_mask
         if fresh:
@@ -415,51 +381,26 @@ def _generalized_fixpoint(pf, record=True):
     match may pass through unrelated states.  With ``record`` every removal
     is stamped with its round and clause in ``records``.
     """
-    n = pf.n
-    full = pf.full
-    nx = pf.nx
-    pair = [full] * n
-    trip = [[full] * nx for _ in range(n)]
+    rows = [[pf.full] * (pf.trig + 1) for _ in range(pf.n)]
     records: dict | None = {} if record else None
     rounds = 0
     while True:
         rounds += 1
-        snap_pair = pair[:]
-        snap_trip = [row[:] for row in trip]
-        rem_pair = []
-        rem_trip = []
-        changed = False
-        for p in range(n):
-            row = snap_pair[p]
-            bad = (
-                _scan_pair_row(pf, p, row, snap_pair, snap_trip, records, rounds)
-                if row
-                else 0
-            )
-            if bad:
-                rem_pair.append((p, bad))
-            for x in range(nx):
-                rowt = snap_trip[p][x]
-                if not rowt:
-                    continue
-                bad = _scan_trip_row(
-                    pf, p, x, rowt, snap_pair, snap_trip, records, rounds
-                )
-                if bad:
-                    rem_trip.append((p, x, bad))
-        for p, bad in rem_pair:
-            pair[p] &= ~bad
-            for q in iter_bits(bad):
-                pair[q] &= ~(1 << p)
-            changed = True
-        for p, x, bad in rem_trip:
-            trip[p][x] &= ~bad
-            for q in iter_bits(bad):
-                trip[q][x] &= ~(1 << p)
-            changed = True
-        if not changed:
+        snap = [row[:] for row in rows]
+        removed = []
+        for p, cols in enumerate(snap):
+            for x, row in enumerate(cols):
+                if row:
+                    bad = _scan_row(pf, p, x, row, snap, records, rounds)
+                    if bad:
+                        removed.append((p, x, bad))
+        if not removed:
             break
-    return _GenResult(pair, trip, records or {}, rounds)
+        for p, x, bad in removed:
+            rows[p][x] &= ~bad
+            for q in iter_bits(bad):
+                rows[q][x] &= ~(1 << p)
+    return _GenResult(rows, records or {}, rounds)
 
 
 # --------------------------------------------------------------------------
@@ -529,23 +470,21 @@ def _strong_fail(lts, rel, p, row):
     """First strong bisimulation clause of state ``p`` that some entry of
     ``row`` fails against the relation ``rel``, as a round-0 removal; None
     when every entry passes."""
-    for lab in sorted(lts.out_labels(p), key=label_sort_key):
-        for p2 in iter_bits(lts.succ_mask(p, lab)):
-            if row & ~lts.pred_mask(lab, rel[p2]):
-                return Removal(0, "move", lab, p2)
+    for lab, p2 in lts.moves[p]:
+        if row & ~lts.pred_mask(lab, rel[p2]):
+            return Removal(0, "move", lab, p2)
     return None
 
 
 def _branching_fail(lts, rel, p, row):
     """Likewise for the stability respecting branching clauses."""
-    for lab in sorted(lts.out_labels(p), key=label_sort_key):
-        for p2 in iter_bits(lts.succ_mask(p, lab)):
-            target = rel[p2]
-            base = lts.pred_mask(lab, target)
-            if lab == "tau":
-                base |= target
-            if row & ~lts.backward_tau_closure(base & rel[p]):
-                return Removal(0, "move", lab, p2)
+    for lab, p2 in lts.moves[p]:
+        target = rel[p2]
+        base = lts.pred_mask(lab, target)
+        if lab == "tau":
+            base |= target
+        if row & ~lts.backward_tau_closure(base & rel[p]):
+            return Removal(0, "move", lab, p2)
     if lts.is_stable(p) and row & ~lts.can_reach_stable_mask:
         return Removal(0, "stability")
     return None
@@ -598,55 +537,6 @@ def _refine(lts, comp, moves, exits, block, fail):
     return _PairResult(rel, _Separations(lts, rel, fail), rounds)
 
 
-def _tau_sccs(lts):
-    """Strongly connected components of the tau steps, each a list of state
-    indices, every component after all components it reaches (Tarjan's
-    order, iteratively)."""
-    succ = [tuple(iter_bits(lts.succ_mask(i, "tau"))) for i in range(lts.n_states)]
-    index = [-1] * lts.n_states
-    low = [0] * lts.n_states
-    on_stack = [False] * lts.n_states
-    stack = []
-    sccs = []
-    seen = 0
-    for root in range(lts.n_states):
-        if index[root] >= 0:
-            continue
-        index[root] = low[root] = seen
-        seen += 1
-        stack.append(root)
-        on_stack[root] = True
-        work = [(root, 0)]
-        while work:
-            v, k = work[-1]
-            if k < len(succ[v]):
-                work[-1] = (v, k + 1)
-                w = succ[v][k]
-                if index[w] < 0:
-                    index[w] = low[w] = seen
-                    seen += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, 0))
-                elif on_stack[w]:
-                    low[v] = min(low[v], index[w])
-                continue
-            work.pop()
-            if work:
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(comp)
-    return sccs
-
-
 def _branching_fixpoint(lts):
     """Greatest stability respecting branching bisimulation, every label
     treated uniformly and matched up to preceding internal steps.
@@ -656,7 +546,7 @@ def _branching_fixpoint(lts):
     them are the exits.  The first split, states that can reach a stable
     state against the rest, is the stability clause.
     """
-    sccs = _tau_sccs(lts)
+    sccs = lts.tau_sccs
     comp = [0] * lts.n_states
     for c, members in enumerate(sccs):
         for i in members:
@@ -667,12 +557,11 @@ def _branching_fixpoint(lts):
         own = set()
         out = set()
         for i in members:
-            for lab in lts.out_labels(i):
-                succ = lts.succ_mask(i, lab)
-                if lab == "tau":
-                    out.update(comp[j] for j in iter_bits(succ) if comp[j] != c)
-                else:
-                    own.update((lab, comp[j]) for j in iter_bits(succ))
+            for lab, j in lts.moves[i]:
+                if lab != "tau":
+                    own.add((lab, comp[j]))
+                elif comp[j] != c:
+                    out.add(comp[j])
         moves.append(own)
         exits.append(tuple(out))
     reach = lts.can_reach_stable_mask
@@ -687,59 +576,36 @@ def _strong_fixpoint(lts):
     states start in one block.
     """
     n = lts.n_states
-    moves = [
-        [
-            (lab, j)
-            for lab in lts.out_labels(i)
-            for j in iter_bits(lts.succ_mask(i, lab))
-        ]
-        for i in range(n)
-    ]
-    return _refine(lts, range(n), moves, [()] * n, [0] * n, _strong_fail)
+    return _refine(lts, range(n), lts.moves, [()] * n, [0] * n, _strong_fail)
 
 
 # --------------------------------------------------------------------------
 # rooted conditions on top of the unrooted fixpoints
 
 
-def _rooted_pair_fail(pf, res, p, q):
-    """First-step condition for rooted equivalence of a state pair, both
-    orientations.  Returns None when satisfied, else (side, removal)."""
+def _rooted_fail(pf, res, p, x, q):
+    """First-step condition for rooted equivalence of the entry
+    ``(p, x, q)``, both orientations: every step that counts in column
+    ``x`` is matched by one step into the unrooted relation, within column
+    ``x`` for tau and into the pair column for a visible action.  Returns
+    None when satisfied, else (side, removal)."""
     lts = pf.lts
-    for side, (a, b) in enumerate(((p, q), (q, p))):
-        for lab, a2 in pf.moves[a]:
-            if lab == "t":
-                if not pf.stable[a]:
-                    continue
-                tmask = lts.succ_mask(b, "t")
-                for x in pf.submasks_of(pf.notinit[a]):
-                    if not tmask & res.trip[a2][x]:
-                        return side, Removal(0, "timeout", "t", a2, pf.env_names(x))
-            else:
-                if not lts.succ_mask(b, lab) & res.pair[a2]:
-                    return side, Removal(0, "move", lab, a2)
-    return None
-
-
-def _rooted_trip_fail(pf, res, p, x, q):
-    lts = pf.lts
+    trig = pf.trig
+    allow = pf.umask if x == trig else x
     for side, (a, b) in enumerate(((p, q), (q, p))):
         quiet = pf.deadend(a, x)
-        for lab, a2 in pf.moves[a]:
-            if lab == "tau":
-                if not lts.succ_mask(b, "tau") & res.trip[a2][x]:
-                    return side, Removal(0, "move", lab, a2)
-            elif lab == "t":
+        for lab, a2 in lts.moves[a]:
+            if lab == "t":
                 if not quiet:
                     continue
                 tmask = lts.succ_mask(b, "t")
                 for y in pf.submasks_of(pf.notinit[a]):
-                    if not tmask & res.trip[a2][y]:
+                    if not tmask & res.rows[a2][y]:
                         return side, Removal(0, "timeout", "t", a2, pf.env_names(y))
-            else:
-                if pf.ubit[lab] & x or quiet:
-                    if not lts.succ_mask(b, lab) & res.pair[a2]:
-                        return side, Removal(0, "move", lab, a2)
+            elif lab == "tau" or pf.ubit[lab] & allow or quiet:
+                col = x if lab == "tau" else trig
+                if not lts.succ_mask(b, lab) & res.rows[a2][col]:
+                    return side, Removal(0, "move", lab, a2)
     return None
 
 
@@ -747,10 +613,9 @@ def _rooted_branching_fail(lts, res, p, q):
     """First-step condition on a plain system: every move matched strongly
     into the unrooted relation."""
     for side, (a, b) in enumerate(((p, q), (q, p))):
-        for lab in sorted(lts.out_labels(a), key=label_sort_key):
-            for a2 in iter_bits(lts.succ_mask(a, lab)):
-                if not lts.succ_mask(b, lab) & res.rel[a2]:
-                    return side, Removal(0, "move", lab, a2)
+        for lab, a2 in lts.moves[a]:
+            if not lts.succ_mask(b, lab) & res.rel[a2]:
+                return side, Removal(0, "move", lab, a2)
     return None
 
 
@@ -775,16 +640,18 @@ def _reason(lts, side, rec):
 
 
 def _gen_store(pf, res):
-    lts = pf.lts
+    states = pf.lts.states
+    envs = [envset(pf.env_names(x)) for x in range(pf.nx)]
     pairs = set()
     triples = set()
-    for p in range(pf.n):
-        for q in iter_bits(res.pair[p]):
-            pairs.add((lts.states[p], lts.states[q]))
-        for x in range(pf.nx):
-            names = pf.env_names(x)
-            for q in iter_bits(res.trip[p][x]):
-                triples.add((lts.states[p], envset(names), lts.states[q]))
+    for p, cols in enumerate(res.rows):
+        s = states[p]
+        for x, row in enumerate(cols):
+            if x == pf.trig:
+                pairs.update((s, states[q]) for q in iter_bits(row))
+            else:
+                env = envs[x]
+                triples.update((s, env, states[q]) for q in iter_bits(row))
     return RelationStore(frozenset(pairs), frozenset(triples))
 
 
@@ -797,34 +664,34 @@ def _pair_store(lts, rel):
 
 
 def _store_masks(lts, pf, store):
-    """Masks from a relation store, or None when the store is not
-    symmetric, names a state outside the system, or has a triple that
-    ``pf`` (None for pairs only) cannot place in its universe."""
-    n = lts.n_states
+    """The table ``rows[p][x]`` of a relation store, in the columns of
+    ``pf`` (None for pairs only, in the one column 0), or None when the
+    store is not symmetric, names a state outside the system, or has a
+    triple that ``pf`` cannot place in its universe."""
     index = lts.index
-    pair = [0] * n
-    trip = [[0] * pf.nx for _ in range(n)] if pf is not None else None
-    for s, t in store.pairs:
+    trig = 0 if pf is None else pf.trig
+    rows = [[0] * (trig + 1) for _ in range(lts.n_states)]
+
+    def put(s, x, t):
         if s not in index or t not in index:
-            return None, None
-        pair[index[s]] |= 1 << index[t]
-    for p in range(n):
-        for q in iter_bits(pair[p]):
-            if not pair[q] >> p & 1:
-                return None, None
+            return False
+        rows[index[s]][x] |= 1 << index[t]
+        return True
+
+    for s, t in store.pairs:
+        if not put(s, trig, t):
+            return None
     for s, x, t in store.triples:
-        if pf is None or s not in index or t not in index:
-            return None, None
-        if not all(a in pf.ubit for a in x):
-            return None, None
-        trip[index[s]][pf.env_mask(x)] |= 1 << index[t]
-    if trip is not None:
-        for p in range(n):
-            for x in range(pf.nx):
-                for q in iter_bits(trip[p][x]):
-                    if not trip[q][x] >> p & 1:
-                        return None, None
-    return pair, trip
+        if pf is None or not all(a in pf.ubit for a in x):
+            return None
+        if not put(s, pf.env_mask(x), t):
+            return None
+    for p, cols in enumerate(rows):
+        for x, row in enumerate(cols):
+            for q in iter_bits(row):
+                if not rows[q][x] >> p & 1:
+                    return None
+    return rows
 
 
 def generalized_witness_ok(lts, universe, store):
@@ -835,29 +702,25 @@ def generalized_witness_ok(lts, universe, store):
     given system.
     """
     pf = _Profile(lts, universe)
-    pair, trip = _store_masks(lts, pf, store)
-    if pair is None:
+    rows = _store_masks(lts, pf, store)
+    if rows is None:
         return False
-    # a pair must also stand as a triple for every environment
-    for p in range(pf.n):
-        for x in range(pf.nx):
-            if pair[p] & ~trip[p][x]:
-                return False
-    for p in range(pf.n):
-        if pair[p] and _scan_pair_row(pf, p, pair[p], pair, trip, None, 0):
+    for p, cols in enumerate(rows):
+        # a pair must also stand as a triple for every environment
+        if any(cols[pf.trig] & ~row for row in cols):
             return False
-        for x in range(pf.nx):
-            row = trip[p][x]
-            if row and _scan_trip_row(pf, p, x, row, pair, trip, None, 0):
+        for x, row in enumerate(cols):
+            if row and _scan_row(pf, p, x, row, rows, None, 0):
                 return False
     return True
 
 
 def _pair_witness_ok(lts, store, fail):
     """One literal pass of the plain clauses ``fail`` over a pair store."""
-    pair, _ = _store_masks(lts, None, store)
-    if pair is None:
+    rows = _store_masks(lts, None, store)
+    if rows is None:
         return False
+    pair = [cols[0] for cols in rows]
     return all(
         not pair[p] or fail(lts, pair, p, pair[p]) is None
         for p in range(lts.n_states)
@@ -890,14 +753,9 @@ def _verdict(method, fail, system, store, lts, universe=None):
 
 
 def _direct(pf, res, i, j, x, rooted, store, universe):
-    """The direct route's verdict on states ``i`` and ``j``: triggered when
-    the environment mask ``x`` is None, else in that environment."""
-    if x is None:
-        fail = _rooted_pair_fail(pf, res, i, j) if rooted else res.pair_fail(i, j)
-    elif rooted:
-        fail = _rooted_trip_fail(pf, res, i, x, j)
-    else:
-        fail = res.trip_fail(i, x, j)
+    """The direct route's verdict on states ``i`` and ``j`` in column
+    ``x``: ``pf.trig`` for a triggered check, else an environment mask."""
+    fail = _rooted_fail(pf, res, i, x, j) if rooted else res.fail(i, x, j)
     return _verdict("direct", fail, pf.lts, store, pf.lts, universe)
 
 
@@ -943,7 +801,7 @@ def brb_states(lts, s, t, universe=None, rooted=False):
     pf = _Profile(lts, universe)
     res = _generalized_fixpoint(pf)
     return _direct(
-        pf, res, lts.index[s], lts.index[t], None, rooted,
+        pf, res, lts.index[s], lts.index[t], pf.trig, rooted,
         lambda: _gen_store(pf, res), universe,
     )
 
@@ -1030,7 +888,7 @@ def _check(p, q, env, rooted, opts):
     if env is not None:
         env = an.canonical_env(env)
     if method != "encode":
-        x = None if env is None else an.profile.env_mask(env)
+        x = an.profile.trig if env is None else an.profile.env_mask(env)
         d = _direct(
             an.profile, an.gen, an.ip, an.iq, x, rooted, an.gen_store, an.universe
         )
@@ -1086,12 +944,12 @@ def brb_partition(roots, opts=None):
     pf = _Profile(lts, universe)
     res = _generalized_fixpoint(pf, record=False)
     seen = {}
-    for p in range(pf.n):
-        row = res.pair[p]
+    for p, cols in enumerate(res.rows):
+        row = cols[pf.trig]
         assert row >> p & 1, "greatest relation lost reflexivity"
         for q in iter_bits(row):
             # rows of related states must agree, else this is no equivalence
-            assert res.pair[q] == row
+            assert res.rows[q][pf.trig] == row
         seen.setdefault(row, None)
     blocks = [tuple(iter_bits(mask)) for mask in seen]
     return lts, Partition(lts, blocks)

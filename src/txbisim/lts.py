@@ -99,12 +99,18 @@ class Lts:
         mask = self.succ_mask(self.index[state], label)
         return tuple(self.states[j] for j in iter_bits(mask))
 
+    @cached_property
+    def moves(self):
+        """Per state index, its steps ``(label, j)`` in label order, then by
+        target index."""
+        moves = [[] for _ in self.states]
+        for i, lab, j in self.trans_idx:
+            moves[i].append((lab, j))
+        return tuple(map(tuple, moves))
+
     def transitions_from(self, state):
-        i = self.index[state]
         return tuple(
-            (lab, self.states[j])
-            for lab in sorted(self._succ[i], key=label_sort_key)
-            for j in iter_bits(self._succ[i][lab])
+            (lab, self.states[j]) for lab, j in self.moves[self.index[state]]
         )
 
     # -- tau structure
@@ -164,23 +170,61 @@ class Lts:
         return self.backward_tau_closure(self.stable_mask)
 
     @cached_property
+    def tau_sccs(self):
+        """Strongly connected components of the tau steps, each a list of
+        state indices, every component after all components it reaches
+        (Tarjan's order, iteratively)."""
+        n = self.n_states
+        succ = [tuple(iter_bits(self.succ_mask(i, "tau"))) for i in range(n)]
+        index = [-1] * n
+        low = [0] * n
+        on_stack = [False] * n
+        stack = []
+        sccs = []
+        seen = 0
+        for root in range(n):
+            if index[root] >= 0:
+                continue
+            index[root] = low[root] = seen
+            seen += 1
+            stack.append(root)
+            on_stack[root] = True
+            work = [(root, 0)]
+            while work:
+                v, k = work[-1]
+                if k < len(succ[v]):
+                    work[-1] = (v, k + 1)
+                    w = succ[v][k]
+                    if index[w] < 0:
+                        index[w] = low[w] = seen
+                        seen += 1
+                        stack.append(w)
+                        on_stack[w] = True
+                        work.append((w, 0))
+                    elif on_stack[w]:
+                        low[v] = min(low[v], index[w])
+                    continue
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == v:
+                            break
+                    sccs.append(comp)
+        return sccs
+
+    @cached_property
     def divergent(self):
         """Whether some state lies on a cycle of internal steps."""
-        # Kahn peeling of the tau graph: a cycle leaves states unprocessed.
-        indeg = [0] * self.n_states
-        for i in range(self.n_states):
-            for j in iter_bits(self.succ_mask(i, "tau")):
-                indeg[j] += 1
-        ready = [i for i in range(self.n_states) if indeg[i] == 0]
-        done = 0
-        while ready:
-            i = ready.pop()
-            done += 1
-            for j in iter_bits(self.succ_mask(i, "tau")):
-                indeg[j] -= 1
-                if indeg[j] == 0:
-                    ready.append(j)
-        return done < self.n_states
+        return any(len(comp) > 1 for comp in self.tau_sccs) or any(
+            self.succ_mask(i, "tau") >> i & 1 for i in range(self.n_states)
+        )
 
     # -- serialisation
 
@@ -352,16 +396,15 @@ def quotient(lts, partition, choice=None):
         inner = reach & partition.block_mask(bid)
         for p1 in iter_bits(inner):
             stable = lts.is_stable(p1)
-            for lab in sorted(lts.out_labels(p1), key=label_sort_key):
-                for p2 in iter_bits(lts.succ_mask(p1, lab)):
-                    tid = partition.block_of[p2]
-                    if lab == "t":
-                        if stable:
-                            edges.append((block_states[bid], lab, block_states[tid]))
-                    elif lab == "tau" and tid == bid:
-                        continue
-                    else:
+            for lab, p2 in lts.moves[p1]:
+                tid = partition.block_of[p2]
+                if lab == "t":
+                    if stable:
                         edges.append((block_states[bid], lab, block_states[tid]))
+                elif lab == "tau" and tid == bid:
+                    continue
+                else:
+                    edges.append((block_states[bid], lab, block_states[tid]))
     out = Lts(
         block_states,
         edges,

@@ -33,7 +33,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .equiv import Analysis, _rooted_pair_fail
+from .equiv import Analysis, _rooted_fail
 from .errors import ParseError, TxbisimError, WitnessError
 from .lts import iter_bits
 from .terms import envset
@@ -388,10 +388,11 @@ def _lbcr(phi):
 class _Synthesizer:
     """Turns removal records into formulas.
 
-    For a removed pair ``(p, q)`` the produced formula holds at ``p`` and
-    fails at ``q``; likewise for triples under their environment.  A record
-    from round ``r`` only ever refers to entries removed strictly earlier,
-    so the recursion terminates.
+    For a removed entry ``(p, x, q)`` of the direct route's table, ``x``
+    the pair column or an environment mask, the produced formula holds at
+    ``p`` and fails at ``q`` in that column.  A record from round ``r``
+    only ever refers to entries removed strictly earlier, so the recursion
+    terminates.
     """
 
     def __init__(self, analysis):
@@ -399,33 +400,18 @@ class _Synthesizer:
         self.lts = analysis.lts
         self.pf = analysis.profile
         self.res = analysis.gen
-        self._pairs: dict = {}
-        self._trips: dict = {}
+        self._memo: dict = {}
 
-    # -- entry points
-
-    def pair(self, p, q):
-        key = (p, q)
-        got = self._pairs.get(key)
-        if got is None:
-            rec = self.res.records.get(("p", p, q))
-            if rec is None:
-                got = Not(self.pair(q, p))
-            else:
-                got = self._from_pair(p, q, rec)
-            self._pairs[key] = got
-        return got
-
-    def trip(self, p, x, q):
+    def formula(self, p, x, q):
         key = (p, x, q)
-        got = self._trips.get(key)
+        got = self._memo.get(key)
         if got is None:
-            rec = self.res.records.get(("t", p, x, q))
+            rec = self.res.records.get(key)
             if rec is None:
-                got = Not(self.trip(q, x, p))
+                got = Not(self.formula(q, x, p))
             else:
-                got = self._from_trip(p, x, q, rec)
-            self._trips[key] = got
+                got = self._from(p, x, q, rec)
+            self._memo[key] = got
         return got
 
     # -- clause replay
@@ -433,74 +419,38 @@ class _Synthesizer:
     def _closure(self, q):
         return list(iter_bits(self.lts.tau_closure(1 << q)))
 
-    def _split(self, q, round_, removed_round):
-        """Closure members refuted before the recorded round vs the rest."""
-        bad, good = [], []
-        for q1 in self._closure(q):
-            r1 = removed_round(q1)
-            (bad if r1 is not None and r1 < round_ else good).append(q1)
-        return bad, good
+    def _refuted(self, p, x, qs, round_):
+        """Conjunction refuting ``(p, x, q)`` for every ``q`` of ``qs``,
+        each removed before ``round_``."""
+        qs = list(dict.fromkeys(qs))
+        for q in qs:
+            assert _earlier(self.res.round(p, x, q), round_)
+        return conjunction(self.formula(p, x, q) for q in qs)
 
-    def _from_pair(self, p, q, rec):
+    def _from(self, p, x, q, rec):
         if rec.clause == "stability":
             return Eps(Not(Diamond("tau", TOP)))
         res, lts = self.res, self.lts
         if rec.clause == "move":
             lab, p2 = rec.label, rec.succ
-            bad1, good = self._split(q, rec.round, lambda q1: res.pair_round(p, q1))
+            # closure members refuted before the recorded round vs the rest
+            bad1, good = [], []
+            for q1 in self._closure(q):
+                (bad1 if _earlier(res.round(p, x, q1), rec.round) else good).append(q1)
             bad2 = []
             for q1 in good:
                 bad2.extend(iter_bits(lts.succ_mask(q1, lab)))
                 if lab == "tau":
                     bad2.append(q1)
-            for q2 in bad2:
-                assert _earlier(res.pair_round(p2, q2), rec.round)
-            first = conjunction(self.pair(p, q1) for q1 in bad1)
-            second = conjunction(self.pair(p2, q2) for q2 in dict.fromkeys(bad2))
+            col = x if lab == "tau" else self.pf.trig
+            first = conjunction(self.formula(p, x, q1) for q1 in bad1)
+            second = self._refuted(p2, col, bad2, rec.round)
             return Eps(And((first, HatDiamond(lab, second))))
         # timeout: every timed successor of the closure is already refuted
-        x = self.pf.env_mask(rec.env)
-        p2 = rec.succ
         bad = []
         for q1 in self._closure(q):
-            bad.extend(iter_bits(self.lts.succ_mask(q1, "t")))
-        for q2 in bad:
-            assert _earlier(self.res.trip_round(p2, x, q2), rec.round)
-        body = conjunction(self.trip(p2, x, q2) for q2 in dict.fromkeys(bad))
-        return Eps(EnvDiamond(rec.env, body))
-
-    def _from_trip(self, p, x, q, rec):
-        if rec.clause == "stability":
-            return Eps(Not(Diamond("tau", TOP)))
-        res, lts = self.res, self.lts
-        if rec.clause == "move":
-            lab, p2 = rec.label, rec.succ
-            bad1, good = self._split(
-                q, rec.round, lambda q1: res.trip_round(p, x, q1)
-            )
-            first = conjunction(self.trip(p, x, q1) for q1 in bad1)
-            bad2 = []
-            for q1 in good:
-                bad2.extend(iter_bits(lts.succ_mask(q1, lab)))
-                if lab == "tau":
-                    bad2.append(q1)
-            if lab == "tau":
-                for q2 in bad2:
-                    assert _earlier(res.trip_round(p2, x, q2), rec.round)
-                second = conjunction(self.trip(p2, x, q2) for q2 in dict.fromkeys(bad2))
-            else:
-                for q2 in bad2:
-                    assert _earlier(res.pair_round(p2, q2), rec.round)
-                second = conjunction(self.pair(p2, q2) for q2 in dict.fromkeys(bad2))
-            return Eps(And((first, HatDiamond(lab, second))))
-        y = self.pf.env_mask(rec.env)
-        p2 = rec.succ
-        bad = []
-        for q1 in self._closure(q):
-            bad.extend(iter_bits(self.lts.succ_mask(q1, "t")))
-        for q2 in bad:
-            assert _earlier(self.res.trip_round(p2, y, q2), rec.round)
-        body = conjunction(self.trip(p2, y, q2) for q2 in dict.fromkeys(bad))
+            bad.extend(iter_bits(lts.succ_mask(q1, "t")))
+        body = self._refuted(rec.succ, self.pf.env_mask(rec.env), bad, rec.round)
         return Eps(EnvDiamond(rec.env, body))
 
     # -- rooted layer
@@ -510,16 +460,13 @@ class _Synthesizer:
         lts = self.lts
         a2 = rec.succ
         if rec.clause == "move":
-            body = conjunction(
-                self.pair(a2, q2) for q2 in iter_bits(lts.succ_mask(q, rec.label))
-            )
-            psi = Diamond(rec.label, body)
+            x, lab = self.pf.trig, rec.label
         else:
-            x = self.pf.env_mask(rec.env)
-            body = conjunction(
-                self.trip(a2, x, q2) for q2 in iter_bits(lts.succ_mask(q, "t"))
-            )
-            psi = EnvDiamond(rec.env, body)
+            x, lab = self.pf.env_mask(rec.env), "t"
+        body = conjunction(
+            self.formula(a2, x, q2) for q2 in iter_bits(lts.succ_mask(q, lab))
+        )
+        psi = Diamond(lab, body) if rec.clause == "move" else EnvDiamond(rec.env, body)
         return psi if side == 0 else Not(psi)
 
 
@@ -535,16 +482,17 @@ def distinguish(p, q, rooted=False, opts=None):
     before returning.
     """
     an = Analysis(p, q, opts)
+    trig = an.profile.trig
     if rooted:
-        fail = _rooted_pair_fail(an.profile, an.gen, an.ip, an.iq)
+        fail = _rooted_fail(an.profile, an.gen, an.ip, trig, an.iq)
         if fail is None:
             return None
         phi = _Synthesizer(an).rooted(*fail)
         cls = "Lbcr"
     else:
-        if an.gen.pair_has(an.ip, an.iq):
+        if an.gen.has(an.ip, trig, an.iq):
             return None
-        phi = _Synthesizer(an).pair(an.ip, an.iq)
+        phi = _Synthesizer(an).formula(an.ip, trig, an.iq)
         cls = "Lbc"
     if not in_subclass(phi, cls):
         raise WitnessError(f"synthesised formula left {cls}: {formula_text(phi)}")

@@ -1130,7 +1130,13 @@ def term_text(term, spec_names=None):
         if isinstance(node, Var):
             return node.name
         if isinstance(node, Prefix):
-            return f"{node.action}.{render(node.body, 2)}"
+            # a run of prefixes in a loop, so deep chains print without
+            # deep recursion
+            heads = []
+            while isinstance(node, Prefix):
+                heads.append(f"{node.action}.")
+                node = node.body
+            return "".join(heads) + render(node, 2)
         if isinstance(node, Choice):
             return " + ".join(render(s, 1) for s in summands(node))
         if isinstance(node, Par):

@@ -20,7 +20,7 @@ from txbisim import (
 )
 from txbisim.axioms import axiom_by_name, fuzz_axioms
 from txbisim.equiv import (
-    _rooted_pair_fail,
+    _rooted_fail,
     brb,
     brb_partition,
     brb_states,
@@ -45,11 +45,11 @@ def report(num, text):
 
 
 def _equivalent(an):
-    return an.gen.pair_has(an.ip, an.iq)
+    return an.gen.has(an.ip, an.profile.trig, an.iq)
 
 
 def _rooted_equivalent(an):
-    return _rooted_pair_fail(an.profile, an.gen, an.ip, an.iq) is None
+    return _rooted_fail(an.profile, an.gen, an.ip, an.profile.trig, an.iq) is None
 
 
 def test_criterion_01_stability_trio(stability_defs):
@@ -101,7 +101,7 @@ def test_criterion_06_environment_wrapping(corpus_analyses):
         for r in range(len(an.universe) + 1):
             for xs in combinations(sorted(an.universe), r):
                 env = envset(xs)
-                fixed = an.gen.trip_has(
+                fixed = an.gen.has(
                     an.ip, an.profile.env_mask(xs), an.iq
                 )
                 wrapped = brb(
@@ -208,7 +208,7 @@ def test_criterion_12_lemma_suite(corpus_analyses):
         n = pf.n
         tau_next = [0] * n
         for i in range(n):
-            for lab, j in pf.moves[i]:
+            for lab, j in lts.moves[i]:
                 if lab == "tau":
                     tau_next[i] |= 1 << j
         reach = list(tau_next)
@@ -226,12 +226,12 @@ def test_criterion_12_lemma_suite(corpus_analyses):
         # related stable states have equal outgoing label sets; in a fixed
         # environment only the allowed part must agree unless both idle
         for i in range(n):
-            for j in iter_bits(res.pair[i]):
+            for j in iter_bits(res.rows[i][pf.trig]):
                 if pf.stable[i] and pf.stable[j]:
                     assert lts.out_labels(i) == lts.out_labels(j)
                     stable_pairs += 1
             for x in range(pf.nx):
-                for j in iter_bits(res.trip[i][x]):
+                for j in iter_bits(res.rows[i][x]):
                     if pf.stable[i] and pf.stable[j]:
                         assert pf.init_vis[i] & x == pf.init_vis[j] & x
                         assert pf.deadend(i, x) == pf.deadend(j, x)
@@ -244,7 +244,7 @@ def test_criterion_12_lemma_suite(corpus_analyses):
         for j in range(n):
             member = 0
             for i in range(n):
-                if res.pair_has(i, j):
+                if res.has(i, pf.trig, j):
                     member |= 1 << i
             for i in iter_bits(member):
                 for k in iter_bits(tau_next[i]):
@@ -254,7 +254,7 @@ def test_criterion_12_lemma_suite(corpus_analyses):
             for x in range(pf.nx):
                 memx = 0
                 for i in range(n):
-                    if res.trip_has(i, x, j):
+                    if res.has(i, x, j):
                         memx |= 1 << i
                 for i in iter_bits(memx):
                     for k in iter_bits(tau_next[i]):

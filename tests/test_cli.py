@@ -61,12 +61,23 @@ def test_missing_file_is_an_error(capsys):
     assert err.startswith("error:")
 
 
-def test_unexpected_failure_exits_with_an_error(capsys, tmp_path):
-    # a 600-deep prefix chain overflows the recursive printer; exit 1 would
-    # read as a negative verdict
+def test_parse_reprints_a_deep_prefix_chain(capsys, tmp_path):
+    text = "def Deep = " + "a." * 600 + "0;\n"
     deep = tmp_path / "deep.ccspt"
-    deep.write_text("def Deep = " + "a." * 600 + "0;\n")
-    code, _, err = run(capsys, ["parse", str(deep)])
+    deep.write_text(text)
+    code, out, _ = run(capsys, ["parse", str(deep)])
+    assert code == 0
+    assert parse_file(out) == parse_file(text)
+
+
+def test_unexpected_failure_exits_with_an_error(capsys, monkeypatch):
+    # a failure that is no TxbisimError; exit 1 would read as a negative
+    # verdict
+    def broken(cfg, args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("txbisim.cli.cmd_parse", broken)
+    code, _, err = run(capsys, ["parse", STABILITY])
     assert code == 2
     assert err.startswith("error:")
 

@@ -21,8 +21,7 @@ from txbisim.equiv import (
     _branching_fixpoint,
     _generalized_fixpoint,
     _rooted_branching_fail,
-    _rooted_pair_fail,
-    _rooted_trip_fail,
+    _rooted_fail,
     _strong_fixpoint,
     branching_witness_ok,
     brb,
@@ -60,12 +59,12 @@ DIRECT = CheckOptions(method="direct")
 def engine_rows(lts, universe):
     pf = _Profile(lts, universe)
     res = _generalized_fixpoint(pf)
-    pairs = {(i, j) for i in range(pf.n) for j in iter_bits(res.pair[i])}
+    pairs = {(i, j) for i in range(pf.n) for j in iter_bits(res.rows[i][pf.trig])}
     trips = {
         (i, frozenset(pf.env_names(x)), j)
         for i in range(pf.n)
         for x in range(pf.nx)
-        for j in iter_bits(res.trip[i][x])
+        for j in iter_bits(res.rows[i][x])
     }
     return pf, res, pairs, trips
 
@@ -93,7 +92,7 @@ def test_rooted_checks_equal_reference_relation(small_corpus):
             (i, j)
             for i in range(pf.n)
             for j in range(pf.n)
-            if _rooted_pair_fail(pf, res, i, j) is None
+            if _rooted_fail(pf, res, i, pf.trig, j) is None
         }
         assert eng_rp == ora_rp
         eng_rt = {
@@ -101,7 +100,7 @@ def test_rooted_checks_equal_reference_relation(small_corpus):
             for i in range(pf.n)
             for x in range(pf.nx)
             for j in range(pf.n)
-            if _rooted_trip_fail(pf, res, i, x, j) is None
+            if _rooted_fail(pf, res, i, x, j) is None
         }
         assert eng_rt == ora_rt
 
@@ -304,25 +303,43 @@ def test_perturbed_witnesses_are_rejected(laws_defs):
 
 
 def test_negative_verdict_names_a_clause(stability_defs):
-    p, q = stability_defs.defs["P0"], stability_defs.defs["Q0"]
-    for method in ("direct", "encode"):
-        v = brb(p, q, CheckOptions(method=method))
-        assert not v.equivalent
-        assert v.witness is None
-        assert v.reason["clause"] in ("move", "timeout", "stability")
-        assert v.reason["side"] in ("left", "right")
-        data = v.to_json_dict()
-        assert data["equivalent"] is False
-        assert data["removal_trace"] == v.reason
-        if method == "encode":
-            assert_clause_fails_on_encoded(Analysis(p, q), v.reason)
+    timed, plain = parse_term("a.0 + t.b.0"), parse_term("a.0")
+    # the environment {a} relates the timed pair, {b} splits it
+    assert brb_x(timed, plain, envset(("a",)))
+    cases = [
+        (brb, stability_defs.defs["P0"], stability_defs.defs["Q0"], None),
+        (brb_x, timed, plain, envset(("b",))),
+        (rbrb, plain, parse_term("tau.a.0"), None),
+        (rbrb_x, timed, plain, envset(())),
+    ]
+    for check, p, q, env in cases:
+        rooted = check in (rbrb, rbrb_x)
+        for method in ("direct", "encode"):
+            opts = CheckOptions(method=method)
+            v = check(p, q, opts) if env is None else check(p, q, env, opts)
+            assert not v.equivalent, (check.__name__, method)
+            assert v.witness is None
+            assert v.reason["clause"] in ("move", "timeout", "stability")
+            assert v.reason["side"] in ("left", "right")
+            data = v.to_json_dict()
+            assert data["equivalent"] is False
+            assert data["removal_trace"] == v.reason
+            if method == "direct" and not rooted:
+                assert v.reason["round"] >= 1
+            else:
+                assert "round" not in v.reason
+            if method == "encode" and not rooted:
+                an = Analysis(p, q)
+                mode = None if env is None else tuple(an.canonical_env(env))
+                assert_clause_fails_on_encoded(an, v.reason, mode)
 
 
-def assert_clause_fails_on_encoded(an, reason):
-    """The named clause of the encoded root pair fails against the final
-    relation with that pair added, judged by the reference's matching."""
+def assert_clause_fails_on_encoded(an, reason, mode=None):
+    """The named clause of the encoded root pair in ``mode`` (None for the
+    triggered wrappers) fails against the final relation with that pair
+    added, judged by the reference's matching."""
     enc = an.encoded
-    i, j = an.enc_index(None, an.p), an.enc_index(None, an.q)
+    i, j = an.enc_index(mode, an.p), an.enc_index(mode, an.q)
     a, b = (i, j) if reason["side"] == "left" else (j, i)
     rel = {(k, m) for k in range(enc.n_states) for m in iter_bits(an.enc_branch.rel[k])}
     rel |= {(a, b), (b, a)}

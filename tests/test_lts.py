@@ -46,6 +46,7 @@ def test_masks_and_successors():
     assert lts.successors(0, "tau") == (1,)
     assert list(iter_bits(0b101)) == [0, 2]
     assert not lts.out_labels(2)
+    assert lts.moves == ((("tau", 1), ("b", 2)), (("a", 2),), ())
 
 
 def test_stability_and_closures():
@@ -62,6 +63,17 @@ def test_divergence_detection():
     loop = Lts(range(2), [(0, "tau", 1), (1, "tau", 0)], (0,))
     assert loop.divergent
     assert not ladder().divergent
+    assert Lts(range(1), [(0, "tau", 0)], (0,)).divergent
+    # the cycle 2 -> 3 -> 2 is reached only through the acyclic root 0
+    tail = Lts(
+        range(4),
+        [(0, "a", 1), (0, "tau", 2), (2, "tau", 3), (3, "tau", 2)],
+        (0,),
+    )
+    assert tail.divergent
+    assert [sorted(c) for c in tail.tau_sccs if len(c) > 1] == [[2, 3]]
+    diamond = Lts(range(3), [(0, "tau", 1), (0, "a", 2), (1, "tau", 2)], (0,))
+    assert not diamond.divergent
 
 
 # -- Aldebaran format
