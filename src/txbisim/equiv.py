@@ -20,10 +20,13 @@ mask and one more, :attr:`_Profile.trig`, for the pairs.  A pair row is
 judged like a triple row in which every visible move counts, so each
 clause, the rooted first-step condition and the witness check are written
 once for all columns.  The fixpoint works set-at-a-time on those masks, a
-removal round being a handful of mask operations per clause, and stamps
-every removal with its round and the violated clause; those records drive
-both the explanation of a negative verdict and the synthesis of
-distinguishing formulas in :mod:`txbisim.modal`.  The plain relations, stability respecting branching
+removal round being a handful of mask operations per clause.  The match
+set a clause reads from a row (the predecessors of that row under a label)
+is computed once and kept until a round changes the row.  Every removal is
+stamped with its round and the violated clause, once per clause and row
+for all the entries it removes; those records drive both the explanation
+of a negative verdict and the synthesis of distinguishing formulas in
+:mod:`txbisim.modal`.  The plain relations, stability respecting branching
 bisimilarity (which the encode route decides on the wrapped system) and
 strong bisimilarity, share one partition refinement (:func:`_refine`)
 that stamps nothing: a negative verdict is explained by the first clause
@@ -280,11 +283,12 @@ class _GenResult:
     of state ``p`` under the environment mask ``x``, and ``rows[p][trig]``
     its pair row (:attr:`_Profile.trig`).  ``records`` maps every removed
     entry ``(p, x, q)`` to its :class:`Removal` when the fixpoint records
-    them; ``rounds`` counts its rounds, the last of which removes nothing.
+    them (:class:`_RowRecords`, empty otherwise); ``rounds`` counts its
+    rounds, the last of which removes nothing.
     """
 
     rows: list
-    records: dict
+    records: Mapping
     rounds: int
 
     def has(self, p, x, q):
@@ -308,27 +312,87 @@ class _GenResult:
         return None if fail is None else fail[1].round
 
 
-def _timeouts(pf, p, p2, snap, remaining, drop, rnd):
+class _RowRecords(Mapping):
+    """The direct fixpoint's removals, kept per row: ``by_row[p, x]`` lists
+    ``(mask, removal)``, one per clause and round that removed the entries
+    ``mask`` from the row of ``p`` in column ``x``.  Read as a mapping from
+    each removed entry ``(p, x, q)`` to its :class:`Removal`."""
+
+    def __init__(self, by_row):
+        self.by_row = by_row
+
+    def __len__(self):
+        return sum(
+            mask.bit_count() for recs in self.by_row.values() for mask, _ in recs
+        )
+
+    def __iter__(self):
+        for (p, x), recs in self.by_row.items():
+            for mask, _ in recs:
+                for q in iter_bits(mask):
+                    yield p, x, q
+
+    def get(self, key, default=None):
+        p, x, q = key
+        for mask, rec in self.by_row.get((p, x), ()):
+            if mask >> q & 1:
+                return rec
+        return default
+
+    def __getitem__(self, key):
+        rec = self.get(key)
+        if rec is None:
+            raise KeyError(key)
+        return rec
+
+
+def _match_set(lts, snap, memo, lab, p2, y):
+    """The states whose ``lab`` step can match a step into the row
+    ``snap[p2][y]``: its ``lab`` predecessors, joined by the row itself for
+    tau (an internal step may be matched by standing still) and closed
+    backward under tau for a time-out.
+
+    ``memo[p2][y]`` holds these sets by label (None until one is
+    computed), and stays valid while that row does.
+    """
+    sets = memo[p2][y]
+    if sets is None:
+        sets = memo[p2][y] = {}
+    got = sets.get(lab)
+    if got is None:
+        target = snap[p2][y]
+        got = lts.pred_mask(lab, target)
+        if lab == "tau":
+            got |= target
+        elif lab == "t":
+            got = lts.backward_tau_closure(got)
+        sets[lab] = got
+    return got
+
+
+def _timeouts(pf, p, p2, snap, memo, remaining, drop, rnd):
     """The time-out ``p -t-> p2`` under every environment ``p`` refuses:
     ``drop`` the entries of ``remaining`` that cannot reach a time-out into
     the row of ``p2`` under that environment by internal steps."""
-    lts = pf.lts
     for x in pf.submasks_of(pf.notinit[p]):
-        ok = lts.backward_tau_closure(lts.pred_mask("t", snap[p2][x]))
-        fresh = remaining & ~ok
+        fresh = remaining & ~_match_set(pf.lts, snap, memo, "t", p2, x)
         if fresh:
             remaining = drop(fresh, Removal(rnd, "timeout", "t", p2, pf.env_names(x)))
             if not remaining:
                 return
 
 
-def _scan_row(pf, p, x, row, snap, sink, rnd):
+def _scan_row(pf, p, x, row, snap, memo, sink, rnd):
     """Entries of ``row``, the row of ``p`` in column ``x``, that violate
     some clause against the snapshot table ``snap``.
 
     In the pair column every visible move counts; under an environment only
     the allowed ones, or all of them from a dead end.  A tau step is
     matched within column ``x``, a visible step lands in the pair column.
+
+    ``memo`` caches the match sets (:func:`_match_set`).  Each removal is
+    appended to ``sink[p, x]`` as ``(mask, removal)`` unless ``sink`` is
+    None.
     """
     lts = pf.lts
     trig = pf.trig
@@ -340,8 +404,7 @@ def _scan_row(pf, p, x, row, snap, sink, rnd):
     def drop(fresh, rec):
         nonlocal remaining, bad_total
         if sink is not None:
-            for q in iter_bits(fresh):
-                sink[p, x, q] = rec
+            sink.setdefault((p, x), []).append((fresh, rec))
         bad_total |= fresh
         remaining &= ~fresh
         return remaining
@@ -353,17 +416,17 @@ def _scan_row(pf, p, x, row, snap, sink, rnd):
             if quiet:
                 # a time-out must be matched under every environment that
                 # extends this one with actions the source refuses
-                _timeouts(pf, p, p2, snap, remaining, drop, rnd)
+                _timeouts(pf, p, p2, snap, memo, remaining, drop, rnd)
             continue
         # a move needs a branching match whose endpoints stay related to
         # the source and the target respectively
         if lab == "tau":
-            target = snap[p2][x]
-            base = lts.pred_mask(lab, target) | target
+            col = x
         elif pf.ubit[lab] & allow or quiet:
-            base = lts.pred_mask(lab, snap[p2][trig])
+            col = trig
         else:
             continue
+        base = _match_set(lts, snap, memo, lab, p2, col)
         fresh = remaining & ~lts.backward_tau_closure(base & snap[p][x])
         if fresh:
             drop(fresh, Removal(rnd, "move", lab, p2))
@@ -374,15 +437,23 @@ def _scan_row(pf, p, x, row, snap, sink, rnd):
     return bad_total
 
 
+def _no_matches(pf):
+    """An empty match-set table for :func:`_scan_row`."""
+    return [[None] * (pf.trig + 1) for _ in range(pf.n)]
+
+
 def _generalized_fixpoint(pf, record=True):
     """Greatest relation closed under the pair and triple clauses.
 
     The clauses are followed literally: the internal runs that precede a
     match may pass through unrelated states.  With ``record`` every removal
-    is stamped with its round and clause in ``records``.
+    is stamped with its round and clause in ``records``.  A match set is
+    computed once per label and row it reads, and dropped when a round
+    changes that row.
     """
     rows = [[pf.full] * (pf.trig + 1) for _ in range(pf.n)]
-    records: dict | None = {} if record else None
+    memo = _no_matches(pf)
+    by_row: dict | None = {} if record else None
     rounds = 0
     while True:
         rounds += 1
@@ -391,16 +462,19 @@ def _generalized_fixpoint(pf, record=True):
         for p, cols in enumerate(snap):
             for x, row in enumerate(cols):
                 if row:
-                    bad = _scan_row(pf, p, x, row, snap, records, rounds)
+                    bad = _scan_row(pf, p, x, row, snap, memo, by_row, rounds)
                     if bad:
                         removed.append((p, x, bad))
         if not removed:
             break
         for p, x, bad in removed:
             rows[p][x] &= ~bad
+            memo[p][x] = None
+            keep = ~(1 << p)
             for q in iter_bits(bad):
-                rows[q][x] &= ~(1 << p)
-    return _GenResult(rows, records or {}, rounds)
+                rows[q][x] &= keep
+                memo[q][x] = None
+    return _GenResult(rows, _RowRecords(by_row or {}), rounds)
 
 
 # --------------------------------------------------------------------------
@@ -705,12 +779,13 @@ def generalized_witness_ok(lts, universe, store):
     rows = _store_masks(lts, pf, store)
     if rows is None:
         return False
+    memo = _no_matches(pf)
     for p, cols in enumerate(rows):
         # a pair must also stand as a triple for every environment
         if any(cols[pf.trig] & ~row for row in cols):
             return False
         for x, row in enumerate(cols):
-            if row and _scan_row(pf, p, x, row, rows, None, 0):
+            if row and _scan_row(pf, p, x, row, rows, memo, None, 0):
                 return False
     return True
 
@@ -896,15 +971,20 @@ def _check(p, q, env, rooted, opts):
             return d
     mode = None if env is None else tuple(env)
     i, j = an.enc_index(mode, an.p), an.enc_index(mode, an.q)
-    fail = _plain_fail(an.encoded, an.enc_branch, i, j, rooted)
-    e = _verdict(
-        "encode", fail, an.encoded, an.encoded_projection, an.lts, an.universe
-    )
     if method == "encode":
-        return e
-    if d.equivalent != e.equivalent:
+        fail = _plain_fail(an.encoded, an.enc_branch, i, j, rooted)
+        return _verdict(
+            "encode", fail, an.encoded, an.encoded_projection, an.lts, an.universe
+        )
+    # the cross-check needs only the encode route's answer, not its reason
+    # or its relation
+    if rooted:
+        e = _rooted_branching_fail(an.encoded, an.enc_branch, i, j) is None
+    else:
+        e = an.enc_branch.has(i, j)
+    if d.equivalent != e:
         raise MethodDisagreementError(
-            f"direct says {d.equivalent}, encoding says {e.equivalent} "
+            f"direct says {d.equivalent}, encoding says {e} "
             f"for {term_text(p)} vs {term_text(q)}"
         )
     return replace(d, method="both")

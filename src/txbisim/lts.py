@@ -117,11 +117,15 @@ class Lts:
 
     @cached_property
     def _tau_pred(self):
+        """Per state its tau predecessors as a mask, and the mask of the
+        states that have one."""
         pred = [0] * self.n_states
+        reached = 0
         for i in range(self.n_states):
             for j in iter_bits(self.succ_mask(i, "tau")):
                 pred[j] |= 1 << i
-        return pred
+                reached |= 1 << j
+        return pred, reached
 
     def is_stable(self, i):
         return self.succ_mask(i, "tau") == 0
@@ -146,22 +150,38 @@ class Lts:
         return mask
 
     def backward_tau_closure(self, mask):
-        """States that reach ``mask`` by tau steps."""
-        frontier = mask
+        """States that reach ``mask`` by tau steps.  Only states with a tau
+        predecessor are expanded."""
+        pred, reached = self._tau_pred
+        frontier = mask & reached
         while frontier:
             grown = 0
-            for j in iter_bits(frontier):
-                grown |= self._tau_pred[j]
-            frontier = grown & ~mask
-            mask |= frontier
+            # bits peeled inline: the direct fixpoint spends much of its
+            # time in this loop
+            while frontier:
+                low = frontier & -frontier
+                grown |= pred[low.bit_length() - 1]
+                frontier ^= low
+            grown &= ~mask
+            mask |= grown
+            frontier = grown & reached
         return mask
+
+    @cached_property
+    def _steps(self):
+        """Per label, the states that carry it as ``(bit, successor mask)``."""
+        steps = {}
+        for i, succ in enumerate(self._succ):
+            for lab, mask in succ.items():
+                steps.setdefault(lab, []).append((1 << i, mask))
+        return steps
 
     def pred_mask(self, label, target):
         """States with a ``label`` step into the state set ``target``."""
         base = 0
-        for q1, succ in enumerate(self._succ):
-            if succ.get(label, 0) & target:
-                base |= 1 << q1
+        for bit, succ in self._steps.get(label, ()):
+            if succ & target:
+                base |= bit
         return base
 
     @cached_property

@@ -907,15 +907,22 @@ class _Parser:
         return term
 
     def parse_prefix(self):
-        tok = self.peek()
-        if tok.kind == "ident" and self.peek(1).text == "." and tok.text not in (
-            "theta", "psi", "ren",
-        ):
+        # a run of prefixes in a loop, so deep chains parse without deep
+        # recursion; the prefixes are built innermost first
+        actions = []
+        while True:
+            tok = self.peek()
+            if tok.kind != "ident" or self.peek(1).text != "." or tok.text in (
+                "theta", "psi", "ren",
+            ):
+                break
             self.next()
             self.next()
-            action = self.action_for(tok)
-            return mk_prefix(action, self.parse_prefix())
-        return self.parse_atom()
+            actions.append(self.action_for(tok))
+        term = self.parse_atom()
+        for action in reversed(actions):
+            term = mk_prefix(action, term)
+        return term
 
     def action_for(self, tok):
         if tok.text == "tau":

@@ -62,7 +62,9 @@ def test_missing_file_is_an_error(capsys):
 
 
 def test_parse_reprints_a_deep_prefix_chain(capsys, tmp_path):
-    text = "def Deep = " + "a." * 600 + "0;\n"
+    # deep enough that one stack frame per prefix, reading or printing,
+    # would overflow
+    text = "def Deep = " + "a." * 5000 + "0;\n"
     deep = tmp_path / "deep.ccspt"
     deep.write_text(text)
     code, out, _ = run(capsys, ["parse", str(deep)])

@@ -18,10 +18,13 @@ from txbisim.equiv import (
     Analysis,
     RelationStore,
     _Profile,
+    _RowRecords,
     _branching_fixpoint,
     _generalized_fixpoint,
+    _no_matches,
     _rooted_branching_fail,
     _rooted_fail,
+    _scan_row,
     _strong_fixpoint,
     branching_witness_ok,
     brb,
@@ -76,10 +79,63 @@ def test_generalized_rows_equal_reference_relation(small_corpus):
     for p, q, _ in small_corpus:
         lts = explore((p, q))
         uni = process_universe(p, q)
-        _, _, pairs, trips = engine_rows(lts, uni)
+        pf, res, pairs, trips = engine_rows(lts, uni)
         ora_pairs, ora_trips = ref_reactive(lts, uni)
         assert pairs == ora_pairs, term_text(p) + " vs " + term_text(q)
         assert trips == ora_trips, term_text(p) + " vs " + term_text(q)
+        # the records cover exactly the removed entries, counted one each
+        removed = {
+            (i, x, j)
+            for i in range(pf.n)
+            for x in range(pf.trig + 1)
+            for j in range(pf.n)
+            if not res.has(i, x, j)
+        }
+        assert all(res.fail(i, x, j) is not None for i, x, j in removed)
+        assert set(res.records) <= removed
+        assert len(res.records) == sum(1 for _ in res.records)
+
+
+def two_cells():
+    """Two timed cells against the same cells without their inner tau."""
+    p = parse_term("(a.0 + t.tau.a.0) ||{} (b.0 + t.tau.b.0)")
+    q = parse_term("(a.0 + t.a.0) ||{} (b.0 + t.b.0)")
+    return p, q
+
+
+def _earlier_than(removed_in, rnd):
+    return removed_in is not None and removed_in < rnd
+
+
+def test_rounds_replay_from_records(small_corpus):
+    """Round ``r`` of the fixpoint, replayed from the table its records
+    leave before ``r`` by one scan pass that carries no match sets over
+    from earlier rounds, removes exactly the entries stamped ``r``, for
+    the same reasons."""
+    for p, q in [(p, q) for p, q, _ in small_corpus] + [two_cells()]:
+        lts = explore((p, q))
+        pf, res, _, _ = engine_rows(lts, process_universe(p, q))
+        for rnd in range(1, res.rounds + 1):
+            table = [
+                [
+                    sum(
+                        1 << j
+                        for j in range(pf.n)
+                        if not _earlier_than(res.round(i, x, j), rnd)
+                    )
+                    for x in range(pf.trig + 1)
+                ]
+                for i in range(pf.n)
+            ]
+            memo = _no_matches(pf)
+            by_row = {}
+            for i, cols in enumerate(table):
+                for x, row in enumerate(cols):
+                    if row:
+                        _scan_row(pf, i, x, row, table, memo, by_row, rnd)
+            stamped = {k: r for k, r in res.records.items() if r.round == rnd}
+            assert dict(_RowRecords(by_row)) == stamped, term_text(p)
+        assert table == res.rows
 
 
 def test_rooted_checks_equal_reference_relation(small_corpus):

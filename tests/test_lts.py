@@ -3,6 +3,7 @@
 import io
 
 import pytest
+from hypothesis import given, strategies as st
 
 from txbisim import ParseError, TxbisimError
 from txbisim.lts import (
@@ -57,6 +58,50 @@ def test_stability_and_closures():
     assert lts.backward_tau_closure(0b010) == 0b011
     assert lts.stable_mask == 0b110
     assert lts.can_reach_stable_mask == 0b111
+
+
+@st.composite
+def systems_and_masks(draw):
+    """A system over a few labels with tau self-loops, tau cycles, a label
+    carried by one state, and states that no tau step reaches, plus a
+    state set."""
+    n = draw(st.integers(1, 12))
+    state = st.integers(0, n - 1)
+    edges = draw(st.lists(
+        st.tuples(state, st.sampled_from(("tau", "a", "b", "t")), state),
+        max_size=3 * n,
+    ))
+    edges += [(i, "tau", i) for i in draw(st.lists(state, max_size=2))]
+    cycle = draw(st.lists(state, max_size=4, unique=True))
+    edges += [(i, "tau", j) for i, j in zip(cycle, cycle[1:] + cycle[:1])]
+    edges.append((draw(state), "c", draw(state)))
+    return Lts(range(n), edges, (0,)), draw(st.integers(0, (1 << n) - 1))
+
+
+def _set_closure(mask, steps):
+    """Closure of a state set under ``steps``, pairs ``(i, j)``, by sets."""
+    seen = set(iter_bits(mask))
+    grew = True
+    while grew:
+        grew = False
+        for i, j in steps:
+            if i in seen and j not in seen:
+                seen.add(j)
+                grew = True
+    return sum(1 << i for i in seen)
+
+
+@given(systems_and_masks())
+def test_closures_and_predecessors_equal_set_loops(drawn):
+    lts, mask = drawn
+    taus = [(i, j) for i, lab, j in lts.trans_idx if lab == "tau"]
+    assert lts.tau_closure(mask) == _set_closure(mask, taus)
+    assert lts.backward_tau_closure(mask) == _set_closure(
+        mask, [(j, i) for i, j in taus]
+    )
+    for lab in ("tau", "a", "b", "t", "c", "absent"):
+        want = {i for i, got, j in lts.trans_idx if got == lab and mask >> j & 1}
+        assert lts.pred_mask(lab, mask) == sum(1 << i for i in want)
 
 
 def test_divergence_detection():
