@@ -9,7 +9,9 @@ sections of a digest, each printed as one sha256:
   ``method``, ``reason`` and the witness relation;
 * ``direct``: the direct fixpoint's rows, rounds and removal records;
 * ``distinguish``: the formula text, plain and rooted;
-* ``partition``: the ``brb_partition`` blocks of the pair's state space.
+* ``partition``: the ``brb_partition`` blocks of the pair's state space;
+* ``encoding``: the encoded system's state texts in order, its roots, its
+  indexed transitions, and the rounds and block count of its branching fixpoint.
 
 A change to the engines that should keep every answer is checked by
 running the script in the old and the new checkout and diffing the
@@ -42,7 +44,7 @@ from txbisim import (
 from txbisim.modal import distinguish, formula_text
 from txbisim.terms import term_text
 
-SECTIONS = ("verdicts", "direct", "distinguish", "partition")
+SECTIONS = ("verdicts", "direct", "distinguish", "partition", "encoding")
 
 
 def sample_pairs(rng, cfg, count, cap):
@@ -112,6 +114,19 @@ def digest_pair(p, q, opts, feed):
     got = attempt(brb_partition, (p, q), opts["direct"])
     blocks = got if isinstance(got, str) else got[1].blocks
     feed("partition", f"{head}: {blocks}")
+    feed("encoding", f"{head}: {attempt(encoding_text, p, q, opts['encode'])}")
+
+
+def encoding_text(p, q, opts):
+    an = Analysis(p, q, opts)
+    enc = an.encoded
+    texts = [enc.state_text(s) for s in enc.states]
+    roots = [enc.index[r] for r in enc.roots]
+    res = an.enc_branch
+    return (
+        f"{texts} roots {roots} {enc.trans_idx} "
+        f"rounds {res.rounds} blocks {len(set(res.rel))}"
+    )
 
 
 def main(argv=None):

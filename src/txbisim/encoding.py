@@ -27,6 +27,15 @@ allowing(X) P       a          triggered P'        P -a-> P', a in X
 allowing(X) P       t_eps      triggered P         D(P, X)
 allowing(X) P       t          allowing(X) P'      D(P, X), P -t-> P'
 ==================  =========  ==================  ======================
+
+The closure is built on indices.  A wrapper is numbered when it is first
+reached, breadth first from the triggered roots: a state's successors in
+the order of its base steps, then its settlings in subset order.  The
+transitions go to :class:`~txbisim.lts.Lts` as index triples, and each
+:class:`EncState` is made once, at the end.  A tau step keeps its
+environment, so the tau steps of the closure are those of the base copied
+into each environment.  Its tau components, and the states that can reach
+a stable one, are therefore lifted from the base system, not recomputed.
 """
 
 from __future__ import annotations
@@ -87,33 +96,52 @@ def encode(base, universe, max_states=None):
 
     ``universe`` must contain every visible label of the base system.  The
     result's roots are the triggered wrappings of the base roots; allowing
-    wrappings are reachable from them by settling transitions.
+    wrappings are reachable from them by settling transitions.  Its states
+    are admitted breadth first, and its tau components and the states that
+    can reach a stable one come lifted from the base system.
     """
     check_universe(universe)
-    visible = {
-        lab for _, lab, _ in base.transitions() if lab not in ("tau", "t")
-    }
-    stray = visible - set(universe)
+    names = tuple(universe)
+    stray = set(base.labels) - {"tau", "t"} - set(names)
     if stray:
         raise AlphabetLimitError(
             "universe must cover the visible labels; missing: "
             + ", ".join(sorted(stray))
         )
     budget = max_states_budget(max_states)
-    modes = _subsets(tuple(universe))
-    mode_sets = {m: frozenset(m) for m in modes}
+    bit = {a: 1 << k for k, a in enumerate(names)}
+    # slot 0 is the triggered wrapping, slot s > 0 allows modes[s - 1]
+    modes = _subsets(names)
+    width = len(modes) + 1
+    allowed = [0] + [sum(bit[a] for a in m) for m in modes]
+    settle = [(s, eps_label(m)) for s, m in enumerate(modes, 1)]
+    # per base state its steps with the bit of a visible label, and the
+    # mask of its visible labels
+    steps = []
+    vis = []
+    for moves in base.moves:
+        own = tuple((lab, j, bit.get(lab, 0)) for lab, j in moves)
+        steps.append(own)
+        mask = 0
+        for _, _, b in own:
+            mask |= b
+        vis.append(mask)
+    stable = [base.is_stable(i) for i in range(base.n_states)]
 
-    roots = tuple(EncState(None, r) for r in base.roots)
-    seen: dict[EncState, None] = {}
-    queue: list[EncState] = []
+    # a state is the key base index * width + slot until it is numbered
+    seen: dict[int, int] = {}
+    queue: list[int] = []
 
-    def admit(state):
-        if state not in seen:
-            if len(seen) >= budget:
-                raise StateBudgetError(budget, text(state))
-            seen[state] = None
-            queue.append(state)
-        return state
+    def admit(key):
+        if len(queue) >= budget:
+            raise StateBudgetError(budget, text(wrap(key)))
+        got = seen[key] = len(queue)
+        queue.append(key)
+        return got
+
+    def wrap(key):
+        i, s = divmod(key, width)
+        return EncState(modes[s - 1] if s else None, base.states[i])
 
     def text(state):
         inner = base.state_text(state.inner)
@@ -121,34 +149,66 @@ def encode(base, universe, max_states=None):
             return inner
         return "[{" + ",".join(state.mode) + "}] " + inner
 
-    for r in roots:
-        admit(r)
+    index = base.index
+    for r in base.roots:
+        if index[r] * width not in seen:
+            admit(index[r] * width)
     edges = []
     at = 0
     while at < len(queue):
-        src = queue[at]
-        at += 1
-        inner_moves = base.transitions_from(src.inner)
-        if src.mode is None:
-            for lab, dst in inner_moves:
-                if lab != "t":
-                    edges.append((src, lab, admit(EncState(None, dst))))
-            for m in modes:
-                edges.append((src, eps_label(m), admit(EncState(m, src.inner))))
-        else:
-            allowed = mode_sets[src.mode]
-            quiet = all(
-                lab == "t" or (lab != "tau" and lab not in allowed)
-                for lab, _ in inner_moves
-            )
-            for lab, dst in inner_moves:
-                if lab == "tau":
-                    edges.append((src, lab, admit(EncState(src.mode, dst))))
-                elif lab == "t":
-                    if quiet:
-                        edges.append((src, lab, admit(EncState(src.mode, dst))))
-                elif lab in allowed:
-                    edges.append((src, lab, admit(EncState(None, dst))))
+        i, s = divmod(queue[at], width)
+        # the successors of state ``at`` as (label, key), in base step order
+        if s:
+            mask = allowed[s]
+            quiet = stable[i] and not vis[i] & mask
+            succ = []
+            for lab, j, b in steps[i]:
+                if lab == "tau" or lab == "t" and quiet:
+                    succ.append((lab, j * width + s))
+                elif b & mask:
+                    succ.append((lab, j * width))
             if quiet:
-                edges.append((src, "t_eps", admit(EncState(None, src.inner))))
-    return Lts(queue, edges, roots, state_text=text)
+                succ.append(("t_eps", i * width))
+        else:
+            succ = [(lab, j * width) for lab, j, _ in steps[i] if lab != "t"]
+            succ += [(lab, i * width + s2) for s2, lab in settle]
+        for lab, key in succ:
+            got = seen.get(key)
+            edges.append((at, lab, admit(key) if got is None else got))
+        at += 1
+    out = Lts.from_indexed(
+        map(wrap, queue),
+        edges,
+        (EncState(None, r) for r in base.roots),
+        state_text=text,
+    )
+    _lift_tau_structure(base, out, seen, width)
+    return out
+
+
+def _lift_tau_structure(base, out, seen, width):
+    """Give ``out`` the tau components and the states that can reach a
+    stable one, read off ``base``.
+
+    A tau step keeps its slot, so the tau steps of the encoding are those of
+    the base copied into every slot; the states reached in a slot are closed
+    under them, so each base component is reached in a slot whole or not at
+    all.  Taking the base components in order and their slots within keeps
+    every component after all components it reaches.  A wrapping reaches a
+    stable state exactly when its base state does.
+    """
+    reach = base.can_reach_stable_mask
+    sccs = []
+    mask = 0
+    for comp in base.tau_sccs:
+        good = reach >> comp[0] & 1
+        for s in range(width):
+            if comp[0] * width + s in seen:
+                lifted = [seen[i * width + s] for i in comp]
+                sccs.append(lifted)
+                if good:
+                    for k in lifted:
+                        mask |= 1 << k
+    # set in place of the cached properties, which then never compute them
+    out.tau_sccs = sccs
+    out.can_reach_stable_mask = mask

@@ -39,9 +39,10 @@ environment, go through :func:`_check`.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from types import SimpleNamespace
 
 from .encoding import MAX_UNIVERSE, EncState, encode
 from .errors import (
@@ -121,8 +122,9 @@ class Verdict:
 
     For a positive verdict ``witness`` holds the full greatest relation over
     the explored states, which independent single-pass validators can check.
-    For a negative verdict ``reason`` names a violated clause of the queried
-    pair.  The direct route names the clause that removed the pair, with its
+    It is built by ``build_witness`` when first read, and kept.  For a
+    negative verdict ``reason`` names a violated clause of the queried pair.
+    The direct route names the clause that removed the pair, with its
     removal ``round``.  The encode route, :func:`sr_branching` and
     :func:`strong` name the first clause the pair fails against the final
     relation, with no round.  Rooted checks name the first step that has no
@@ -131,13 +133,19 @@ class Verdict:
 
     equivalent: bool
     method: str
-    witness: RelationStore | None = None
     reason: dict | None = None
     lts: Lts | None = field(default=None, repr=False)
     universe: EnvSet | None = field(default=None, repr=False)
+    build_witness: Callable[[], RelationStore] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     def __bool__(self):
         return self.equivalent
+
+    @cached_property
+    def witness(self) -> RelationStore | None:
+        return None if self.build_witness is None else self.build_witness()
 
     def to_json_dict(self):
         out = {
@@ -819,9 +827,9 @@ def strong_witness_ok(lts, store):
 def _verdict(method, fail, system, store, lts, universe=None):
     """A negative verdict naming the failing clause ``fail``, a pair
     ``(side, removal)`` over ``system``, or with ``fail`` None a positive
-    one carrying ``store()``."""
+    one whose witness ``store()`` builds."""
     if fail is None:
-        return Verdict(True, method, store(), lts=lts, universe=universe)
+        return Verdict(True, method, lts=lts, universe=universe, build_witness=store)
     return Verdict(
         False, method, reason=_reason(system, *fail), lts=lts, universe=universe
     )
@@ -953,6 +961,16 @@ class Analysis:
         return RelationStore(frozenset(pairs), frozenset(triples))
 
 
+def _store_thunk(an, name, *parts):
+    """A thunk running the :class:`Analysis` method ``name`` on a stand-in
+    that holds only the ``parts`` of ``an`` it reads, so that a verdict
+    keeps no more than its store needs.  The method is looked up when the
+    thunk runs, so a wrapper set on the class in the meantime is honoured.
+    """
+    held = SimpleNamespace(**{part: getattr(an, part) for part in parts})
+    return lambda: getattr(Analysis, name)(held)
+
+
 def _check(p, q, env, rooted, opts):
     """Decide one of the four reactive relations of two closed terms:
     triggered when ``env`` is None, else in the environment ``env``, and
@@ -964,18 +982,16 @@ def _check(p, q, env, rooted, opts):
         env = an.canonical_env(env)
     if method != "encode":
         x = an.profile.trig if env is None else an.profile.env_mask(env)
-        d = _direct(
-            an.profile, an.gen, an.ip, an.iq, x, rooted, an.gen_store, an.universe
-        )
+        store = _store_thunk(an, "gen_store", "profile", "gen")
+        d = _direct(an.profile, an.gen, an.ip, an.iq, x, rooted, store, an.universe)
         if method == "direct":
             return d
     mode = None if env is None else tuple(env)
     i, j = an.enc_index(mode, an.p), an.enc_index(mode, an.q)
     if method == "encode":
         fail = _plain_fail(an.encoded, an.enc_branch, i, j, rooted)
-        return _verdict(
-            "encode", fail, an.encoded, an.encoded_projection, an.lts, an.universe
-        )
+        store = _store_thunk(an, "encoded_projection", "encoded", "enc_branch")
+        return _verdict("encode", fail, an.encoded, store, an.lts, an.universe)
     # the cross-check needs only the encode route's answer, not its reason
     # or its relation
     if rooted:

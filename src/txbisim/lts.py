@@ -46,27 +46,49 @@ class Lts:
     """An immutable labelled transition system with designated roots."""
 
     def __init__(self, states, transitions, roots, state_text=str):
-        self.states = tuple(states)
-        self.index = {s: i for i, s in enumerate(self.states)}
-        if len(self.index) != len(self.states):
-            raise TxbisimError("duplicate states in transition system")
+        states = tuple(states)
+        index = _index_of(states)
+        self._build(
+            states,
+            index,
+            [(index[src], lab, index[dst]) for src, lab, dst in transitions],
+            roots,
+            state_text,
+        )
+
+    @classmethod
+    def from_indexed(cls, states, triples, roots, state_text=str):
+        """A system whose transitions are given as index triples
+        ``(i, label, j)`` into ``states``, for callers that number their
+        states as they find them."""
+        states = tuple(states)
+        lts = cls.__new__(cls)
+        lts._build(states, _index_of(states), triples, roots, state_text)
+        return lts
+
+    def _build(self, states, index, triples, roots, state_text):
+        self.states = states
+        self.index = index
         self.roots = tuple(roots)
         for r in self.roots:
-            if r not in self.index:
+            if r not in index:
                 raise TxbisimError("root is not a state")
         self.state_text = state_text
-        succ: list[dict[str, int]] = [dict() for _ in self.states]
-        triples = []
-        for src, label, dst in transitions:
-            i, j = self.index[src], self.index[dst]
+        succ: list[dict[str, int]] = [dict() for _ in states]
+        kept = []
+        keys = {}
+        for t in triples:
+            i, lab, j = t
             bucket = succ[i]
-            before = bucket.get(label, 0)
+            before = bucket.get(lab, 0)
             if not before >> j & 1:
-                bucket[label] = before | 1 << j
-                triples.append((i, label, j))
-        triples.sort(key=lambda t: (t[0], label_sort_key(t[1]), t[2]))
+                bucket[lab] = before | 1 << j
+                kept.append(t)
+                if lab not in keys:
+                    keys[lab] = label_sort_key(lab)
+        kept.sort(key=lambda t: (t[0], keys[t[1]], t[2]))
         self._succ = succ
-        self.trans_idx = tuple(triples)
+        self.trans_idx = tuple(kept)
 
     # -- basic queries
 
@@ -269,6 +291,13 @@ class Lts:
 
     def to_json(self, **kwargs):
         return json.dumps(self.to_json_dict(), **kwargs)
+
+
+def _index_of(states):
+    index = {s: i for i, s in enumerate(states)}
+    if len(index) != len(states):
+        raise TxbisimError("duplicate states in transition system")
+    return index
 
 
 def iter_bits(mask):

@@ -248,27 +248,27 @@ def explore(root, max_states=None):
     """
     budget = max_states_budget(max_states)
     roots = (root,) if isinstance(root, Term) else tuple(root)
-    seen: dict[Term, None] = {}
+    seen: dict[Term, int] = {}
     queue = []
+
+    def admit(term):
+        if len(queue) >= budget:
+            raise StateBudgetError(budget, term_text(term))
+        got = seen[term] = len(queue)
+        queue.append(term)
+        return got
+
     for r in roots:
         if r not in seen:
-            if len(seen) >= budget:
-                raise StateBudgetError(budget, term_text(r))
-            seen[r] = None
-            queue.append(r)
+            admit(r)
     edges = []
     at = 0
     while at < len(queue):
-        state = queue[at]
+        for act, target in derive(queue[at]):
+            got = seen.get(target)
+            edges.append((at, act.name, admit(target) if got is None else got))
         at += 1
-        for act, target in derive(state):
-            if target not in seen:
-                if len(seen) >= budget:
-                    raise StateBudgetError(budget, term_text(target))
-                seen[target] = None
-                queue.append(target)
-            edges.append((state, act.name, target))
-    return Lts(queue, edges, roots, state_text=term_text)
+    return Lts.from_indexed(queue, edges, roots, state_text=term_text)
 
 
 def head_normal_form(term):

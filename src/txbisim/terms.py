@@ -75,6 +75,11 @@ __all__ = [
 # the transition-system label conventions.
 RESERVED = frozenset({"tau", "t", "t_eps", "def", "spec", "theta", "psi", "ren"})
 
+# Deepest nesting of parentheses and operator bodies the parser accepts.
+# Each level costs it a few stack frames, so deeper input would otherwise
+# exhaust Python's recursion limit.
+MAX_NESTING = 200
+
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 _ACT_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 
@@ -773,6 +778,7 @@ class _Parser:
         self.pos = 0
         self.defs = definitions if definitions is not None else Definitions()
         self.spec_vars: tuple[str, ...] = ()
+        self.depth = 0
 
     # -- token plumbing
 
@@ -939,27 +945,27 @@ class _Parser:
         if tok.kind == "zero":
             self.next()
             return NIL
-        if tok.text == "(":
-            self.next()
-            term = self.parse_proc()
-            self.expect(")")
-            return term
         if tok.text == "<":
             return self.parse_reccall()
-        if tok.kind == "ident":
-            if tok.text == "tau" and self.peek(1).text == "{":
-                return self.parse_abstract()
-            if tok.text == "ren" and self.peek(1).text == "{":
-                return self.parse_rename()
-            if tok.text == "theta" and self.peek(1).text == "{":
-                return self.parse_theta()
-            if tok.text == "psi" and self.peek(1).text == "{":
-                return self.parse_psi()
+        if tok.text == "(":
+            self.next()
+            wrap = None
+        elif tok.text in _OPERATORS and self.peek(1).text == "{":
+            wrap = _OPERATORS[tok.text](self)
+        elif tok.kind == "ident":
             if tok.text in RESERVED:
                 self.fail(f"reserved word {tok.text!r} cannot stand alone here")
             self.next()
             return mk_var(tok.text)
-        self.fail(f"expected a process, found {tok.text or 'end of input'!r}")
+        else:
+            self.fail(f"expected a process, found {tok.text or 'end of input'!r}")
+        if self.depth >= MAX_NESTING:
+            self.fail(f"nesting deeper than {MAX_NESTING} levels", tok)
+        self.depth += 1
+        term = self.parse_proc()
+        self.depth -= 1
+        self.expect(")")
+        return term if wrap is None else wrap(term)
 
     def parse_reccall(self):
         self.expect("<")
@@ -999,17 +1005,19 @@ class _Parser:
             self.fail("this operator needs at least one action")
         return envset(names)
 
-    def parse_abstract(self):
+    # -- operator heads: each reads an operator up to the opening
+    # parenthesis of its body and returns the function that makes the term, so
+    # that bodies nest through parse_atom alone
+
+    def abstract_head(self):
         self.next()
         self.expect("{")
         hide = self.parse_acts("}", minimum=1)
         self.expect("}")
         self.expect("(")
-        body = self.parse_proc()
-        self.expect(")")
-        return mk_abstract(hide, body)
+        return lambda body: mk_abstract(hide, body)
 
-    def parse_rename(self):
+    def rename_head(self):
         self.next()
         self.expect("{")
         pairs = []
@@ -1030,11 +1038,9 @@ class _Parser:
         if not pairs:
             self.fail("a renaming needs at least one pair")
         self.expect("(")
-        body = self.parse_proc()
-        self.expect(")")
-        return mk_rename(pairs, body)
+        return lambda body: mk_rename(pairs, body)
 
-    def parse_theta(self):
+    def theta_head(self):
         open_tok = self.next()
         self.expect("{")
         lower = self.parse_acts(";")
@@ -1042,22 +1048,30 @@ class _Parser:
         upper = self.parse_acts("}")
         self.expect("}")
         self.expect("(")
-        body = self.parse_proc()
-        self.expect(")")
-        try:
-            return mk_theta(lower, upper, body)
-        except InvalidTermError as exc:
-            self.fail(str(exc), open_tok)
 
-    def parse_psi(self):
+        def build(body):
+            try:
+                return mk_theta(lower, upper, body)
+            except InvalidTermError as exc:
+                self.fail(str(exc), open_tok)
+
+        return build
+
+    def psi_head(self):
         self.next()
         self.expect("{")
         env = self.parse_acts("}")
         self.expect("}")
         self.expect("(")
-        body = self.parse_proc()
-        self.expect(")")
-        return mk_psi(env, body)
+        return lambda body: mk_psi(env, body)
+
+
+_OPERATORS = {
+    "tau": _Parser.abstract_head,
+    "ren": _Parser.rename_head,
+    "theta": _Parser.theta_head,
+    "psi": _Parser.psi_head,
+}
 
 
 class Definitions:

@@ -15,10 +15,12 @@ worse and proud of it.
 
 from itertools import chain, combinations
 
+from txbisim.encoding import EncState, eps_label
 from txbisim.lts import iter_bits
 
 __all__ = [
     "all_env_sets",
+    "ref_encode",
     "ref_branching",
     "ref_reactive",
     "ref_rooted",
@@ -316,3 +318,54 @@ def ref_strong(lts):
                 rel.discard((j, i))
                 changed = True
     return rel
+
+
+def ref_encode(base, universe):
+    """The reachable environment closure of ``base``: its states and its
+    transitions over :class:`~txbisim.encoding.EncState` objects, as sets.
+
+    A breadth-first search that follows the transition table of
+    :mod:`txbisim.encoding` row by row, with ``D(P, X)`` read off the
+    labels of ``P``'s steps.
+    """
+    names = tuple(universe)
+    modes = [c for k in range(len(names) + 1) for c in combinations(names, k)]
+
+    def deadend(p, x):
+        labels = {lab for lab, _ in base.transitions_from(p)}
+        return "tau" not in labels and labels.isdisjoint(x)
+
+    def steps(state):
+        p = state.inner
+        moves = base.transitions_from(p)
+        out = set()
+        if state.mode is None:
+            # triggered P -alpha-> triggered P', alpha not t
+            out |= {(a, EncState(None, q)) for a, q in moves if a != "t"}
+            # triggered P -eps_X-> allowing(X) P
+            out |= {(eps_label(x), EncState(x, p)) for x in modes}
+            return out
+        x = state.mode
+        # allowing(X) P -tau-> allowing(X) P'
+        out |= {("tau", EncState(x, q)) for a, q in moves if a == "tau"}
+        # allowing(X) P -a-> triggered P', a in X
+        out |= {(a, EncState(None, q)) for a, q in moves if a in x}
+        if deadend(p, x):
+            # allowing(X) P -t_eps-> triggered P
+            out.add(("t_eps", EncState(None, p)))
+            # allowing(X) P -t-> allowing(X) P'
+            out |= {("t", EncState(x, q)) for a, q in moves if a == "t"}
+        return out
+
+    states = {EncState(None, r) for r in base.roots}
+    frontier = set(states)
+    edges = set()
+    while frontier:
+        found = set()
+        for src in frontier:
+            for lab, dst in steps(src):
+                edges.add((src, lab, dst))
+                found.add(dst)
+        frontier = found - states
+        states |= frontier
+    return states, edges

@@ -72,6 +72,15 @@ def test_parse_reprints_a_deep_prefix_chain(capsys, tmp_path):
     assert parse_file(out) == parse_file(text)
 
 
+def test_deep_nesting_is_a_parse_error(capsys, tmp_path):
+    deep = tmp_path / "nested.ccspt"
+    deep.write_text("def Deep = " + "(" * 1000 + "a.0" + ")" * 1000 + ";\n")
+    code, _, err = run(capsys, ["parse", str(deep)])
+    assert code == 2
+    assert err.startswith("error: nesting deeper than")
+    assert "RecursionError" not in err
+
+
 def test_unexpected_failure_exits_with_an_error(capsys, monkeypatch):
     # a failure that is no TxbisimError; exit 1 would read as a negative
     # verdict
@@ -196,6 +205,19 @@ def test_check_json_payload(capsys):
     assert payload["equivalent"] is True
     assert payload["method"] == "both"
     assert (payload["left"], payload["right"]) == ("Q0", "R0")
+
+
+@pytest.mark.parametrize(
+    "method, size", [("direct", 47), ("both", 47), ("encode", 31)]
+)
+def test_check_reports_the_witness_size(capsys, method, size):
+    argv = ["check", STABILITY, "Q0", "R0", "brb", "--method", method]
+    code, out, _ = run(capsys, argv + ["--output", "json"])
+    assert code == 0
+    assert json.loads(out)["witness_size"] == size
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert f"witness size: {size}" in out.splitlines()
 
 
 def test_check_method_flag_lands_in_payload(capsys):

@@ -1,13 +1,16 @@
 """Most-general-environment closure: frozen shapes and structural checks."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from txbisim import AlphabetLimitError, StateBudgetError
 from txbisim.encoding import EncState, encode, eps_label
+from txbisim.lts import Lts, iter_bits
 from txbisim.semantics import explore
 from txbisim.terms import envset, parse_term
 
-from oracles import ref_branching
+from oracles import ref_branching, ref_encode
 
 
 def enc(source, names, **kw):
@@ -107,6 +110,63 @@ def test_universe_size_is_capped():
 def test_budget_applies_to_wrapped_states():
     with pytest.raises(StateBudgetError):
         enc("a.b.0", ("a", "b"), max_states=5)
+
+
+def test_budget_names_the_first_state_left_out():
+    # admitted breadth first, the settlings of a state in subset order:
+    # a.b.0, b.0, then the settlings {}, {a} and {a,b}; {b} is the sixth
+    with pytest.raises(StateBudgetError) as exc:
+        enc("a.b.0", ("a", "b"), max_states=5)
+    assert exc.value.frontier == "[{b}] a.b.0"
+
+
+# -- the index-level construction against a literal one
+
+
+@st.composite
+def timed_systems(draw):
+    """A system over tau, a, b and t with a tau cycle, time-outs from
+    states that do and do not offer visible actions, and one state reached
+    only by a time-out, plus an environment universe covering it."""
+    n = draw(st.integers(1, 7))
+    state = st.integers(0, n - 1)
+    label = st.sampled_from(("tau", "a", "b", "t"))
+    edges = draw(st.lists(st.tuples(state, label, state), max_size=3 * n))
+    cycle = draw(st.lists(state, max_size=3, unique=True))
+    edges += [(i, "tau", j) for i, j in zip(cycle, cycle[1:] + cycle[:1])]
+    edges.append((draw(state), "t", draw(state)))
+    # state n: entered by a time-out only
+    edges.append((draw(state), "t", n))
+    exits = draw(st.lists(st.tuples(label, state), max_size=2))
+    edges += [(n, lab, j) for lab, j in exits]
+    universe = envset(draw(st.sampled_from((("a", "b"), ("a", "b", "c")))))
+    return Lts(range(n + 1), edges, (0,)), universe
+
+
+@given(timed_systems())
+def test_encode_equals_literal_closure(drawn):
+    base, universe = drawn
+    e = encode(base, universe)
+    states, edges = ref_encode(base, universe)
+    assert set(e.states) == states
+    assert set(e.transitions()) == edges
+
+
+@given(timed_systems())
+def test_lifted_tau_structure_equals_recomputed(drawn):
+    e = encode(*drawn)
+    fresh = Lts(e.states, e.transitions(), e.roots)
+    assert set(map(frozenset, e.tau_sccs)) == set(map(frozenset, fresh.tau_sccs))
+    assert sum(map(len, e.tau_sccs)) == e.n_states
+    assert e.can_reach_stable_mask == fresh.can_reach_stable_mask
+    # every component after all components it reaches
+    position = {}
+    for k, comp in enumerate(e.tau_sccs):
+        for i in comp:
+            position[i] = k
+    for i in range(e.n_states):
+        for j in iter_bits(e.succ_mask(i, "tau")):
+            assert position[j] <= position[i]
 
 
 # -- the closure is an ordinary system

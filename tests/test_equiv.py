@@ -14,6 +14,7 @@ from txbisim import (
     TxbisimError,
     rand_term,
 )
+from txbisim import equiv
 from txbisim.equiv import (
     Analysis,
     RelationStore,
@@ -341,6 +342,41 @@ def test_positive_verdict_carries_validating_witness(laws_defs):
     v = brb(d["Shadowed"], d["LazyA"], DIRECT)
     assert v.equivalent
     assert generalized_witness_ok(v.lts, v.universe, v.witness)
+
+
+@pytest.mark.parametrize("method", ["direct", "both", "encode"])
+def test_witness_is_built_when_first_read(monkeypatch, method):
+    built = []
+    gen_store = equiv._gen_store
+    projection = Analysis.encoded_projection
+
+    def counted_gen_store(*args):
+        built.append("gen_store")
+        return gen_store(*args)
+
+    def counted_projection(an):
+        built.append("encoded_projection")
+        return projection(an)
+
+    monkeypatch.setattr(equiv, "_gen_store", counted_gen_store)
+    monkeypatch.setattr(Analysis, "encoded_projection", counted_projection)
+    p, q = parse_term("a.tau.b.0 + t.b.0"), parse_term("a.b.0 + t.b.0")
+    opts = CheckOptions(method=method)
+    env = envset(("b",))
+    for v in (
+        brb(p, q, opts),
+        rbrb(p, q, opts),
+        brb_x(p, q, env, opts),
+        rbrb_x(p, q, env, opts),
+    ):
+        assert v.equivalent
+        assert built == []
+        witness = v.witness
+        assert v.witness is witness
+        assert built == ["encoded_projection" if method == "encode" else "gen_store"]
+        assert v.to_json_dict()["witness_size"] == witness.size > 0
+        assert generalized_witness_ok(v.lts, v.universe, witness)
+        built.clear()
 
 
 def test_perturbed_witnesses_are_rejected(laws_defs):

@@ -15,6 +15,7 @@ from txbisim import (
 )
 from txbisim.terms import (
     EMPTY_ENV,
+    MAX_NESTING,
     NIL,
     TAU,
     TIMEOUT,
@@ -224,6 +225,23 @@ def test_parse_error_reports_position():
     with pytest.raises(ParseError) as exc:
         parse_file("def P = a.0;\ndef Q = b.;")
     assert exc.value.line == 2
+
+
+NESTERS = ["(", "(a.0 + ", "theta{a;a,b}(", "psi{a}(", "ren{a->b}(", "tau{b}("]
+
+
+@pytest.mark.parametrize("opener", NESTERS)
+def test_nesting_is_bounded_by_a_parse_error(opener):
+    def nested(depth):
+        return opener * depth + "a.0" + ")" * depth
+
+    assert MAX_NESTING >= 200
+    parse_term(nested(200))
+    with pytest.raises(ParseError) as exc:
+        parse_term(nested(1000))
+    assert str(MAX_NESTING) in str(exc.value)
+    # raised at the opening token one level too deep
+    assert exc.value.col == MAX_NESTING * len(opener) + 1
 
 
 # -- printing round-trips
