@@ -19,13 +19,17 @@ keeps its relation as one table ``rows[p][x]``: a column per environment
 mask and one more, :attr:`_Profile.trig`, for the pairs.  A pair row is
 judged like a triple row in which every visible move counts, so each
 clause, the rooted first-step condition and the witness check are written
-once for all columns.  The fixpoint works set-at-a-time on those masks, a
-removal round being a handful of mask operations per clause.  The match
-set a clause reads from a row (the predecessors of that row under a label)
-is computed once and kept until a round changes the row.  Every removal is
-stamped with its round and the violated clause, once per clause and row
-for all the entries it removes; those records drive both the explanation
-of a negative verdict and the synthesis of distinguishing formulas in
+once for all columns.  Each row's clauses are compiled once
+(:meth:`_Profile.clauses`).  The fixpoint works set-at-a-time on those
+masks, a removal round being a handful of mask operations per clause.
+The match set a clause reads from a row (the predecessors of that row
+under a label) is kept by label and row value for the whole fixpoint, so
+equal rows share it, and so is a move's backward tau closure by the set
+it closes.  The fixpoint never judges a state against itself, the
+greatest relation being reflexive.  Every removal is stamped with its
+round and the violated clause, once per clause and row for all the
+entries it removes; those records drive both the explanation of a
+negative verdict and the synthesis of distinguishing formulas in
 :mod:`txbisim.modal`.  The plain relations, stability respecting branching
 bisimilarity (which the encode route decides on the wrapped system) and
 strong bisimilarity, share one partition refinement (:func:`_refine`)
@@ -120,15 +124,17 @@ class RelationStore:
 class Verdict:
     """Outcome of one equivalence check.
 
-    For a positive verdict ``witness`` holds the full greatest relation over
-    the explored states, which independent single-pass validators can check.
-    It is built by ``build_witness`` when first read, and kept.  For a
-    negative verdict ``reason`` names a violated clause of the queried pair.
-    The direct route names the clause that removed the pair, with its
-    removal ``round``.  The encode route, :func:`sr_branching` and
-    :func:`strong` name the first clause the pair fails against the final
-    relation, with no round.  Rooted checks name the first step that has no
-    match, with no round.
+    For a positive verdict ``witness`` holds a relation that independent
+    single-pass validators can check.  The direct route (and ``"both"``)
+    gives the full greatest relation over the explored states; the encode
+    route gives the relation projected from the wrappers its encoding
+    reaches, which may be smaller.  It is built by ``build_witness`` when
+    first read, and kept.  For a negative verdict ``reason`` names a
+    violated clause of the queried pair.  The direct route names the clause
+    that removed the pair, with its removal ``round``.  The encode route,
+    :func:`sr_branching` and :func:`strong` name the first clause the pair
+    fails against the final relation, with no round.  Rooted checks name
+    the first step that has no match, with no round.
     """
 
     equivalent: bool
@@ -217,9 +223,11 @@ class _Profile:
         "umask",
         "ubit",
         "stable",
+        "unstable",
         "init_vis",
         "notinit",
         "_subs",
+        "_clauses",
     )
 
     def __init__(self, lts, universe):
@@ -246,10 +254,12 @@ class _Profile:
             init_vis.append(vis)
         self.init_vis = tuple(init_vis)
         self.stable = tuple(lts.is_stable(i) for i in range(self.n))
+        self.unstable = self.full & ~lts.stable_mask
         self.notinit = tuple(
             self.umask & ~vis for vis in init_vis
         )
         self._subs = {}
+        self._clauses = [[None] * (self.trig + 1) for _ in range(self.n)]
 
     def env_names(self, xmask):
         return tuple(a for a in self.universe if self.ubit[a] & xmask)
@@ -279,6 +289,38 @@ class _Profile:
 
     def deadend(self, i, xmask):
         return self.stable[i] and not self.init_vis[i] & xmask
+
+    def clauses(self, p, x):
+        """The step clauses of the row of ``p`` in column ``x`` as
+        ``(label, p2, col, env)``, in ``lts.moves`` order, compiled when
+        first asked for.
+
+        Each clause asks for a match into the row of ``p2`` in column
+        ``col``.  For a move ``env`` is None.  In the pair column every
+        visible move counts; under an environment only the allowed ones, or
+        all of them from a dead end.  A tau step is matched within column
+        ``x``, a visible step in the pair column.  From a dead end a
+        time-out gives one clause for each environment ``col`` that extends
+        this one with actions ``p`` refuses, and ``env`` names its actions.
+        """
+        got = self._clauses[p][x]
+        if got is None:
+            allow = self.umask if x == self.trig else x
+            quiet = self.deadend(p, x)
+            got = []
+            for lab, p2 in self.lts.moves[p]:
+                if lab == "t":
+                    if quiet:
+                        got.extend(
+                            (lab, p2, y, self.env_names(y))
+                            for y in self.submasks_of(self.notinit[p])
+                        )
+                elif lab == "tau":
+                    got.append((lab, p2, x, None))
+                elif self.ubit[lab] & allow or quiet:
+                    got.append((lab, p2, self.trig, None))
+            got = self._clauses[p][x] = tuple(got)
+        return got
 
 
 # --------------------------------------------------------------------------
@@ -354,100 +396,79 @@ class _RowRecords(Mapping):
         return rec
 
 
-def _match_set(lts, snap, memo, lab, p2, y):
+def _match_set(lts, memo, lab, target):
     """The states whose ``lab`` step can match a step into the row
-    ``snap[p2][y]``: its ``lab`` predecessors, joined by the row itself for
-    tau (an internal step may be matched by standing still) and closed
-    backward under tau for a time-out.
+    ``target``: its ``lab`` predecessors, joined by the row itself for tau
+    (an internal step may be matched by standing still) and closed backward
+    under tau for a time-out.
 
-    ``memo[p2][y]`` holds these sets by label (None until one is
-    computed), and stays valid while that row does.
+    ``memo`` holds these sets by ``(lab, target)``, so equal rows share one
+    set and a set stays valid for as long as its key is read.
     """
-    sets = memo[p2][y]
-    if sets is None:
-        sets = memo[p2][y] = {}
-    got = sets.get(lab)
+    key = (lab, target)
+    got = memo.get(key)
     if got is None:
-        target = snap[p2][y]
         got = lts.pred_mask(lab, target)
         if lab == "tau":
             got |= target
         elif lab == "t":
             got = lts.backward_tau_closure(got)
-        sets[lab] = got
+        memo[key] = got
     return got
-
-
-def _timeouts(pf, p, p2, snap, memo, remaining, drop, rnd):
-    """The time-out ``p -t-> p2`` under every environment ``p`` refuses:
-    ``drop`` the entries of ``remaining`` that cannot reach a time-out into
-    the row of ``p2`` under that environment by internal steps."""
-    for x in pf.submasks_of(pf.notinit[p]):
-        fresh = remaining & ~_match_set(pf.lts, snap, memo, "t", p2, x)
-        if fresh:
-            remaining = drop(fresh, Removal(rnd, "timeout", "t", p2, pf.env_names(x)))
-            if not remaining:
-                return
 
 
 def _scan_row(pf, p, x, row, snap, memo, sink, rnd):
     """Entries of ``row``, the row of ``p`` in column ``x``, that violate
     some clause against the snapshot table ``snap``.
 
-    In the pair column every visible move counts; under an environment only
-    the allowed ones, or all of them from a dead end.  A tau step is
-    matched within column ``x``, a visible step lands in the pair column.
-
-    ``memo`` caches the match sets (:func:`_match_set`).  Each removal is
+    The step clauses are :meth:`_Profile.clauses`, followed by stability.
+    ``memo`` caches the match sets (:func:`_match_set`), and the backward
+    tau closures of their parts, keyed by the set closed.  Each removal is
     appended to ``sink[p, x]`` as ``(mask, removal)`` unless ``sink`` is
     None.
     """
     lts = pf.lts
-    trig = pf.trig
-    allow = pf.umask if x == trig else x
-    quiet = pf.deadend(p, x)
+    own = snap[p][x]
     remaining = row
-    bad_total = 0
-
-    def drop(fresh, rec):
-        nonlocal remaining, bad_total
-        if sink is not None:
-            sink.setdefault((p, x), []).append((fresh, rec))
-        bad_total |= fresh
-        remaining &= ~fresh
-        return remaining
-
-    for lab, p2 in lts.moves[p]:
-        if not remaining:
-            return bad_total
-        if lab == "t":
-            if quiet:
-                # a time-out must be matched under every environment that
-                # extends this one with actions the source refuses
-                _timeouts(pf, p, p2, snap, memo, remaining, drop, rnd)
-            continue
-        # a move needs a branching match whose endpoints stay related to
-        # the source and the target respectively
-        if lab == "tau":
-            col = x
-        elif pf.ubit[lab] & allow or quiet:
-            col = trig
+    for lab, p2, col, env in pf.clauses(p, x):
+        base = _match_set(lts, memo, lab, snap[p2][col])
+        if env is None:
+            # a move needs a branching match whose endpoints stay related to
+            # the source and the target respectively; the backward tau
+            # closure adds only unstable states, so it is taken only when
+            # an unstable entry is still unmatched, and kept in ``memo`` by
+            # the set it closes
+            base &= own
+            fresh = remaining & ~base
+            if fresh & pf.unstable:
+                closed = memo.get(base)
+                if closed is None:
+                    closed = memo[base] = lts.backward_tau_closure(base)
+                fresh &= ~closed
+            clause = "move"
         else:
-            continue
-        base = _match_set(lts, snap, memo, lab, p2, col)
-        fresh = remaining & ~lts.backward_tau_closure(base & snap[p][x])
+            # a time-out is matched by internal steps then a time-out
+            fresh = remaining & ~base
+            clause = "timeout"
         if fresh:
-            drop(fresh, Removal(rnd, "move", lab, p2))
-    if pf.stable[p] and remaining:
+            if sink is not None:
+                rec = Removal(rnd, clause, lab, p2, env)
+                sink.setdefault((p, x), []).append((fresh, rec))
+            remaining &= ~fresh
+            if not remaining:
+                return row
+    if pf.stable[p]:
         fresh = remaining & ~lts.can_reach_stable_mask
         if fresh:
-            drop(fresh, Removal(rnd, "stability"))
-    return bad_total
+            if sink is not None:
+                sink.setdefault((p, x), []).append((fresh, Removal(rnd, "stability")))
+            remaining &= ~fresh
+    return row & ~remaining
 
 
 def _no_matches(pf):
     """An empty match-set table for :func:`_scan_row`."""
-    return [[None] * (pf.trig + 1) for _ in range(pf.n)]
+    return {}
 
 
 def _generalized_fixpoint(pf, record=True):
@@ -456,8 +477,11 @@ def _generalized_fixpoint(pf, record=True):
     The clauses are followed literally: the internal runs that precede a
     match may pass through unrelated states.  With ``record`` every removal
     is stamped with its round and clause in ``records``.  A match set is
-    computed once per label and row it reads, and dropped when a round
-    changes that row.
+    computed once per label and row value it reads, and a backward tau
+    closure once per set it closes, for the whole fixpoint.  The greatest
+    relation is reflexive, and no round removes a state from its own row,
+    so a row is judged without its own state, and a row holding only that
+    state is not scanned.
     """
     rows = [[pf.full] * (pf.trig + 1) for _ in range(pf.n)]
     memo = _no_matches(pf)
@@ -468,7 +492,9 @@ def _generalized_fixpoint(pf, record=True):
         snap = [row[:] for row in rows]
         removed = []
         for p, cols in enumerate(snap):
+            others = ~(1 << p)
             for x, row in enumerate(cols):
+                row &= others
                 if row:
                     bad = _scan_row(pf, p, x, row, snap, memo, by_row, rounds)
                     if bad:
@@ -477,11 +503,11 @@ def _generalized_fixpoint(pf, record=True):
             break
         for p, x, bad in removed:
             rows[p][x] &= ~bad
-            memo[p][x] = None
             keep = ~(1 << p)
-            for q in iter_bits(bad):
-                rows[q][x] &= keep
-                memo[q][x] = None
+            while bad:
+                low = bad & -bad
+                rows[low.bit_length() - 1][x] &= keep
+                bad ^= low
     return _GenResult(rows, _RowRecords(by_row or {}), rounds)
 
 
@@ -667,27 +693,15 @@ def _strong_fixpoint(lts):
 
 def _rooted_fail(pf, res, p, x, q):
     """First-step condition for rooted equivalence of the entry
-    ``(p, x, q)``, both orientations: every step that counts in column
-    ``x`` is matched by one step into the unrooted relation, within column
-    ``x`` for tau and into the pair column for a visible action.  Returns
-    None when satisfied, else (side, removal)."""
+    ``(p, x, q)``, both orientations: every step clause of the row
+    (:meth:`_Profile.clauses`) is matched by one step into the unrooted
+    relation.  Returns None when satisfied, else (side, removal)."""
     lts = pf.lts
-    trig = pf.trig
-    allow = pf.umask if x == trig else x
     for side, (a, b) in enumerate(((p, q), (q, p))):
-        quiet = pf.deadend(a, x)
-        for lab, a2 in lts.moves[a]:
-            if lab == "t":
-                if not quiet:
-                    continue
-                tmask = lts.succ_mask(b, "t")
-                for y in pf.submasks_of(pf.notinit[a]):
-                    if not tmask & res.rows[a2][y]:
-                        return side, Removal(0, "timeout", "t", a2, pf.env_names(y))
-            elif lab == "tau" or pf.ubit[lab] & allow or quiet:
-                col = x if lab == "tau" else trig
-                if not lts.succ_mask(b, lab) & res.rows[a2][col]:
-                    return side, Removal(0, "move", lab, a2)
+        for lab, a2, col, env in pf.clauses(a, x):
+            if not lts.succ_mask(b, lab) & res.rows[a2][col]:
+                clause = "move" if env is None else "timeout"
+                return side, Removal(0, clause, lab, a2, env)
     return None
 
 
@@ -946,7 +960,9 @@ class Analysis:
 
     def encoded_projection(self):
         """The direct-style relation read off the encoded fixpoint: related
-        triggered wrappers become pairs, related allowing wrappers triples."""
+        triggered wrappers become pairs, related allowing wrappers triples.
+        Only the wrappers the encoding reaches appear, so this can be a
+        proper part of the direct route's greatest relation."""
         pairs = set()
         triples = set()
         enc = self.encoded

@@ -113,7 +113,12 @@ def test_rounds_replay_from_records(small_corpus):
     leave before ``r`` by one scan pass that carries no match sets over
     from earlier rounds, removes exactly the entries stamped ``r``, for
     the same reasons."""
-    for p, q in [(p, q) for p, q, _ in small_corpus] + [two_cells()]:
+    chains = [
+        ("a.a.a.a.a.0", "a.a.a.a.b.0"),
+        ("a.a.a.a.0", "a.a.a.tau.a.0"),
+    ]
+    extra = [tuple(map(parse_term, pair)) for pair in chains] + [two_cells()]
+    for p, q in [(p, q) for p, q, _ in small_corpus] + extra:
         lts = explore((p, q))
         pf, res, _, _ = engine_rows(lts, process_universe(p, q))
         for rnd in range(1, res.rounds + 1):
@@ -392,6 +397,24 @@ def test_perturbed_witnesses_are_rejected(laws_defs):
         v.witness.pairs - {(d["DirectA"], d["LazyA"])}, v.witness.triples
     )
     assert not generalized_witness_ok(v.lts, v.universe, asym)
+
+
+def test_witness_check_judges_self_entries_literally():
+    """The fixpoint never judges a state against itself, the greatest
+    relation being reflexive; the witness check must, for an alleged
+    relation need not be."""
+    lts = Lts(("p", "p2"), [("p", "a", "p2")], ("p",))
+    uni = envset(("a",))
+    envs = [envset(()), uni]
+    store = RelationStore(
+        frozenset({("p", "p")}), frozenset(("p", x, "p") for x in envs)
+    )
+    assert not generalized_witness_ok(lts, uni, store)
+    whole = RelationStore(
+        store.pairs | {("p2", "p2")},
+        store.triples | {("p2", x, "p2") for x in envs},
+    )
+    assert generalized_witness_ok(lts, uni, whole)
 
 
 def test_negative_verdict_names_a_clause(stability_defs):
