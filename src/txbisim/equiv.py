@@ -19,23 +19,23 @@ keeps its relation as one table ``rows[p][x]``: a column per environment
 mask and one more, :attr:`_Profile.trig`, for the pairs.  A pair row is
 judged like a triple row in which every visible move counts, so each
 clause, the rooted first-step condition and the witness check are written
-once for all columns.  Each row's clauses are compiled once
-(:meth:`_Profile.clauses`).  The fixpoint works set-at-a-time on those
-masks, a removal round being a handful of mask operations per clause.
-The match set a clause reads from a row (the predecessors of that row
-under a label) is kept by label and row value for the whole fixpoint, so
-equal rows share it, and so is a move's backward tau closure by the set
-it closes.  The fixpoint never judges a state against itself, the
-greatest relation being reflexive.  Every removal is stamped with its
-round and the violated clause, once per clause and row for all the
-entries it removes; those records drive both the explanation of a
-negative verdict and the synthesis of distinguishing formulas in
-:mod:`txbisim.modal`.  The plain relations, stability respecting branching
-bisimilarity (which the encode route decides on the wrapped system) and
-strong bisimilarity, share one partition refinement (:func:`_refine`)
-that stamps nothing: a negative verdict is explained by the first clause
-the queried pair fails against the final relation, found when the verdict
-asks for it.
+once for all columns.  The clauses are scanned in one place,
+:func:`_round`, a pass over a list of live rows that reads the table in
+place and works set-at-a-time on its masks: the fixpoint loops it, and
+the witness check makes one literal pass.  Each row's clauses are
+compiled once (:meth:`_Profile.clauses`), and match sets and backward tau
+closures are kept by value for the whole fixpoint, so equal rows share
+them.  The fixpoint never judges a state against itself, the greatest
+relation being reflexive, and stops visiting a row that holds only that
+state.  Every removal is stamped with its round and the violated clause,
+one :class:`Removal` per clause and round for all the entries it removes;
+those records drive both the explanation of a negative verdict and the
+synthesis of distinguishing formulas in :mod:`txbisim.modal`.  The plain
+relations, stability respecting branching bisimilarity (which the encode
+route decides on the wrapped system) and strong bisimilarity, share one
+partition refinement (:func:`_refine`) that stamps nothing: a negative
+verdict is explained by the first clause the queried pair fails against
+the final relation, found when the verdict asks for it.
 
 All four reactive checks, plain or rooted and triggered or in a fixed
 environment, go through :func:`_check`.
@@ -396,109 +396,110 @@ class _RowRecords(Mapping):
         return rec
 
 
-def _match_set(lts, memo, lab, target):
-    """The states whose ``lab`` step can match a step into the row
-    ``target``: its ``lab`` predecessors, joined by the row itself for tau
-    (an internal step may be matched by standing still) and closed backward
-    under tau for a time-out.
+def _round(pf, rows, live, memo, sink, rnd):
+    """One pass of every clause over the live rows of the table ``rows``,
+    which it only reads: each ``(p, x, keep, clauses)`` judges the row
+    ``rows[p][x] & keep`` by its step clauses (:meth:`_Profile.clauses`),
+    then stability.
 
-    ``memo`` holds these sets by ``(lab, target)``, so equal rows share one
-    set and a set stays valid for as long as its key is read.
-    """
-    key = (lab, target)
-    got = memo.get(key)
-    if got is None:
-        got = lts.pred_mask(lab, target)
-        if lab == "tau":
-            got |= target
-        elif lab == "t":
-            got = lts.backward_tau_closure(got)
-        memo[key] = got
-    return got
+    A clause reads the ``lab`` predecessors of its target row, joined by
+    the row itself for tau (an internal step may be matched by standing
+    still) and closed backward under tau for a time-out.  ``memo`` keeps
+    these match sets by ``(lab, row value)``, and a move's backward tau
+    closure by the set it closes; its entries stay valid, so one ``memo``
+    serves every pass of a fixpoint.  Unless ``sink`` is None each removal
+    goes to ``sink[p, x]`` as ``(mask, removal)``, one :class:`Removal` per
+    clause for the whole pass.
 
-
-def _scan_row(pf, p, x, row, snap, memo, sink, rnd):
-    """Entries of ``row``, the row of ``p`` in column ``x``, that violate
-    some clause against the snapshot table ``snap``.
-
-    The step clauses are :meth:`_Profile.clauses`, followed by stability.
-    ``memo`` caches the match sets (:func:`_match_set`), and the backward
-    tau closures of their parts, keyed by the set closed.  Each removal is
-    appended to ``sink[p, x]`` as ``(mask, removal)`` unless ``sink`` is
-    None.
+    Returns the removals as ``(p, x, mask)`` and the live rows that still
+    hold an entry to judge.
     """
     lts = pf.lts
-    own = snap[p][x]
-    remaining = row
-    for lab, p2, col, env in pf.clauses(p, x):
-        base = _match_set(lts, memo, lab, snap[p2][col])
-        if env is None:
-            # a move needs a branching match whose endpoints stay related to
-            # the source and the target respectively; the backward tau
-            # closure adds only unstable states, so it is taken only when
-            # an unstable entry is still unmatched, and kept in ``memo`` by
-            # the set it closes
-            base &= own
-            fresh = remaining & ~base
-            if fresh & pf.unstable:
-                closed = memo.get(base)
-                if closed is None:
-                    closed = memo[base] = lts.backward_tau_closure(base)
-                fresh &= ~closed
-            clause = "move"
+    pred = lts.pred_mask
+    closure = lts.backward_tau_closure
+    stable, unstable = pf.stable, pf.unstable
+    unreach = ~lts.can_reach_stable_mask
+    shared = {}
+    stability = Removal(rnd, "stability")
+    removed = []
+    still = []
+    for item in live:
+        p, x, keep, clauses = item
+        own = rows[p][x]
+        row = remaining = own & keep
+        if not row:
+            continue
+        for cl in clauses:
+            lab, p2, col, env = cl
+            target = rows[p2][col]
+            base = memo.get((lab, target))
+            if base is None:
+                base = pred(lab, target)
+                if lab == "tau":
+                    base |= target
+                elif lab == "t":
+                    base = closure(base)
+                memo[lab, target] = base
+            if env is None:
+                # a move needs a branching match whose endpoints stay
+                # related to the source and the target respectively; the
+                # backward tau closure adds only unstable states, so it is
+                # taken only when an unstable entry is still unmatched
+                base &= own
+                fresh = remaining & ~base
+                if fresh & unstable:
+                    closed = memo.get(base)
+                    if closed is None:
+                        closed = memo[base] = closure(base)
+                    fresh &= ~closed
+            else:
+                # a time-out is matched by internal steps then a time-out
+                fresh = remaining & ~base
+            if fresh:
+                if sink is not None:
+                    rec = shared.get(cl)
+                    if rec is None:
+                        clause = "move" if env is None else "timeout"
+                        rec = shared[cl] = Removal(rnd, clause, lab, p2, env)
+                    sink.setdefault((p, x), []).append((fresh, rec))
+                remaining &= ~fresh
+                if not remaining:
+                    break
         else:
-            # a time-out is matched by internal steps then a time-out
-            fresh = remaining & ~base
-            clause = "timeout"
-        if fresh:
-            if sink is not None:
-                rec = Removal(rnd, clause, lab, p2, env)
-                sink.setdefault((p, x), []).append((fresh, rec))
-            remaining &= ~fresh
-            if not remaining:
-                return row
-    if pf.stable[p]:
-        fresh = remaining & ~lts.can_reach_stable_mask
-        if fresh:
-            if sink is not None:
-                sink.setdefault((p, x), []).append((fresh, Removal(rnd, "stability")))
-            remaining &= ~fresh
-    return row & ~remaining
-
-
-def _no_matches(pf):
-    """An empty match-set table for :func:`_scan_row`."""
-    return {}
+            fresh = remaining & unreach if stable[p] else 0
+            if fresh:
+                if sink is not None:
+                    sink.setdefault((p, x), []).append((fresh, stability))
+                remaining &= ~fresh
+        if remaining != row:
+            removed.append((p, x, row & ~remaining))
+        if remaining:
+            still.append(item)
+    return removed, still
 
 
 def _generalized_fixpoint(pf, record=True):
     """Greatest relation closed under the pair and triple clauses.
 
     The clauses are followed literally: the internal runs that precede a
-    match may pass through unrelated states.  With ``record`` every removal
-    is stamped with its round and clause in ``records``.  A match set is
-    computed once per label and row value it reads, and a backward tau
-    closure once per set it closes, for the whole fixpoint.  The greatest
-    relation is reflexive, and no round removes a state from its own row,
-    so a row is judged without its own state, and a row holding only that
-    state is not scanned.
+    match may pass through unrelated states.  A round is one :func:`_round`
+    over the live rows, which reads the table in place; its removals, and
+    their mirror entries in the other orientation, are applied after it.
+    With ``record`` every removal is stamped with its round and clause in
+    ``records``.  Match sets and tau closures are kept by value for the
+    whole fixpoint.  The greatest relation is reflexive, so a row is judged
+    without its own state, and leaves the live rows once that is all it
+    holds.
     """
     rows = [[pf.full] * (pf.trig + 1) for _ in range(pf.n)]
-    memo = _no_matches(pf)
+    live = [(p, x, ~(1 << p), pf.clauses(p, x))
+            for p in range(pf.n) for x in range(pf.trig + 1)]
+    memo = {}
     by_row: dict | None = {} if record else None
     rounds = 0
     while True:
         rounds += 1
-        snap = [row[:] for row in rows]
-        removed = []
-        for p, cols in enumerate(snap):
-            others = ~(1 << p)
-            for x, row in enumerate(cols):
-                row &= others
-                if row:
-                    bad = _scan_row(pf, p, x, row, snap, memo, by_row, rounds)
-                    if bad:
-                        removed.append((p, x, bad))
+        removed, live = _round(pf, rows, live, memo, by_row, rounds)
         if not removed:
             break
         for p, x, bad in removed:
@@ -801,15 +802,12 @@ def generalized_witness_ok(lts, universe, store):
     rows = _store_masks(lts, pf, store)
     if rows is None:
         return False
-    memo = _no_matches(pf)
-    for p, cols in enumerate(rows):
-        # a pair must also stand as a triple for every environment
-        if any(cols[pf.trig] & ~row for row in cols):
-            return False
-        for x, row in enumerate(cols):
-            if row and _scan_row(pf, p, x, row, rows, memo, None, 0):
-                return False
-    return True
+    # a pair must also stand as a triple for every environment
+    if any(cols[pf.trig] & ~row for cols in rows for row in cols):
+        return False
+    live = [(p, x, -1, pf.clauses(p, x))
+            for p, cols in enumerate(rows) for x, row in enumerate(cols) if row]
+    return not _round(pf, rows, live, {}, None, 0)[0]
 
 
 def _pair_witness_ok(lts, store, fail):
@@ -893,8 +891,7 @@ def brb_states(lts, s, t, universe=None, rooted=False):
     the first step on each side is matched strongly.
     """
     if universe is None:
-        labels = {lab for _, lab, _ in lts.transitions()}
-        universe = envset(lab for lab in labels if lab not in ("tau", "t"))
+        universe = envset(lab for lab in lts.labels if lab not in ("tau", "t"))
     pf = _Profile(lts, universe)
     res = _generalized_fixpoint(pf)
     return _direct(

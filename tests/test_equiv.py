@@ -22,10 +22,9 @@ from txbisim.equiv import (
     _RowRecords,
     _branching_fixpoint,
     _generalized_fixpoint,
-    _no_matches,
     _rooted_branching_fail,
     _rooted_fail,
-    _scan_row,
+    _round,
     _strong_fixpoint,
     branching_witness_ok,
     brb,
@@ -133,15 +132,34 @@ def test_rounds_replay_from_records(small_corpus):
                 ]
                 for i in range(pf.n)
             ]
-            memo = _no_matches(pf)
+            every = [
+                (i, x, -1, pf.clauses(i, x))
+                for i in range(pf.n)
+                for x in range(pf.trig + 1)
+            ]
             by_row = {}
-            for i, cols in enumerate(table):
-                for x, row in enumerate(cols):
-                    if row:
-                        _scan_row(pf, i, x, row, table, memo, by_row, rnd)
+            _round(pf, table, every, {}, by_row, rnd)
             stamped = {k: r for k, r in res.records.items() if r.round == rnd}
             assert dict(_RowRecords(by_row)) == stamped, term_text(p)
         assert table == res.rows
+
+
+@pytest.mark.parametrize(
+    "pair, counts",
+    [
+        (two_cells(), (21, 5, 1182, 265)),
+        (tuple(map(parse_term, ("a.a.a.a.0", "a.a.a.tau.a.0"))), (9, 6, 150, 84)),
+    ],
+)
+def test_direct_fixpoint_counts_are_pinned(pair, counts):
+    """States, rounds, removed entries and ``by_row`` records of two
+    fixpoints, so that a change to how a round shares its work cannot
+    change what it records unnoticed."""
+    p, q = pair
+    lts = explore(pair)
+    _, res, _, _ = engine_rows(lts, process_universe(p, q))
+    entries = sum(len(recs) for recs in res.records.by_row.values())
+    assert (lts.n_states, res.rounds, len(res.records), entries) == counts
 
 
 def test_rooted_checks_equal_reference_relation(small_corpus):
@@ -564,6 +582,17 @@ def test_partition_blocks_match_pairwise_checks():
     for i in range(lts.n_states):
         for j in range(lts.n_states):
             assert part.same(i, j) == ((i, j) in pairs)
+
+
+def test_partition_blocks_equal_reference_pairs(small_corpus):
+    """The unrecorded fixpoint behind ``brb_partition`` gives the reference
+    pair relation as its blocks."""
+    for p, q in [(p, q) for p, q, _ in small_corpus] + [two_cells()]:
+        lts, part = brb_partition((p, q))
+        ora_pairs, _ = ref_reactive(lts, process_universe(p, q))
+        n = lts.n_states
+        same = {(i, j) for i in range(n) for j in range(n) if part.same(i, j)}
+        assert same == ora_pairs, term_text(p) + " vs " + term_text(q)
 
 
 def test_quotient_root_is_equivalent_to_original():
