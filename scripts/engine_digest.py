@@ -10,8 +10,9 @@ sections of a digest, each printed as one sha256:
 * ``direct``: the direct fixpoint's rows, rounds and removal records;
 * ``distinguish``: the formula text, plain and rooted;
 * ``partition``: the ``brb_partition`` blocks of the pair's state space;
-* ``encoding``: the encoded system's state texts in order, its roots, its
-  indexed transitions, and the rounds and block count of its branching fixpoint.
+* ``encoding``: the encoded wrapper system's state texts in order, its
+  roots, its indexed transitions, and the rounds and block count of the
+  branching fixpoint on its closure.
 
 A change to the engines that should keep every answer is checked by
 running the script in the old and the new checkout and diffing the
@@ -119,7 +120,7 @@ def digest_pair(p, q, opts, feed):
 
 def encoding_text(p, q, opts):
     an = Analysis(p, q, opts)
-    enc = an.encoded
+    enc = an.encoded.lts
     texts = [enc.state_text(s) for s in enc.states]
     roots = [enc.index[r] for r in enc.roots]
     res = an.enc_branch

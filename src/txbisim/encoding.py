@@ -28,19 +28,25 @@ allowing(X) P       t_eps      triggered P         D(P, X)
 allowing(X) P       t          allowing(X) P'      D(P, X), P -t-> P'
 ==================  =========  ==================  ======================
 
-The closure is built on indices.  A wrapper is numbered when it is first
-reached, breadth first from the triggered roots: a state's successors in
-the order of its base steps, then its settlings in subset order.  The
-transitions go to :class:`~txbisim.lts.Lts` as index triples, and each
-:class:`EncState` is made once, at the end.  A tau step keeps its
-environment, so the tau steps of the closure are those of the base copied
-into each environment.  Its tau components, and the states that can reach
-a stable one, are therefore lifted from the base system, not recomputed.
+The closure (:class:`Closure`) is built on indices, and the table above is
+written once, in its breadth-first loop.  A wrapper is numbered when it is
+first reached, breadth first from the triggered roots: a state's
+successors in the order of its base steps, then its settlings in subset
+order.  Each wrapper keeps its moves as ``(label code, wrapper)`` pairs,
+which is all the encode route's fixpoint reads, so a check makes no
+wrapper object.  A tau step keeps its environment, so the tau steps of the
+closure are those of the base copied into each environment.  Its tau
+components, and the states that can reach a stable one, are therefore
+lifted from the base system, not recomputed.  :func:`encode` gives the
+same closure as an ordinary :class:`~txbisim.lts.Lts` of :class:`EncState`
+wrappers, numbered alike; :attr:`Closure.lts` builds it from the coded
+table when first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import AlphabetLimitError, StateBudgetError
 from .lts import Lts
@@ -48,6 +54,7 @@ from .semantics import max_states_budget
 from .terms import EnvSet
 
 __all__ = [
+    "Closure",
     "EncState",
     "encode",
     "eps_label",
@@ -91,124 +98,174 @@ def _subsets(names):
     return sorted(out)
 
 
-def encode(base, universe, max_states=None):
-    """The environment closure of a system, reachable part only.
+class Closure:
+    """The environment closure of a system on indices, reachable part only.
 
     ``universe`` must contain every visible label of the base system.  The
-    result's roots are the triggered wrappings of the base roots; allowing
-    wrappings are reachable from them by settling transitions.  Its states
-    are admitted breadth first, and its tau components and the states that
-    can reach a stable one come lifted from the base system.
+    wrappers are numbered breadth first from the triggered wrappings of the
+    base roots.  Wrapper ``k`` has the moves ``coded_moves[k]``, pairs
+    ``(code, j)`` whose label is ``labels[code]``; ``tau_sccs`` and
+    ``can_reach_stable_mask`` are those of :class:`~txbisim.lts.Lts`, lifted
+    from the base system.  :meth:`index` finds a wrapper by its mode and
+    base state, and :attr:`lts` is the closure as a system of
+    :class:`EncState` wrappers with the same numbering, built when first
+    read.
     """
-    check_universe(universe)
-    names = tuple(universe)
-    stray = set(base.labels) - {"tau", "t"} - set(names)
-    if stray:
-        raise AlphabetLimitError(
-            "universe must cover the visible labels; missing: "
-            + ", ".join(sorted(stray))
+
+    def __init__(self, base, universe, max_states=None):
+        check_universe(universe)
+        names = tuple(universe)
+        stray = set(base.labels) - {"tau", "t"} - set(names)
+        if stray:
+            raise AlphabetLimitError(
+                "universe must cover the visible labels; missing: "
+                + ", ".join(sorted(stray))
+            )
+        budget = max_states_budget(max_states)
+        bit = {a: 1 << k for k, a in enumerate(names)}
+        # slot 0 is the triggered wrapping, slot s > 0 allows modes[s - 1]
+        modes = _subsets(names)
+        width = len(modes) + 1
+        allowed = [0] + [sum(bit[a] for a in m) for m in modes]
+        labels = tuple(
+            dict.fromkeys((*base.labels, "t_eps", *map(eps_label, modes)))
         )
-    budget = max_states_budget(max_states)
-    bit = {a: 1 << k for k, a in enumerate(names)}
-    # slot 0 is the triggered wrapping, slot s > 0 allows modes[s - 1]
-    modes = _subsets(names)
-    width = len(modes) + 1
-    allowed = [0] + [sum(bit[a] for a in m) for m in modes]
-    settle = [(s, eps_label(m)) for s, m in enumerate(modes, 1)]
-    # per base state its steps with the bit of a visible label, and the
-    # mask of its visible labels
-    steps = []
-    vis = []
-    for moves in base.moves:
-        own = tuple((lab, j, bit.get(lab, 0)) for lab, j in moves)
-        steps.append(own)
-        mask = 0
-        for _, _, b in own:
-            mask |= b
-        vis.append(mask)
-    stable = [base.is_stable(i) for i in range(base.n_states)]
+        codes = {lab: k for k, lab in enumerate(labels)}
+        tau, t, t_eps = codes.get("tau"), codes.get("t"), codes["t_eps"]
+        settle = [(s, codes[eps_label(m)]) for s, m in enumerate(modes, 1)]
+        # per base state its steps as (code, j, bit of a visible label), and
+        # the mask of its visible labels
+        steps = []
+        vis = []
+        for moves in base.moves:
+            own = tuple((codes[lab], j, bit.get(lab, 0)) for lab, j in moves)
+            steps.append(own)
+            mask = 0
+            for _, _, b in own:
+                mask |= b
+            vis.append(mask)
+        stable = [base.is_stable(i) for i in range(base.n_states)]
+        self.base = base
+        self.labels = labels
+        self._modes = modes
+        self._width = width
+        self._slot = {m: s for s, m in enumerate(modes, 1)}
+        self._slot[None] = 0
 
-    # a state is the key base index * width + slot until it is numbered
-    seen: dict[int, int] = {}
-    queue: list[int] = []
+        # a state is the key base index * width + slot until it is numbered
+        seen = self._seen = {}
+        keys = self._keys = []
 
-    def admit(key):
-        if len(queue) >= budget:
-            raise StateBudgetError(budget, text(wrap(key)))
-        got = seen[key] = len(queue)
-        queue.append(key)
-        return got
+        def admit(key):
+            if len(keys) >= budget:
+                raise StateBudgetError(budget, self._text(self._wrap(key)))
+            got = seen[key] = len(keys)
+            keys.append(key)
+            return got
 
-    def wrap(key):
-        i, s = divmod(key, width)
-        return EncState(modes[s - 1] if s else None, base.states[i])
+        index = base.index
+        for r in base.roots:
+            if index[r] * width not in seen:
+                admit(index[r] * width)
+        table = []
+        at = 0
+        while at < len(keys):
+            i, s = divmod(keys[at], width)
+            # the successors of state ``at`` as (code, key), in base step order
+            if s:
+                mask = allowed[s]
+                quiet = stable[i] and not vis[i] & mask
+                succ = []
+                for k, j, b in steps[i]:
+                    if k == tau or k == t and quiet:
+                        succ.append((k, j * width + s))
+                    elif b & mask:
+                        succ.append((k, j * width))
+                if quiet:
+                    succ.append((t_eps, i * width))
+            else:
+                succ = [(k, j * width) for k, j, _ in steps[i] if k != t]
+                succ += [(k, i * width + s2) for s2, k in settle]
+            own = [(k, seen[key] if key in seen else admit(key)) for k, key in succ]
+            table.append(tuple(own))
+            at += 1
+        self.coded_moves = tuple(table)
+        self.n_transitions = sum(map(len, table))
+        self._lift_tau_structure()
 
-    def text(state):
-        inner = base.state_text(state.inner)
+    @property
+    def n_states(self):
+        return len(self._keys)
+
+    def index(self, mode, i):
+        """The number of the wrapping of base state index ``i`` in ``mode``:
+        None for the triggered one, else the allowed names in universe
+        order."""
+        return self._seen[i * self._width + self._slot[mode]]
+
+    def _wrap(self, key):
+        i, s = divmod(key, self._width)
+        return EncState(self._modes[s - 1] if s else None, self.base.states[i])
+
+    def _text(self, state):
+        inner = self.base.state_text(state.inner)
         if state.mode is None:
             return inner
         return "[{" + ",".join(state.mode) + "}] " + inner
 
-    index = base.index
-    for r in base.roots:
-        if index[r] * width not in seen:
-            admit(index[r] * width)
-    edges = []
-    at = 0
-    while at < len(queue):
-        i, s = divmod(queue[at], width)
-        # the successors of state ``at`` as (label, key), in base step order
-        if s:
-            mask = allowed[s]
-            quiet = stable[i] and not vis[i] & mask
-            succ = []
-            for lab, j, b in steps[i]:
-                if lab == "tau" or lab == "t" and quiet:
-                    succ.append((lab, j * width + s))
-                elif b & mask:
-                    succ.append((lab, j * width))
-            if quiet:
-                succ.append(("t_eps", i * width))
-        else:
-            succ = [(lab, j * width) for lab, j, _ in steps[i] if lab != "t"]
-            succ += [(lab, i * width + s2) for s2, lab in settle]
-        for lab, key in succ:
-            got = seen.get(key)
-            edges.append((at, lab, admit(key) if got is None else got))
-        at += 1
-    out = Lts.from_indexed(
-        map(wrap, queue),
-        edges,
-        (EncState(None, r) for r in base.roots),
-        state_text=text,
-    )
-    _lift_tau_structure(base, out, seen, width)
-    return out
+    @cached_property
+    def lts(self):
+        """The closure as a system whose states are :class:`EncState`
+        wrappers, numbered as here, its roots the triggered wrappings of the
+        base roots."""
+        labels = self.labels
+        out = Lts.from_indexed(
+            map(self._wrap, self._keys),
+            [(i, labels[k], j) for i, own in enumerate(self.coded_moves)
+             for k, j in own],
+            (EncState(None, r) for r in self.base.roots),
+            state_text=self._text,
+        )
+        # set in place of the cached properties, which then never compute them
+        out.tau_sccs = self.tau_sccs
+        out.can_reach_stable_mask = self.can_reach_stable_mask
+        return out
+
+    def _lift_tau_structure(self):
+        """Read the tau components, and the states that can reach a stable
+        one, off the base system.
+
+        A tau step keeps its slot, so the tau steps of the closure are those
+        of the base copied into every slot; the states reached in a slot are
+        closed under them, so each base component is reached in a slot whole
+        or not at all.  Taking the base components in order and their slots
+        within keeps every component after all components it reaches.  A
+        wrapping reaches a stable state exactly when its base state does.
+        """
+        base, seen, width = self.base, self._seen, self._width
+        reach = base.can_reach_stable_mask
+        sccs = []
+        mask = 0
+        for comp in base.tau_sccs:
+            good = reach >> comp[0] & 1
+            for s in range(width):
+                if comp[0] * width + s in seen:
+                    lifted = [seen[i * width + s] for i in comp]
+                    sccs.append(lifted)
+                    if good:
+                        for k in lifted:
+                            mask |= 1 << k
+        self.tau_sccs = sccs
+        self.can_reach_stable_mask = mask
 
 
-def _lift_tau_structure(base, out, seen, width):
-    """Give ``out`` the tau components and the states that can reach a
-    stable one, read off ``base``.
+def encode(base, universe, max_states=None):
+    """The environment closure of a system as a system of
+    :class:`EncState` wrappers: :attr:`Closure.lts`.
 
-    A tau step keeps its slot, so the tau steps of the encoding are those of
-    the base copied into every slot; the states reached in a slot are closed
-    under them, so each base component is reached in a slot whole or not at
-    all.  Taking the base components in order and their slots within keeps
-    every component after all components it reaches.  A wrapping reaches a
-    stable state exactly when its base state does.
+    Its roots are the triggered wrappings of the base roots; allowing
+    wrappings are reachable from them by settling transitions.  Its states
+    are admitted breadth first, and its tau components and the states that
+    can reach a stable one come lifted from the base system.
     """
-    reach = base.can_reach_stable_mask
-    sccs = []
-    mask = 0
-    for comp in base.tau_sccs:
-        good = reach >> comp[0] & 1
-        for s in range(width):
-            if comp[0] * width + s in seen:
-                lifted = [seen[i * width + s] for i in comp]
-                sccs.append(lifted)
-                if good:
-                    for k in lifted:
-                        mask |= 1 << k
-    # set in place of the cached properties, which then never compute them
-    out.tau_sccs = sccs
-    out.can_reach_stable_mask = mask
+    return Closure(base, universe, max_states).lts

@@ -33,9 +33,13 @@ those records drive both the explanation of a negative verdict and the
 synthesis of distinguishing formulas in :mod:`txbisim.modal`.  The plain
 relations, stability respecting branching bisimilarity (which the encode
 route decides on the wrapped system) and strong bisimilarity, share one
-partition refinement (:func:`_refine`) that stamps nothing: a negative
-verdict is explained by the first clause the queried pair fails against
-the final relation, found when the verdict asks for it.
+partition refinement (:func:`_refine`) over moves with coded labels that
+stamps nothing: a negative verdict is explained by the first clause the
+queried pair fails against the final relation, found when the verdict asks
+for it.  The encode route refines the index-level closure
+(:class:`~txbisim.encoding.Closure`) itself, so its answer, and the
+rooted first-step check on it, need no wrapper object; the system of
+wrapper states is built only for the route's reasons and witnesses.
 
 All four reactive checks, plain or rooted and triggered or in a fixed
 environment, go through :func:`_check`.
@@ -45,10 +49,10 @@ from __future__ import annotations
 
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 from types import SimpleNamespace
 
-from .encoding import MAX_UNIVERSE, EncState, encode
+from .encoding import MAX_UNIVERSE, Closure
 from .errors import (
     AlphabetLimitError,
     MethodDisagreementError,
@@ -539,24 +543,23 @@ class _PairResult:
 class _Separations(Mapping):
     """The ordered pairs a partition puts in different blocks.
 
-    Looking a pair up scans its clauses (``fail``: :func:`_strong_fail` or
-    :func:`_branching_fail`), in both orientations, against the partition
-    with the pair joined, and gives the first that fails as
-    ``(side, removal)``.  The partition is the greatest relation, so some
-    clause fails.  Nothing is scanned until a pair is looked up; the count
-    comes from the block sizes.
+    Looking a pair up scans its clauses (``fail(rel, p, row)``, bound to
+    :func:`_strong_fail` or :func:`_branching_fail` and a system), in both
+    orientations, against the partition with the pair joined, and gives the
+    first that fails as ``(side, removal)``.  The partition is the greatest
+    relation, so some clause fails.  Nothing is scanned until a pair is
+    looked up; the count comes from the block sizes.
     """
 
-    def __init__(self, lts, rel, fail):
-        self.lts = lts
+    def __init__(self, rel, fail):
         self.rel = rel
         self.fail = fail
 
     def __len__(self):
-        return self.lts.n_states**2 - sum(row.bit_count() for row in self.rel)
+        return len(self.rel) ** 2 - sum(row.bit_count() for row in self.rel)
 
     def __iter__(self):
-        full = (1 << self.lts.n_states) - 1
+        full = (1 << len(self.rel)) - 1
         for p, row in enumerate(self.rel):
             for q in iter_bits(full & ~row):
                 yield p, q
@@ -569,7 +572,7 @@ class _Separations(Mapping):
         rel[p] |= 1 << q
         rel[q] |= 1 << p
         for side, (a, b) in enumerate(((p, q), (q, p))):
-            rec = self.fail(self.lts, rel, a, 1 << b)
+            rec = self.fail(rel, a, 1 << b)
             if rec is not None:
                 return side, rec
         raise TxbisimError("unrelated pair violates no clause")
@@ -599,24 +602,27 @@ def _branching_fail(lts, rel, p, row):
     return None
 
 
-def _refine(lts, comp, moves, exits, block, fail):
+def _tau_code(labels):
+    return labels.index("tau") if "tau" in labels else None
+
+
+def _refine(labels, comp, moves, exits, block, fail):
     """Greatest relation by signature refinement in the manner of Blom and
     Orzan, as a :class:`_PairResult` whose clauses are ``fail``.
 
     State ``i`` lies in component ``comp[i]``, and the components are
     refined whole.  Component ``c`` has the moves ``moves[c]``, pairs
-    ``(label, component)``, the tau steps ``exits[c]`` to components
-    earlier in order, and the initial block ``block[c]``.  A round gives
-    every component the signature ``{(label, block of target)}`` over its
-    own moves and those of the exits inside its block (inert steps, left
-    out themselves), computed in order, then splits each block by
-    signature, until a round splits nothing.
+    ``(label code, component)`` with the codes positions in ``labels``,
+    the tau steps ``exits[c]`` to components earlier in order, and the
+    initial block ``block[c]``.  A round gives every component the
+    signature ``{(label, block of target)}`` over its own moves and those
+    of the exits inside its block (inert steps, left out themselves),
+    computed in order, then splits each block by signature, until a round
+    splits nothing.
     """
-    # a signature entry (label, block) is the integer block * width + label
-    codes = {lab: k for k, lab in enumerate(lts.labels)}
-    width = len(codes)
-    tau = codes.get("tau")
-    moves = [tuple((codes[lab], d) for lab, d in own) for own in moves]
+    # a signature entry (label, block) is the integer block * width + code
+    width = len(labels)
+    tau = _tau_code(labels)
     count = len(set(block))
     rounds = 0
     while True:
@@ -643,20 +649,27 @@ def _refine(lts, comp, moves, exits, block, fail):
     for i, c in enumerate(comp):
         masks[block[c]] |= 1 << i
     rel = [masks[block[c]] for c in comp]
-    return _PairResult(rel, _Separations(lts, rel, fail), rounds)
+    return _PairResult(rel, _Separations(rel, fail), rounds)
 
 
-def _branching_fixpoint(lts):
+def _branching_fixpoint(system):
     """Greatest stability respecting branching bisimulation, every label
     treated uniformly and matched up to preceding internal steps.
 
-    Members of a tau cycle are always related, so the refined components
-    are the tau components in Tarjan's order, and the tau steps between
-    them are the exits.  The first split, states that can reach a stable
-    state against the rest, is the stability clause.
+    ``system`` is an :class:`~txbisim.lts.Lts` or an encoding
+    :class:`~txbisim.encoding.Closure`: the fixpoint reads only their
+    ``labels``, ``coded_moves``, ``tau_sccs`` and ``can_reach_stable_mask``.
+    A closure's reasons are found on its wrapper system, built when a
+    reason is first asked for.  Members of a tau cycle are always related,
+    so the refined components are the tau components in Tarjan's order,
+    and the tau steps between them are the exits.  The first split, states
+    that can reach a stable state against the rest, is the stability
+    clause.
     """
-    sccs = lts.tau_sccs
-    comp = [0] * lts.n_states
+    sccs = system.tau_sccs
+    coded = system.coded_moves
+    tau = _tau_code(system.labels)
+    comp = [0] * len(coded)
     for c, members in enumerate(sccs):
         for i in members:
             comp[i] = c
@@ -666,16 +679,21 @@ def _branching_fixpoint(lts):
         own = set()
         out = set()
         for i in members:
-            for lab, j in lts.moves[i]:
-                if lab != "tau":
-                    own.add((lab, comp[j]))
+            for k, j in coded[i]:
+                if k != tau:
+                    own.add((k, comp[j]))
                 elif comp[j] != c:
                     out.add(comp[j])
         moves.append(own)
         exits.append(tuple(out))
-    reach = lts.can_reach_stable_mask
+    reach = system.can_reach_stable_mask
     block = [0 if reach >> members[0] & 1 else 1 for members in sccs]
-    return _refine(lts, comp, moves, exits, block, _branching_fail)
+
+    def fail(rel, p, row):
+        lts = system if isinstance(system, Lts) else system.lts
+        return _branching_fail(lts, rel, p, row)
+
+    return _refine(system.labels, comp, moves, exits, block, fail)
 
 
 def _strong_fixpoint(lts):
@@ -685,7 +703,8 @@ def _strong_fixpoint(lts):
     states start in one block.
     """
     n = lts.n_states
-    return _refine(lts, range(n), lts.moves, [()] * n, [0] * n, _strong_fail)
+    fail = partial(_strong_fail, lts)
+    return _refine(lts.labels, range(n), lts.coded_moves, [()] * n, [0] * n, fail)
 
 
 # --------------------------------------------------------------------------
@@ -706,13 +725,18 @@ def _rooted_fail(pf, res, p, x, q):
     return None
 
 
-def _rooted_branching_fail(lts, res, p, q):
-    """First-step condition on a plain system: every move matched strongly
+def _rooted_branching_fail(system, res, p, q):
+    """First-step condition on a plain system or an encoding closure
+    (read as in :func:`_branching_fixpoint`): every move matched strongly
     into the unrooted relation."""
+    moves = system.coded_moves
     for side, (a, b) in enumerate(((p, q), (q, p))):
-        for lab, a2 in lts.moves[a]:
-            if not lts.succ_mask(b, lab) & res.rel[a2]:
-                return side, Removal(0, "move", lab, a2)
+        succ = {}
+        for k, b2 in moves[b]:
+            succ[k] = succ.get(k, 0) | 1 << b2
+        for k, a2 in moves[a]:
+            if not succ.get(k, 0) & res.rel[a2]:
+                return side, Removal(0, "move", system.labels[k], a2)
     return None
 
 
@@ -940,14 +964,16 @@ class Analysis:
 
     @cached_property
     def encoded(self):
-        return encode(self.lts, self.universe, self.opts.max_states)
+        """The environment closure of :attr:`lts`, on indices; its wrapper
+        system is ``encoded.lts``."""
+        return Closure(self.lts, self.universe, self.opts.max_states)
 
     @cached_property
     def enc_branch(self):
         return _branching_fixpoint(self.encoded)
 
     def enc_index(self, mode, term):
-        return self.encoded.index[EncState(mode, term)]
+        return self.encoded.index(mode, self.lts.index[term])
 
     def canonical_env(self, x):
         return envset(x).intersection(self.universe)
@@ -962,7 +988,7 @@ class Analysis:
         proper part of the direct route's greatest relation."""
         pairs = set()
         triples = set()
-        enc = self.encoded
+        enc = self.encoded.lts
         rel = self.enc_branch.rel
         for i, st in enumerate(enc.states):
             for j in iter_bits(rel[i]):
@@ -1002,11 +1028,12 @@ def _check(p, q, env, rooted, opts):
     mode = None if env is None else tuple(env)
     i, j = an.enc_index(mode, an.p), an.enc_index(mode, an.q)
     if method == "encode":
-        fail = _plain_fail(an.encoded, an.enc_branch, i, j, rooted)
+        enc = an.encoded.lts
+        fail = _plain_fail(enc, an.enc_branch, i, j, rooted)
         store = _store_thunk(an, "encoded_projection", "encoded", "enc_branch")
-        return _verdict("encode", fail, an.encoded, store, an.lts, an.universe)
+        return _verdict("encode", fail, enc, store, an.lts, an.universe)
     # the cross-check needs only the encode route's answer, not its reason
-    # or its relation
+    # or its relation, so it reads the closure and builds no wrapper
     if rooted:
         e = _rooted_branching_fail(an.encoded, an.enc_branch, i, j) is None
     else:

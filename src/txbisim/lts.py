@@ -130,6 +130,15 @@ class Lts:
             moves[i].append((lab, j))
         return tuple(map(tuple, moves))
 
+    @cached_property
+    def coded_moves(self):
+        """:attr:`moves` with each label given by its position in
+        :attr:`labels`."""
+        codes = {lab: k for k, lab in enumerate(self.labels)}
+        return tuple(
+            tuple((codes[lab], j) for lab, j in own) for own in self.moves
+        )
+
     def transitions_from(self, state):
         return tuple(
             (lab, self.states[j]) for lab, j in self.moves[self.index[state]]

@@ -5,7 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from txbisim import AlphabetLimitError, StateBudgetError
-from txbisim.encoding import EncState, encode, eps_label
+from txbisim.encoding import Closure, EncState, encode, eps_label
+from txbisim.equiv import _branching_fixpoint
 from txbisim.lts import Lts, iter_bits
 from txbisim.semantics import explore
 from txbisim.terms import envset, parse_term
@@ -167,6 +168,26 @@ def test_lifted_tau_structure_equals_recomputed(drawn):
     for i in range(e.n_states):
         for j in iter_bits(e.succ_mask(i, "tau")):
             assert position[j] <= position[i]
+
+
+@given(timed_systems())
+def test_closure_is_its_wrapper_system_on_indices(drawn):
+    """The coded table, the wrapper lookup and the branching fixpoint of
+    the closure are those of its wrapper system."""
+    base, universe = drawn
+    closure = Closure(base, universe)
+    e = closure.lts
+    assert (closure.n_states, closure.n_transitions) == (e.n_states, e.n_transitions)
+    coded = {
+        (i, closure.labels[k], j)
+        for i, own in enumerate(closure.coded_moves)
+        for k, j in own
+    }
+    assert coded == set(e.trans_idx)
+    for i, s in enumerate(e.states):
+        assert closure.index(s.mode, base.index[s.inner]) == i
+    got, want = _branching_fixpoint(closure), _branching_fixpoint(e)
+    assert (got.rel, got.rounds) == (want.rel, want.rounds)
 
 
 # -- the closure is an ordinary system

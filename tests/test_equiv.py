@@ -3,18 +3,23 @@ decision procedures against each other, witnesses against their validators."""
 
 import random
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from txbisim import (
     AlphabetLimitError,
     CheckOptions,
     GenConfig,
     MethodDisagreementError,
+    StateBudgetError,
     TxbisimError,
+    equivalent_pair,
     rand_term,
 )
-from txbisim import equiv
+from txbisim import encoding, equiv
 from txbisim.equiv import (
     Analysis,
     RelationStore,
@@ -49,6 +54,7 @@ from oracles import (
     _match,
     all_env_sets,
     ref_branching,
+    ref_encode,
     ref_reactive,
     ref_rooted,
     ref_rooted_branching,
@@ -201,6 +207,114 @@ def test_branching_rows_equal_reference_on_raw_and_encoded(small_corpus):
         lts = explore((p, q))
         assert_rows_match_reference(lts)
         assert_rows_match_reference(encode(lts, process_universe(p, q)))
+
+
+def assert_closure_fixpoint_is_reference(an):
+    """The encode route's fixpoint, read off the closure, has the rows and
+    rounds of the fixpoint of the wrapper system, and its rows are the
+    reference relation on the literal closure (:func:`oracles.ref_encode`)."""
+    enc = an.encoded.lts
+    res = an.enc_branch
+    again = _branching_fixpoint(enc)
+    assert (res.rel, res.rounds) == (again.rel, again.rounds)
+    states, edges = ref_encode(an.lts, an.universe)
+    literal = Lts(states, edges, enc.roots)
+    assert set(literal.states) == set(enc.states)
+    eng = {
+        (enc.states[i], enc.states[j])
+        for i in range(enc.n_states)
+        for j in iter_bits(res.rel[i])
+    }
+    ref = {(literal.states[i], literal.states[j]) for i, j in ref_branching(literal)}
+    assert eng == ref
+
+
+def test_closure_fixpoint_equals_wrapper_fixpoint_and_reference(small_corpus):
+    for p, q in [two_cells()] + [(p, q) for p, q, _ in small_corpus]:
+        assert_closure_fixpoint_is_reference(Analysis(p, q))
+
+
+@given(st.integers(0, 10**9), st.booleans())
+def test_closure_fixpoint_equals_reference_on_drawn_pairs(seed, rewrite):
+    rng = random.Random(seed)
+    cfg = GenConfig(alphabet=("a", "b"), max_depth=3)
+    if rewrite:
+        p, q = equivalent_pair(rng, cfg)
+    else:
+        p, q = rand_term(rng, cfg), rand_term(rng, cfg)
+    try:
+        explore((p, q), 30)
+    except StateBudgetError:
+        assume(False)
+    assert_closure_fixpoint_is_reference(Analysis(p, q))
+
+
+@pytest.mark.parametrize(
+    "pair, counts",
+    [
+        (two_cells(), (78, 163, 5, 5814)),
+        (tuple(map(parse_term, ("a.a.a.a.0", "a.a.a.tau.a.0"))), (27, 44, 6, 676)),
+    ],
+)
+def test_encoded_fixpoint_counts_are_pinned(pair, counts):
+    """Wrappers, transitions, rounds and separated ordered pairs of the
+    encode route on two inputs, so that a change to the closure or the
+    refinement cannot change them unnoticed."""
+    an = Analysis(*pair)
+    res = an.enc_branch
+    enc = an.encoded
+    assert (enc.n_states, enc.n_transitions, res.rounds, len(res.records)) == counts
+
+
+def test_cross_check_builds_no_wrapper(monkeypatch):
+    """Under ``method="both"`` the encode route reads its closure alone: no
+    :class:`~txbisim.encoding.EncState` and no wrapper system is made.
+    ``method="encode"`` builds the wrapper system once per check, for its
+    reason or its projection."""
+    made = []
+    make_state = encoding.EncState
+    from_indexed = encoding.Lts.from_indexed
+
+    def counted_state(*args):
+        made.append("EncState")
+        return make_state(*args)
+
+    def counted_from_indexed(*args, **kwargs):
+        made.append("Lts")
+        return from_indexed(*args, **kwargs)
+
+    monkeypatch.setattr(encoding, "EncState", counted_state)
+    monkeypatch.setattr(
+        encoding, "Lts", SimpleNamespace(from_indexed=counted_from_indexed)
+    )
+    cases = [
+        # related by all four relations
+        (parse_term("a.tau.b.0 + t.b.0"), parse_term("a.b.0 + t.b.0")),
+        # split, but related while a is allowed
+        (parse_term("a.0 + t.b.0"), parse_term("a.0")),
+        # related, but not rooted
+        (parse_term("a.0"), parse_term("tau.a.0")),
+    ]
+    env = envset(("a",))
+    answers = {}
+    for method in ("both", "encode"):
+        opts = CheckOptions(method=method)
+        for p, q in cases:
+            got = answers.setdefault((p, q), {}).setdefault(method, [])
+            for check in (brb, rbrb, brb_x, rbrb_x):
+                args = (p, q) if check in (brb, rbrb) else (p, q, env)
+                v = check(*args, opts)
+                assert (v.witness is None) == (v.reason is not None)
+                if method == "both":
+                    assert made == []
+                else:
+                    assert made.count("Lts") == 1 and "EncState" in made
+                made.clear()
+                got.append(v.equivalent)
+    assert all(got["both"] == got["encode"] for got in answers.values())
+    assert [got["both"] for got in answers.values()] == [
+        [True] * 4, [False, False, True, True], [True, False, True, False]
+    ]
 
 
 def _hand_built_systems():
@@ -471,7 +585,7 @@ def assert_clause_fails_on_encoded(an, reason, mode=None):
     """The named clause of the encoded root pair in ``mode`` (None for the
     triggered wrappers) fails against the final relation with that pair
     added, judged by the reference's matching."""
-    enc = an.encoded
+    enc = an.encoded.lts
     i, j = an.enc_index(mode, an.p), an.enc_index(mode, an.q)
     a, b = (i, j) if reason["side"] == "left" else (j, i)
     rel = {(k, m) for k in range(enc.n_states) for m in iter_bits(an.enc_branch.rel[k])}
