@@ -47,8 +47,8 @@ class RunConfig:
     """Plumbing knobs shared by the subcommands.
 
     ``max_states=None`` defers to ``TXBISIM_MAX_STATES`` or the built-in
-    default of 10000.  ``method`` and ``max_alphabet`` are checked as
-    :class:`~txbisim.equiv.CheckOptions` checks them.
+    default of 10000.  ``max_states``, ``method`` and ``max_alphabet`` are
+    checked as :class:`~txbisim.equiv.CheckOptions` checks them.
     """
 
     max_states: int | None = None
@@ -58,8 +58,6 @@ class RunConfig:
     output: str = "text"
 
     def __post_init__(self):
-        if self.max_states is not None and self.max_states <= 0:
-            raise TxbisimError("state budget must be positive")
         if self.max_alphabet <= 0:
             raise TxbisimError("alphabet limit must be positive")
         if self.output not in ("text", "json"):

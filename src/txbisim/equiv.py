@@ -22,13 +22,16 @@ clause, the rooted first-step condition and the witness check are written
 once for all columns.  The clauses are scanned in one place,
 :func:`_round`, a pass over a list of live rows that reads the table in
 place and works set-at-a-time on its masks: the fixpoint loops it, and
-the witness check makes one literal pass.  Each row's clauses are
-compiled once (:meth:`_Profile.clauses`), and match sets and backward tau
-closures are kept by value for the whole fixpoint, so equal rows share
-them.  The fixpoint never judges a state against itself, the greatest
-relation being reflexive, and stops visiting a row that holds only that
-state.  Every removal is stamped with its round and the violated clause,
-one :class:`Removal` per clause and round for all the entries it removes;
+the witness check makes one literal pass.  A state's clauses are compiled
+once (:meth:`_Profile.clauses`) for all the columns that allow the same of
+its actions, a tau step naming the row's own column.  Match sets and
+backward tau closures are kept by value for the whole fixpoint, so equal
+rows share them.  A round's removals are applied after it, their mirror
+entries in the other orientation once per column and removed mask.  The
+fixpoint never judges a state against itself, the greatest relation
+being reflexive, and stops visiting a row that holds only that state.
+Every removal is stamped with its round and the violated clause, one
+:class:`Removal` per clause and round for all the entries it removes;
 those records drive both the explanation of a negative verdict and the
 synthesis of distinguishing formulas in :mod:`txbisim.modal`.  The plain
 relations, stability respecting branching bisimilarity (which the encode
@@ -93,9 +96,11 @@ class CheckOptions:
 
     ``method`` selects the decision route: ``"direct"``, ``"encode"``, or
     ``"both"`` (run both, cross-check, report the direct result).
-    ``max_alphabet`` bounds the visible actions of the compared terms; it
-    may not exceed :data:`~txbisim.encoding.MAX_UNIVERSE`, the most the
-    environment encoding supports.
+    ``max_states`` bounds the explored and the encoded states; it must be
+    positive, and None defers to ``TXBISIM_MAX_STATES`` or the built-in
+    default.  ``max_alphabet`` bounds the visible actions of the compared
+    terms; it may not exceed :data:`~txbisim.encoding.MAX_UNIVERSE`, the
+    most the environment encoding supports.
     """
 
     method: str = "both"
@@ -105,6 +110,8 @@ class CheckOptions:
     def __post_init__(self):
         if self.method not in ("direct", "encode", "both"):
             raise TxbisimError(f"unknown method {self.method!r}")
+        if self.max_states is not None and self.max_states <= 0:
+            raise TxbisimError("state budget must be positive")
         if self.max_alphabet > MAX_UNIVERSE:
             raise AlphabetLimitError(
                 f"alphabet limit {self.max_alphabet} exceeds the ceiling of "
@@ -230,6 +237,7 @@ class _Profile:
         "unstable",
         "init_vis",
         "notinit",
+        "names",
         "_subs",
         "_clauses",
     )
@@ -262,11 +270,17 @@ class _Profile:
         self.notinit = tuple(
             self.umask & ~vis for vis in init_vis
         )
+        # each mask's action names, in universe order: bit i joins as the
+        # last name of every mask that holds it
+        names = [()]
+        for a in self.universe:
+            names += [got + (a,) for got in names]
+        self.names = tuple(names)
         self._subs = {}
         self._clauses = [[None] * (self.trig + 1) for _ in range(self.n)]
 
     def env_names(self, xmask):
-        return tuple(a for a in self.universe if self.ubit[a] & xmask)
+        return self.names[xmask]
 
     def env_mask(self, names):
         mask = 0
@@ -300,14 +314,19 @@ class _Profile:
         first asked for.
 
         Each clause asks for a match into the row of ``p2`` in column
-        ``col``.  For a move ``env`` is None.  In the pair column every
-        visible move counts; under an environment only the allowed ones, or
-        all of them from a dead end.  A tau step is matched within column
-        ``x``, a visible step in the pair column.  From a dead end a
-        time-out gives one clause for each environment ``col`` that extends
-        this one with actions ``p`` refuses, and ``env`` names its actions.
+        ``col``, where ``col`` None names the row's own column ``x``.  For a
+        move ``env`` is None.  In the pair column every visible move
+        counts; under an environment only the allowed ones, or all of them
+        from a dead end.  A tau step is matched within the own column, a
+        visible step in the pair column.  From a dead end a time-out gives
+        one clause for each environment ``col`` that extends this one with
+        actions ``p`` refuses, and ``env`` names its actions.  Under an
+        environment the clauses depend on ``x`` only through the actions
+        ``p`` can do, ``x & init_vis[p]``, so the columns that agree there
+        share one compiled tuple.
         """
-        got = self._clauses[p][x]
+        key = x if x == self.trig else x & self.init_vis[p]
+        got = self._clauses[p][key]
         if got is None:
             allow = self.umask if x == self.trig else x
             quiet = self.deadend(p, x)
@@ -316,14 +335,14 @@ class _Profile:
                 if lab == "t":
                     if quiet:
                         got.extend(
-                            (lab, p2, y, self.env_names(y))
+                            (lab, p2, y, self.names[y])
                             for y in self.submasks_of(self.notinit[p])
                         )
                 elif lab == "tau":
-                    got.append((lab, p2, x, None))
+                    got.append((lab, p2, None, None))
                 elif self.ubit[lab] & allow or quiet:
                     got.append((lab, p2, self.trig, None))
-            got = self._clauses[p][x] = tuple(got)
+            got = self._clauses[p][key] = tuple(got)
         return got
 
 
@@ -403,8 +422,9 @@ class _RowRecords(Mapping):
 def _round(pf, rows, live, memo, sink, rnd):
     """One pass of every clause over the live rows of the table ``rows``,
     which it only reads: each ``(p, x, keep, clauses)`` judges the row
-    ``rows[p][x] & keep`` by its step clauses (:meth:`_Profile.clauses`),
-    then stability.
+    ``rows[p][x] & keep`` by its step clauses (:meth:`_Profile.clauses`,
+    whose target column None is the row's own column ``x``), then
+    stability.
 
     A clause reads the ``lab`` predecessors of its target row, joined by
     the row itself for tau (an internal step may be matched by standing
@@ -435,7 +455,7 @@ def _round(pf, rows, live, memo, sink, rnd):
             continue
         for cl in clauses:
             lab, p2, col, env = cl
-            target = rows[p2][col]
+            target = rows[p2][x if col is None else col]
             base = memo.get((lab, target))
             if base is None:
                 base = pred(lab, target)
@@ -489,11 +509,14 @@ def _generalized_fixpoint(pf, record=True):
     match may pass through unrelated states.  A round is one :func:`_round`
     over the live rows, which reads the table in place; its removals, and
     their mirror entries in the other orientation, are applied after it.
-    With ``record`` every removal is stamped with its round and clause in
-    ``records``.  Match sets and tau closures are kept by value for the
-    whole fixpoint.  The greatest relation is reflexive, so a row is judged
-    without its own state, and leaves the live rows once that is all it
-    holds.
+    The mirror goes by value: the states ``P`` that removed the same mask
+    ``M`` in column ``x`` are cleared together from the row of each member
+    of ``M`` in that column, so a mask is walked once per round however
+    many rows removed it.  With ``record`` every removal is stamped with
+    its round and clause in ``records``.  Match sets and tau closures are
+    kept by value for the whole fixpoint.  The greatest relation is
+    reflexive, so a row is judged without its own state, and leaves the
+    live rows once that is all it holds.
     """
     rows = [[pf.full] * (pf.trig + 1) for _ in range(pf.n)]
     live = [(p, x, ~(1 << p), pf.clauses(p, x))
@@ -506,9 +529,12 @@ def _generalized_fixpoint(pf, record=True):
         removed, live = _round(pf, rows, live, memo, by_row, rounds)
         if not removed:
             break
+        mirror = {}
         for p, x, bad in removed:
             rows[p][x] &= ~bad
-            keep = ~(1 << p)
+            mirror[x, bad] = mirror.get((x, bad), 0) | 1 << p
+        for (x, bad), gone in mirror.items():
+            keep = ~gone
             while bad:
                 low = bad & -bad
                 rows[low.bit_length() - 1][x] &= keep
@@ -719,7 +745,7 @@ def _rooted_fail(pf, res, p, x, q):
     lts = pf.lts
     for side, (a, b) in enumerate(((p, q), (q, p))):
         for lab, a2, col, env in pf.clauses(a, x):
-            if not lts.succ_mask(b, lab) & res.rows[a2][col]:
+            if not lts.succ_mask(b, lab) & res.rows[a2][x if col is None else col]:
                 clause = "move" if env is None else "timeout"
                 return side, Removal(0, clause, lab, a2, env)
     return None

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from jsonschema import validate
 
+from txbisim import CheckOptions, TxbisimError
 from txbisim.cli import main
 from txbisim.encoding import MAX_UNIVERSE
 from txbisim.lts import parse_aut
@@ -332,6 +333,23 @@ def test_distinguish_rooted_json(capsys):
     assert payload["fails_in"] == "Q0"
 
 
+def test_distinguish_on_a_long_chain_fails_cleanly_or_succeeds(capsys, tmp_path):
+    # a formula as deep as the chain: found (exit 1) once synthesis needs no
+    # stack frame per link, else one clean error line (exit 2)
+    chains = tmp_path / "chains.ccspt"
+    chains.write_text(
+        "def L = " + "a." * 100 + "a.0;\n" + "def R = " + "a." * 100 + "b.0;\n"
+    )
+    code, out, err = run(capsys, ["distinguish", str(chains), "L", "R"])
+    assert code in (1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+    else:
+        assert out.splitlines()[1] == "holds in L, fails in R (Lbc)"
+
+
 def test_distinguish_equivalent_pair(capsys):
     code, out, _ = run(capsys, ["distinguish", STABILITY, "Q0", "R0"])
     assert code == 0
@@ -444,6 +462,14 @@ def test_nonpositive_budget_rejected(capsys):
     )
     assert code == 2
     assert "state budget must be positive" in err
+
+
+@pytest.mark.parametrize("budget", [0, -3])
+def test_nonpositive_budget_rejected_by_check_options(budget):
+    # the library refuses the budget the command line refuses, with the same
+    # message, before any state is explored
+    with pytest.raises(TxbisimError, match="state budget must be positive"):
+        CheckOptions(max_states=budget)
 
 
 def test_alphabet_limit_above_the_ceiling_rejected(capsys):

@@ -109,6 +109,16 @@ def two_cells():
     return p, q
 
 
+def three_cells():
+    """Like :func:`two_cells` with a third cell: its first rounds remove
+    most entries, many rows in a column the same mask."""
+    p = parse_term(
+        "(a.0 + t.tau.a.0) ||{} (b.0 + t.tau.b.0) ||{} (c.0 + t.tau.c.0)"
+    )
+    q = parse_term("(a.0 + t.a.0) ||{} (b.0 + t.b.0) ||{} (c.0 + t.c.0)")
+    return p, q
+
+
 def _earlier_than(removed_in, rnd):
     return removed_in is not None and removed_in < rnd
 
@@ -154,18 +164,54 @@ def test_rounds_replay_from_records(small_corpus):
     "pair, counts",
     [
         (two_cells(), (21, 5, 1182, 265)),
+        (three_cells(), (83, 5, 40238, 3026)),
         (tuple(map(parse_term, ("a.a.a.a.0", "a.a.a.tau.a.0"))), (9, 6, 150, 84)),
     ],
 )
 def test_direct_fixpoint_counts_are_pinned(pair, counts):
-    """States, rounds, removed entries and ``by_row`` records of two
-    fixpoints, so that a change to how a round shares its work cannot
-    change what it records unnoticed."""
+    """States, rounds, removed entries and ``by_row`` records of three
+    fixpoints, so that a change to how a round shares its work, or applies
+    its removals, cannot change what it records unnoticed."""
     p, q = pair
     lts = explore(pair)
     _, res, _, _ = engine_rows(lts, process_universe(p, q))
     entries = sum(len(recs) for recs in res.records.by_row.values())
     assert (lts.n_states, res.rounds, len(res.records), entries) == counts
+
+
+@st.composite
+def raw_systems(draw):
+    """A raw system over ``a``, ``b``, ``tau`` and ``t``, with tau
+    self-loops, whose states need not be terms."""
+    n = draw(st.integers(1, 8))
+    state = st.integers(0, n - 1)
+    edges = draw(st.lists(
+        st.tuples(state, st.sampled_from(("a", "b", "tau", "t")), state),
+        max_size=3 * n,
+    ))
+    edges += [(i, "tau", i) for i in draw(st.lists(state, max_size=2))]
+    return Lts(range(n), edges, (0,))
+
+
+@given(raw_systems())
+def test_direct_table_is_an_equivalence_with_records_on_drawn_systems(lts):
+    """Every column of the direct fixpoint's final table is reflexive and
+    symmetric, and every removed entry has a record in one orientation:
+    each removal's mirror entry is cleared, however many rows of a column
+    removed the same mask in one round."""
+    universe = envset(lab for lab in lts.labels if lab not in ("tau", "t"))
+    pf = _Profile(lts, universe)
+    res = _generalized_fixpoint(pf)
+    for x in range(pf.trig + 1):
+        for p in range(pf.n):
+            assert res.has(p, x, p)
+            for q in range(pf.n):
+                assert res.has(p, x, q) == res.has(q, x, p)
+                if not res.has(p, x, q):
+                    assert (p, x, q) in res.records or (q, x, p) in res.records
+    s = lts.states[0]
+    for j, t in enumerate(lts.states):
+        assert brb_states(lts, s, t).equivalent == res.has(0, pf.trig, j)
 
 
 def test_rooted_checks_equal_reference_relation(small_corpus):
