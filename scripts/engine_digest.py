@@ -6,7 +6,10 @@ sections of a digest, each printed as one sha256:
 
 * ``verdicts``: ``brb``, ``rbrb``, and ``brb_x``/``rbrb_x`` under every
   environment over the pair's actions, by each method: ``equivalent``,
-  ``method``, ``reason`` and the witness relation;
+  ``method``, ``reason`` and the witness relation (under ``both``, the
+  witness of a positive verdict is the encode route's projection, the one
+  ``encode`` reports, and its reason for a negative one is the direct
+  route's);
 * ``direct``: the direct fixpoint's rows, rounds and removal records;
 * ``distinguish``: the formula text, plain and rooted;
 * ``partition``: the ``brb_partition`` blocks of the pair's state space;

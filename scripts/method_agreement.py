@@ -2,12 +2,15 @@
 
 For each depth in a sweep this generates seeded pairs, decides plain and
 rooted equivalence, triggered and in a seeded subset of the pair's
-actions, with the direct fixpoint and with the environment encoding, and
-reports agreement plus wall-clock totals.  It also asks ``distinguish``,
-plain and rooted, for a formula separating every pair: that must return
-one exactly when the pair is inequivalent.  Any disagreement is printed in
-full and the script exits nonzero, so it doubles as a slow randomised
-check:
+actions, with the direct fixpoint, with the environment encoding and with
+``method="both"``, and reports agreement plus wall-clock totals.  A
+``both`` answer must equal the direct one, and the witness of a positive
+``both`` verdict (the encode route's projection, certified by one literal
+pass of the clauses) must pass ``generalized_witness_ok``.  It also asks
+``distinguish``, plain and rooted, for a formula separating every pair:
+that must return one exactly when the pair is inequivalent.  Any
+disagreement is printed in full and the script exits nonzero, so it
+doubles as a slow randomised check:
 
     python3 scripts/method_agreement.py --per-depth 200 --max-depth 5
 """
@@ -31,11 +34,13 @@ from txbisim import (
     rbrb,
     rbrb_x,
 )
+from txbisim.equiv import generalized_witness_ok
 from txbisim.modal import distinguish, formula_text
 from txbisim.terms import term_text
 
 DIRECT = CheckOptions(method="direct", max_states=4000)
 ENCODE = CheckOptions(method="encode", max_states=4000)
+BOTH = CheckOptions(method="both", max_states=4000)
 
 
 def sample_pairs(rng, cfg, count, cap, rewrite_share):
@@ -57,7 +62,7 @@ def run_depth(rng, env_rng, depth, args):
     cfg = GenConfig(alphabet=tuple(args.alphabet.split(",")), max_depth=depth)
     pairs = sample_pairs(rng, cfg, args.per_depth, args.state_cap, 0.3)
     mismatches = []
-    t_direct = t_encode = t_formula = 0.0
+    t_direct = t_encode = t_both = t_formula = 0.0
     equivalent = 0
     for p, q in pairs:
         # a separate generator, so the pairs are those drawn without it
@@ -72,11 +77,22 @@ def run_depth(rng, env_rng, depth, args):
             t0 = time.perf_counter()
             e = bool(relation(p, q, *args_x, ENCODE))
             t_encode += time.perf_counter() - t0
-            if d != e:
+            t0 = time.perf_counter()
+            try:
+                v = relation(p, q, *args_x, BOTH)
+                b = bool(v)
+            except Exception as exc:
+                v, b = None, f"raised {type(exc).__name__}: {exc}"
+            t_both += time.perf_counter() - t0
+            witness_ok = not v or generalized_witness_ok(
+                v.lts, v.universe, v.witness
+            )
+            if not d == e == b or not witness_ok:
                 where = "".join(f" in {{{','.join(x)}}}" for x in args_x)
-                mismatches.append(
-                    (relation.__name__ + where, p, q, f"direct={d} encode={e}")
-                )
+                detail = f"direct={d} encode={e} both={b}"
+                if not witness_ok:
+                    detail += " (its witness fails generalized_witness_ok)"
+                mismatches.append((relation.__name__ + where, p, q, detail))
         for relation, rooted in ((brb, False), (rbrb, True)):
             t0 = time.perf_counter()
             try:
@@ -96,7 +112,7 @@ def run_depth(rng, env_rng, depth, args):
         equivalent += related[brb]
     print(
         f"depth {depth}: {len(pairs)} pairs, {equivalent} equivalent, "
-        f"direct {t_direct:.2f}s, encode {t_encode:.2f}s, "
+        f"direct {t_direct:.2f}s, encode {t_encode:.2f}s, both {t_both:.2f}s, "
         f"distinguish {t_formula:.2f}s, {len(mismatches)} mismatches"
     )
     return mismatches

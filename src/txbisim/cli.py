@@ -58,8 +58,6 @@ class RunConfig:
     output: str = "text"
 
     def __post_init__(self):
-        if self.max_alphabet <= 0:
-            raise TxbisimError("alphabet limit must be positive")
         if self.output not in ("text", "json"):
             raise TxbisimError(f"unknown output mode {self.output!r}")
         self.check_options()

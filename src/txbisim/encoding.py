@@ -107,7 +107,8 @@ class Closure:
     ``(code, j)`` whose label is ``labels[code]``; ``tau_sccs`` and
     ``can_reach_stable_mask`` are those of :class:`~txbisim.lts.Lts`, lifted
     from the base system.  :meth:`index` finds a wrapper by its mode and
-    base state, and :attr:`lts` is the closure as a system of
+    base state, :meth:`wrappings` gives each wrapper's base state and
+    environment, and :attr:`lts` is the closure as a system of
     :class:`EncState` wrappers with the same numbering, built when first
     read.
     """
@@ -149,6 +150,7 @@ class Closure:
         self.labels = labels
         self._modes = modes
         self._width = width
+        self._masks = allowed
         self._slot = {m: s for s, m in enumerate(modes, 1)}
         self._slot[None] = 0
 
@@ -202,6 +204,15 @@ class Closure:
         None for the triggered one, else the allowed names in universe
         order."""
         return self._seen[i * self._width + self._slot[mode]]
+
+    def wrappings(self, trig):
+        """Each wrapper's base state index and column, in wrapper order:
+        the column is ``trig`` for a triggered wrapper, else the mask of the
+        actions it allows, bit ``k`` for the ``k``-th action of the
+        universe."""
+        width = self._width
+        cols = [trig, *self._masks[1:]]
+        return [(key // width, cols[key % width]) for key in self._keys]
 
     def _wrap(self, key):
         i, s = divmod(key, self._width)

@@ -10,9 +10,13 @@ Two independent routes lead to each reactive verdict:
   branching bisimilarity on the result, reading reactive verdicts off the
   triggered and allowing wrapper states.
 
-Both routes produce the same answers; ``method="both"`` runs the two and
-raises :class:`~txbisim.errors.MethodDisagreementError` if they ever split,
-which doubles as a strong internal consistency check.
+Both routes produce the same answers.  ``method="both"`` decides by the
+encode route and checks its answer without trusting the encoding: a
+positive answer is certified by one literal pass of the direct route's
+clauses over the encode route's relation, projected onto the explored
+states; a negative one is checked against the direct fixpoint.  Either
+check raises :class:`~txbisim.errors.MethodDisagreementError` if the
+routes split, which doubles as a strong internal consistency check.
 
 Relations are kept as one successor-set mask per row.  The direct route
 keeps its relation as one table ``rows[p][x]``: a column per environment
@@ -40,9 +44,11 @@ partition refinement (:func:`_refine`) over moves with coded labels that
 stamps nothing: a negative verdict is explained by the first clause the
 queried pair fails against the final relation, found when the verdict asks
 for it.  The encode route refines the index-level closure
-(:class:`~txbisim.encoding.Closure`) itself, so its answer, and the
-rooted first-step check on it, need no wrapper object; the system of
-wrapper states is built only for the route's reasons and witnesses.
+(:class:`~txbisim.encoding.Closure`) itself, so its answer, the rooted
+first-step check on it, and its relation projected into the direct
+route's table (:func:`_projection`), the witness and certificate of a
+positive verdict, need no wrapper object; the system of wrapper states is
+built only for the route's reasons.
 
 All four reactive checks, plain or rooted and triggered or in a fixed
 environment, go through :func:`_check`.
@@ -53,7 +59,6 @@ from __future__ import annotations
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
-from types import SimpleNamespace
 
 from .encoding import MAX_UNIVERSE, Closure
 from .errors import (
@@ -95,12 +100,15 @@ class CheckOptions:
     """Knobs shared by all term-level checks.
 
     ``method`` selects the decision route: ``"direct"``, ``"encode"``, or
-    ``"both"`` (run both, cross-check, report the direct result).
+    ``"both"`` (decide by the encode route, certify a positive answer by
+    one literal pass of the clauses over its relation, cross-check a
+    negative one against the direct route and report the direct result).
     ``max_states`` bounds the explored and the encoded states; it must be
     positive, and None defers to ``TXBISIM_MAX_STATES`` or the built-in
     default.  ``max_alphabet`` bounds the visible actions of the compared
-    terms; it may not exceed :data:`~txbisim.encoding.MAX_UNIVERSE`, the
-    most the environment encoding supports.
+    terms; it must be positive and may not exceed
+    :data:`~txbisim.encoding.MAX_UNIVERSE`, the most the environment
+    encoding supports.
     """
 
     method: str = "both"
@@ -112,6 +120,8 @@ class CheckOptions:
             raise TxbisimError(f"unknown method {self.method!r}")
         if self.max_states is not None and self.max_states <= 0:
             raise TxbisimError("state budget must be positive")
+        if self.max_alphabet <= 0:
+            raise TxbisimError("alphabet limit must be positive")
         if self.max_alphabet > MAX_UNIVERSE:
             raise AlphabetLimitError(
                 f"alphabet limit {self.max_alphabet} exceeds the ceiling of "
@@ -136,16 +146,17 @@ class Verdict:
     """Outcome of one equivalence check.
 
     For a positive verdict ``witness`` holds a relation that independent
-    single-pass validators can check.  The direct route (and ``"both"``)
-    gives the full greatest relation over the explored states; the encode
-    route gives the relation projected from the wrappers its encoding
-    reaches, which may be smaller.  It is built by ``build_witness`` when
-    first read, and kept.  For a negative verdict ``reason`` names a
-    violated clause of the queried pair.  The direct route names the clause
-    that removed the pair, with its removal ``round``.  The encode route,
-    :func:`sr_branching` and :func:`strong` name the first clause the pair
-    fails against the final relation, with no round.  Rooted checks name
-    the first step that has no match, with no round.
+    single-pass validators can check.  The direct route gives the full
+    greatest relation over the explored states; the encode route, and
+    ``"both"``, the relation projected from the wrappers its encoding
+    reaches, which may be smaller (under ``"both"`` it has passed the
+    literal check already).  It is built by ``build_witness`` when first
+    read, and kept.  For a negative verdict ``reason`` names a violated
+    clause of the queried pair.  The direct route, and ``"both"``, name the
+    clause that removed the pair, with its removal ``round``.  The encode
+    route, :func:`sr_branching` and :func:`strong` name the first clause
+    the pair fails against the final relation, with no round.  Rooted
+    checks name the first step that has no match, with no round.
     """
 
     equivalent: bool
@@ -357,7 +368,9 @@ class _GenResult:
     its pair row (:attr:`_Profile.trig`).  ``records`` maps every removed
     entry ``(p, x, q)`` to its :class:`Removal` when the fixpoint records
     them (:class:`_RowRecords`, empty otherwise); ``rounds`` counts its
-    rounds, the last of which removes nothing.
+    rounds, the last of which removes nothing.  The encode route's
+    projection (:func:`_projection`) takes the same form, with no records
+    and no rounds.
     """
 
     rows: list
@@ -802,6 +815,26 @@ def _gen_store(pf, res):
     return RelationStore(frozenset(pairs), frozenset(triples))
 
 
+def _projection(pf, enc, rel):
+    """The encode route's relation ``rel`` on the wrappers of the closure
+    ``enc``, as a table of the direct route's form with no records:
+    related triggered wrappers give pairs, related allowing wrappers in one
+    environment give triples.  ``rel`` is a partition, so each block is
+    split by column once, and its members share the parts.  Only the
+    wrappers the encoding reaches appear, so this can be a proper part of
+    the direct route's greatest relation."""
+    wraps = enc.wrappings(pf.trig)
+    rows = [[0] * (pf.trig + 1) for _ in range(pf.n)]
+    for block in dict.fromkeys(rel):
+        members = [wraps[k] for k in iter_bits(block)]
+        parts = {}
+        for i, x in members:
+            parts[x] = parts.get(x, 0) | 1 << i
+        for i, x in members:
+            rows[i][x] = parts[x]
+    return _GenResult(rows, {}, 0)
+
+
 def _pair_store(lts, rel):
     pairs = set()
     for p in range(lts.n_states):
@@ -850,9 +883,14 @@ def generalized_witness_ok(lts, universe, store):
     """
     pf = _Profile(lts, universe)
     rows = _store_masks(lts, pf, store)
-    if rows is None:
-        return False
-    # a pair must also stand as a triple for every environment
+    return rows is not None and _clauses_hold(pf, rows)
+
+
+def _clauses_hold(pf, rows):
+    """One literal pass of every clause over the table ``rows``: True when
+    every pair also stands as a triple for every environment, and one
+    :func:`_round` over every nonempty row, judged whole, removes
+    nothing."""
     if any(cols[pf.trig] & ~row for cols in rows for row in cols):
         return False
     live = [(p, x, -1, pf.clauses(p, x))
@@ -1004,72 +1042,94 @@ class Analysis:
     def canonical_env(self, x):
         return envset(x).intersection(self.universe)
 
+    @cached_property
+    def projection(self):
+        """The encode route's relation on the explored states, in the
+        direct route's table form (:func:`_projection`)."""
+        return _projection(self.profile, self.encoded, self.enc_branch.rel)
+
     def gen_store(self):
         return _gen_store(self.profile, self.gen)
 
     def encoded_projection(self):
-        """The direct-style relation read off the encoded fixpoint: related
-        triggered wrappers become pairs, related allowing wrappers triples.
-        Only the wrappers the encoding reaches appear, so this can be a
-        proper part of the direct route's greatest relation."""
-        pairs = set()
-        triples = set()
-        enc = self.encoded.lts
-        rel = self.enc_branch.rel
-        for i, st in enumerate(enc.states):
-            for j in iter_bits(rel[i]):
-                other = enc.states[j]
-                if st.mode is None and other.mode is None:
-                    pairs.add((st.inner, other.inner))
-                elif st.mode is not None and st.mode == other.mode:
-                    triples.add((st.inner, envset(st.mode), other.inner))
-        return RelationStore(frozenset(pairs), frozenset(triples))
+        """The encode route's relation store: :attr:`projection`'s pairs
+        and triples."""
+        return _gen_store(self.profile, self.projection)
 
 
 def _store_thunk(an, name, *parts):
-    """A thunk running the :class:`Analysis` method ``name`` on a stand-in
-    that holds only the ``parts`` of ``an`` it reads, so that a verdict
-    keeps no more than its store needs.  The method is looked up when the
-    thunk runs, so a wrapper set on the class in the meantime is honoured.
+    """A thunk running the :class:`Analysis` method ``name`` on a stand-in,
+    a bare analysis that holds only the ``parts`` of ``an`` and computes
+    any other stage it reads from them when the thunk runs, so that a
+    verdict keeps no more than its store needs.  The method is looked up
+    when the thunk runs, so a wrapper set on the class in the meantime is
+    honoured.
     """
-    held = SimpleNamespace(**{part: getattr(an, part) for part in parts})
+    held = object.__new__(Analysis)
+    held.__dict__.update((part, getattr(an, part)) for part in parts)
     return lambda: getattr(Analysis, name)(held)
 
 
 def _check(p, q, env, rooted, opts):
     """Decide one of the four reactive relations of two closed terms:
     triggered when ``env`` is None, else in the environment ``env``, and
-    rooted or not.  ``opts.method`` picks the route; ``"both"`` runs the
-    two, raises if they disagree and reports the direct verdict."""
+    rooted or not.  ``opts.method`` picks the route.  ``"both"`` decides by
+    the encode route: a positive answer whose projection holds the queried
+    entry (and, when rooted, its first steps) is certified by
+    :func:`_clauses_hold`, and raises if that fails; any other answer is
+    checked against the direct route, whose verdict is reported."""
     an = Analysis(p, q, opts)
     method = an.opts.method
     if env is not None:
         env = an.canonical_env(env)
     if method != "encode":
-        x = an.profile.trig if env is None else an.profile.env_mask(env)
-        store = _store_thunk(an, "gen_store", "profile", "gen")
-        d = _direct(an.profile, an.gen, an.ip, an.iq, x, rooted, store, an.universe)
+        pf = an.profile
+        x = pf.trig if env is None else pf.env_mask(env)
         if method == "direct":
-            return d
+            return _direct_check(an, x, rooted)
     mode = None if env is None else tuple(env)
     i, j = an.enc_index(mode, an.p), an.enc_index(mode, an.q)
     if method == "encode":
         enc = an.encoded.lts
         fail = _plain_fail(enc, an.enc_branch, i, j, rooted)
-        store = _store_thunk(an, "encoded_projection", "encoded", "enc_branch")
+        store = _store_thunk(
+            an, "encoded_projection", "lts", "universe", "encoded", "enc_branch"
+        )
         return _verdict("encode", fail, enc, store, an.lts, an.universe)
-    # the cross-check needs only the encode route's answer, not its reason
-    # or its relation, so it reads the closure and builds no wrapper
+    # the encode route's answer reads the closure and builds no wrapper
     if rooted:
         e = _rooted_branching_fail(an.encoded, an.enc_branch, i, j) is None
     else:
         e = an.enc_branch.has(i, j)
+    if e:
+        res = an.projection
+        ip, iq = an.ip, an.iq
+        if res.has(ip, x, iq) and (
+            not rooted or _rooted_fail(pf, res, ip, x, iq) is None
+        ):
+            if not _clauses_hold(pf, res.rows):
+                raise MethodDisagreementError(
+                    f"encoding says True for {term_text(p)} vs {term_text(q)}, "
+                    "but its relation fails the clauses of branching reactive "
+                    "bisimulation"
+                )
+            store = _store_thunk(an, "encoded_projection", "profile", "projection")
+            return Verdict(
+                True, "both", lts=an.lts, universe=an.universe, build_witness=store
+            )
+    d = _direct_check(an, x, rooted)
     if d.equivalent != e:
         raise MethodDisagreementError(
             f"direct says {d.equivalent}, encoding says {e} "
             f"for {term_text(p)} vs {term_text(q)}"
         )
     return replace(d, method="both")
+
+
+def _direct_check(an, x, rooted):
+    """The direct route's verdict on the analysis' pair in column ``x``."""
+    store = _store_thunk(an, "gen_store", "profile", "gen")
+    return _direct(an.profile, an.gen, an.ip, an.iq, x, rooted, store, an.universe)
 
 
 def brb(p, q, opts=None):

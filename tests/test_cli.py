@@ -209,7 +209,7 @@ def test_check_json_payload(capsys):
 
 
 @pytest.mark.parametrize(
-    "method, size", [("direct", 47), ("both", 47), ("encode", 31)]
+    "method, size", [("direct", 47), ("both", 31), ("encode", 31)]
 )
 def test_check_reports_the_witness_size(capsys, method, size):
     argv = ["check", STABILITY, "Q0", "R0", "brb", "--method", method]
@@ -470,6 +470,13 @@ def test_nonpositive_budget_rejected_by_check_options(budget):
     # message, before any state is explored
     with pytest.raises(TxbisimError, match="state budget must be positive"):
         CheckOptions(max_states=budget)
+
+
+@pytest.mark.parametrize("limit", [0, -3])
+def test_nonpositive_alphabet_limit_rejected_by_check_options(limit):
+    # refused as an option, not later as too many actions for the terms
+    with pytest.raises(TxbisimError, match="alphabet limit must be positive"):
+        CheckOptions(max_alphabet=limit)
 
 
 def test_alphabet_limit_above_the_ceiling_rejected(capsys):

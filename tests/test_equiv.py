@@ -447,6 +447,96 @@ def test_method_disagreement_is_detectable():
         CheckOptions(method="telepathy")
 
 
+def test_both_runs_the_direct_fixpoint_only_for_negative_verdicts(monkeypatch):
+    """Under ``method="both"`` a positive verdict is certified on the encode
+    route's projection, so the direct fixpoint never runs; a negative one
+    runs it once and reports its reason."""
+    calls = []
+    fixpoint = equiv._generalized_fixpoint
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fixpoint(*args, **kwargs)
+
+    monkeypatch.setattr(equiv, "_generalized_fixpoint", counted)
+    both = CheckOptions(method="both")
+    env = envset(("b",))
+    timed, plain = parse_term("a.0 + t.b.0"), parse_term("a.0")
+    positive = (parse_term("a.tau.b.0 + t.b.0"), parse_term("a.b.0 + t.b.0"))
+    cases = [
+        (brb, positive, None, True),
+        (rbrb, positive, None, True),
+        (brb_x, positive, env, True),
+        (rbrb_x, positive, env, True),
+        (brb, (timed, plain), None, False),
+        (rbrb, (plain, parse_term("tau.a.0")), None, False),
+        (brb_x, (timed, plain), env, False),
+        (rbrb_x, (timed, plain), envset(()), False),
+    ]
+    for check, pair, x, expect in cases:
+        args = pair if x is None else (*pair, x)
+        v = check(*args, both)
+        assert v.equivalent == expect and v.method == "both"
+        assert len(calls) == (0 if expect else 1), check.__name__
+        if not expect:
+            direct = check(*args, DIRECT)
+            assert v.reason == direct.reason
+            if check in (brb, brb_x):
+                assert v.reason["round"] >= 1
+        calls.clear()
+
+
+@given(
+    st.integers(0, 10**9),
+    st.booleans(),
+    st.sampled_from(("brb", "rbrb", "brb_x", "rbrb_x")),
+    st.sets(st.sampled_from(("a", "b"))),
+)
+def test_both_verdicts_equal_direct_with_the_encode_witness(seed, rewrite, name, env):
+    """On drawn pairs ``method="both"`` answers as the direct route; a
+    positive answer carries the encode route's witness, which passes the
+    literal witness check."""
+    rng = random.Random(seed)
+    cfg = GenConfig(alphabet=("a", "b"), max_depth=3)
+    if rewrite:
+        p, q = equivalent_pair(rng, cfg)
+    else:
+        p, q = rand_term(rng, cfg), rand_term(rng, cfg)
+    try:
+        explore((p, q), 30)
+    except StateBudgetError:
+        assume(False)
+    check = getattr(equiv, name)
+    args = (p, q) if name in ("brb", "rbrb") else (p, q, envset(env))
+    b = check(*args, CheckOptions(method="both"))
+    assert b.equivalent == check(*args, DIRECT).equivalent
+    if b.equivalent:
+        assert b.witness == check(*args, CheckOptions(method="encode")).witness
+        assert generalized_witness_ok(b.lts, b.universe, b.witness)
+
+
+def test_both_refuses_a_projection_that_fails_the_clauses(monkeypatch, stability_defs):
+    """An encode route that relates two inequivalent states gives a
+    projection that fails the literal pass, and ``both`` raises rather
+    than certify it."""
+    p, q = stability_defs.defs["P0"], stability_defs.defs["Q0"]
+    branching = equiv._branching_fixpoint
+
+    def joined(system):
+        res = branching(system)
+        i, j = (system.index(None, system.base.index[t]) for t in (p, q))
+        block = res.rel[i] | res.rel[j]
+        for k in iter_bits(block):
+            res.rel[k] = block
+        return res
+
+    monkeypatch.setattr(equiv, "_branching_fixpoint", joined)
+    an = Analysis(p, q)
+    assert an.enc_branch.has(an.enc_index(None, p), an.enc_index(None, q))
+    with pytest.raises(MethodDisagreementError, match="fails the clauses"):
+        brb(p, q, CheckOptions(method="both"))
+
+
 # -- named examples
 
 
@@ -556,7 +646,11 @@ def test_witness_is_built_when_first_read(monkeypatch, method):
         assert built == []
         witness = v.witness
         assert v.witness is witness
-        assert built == ["encoded_projection" if method == "encode" else "gen_store"]
+        # the projection's store is built by the table-to-store step the
+        # direct route's store uses
+        assert built == (
+            ["gen_store"] if method == "direct" else ["encoded_projection", "gen_store"]
+        )
         assert v.to_json_dict()["witness_size"] == witness.size > 0
         assert generalized_witness_ok(v.lts, v.universe, witness)
         built.clear()
