@@ -4,9 +4,12 @@ For each depth in a sweep this generates seeded pairs, decides plain and
 rooted equivalence, triggered and in a seeded subset of the pair's
 actions, with the direct fixpoint, with the environment encoding and with
 ``method="both"``, and reports agreement plus wall-clock totals.  A
-``both`` answer must equal the direct one, and the witness of a positive
-``both`` verdict (the encode route's projection, certified by one literal
-pass of the clauses) must pass ``generalized_witness_ok``.  It also asks
+``both`` answer must equal the direct one, a negative ``both`` verdict must
+name the direct route's reason, and the witness of a positive ``both``
+verdict (the encode route's projection, certified by one literal pass of
+the clauses) must pass ``generalized_witness_ok``.  It counts the
+unrooted negative verdicts whose reason is a round-1 removal, those the
+direct route's first round certifies without a fixpoint, and it asks
 ``distinguish``, plain and rooted, for a formula separating every pair:
 that must return one exactly when the pair is inequivalent.  Any
 disagreement is printed in full and the script exits nonzero, so it
@@ -63,7 +66,7 @@ def run_depth(rng, env_rng, depth, args):
     pairs = sample_pairs(rng, cfg, args.per_depth, args.state_cap, 0.3)
     mismatches = []
     t_direct = t_encode = t_both = t_formula = 0.0
-    equivalent = 0
+    equivalent = negatives = first_round = 0
     for p, q in pairs:
         # a separate generator, so the pairs are those drawn without it
         names = sorted(process_universe(p, q))
@@ -72,8 +75,9 @@ def run_depth(rng, env_rng, depth, args):
         related = {}
         for relation, args_x in checks:
             t0 = time.perf_counter()
-            d = related[relation] = bool(relation(p, q, *args_x, DIRECT))
+            dv = relation(p, q, *args_x, DIRECT)
             t_direct += time.perf_counter() - t0
+            d = related[relation] = bool(dv)
             t0 = time.perf_counter()
             e = bool(relation(p, q, *args_x, ENCODE))
             t_encode += time.perf_counter() - t0
@@ -87,11 +91,17 @@ def run_depth(rng, env_rng, depth, args):
             witness_ok = not v or generalized_witness_ok(
                 v.lts, v.universe, v.witness
             )
-            if not d == e == b or not witness_ok:
+            same_reason = v is None or v.reason == dv.reason
+            if relation in (brb, brb_x) and v is not None and not v:
+                negatives += 1
+                first_round += v.reason.get("round") == 1
+            if not d == e == b or not witness_ok or not same_reason:
                 where = "".join(f" in {{{','.join(x)}}}" for x in args_x)
                 detail = f"direct={d} encode={e} both={b}"
                 if not witness_ok:
                     detail += " (its witness fails generalized_witness_ok)"
+                if not same_reason:
+                    detail += f" (both's reason {v.reason} is not direct's {dv.reason})"
                 mismatches.append((relation.__name__ + where, p, q, detail))
         for relation, rooted in ((brb, False), (rbrb, True)):
             t0 = time.perf_counter()
@@ -113,7 +123,8 @@ def run_depth(rng, env_rng, depth, args):
     print(
         f"depth {depth}: {len(pairs)} pairs, {equivalent} equivalent, "
         f"direct {t_direct:.2f}s, encode {t_encode:.2f}s, both {t_both:.2f}s, "
-        f"distinguish {t_formula:.2f}s, {len(mismatches)} mismatches"
+        f"distinguish {t_formula:.2f}s, {len(mismatches)} mismatches; "
+        f"{first_round} of {negatives} unrooted negatives certified in round 1"
     )
     return mismatches
 

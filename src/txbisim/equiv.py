@@ -10,13 +10,18 @@ Two independent routes lead to each reactive verdict:
   branching bisimilarity on the result, reading reactive verdicts off the
   triggered and allowing wrapper states.
 
-Both routes produce the same answers.  ``method="both"`` decides by the
-encode route and checks its answer without trusting the encoding: a
-positive answer is certified by one literal pass of the direct route's
-clauses over the encode route's relation, projected onto the explored
-states; a negative one is checked against the direct fixpoint.  Either
-check raises :class:`~txbisim.errors.MethodDisagreementError` if the
-routes split, which doubles as a strong internal consistency check.
+Both routes produce the same answers.  ``method="both"`` checks its
+answer without trusting the encoding.  A pair that fails a clause against
+the relation relating everything lies outside every bisimulation: the
+direct route's first round, run on the queried pair alone
+(:func:`_first_round`), finds such a pair before any closure or fixpoint
+is built, and that removal is the negative verdict.  Otherwise ``"both"``
+decides by the encode route: a positive answer is certified by one literal
+pass of the direct route's clauses over the encode route's relation,
+projected onto the explored states; a negative one is checked against the
+direct fixpoint.  Either check raises
+:class:`~txbisim.errors.MethodDisagreementError` if the routes split, which
+doubles as a strong internal consistency check.
 
 Relations are kept as one successor-set mask per row.  The direct route
 keeps its relation as one table ``rows[p][x]``: a column per environment
@@ -48,7 +53,7 @@ for it.  The encode route refines the index-level closure
 first-step check on it, and its relation projected into the direct
 route's table (:func:`_projection`), the witness and certificate of a
 positive verdict, need no wrapper object; the system of wrapper states is
-built only for the route's reasons.
+built only for the route's reasons, so only for negative verdicts.
 
 All four reactive checks, plain or rooted and triggered or in a fixed
 environment, go through :func:`_check`.
@@ -100,13 +105,16 @@ class CheckOptions:
     """Knobs shared by all term-level checks.
 
     ``method`` selects the decision route: ``"direct"``, ``"encode"``, or
-    ``"both"`` (decide by the encode route, certify a positive answer by
-    one literal pass of the clauses over its relation, cross-check a
-    negative one against the direct route and report the direct result).
-    ``max_states`` bounds the explored and the encoded states; it must be
-    positive, and None defers to ``TXBISIM_MAX_STATES`` or the built-in
-    default.  ``max_alphabet`` bounds the visible actions of the compared
-    terms; it must be positive and may not exceed
+    ``"both"`` (certify a negative answer the direct route's first round
+    finds on the queried pair; else decide by the encode route, certify a
+    positive answer by one literal pass of the clauses over its relation,
+    cross-check a negative one against the direct route and report the
+    direct result).  ``max_states`` bounds the explored and the encoded
+    states; it must be positive, and None defers to ``TXBISIM_MAX_STATES``
+    or the built-in default.  A negative answer the first round finds
+    builds no encoding, so only the explored states count against it.
+    ``max_alphabet`` bounds the visible actions of the compared terms; it
+    must be positive and may not exceed
     :data:`~txbisim.encoding.MAX_UNIVERSE`, the most the environment
     encoding supports.
     """
@@ -153,10 +161,11 @@ class Verdict:
     literal check already).  It is built by ``build_witness`` when first
     read, and kept.  For a negative verdict ``reason`` names a violated
     clause of the queried pair.  The direct route, and ``"both"``, name the
-    clause that removed the pair, with its removal ``round``.  The encode
-    route, :func:`sr_branching` and :func:`strong` name the first clause
-    the pair fails against the final relation, with no round.  Rooted
-    checks name the first step that has no match, with no round.
+    clause that removed the pair, with its removal ``round``; a pair
+    removed in round 1 is found without the fixpoint, by the same clause.
+    The encode route, :func:`sr_branching` and :func:`strong` name the
+    first clause the pair fails against the final relation, with no round.
+    Rooted checks name the first step that has no match, with no round.
     """
 
     equivalent: bool
@@ -555,6 +564,25 @@ def _generalized_fixpoint(pf, record=True):
     return _GenResult(rows, _RowRecords(by_row or {}), rounds)
 
 
+def _first_round(pf, p, x, q):
+    """The direct fixpoint's first round on the entry ``(p, x, q)`` alone:
+    one :func:`_round` over the rows of ``p`` and ``q`` in column ``x``,
+    each judged on the other state, against a table that relates
+    everything.  Returns the first removal as ``(side, removal)``, which is
+    the fixpoint's ``fail(p, x, q)`` where the entry leaves in round 1, or
+    None where it stays longer.  An entry that fails a clause against the
+    full relation lies outside every bisimulation, so a removal here proves
+    the pair inequivalent without the fixpoint."""
+    rows = [[pf.full] * (pf.trig + 1)] * pf.n
+    live = [(p, x, 1 << q, pf.clauses(p, x)), (q, x, 1 << p, pf.clauses(q, x))]
+    sink = {}
+    _round(pf, rows, live, {}, sink, 1)
+    for side, key in enumerate(((p, x), (q, x))):
+        if key in sink:
+            return side, sink[key][0][1]
+    return None
+
+
 # --------------------------------------------------------------------------
 # plain relations by partition refinement
 
@@ -942,8 +970,8 @@ def _direct(pf, res, i, j, x, rooted, store, universe):
     return _verdict("direct", fail, pf.lts, store, pf.lts, universe)
 
 
-def _plain_fail(lts, res, i, j, rooted):
-    return _rooted_branching_fail(lts, res, i, j) if rooted else res.fail(i, j)
+def _plain_fail(system, res, i, j, rooted):
+    return _rooted_branching_fail(system, res, i, j) if rooted else res.fail(i, j)
 
 
 def _plain(lts, res, s, t, rooted=False):
@@ -1073,34 +1101,53 @@ def _store_thunk(an, name, *parts):
 def _check(p, q, env, rooted, opts):
     """Decide one of the four reactive relations of two closed terms:
     triggered when ``env`` is None, else in the environment ``env``, and
-    rooted or not.  ``opts.method`` picks the route.  ``"both"`` decides by
-    the encode route: a positive answer whose projection holds the queried
-    entry (and, when rooted, its first steps) is certified by
-    :func:`_clauses_hold`, and raises if that fails; any other answer is
-    checked against the direct route, whose verdict is reported."""
+    rooted or not.  ``opts.method`` picks the route.  Under ``"direct"``
+    and ``"both"`` an entry that :func:`_first_round` removes is outside
+    every bisimulation: an unrooted check reports that removal at once, and
+    a rooted one (rooted lies within unrooted) runs the direct route only
+    for its first-step reason.  Otherwise ``"both"`` decides by the encode
+    route: a positive answer whose projection holds the queried entry (and,
+    when rooted, its first steps) is certified by :func:`_clauses_hold`,
+    and raises if that fails; any other answer is checked against the
+    direct route, whose verdict is reported."""
     an = Analysis(p, q, opts)
     method = an.opts.method
     if env is not None:
         env = an.canonical_env(env)
-    if method != "encode":
-        pf = an.profile
-        x = pf.trig if env is None else pf.env_mask(env)
-        if method == "direct":
-            return _direct_check(an, x, rooted)
-    mode = None if env is None else tuple(env)
-    i, j = an.enc_index(mode, an.p), an.enc_index(mode, an.q)
     if method == "encode":
-        enc = an.encoded.lts
-        fail = _plain_fail(enc, an.enc_branch, i, j, rooted)
+        mode = None if env is None else tuple(env)
+        i, j = an.enc_index(mode, an.p), an.enc_index(mode, an.q)
+        fail = _plain_fail(an.encoded, an.enc_branch, i, j, rooted)
+        # only a reason names wrapper states
+        enc = None if fail is None else an.encoded.lts
+        if rooted and fail is not None:
+            # the first failing move in the wrapper system's order, which
+            # is not the closure's label order
+            fail = _rooted_branching_fail(enc, an.enc_branch, i, j)
         store = _store_thunk(
             an, "encoded_projection", "lts", "universe", "encoded", "enc_branch"
         )
         return _verdict("encode", fail, enc, store, an.lts, an.universe)
-    # the encode route's answer reads the closure and builds no wrapper
-    if rooted:
-        e = _rooted_branching_fail(an.encoded, an.enc_branch, i, j) is None
+    pf = an.profile
+    x = pf.trig if env is None else pf.env_mask(env)
+    caught = _first_round(pf, an.ip, x, an.iq)
+    if caught is not None and not rooted:
+        return _verdict(method, caught, an.lts, None, an.lts, an.universe)
+    if method == "direct":
+        return _direct_check(an, x, rooted)
+    if caught is not None:
+        # rooted lies within unrooted, so the answer is known; the direct
+        # route gives its first-step reason
+        e, by = False, "its first round"
     else:
-        e = an.enc_branch.has(i, j)
+        # the encode route's answer reads the closure and builds no wrapper
+        mode = None if env is None else tuple(env)
+        i, j = an.enc_index(mode, an.p), an.enc_index(mode, an.q)
+        if rooted:
+            e = _rooted_branching_fail(an.encoded, an.enc_branch, i, j) is None
+        else:
+            e = an.enc_branch.has(i, j)
+        by = "encoding"
     if e:
         res = an.projection
         ip, iq = an.ip, an.iq
@@ -1120,7 +1167,7 @@ def _check(p, q, env, rooted, opts):
     d = _direct_check(an, x, rooted)
     if d.equivalent != e:
         raise MethodDisagreementError(
-            f"direct says {d.equivalent}, encoding says {e} "
+            f"direct says {d.equivalent}, {by} says {e} "
             f"for {term_text(p)} vs {term_text(q)}"
         )
     return replace(d, method="both")
@@ -1169,9 +1216,11 @@ def brb_partition(roots, opts=None):
     for p, cols in enumerate(res.rows):
         row = cols[pf.trig]
         assert row >> p & 1, "greatest relation lost reflexivity"
-        for q in iter_bits(row):
-            # rows of related states must agree, else this is no equivalence
-            assert res.rows[q][pf.trig] == row
-        seen.setdefault(row, None)
+        if row not in seen:
+            # rows of related states must agree, else this is no
+            # equivalence; a row seen before has passed already
+            for q in iter_bits(row):
+                assert res.rows[q][pf.trig] == row
+            seen[row] = None
     blocks = [tuple(iter_bits(mask)) for mask in seen]
     return lts, Partition(lts, blocks)

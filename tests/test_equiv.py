@@ -26,6 +26,7 @@ from txbisim.equiv import (
     _Profile,
     _RowRecords,
     _branching_fixpoint,
+    _first_round,
     _generalized_fixpoint,
     _rooted_branching_fail,
     _rooted_fail,
@@ -214,6 +215,22 @@ def test_direct_table_is_an_equivalence_with_records_on_drawn_systems(lts):
         assert brb_states(lts, s, t).equivalent == res.has(0, pf.trig, j)
 
 
+@given(raw_systems())
+def test_first_round_equals_the_fixpoints_round_one_removals(lts):
+    """The first round judged on two rows alone removes an entry exactly
+    when the fixpoint removes it in round 1, with the same record and side,
+    in every column and for every pair of states, a state with itself
+    included."""
+    universe = envset(lab for lab in lts.labels if lab not in ("tau", "t"))
+    pf = _Profile(lts, universe)
+    res = _generalized_fixpoint(pf)
+    for x in range(pf.trig + 1):
+        for p in range(pf.n):
+            for q in range(pf.n):
+                want = res.fail(p, x, q) if res.round(p, x, q) == 1 else None
+                assert _first_round(pf, p, x, q) == want
+
+
 def test_rooted_checks_equal_reference_relation(small_corpus):
     for p, q, _ in small_corpus:
         lts = explore((p, q))
@@ -312,11 +329,22 @@ def test_encoded_fixpoint_counts_are_pinned(pair, counts):
     assert (enc.n_states, enc.n_transitions, res.rounds, len(res.records)) == counts
 
 
+def test_encode_rooted_reason_follows_the_wrapper_systems_move_order():
+    """A rooted ``encode`` reason names the first failing move in the
+    wrapper system's order, which differs from the closure's label order
+    (there ``eps_{}`` would come first)."""
+    v = rbrb(parse_term("0"), parse_term("tau.b.0"), CheckOptions(method="encode"))
+    assert v.reason == {
+        "side": "left", "clause": "move", "label": "eps_{b}", "successor": "[{b}] 0",
+    }
+
+
 def test_cross_check_builds_no_wrapper(monkeypatch):
     """Under ``method="both"`` the encode route reads its closure alone: no
     :class:`~txbisim.encoding.EncState` and no wrapper system is made.
-    ``method="encode"`` builds the wrapper system once per check, for its
-    reason or its projection."""
+    ``method="encode"`` builds the wrapper system once for a negative
+    verdict, whose reason names wrapper states, and never for a positive
+    one."""
     made = []
     make_state = encoding.EncState
     from_indexed = encoding.Lts.from_indexed
@@ -351,7 +379,7 @@ def test_cross_check_builds_no_wrapper(monkeypatch):
                 args = (p, q) if check in (brb, rbrb) else (p, q, env)
                 v = check(*args, opts)
                 assert (v.witness is None) == (v.reason is not None)
-                if method == "both":
+                if method == "both" or v.equivalent:
                     assert made == []
                 else:
                     assert made.count("Lts") == 1 and "EncState" in made
@@ -449,40 +477,54 @@ def test_method_disagreement_is_detectable():
 
 def test_both_runs_the_direct_fixpoint_only_for_negative_verdicts(monkeypatch):
     """Under ``method="both"`` a positive verdict is certified on the encode
-    route's projection, so the direct fixpoint never runs; a negative one
-    runs it once and reports its reason."""
+    route's projection, so the direct fixpoint never runs.  A negative one
+    whose pair leaves in the first round is certified by that round alone:
+    unrooted it builds neither the closure nor the fixpoint, rooted it runs
+    the fixpoint once for the first-step reason.  Any other negative one
+    builds the closure and runs the fixpoint once.  Every negative verdict
+    reports the direct route's reason."""
     calls = []
     fixpoint = equiv._generalized_fixpoint
+    closure = equiv.Closure
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        calls.append("fixpoint")
         return fixpoint(*args, **kwargs)
 
+    def counted_closure(*args, **kwargs):
+        calls.append("closure")
+        return closure(*args, **kwargs)
+
     monkeypatch.setattr(equiv, "_generalized_fixpoint", counted)
+    monkeypatch.setattr(equiv, "Closure", counted_closure)
     both = CheckOptions(method="both")
     env = envset(("b",))
     timed, plain = parse_term("a.0 + t.b.0"), parse_term("a.0")
     positive = (parse_term("a.tau.b.0 + t.b.0"), parse_term("a.b.0 + t.b.0"))
+    deep = (parse_term("a.a.0"), parse_term("a.b.0"))
+    # check, pair, environment, answer, fixpoints, closures, removal round
     cases = [
-        (brb, positive, None, True),
-        (rbrb, positive, None, True),
-        (brb_x, positive, env, True),
-        (rbrb_x, positive, env, True),
-        (brb, (timed, plain), None, False),
-        (rbrb, (plain, parse_term("tau.a.0")), None, False),
-        (brb_x, (timed, plain), env, False),
-        (rbrb_x, (timed, plain), envset(()), False),
+        (brb, positive, None, True, 0, 1, None),
+        (rbrb, positive, None, True, 0, 1, None),
+        (brb_x, positive, env, True, 0, 1, None),
+        (rbrb_x, positive, env, True, 0, 1, None),
+        (brb, (timed, plain), None, False, 0, 0, 1),
+        (brb_x, (timed, plain), env, False, 0, 0, 1),
+        (rbrb, (timed, plain), None, False, 1, 0, None),
+        (rbrb_x, (timed, plain), envset(()), False, 1, 0, None),
+        (brb, deep, None, False, 1, 1, 2),
+        (rbrb, (plain, parse_term("tau.a.0")), None, False, 1, 1, None),
     ]
-    for check, pair, x, expect in cases:
+    for check, pair, x, expect, fixpoints, closures, rnd in cases:
         args = pair if x is None else (*pair, x)
         v = check(*args, both)
         assert v.equivalent == expect and v.method == "both"
-        assert len(calls) == (0 if expect else 1), check.__name__
+        assert calls.count("fixpoint") == fixpoints, check.__name__
+        assert calls.count("closure") == closures, check.__name__
         if not expect:
             direct = check(*args, DIRECT)
             assert v.reason == direct.reason
-            if check in (brb, brb_x):
-                assert v.reason["round"] >= 1
+            assert v.reason.get("round") == rnd
         calls.clear()
 
 
