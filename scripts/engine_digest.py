@@ -1,7 +1,8 @@
 """Digest every answer the engines give on seeded random pairs.
 
-For each seed this draws the same pairs as ``method_agreement.py`` (plain
-random pairs and pairs equivalent by construction) and feeds five
+For each seed this draws pairs with ``method_agreement.py``'s
+``sample_pairs`` (plain random pairs and, three times in ten, pairs
+equivalent by construction) and feeds five
 sections of a digest, each printed as one sha256:
 
 * ``verdicts``: ``brb``, ``rbrb``, and ``brb_x``/``rbrb_x`` under every
@@ -30,18 +31,15 @@ import random
 import sys
 from itertools import combinations
 
+from method_agreement import sample_pairs
 from txbisim import (
     Analysis,
     CheckOptions,
     GenConfig,
-    StateBudgetError,
     brb,
     brb_partition,
     brb_x,
-    equivalent_pair,
-    explore,
     process_universe,
-    rand_term,
     rbrb,
     rbrb_x,
 )
@@ -49,21 +47,6 @@ from txbisim.modal import distinguish, formula_text
 from txbisim.terms import term_text
 
 SECTIONS = ("verdicts", "direct", "distinguish", "partition", "encoding")
-
-
-def sample_pairs(rng, cfg, count, cap):
-    pairs = []
-    while len(pairs) < count:
-        if rng.random() < 0.3:
-            p, q = equivalent_pair(rng, cfg)
-        else:
-            p, q = rand_term(rng, cfg), rand_term(rng, cfg)
-        try:
-            explore((p, q), cap)
-        except StateBudgetError:
-            continue
-        pairs.append((p, q))
-    return pairs
 
 
 def attempt(func, *args):
@@ -155,7 +138,7 @@ def main(argv=None):
     count = 0
     for seed in args.seeds.split(","):
         rng = random.Random(int(seed))
-        for p, q in sample_pairs(rng, cfg, args.per_seed, args.state_cap):
+        for p, q in sample_pairs(rng, cfg, args.per_seed, args.state_cap, 0.3):
             digest_pair(p, q, opts, feed)
             count += 1
     print(f"pairs {count}")

@@ -25,7 +25,16 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .equiv import CheckOptions, process_universe, r_sr_branching, rbrb
-from .gen import GenConfig, equivalent_pair, rand_guarded_spec, rand_term
+from .gen import (
+    GenConfig,
+    equivalent_pair,
+    rand_action,
+    rand_env,
+    rand_guarded_spec,
+    rand_nested_envs,
+    rand_renaming,
+    rand_term,
+)
 from .semantics import explore, unfold
 from .terms import (
     NIL,
@@ -107,31 +116,6 @@ def _sub(rng, cfg):
     return rand_term(rng, cfg, rng.randint(0, cfg.max_depth))
 
 
-def _some_env(rng, cfg, min_size=0):
-    names = [a for a in cfg.alphabet if rng.random() < 0.5]
-    while len(names) < min_size:
-        extra = rng.choice(cfg.alphabet)
-        if extra not in names:
-            names.append(extra)
-    return envset(names)
-
-
-def _nested_envs(rng, cfg):
-    """A random pair lower <= upper of action sets."""
-    upper = _some_env(rng, cfg)
-    lower = envset(a for a in upper if rng.random() < 0.6)
-    return lower, upper
-
-
-def _action_from(rng, names, tau=False, timeout=False):
-    pool = [visible(a) for a in names]
-    if tau:
-        pool.append(TAU)
-    if timeout:
-        pool.append(TIMEOUT)
-    return rng.choice(pool)
-
-
 def _bi_assoc(rng, cfg):
     x, y, z = _sub(rng, cfg), _sub(rng, cfg), _sub(rng, cfg)
     return mk_choice(x, mk_choice(y, z)), mk_choice(mk_choice(x, y), z)
@@ -158,7 +142,7 @@ def _bi_unit(rng, cfg):
 
 
 def _bi_hide_sum(rng, cfg):
-    hide = _some_env(rng, cfg, 1)
+    hide = rand_env(rng, cfg.alphabet, 1)
     x, y = _sub(rng, cfg), _sub(rng, cfg)
     return (
         mk_abstract(hide, mk_choice(x, y)),
@@ -167,8 +151,8 @@ def _bi_hide_sum(rng, cfg):
 
 
 def _bi_hide_free(rng, cfg):
-    hide = _some_env(rng, cfg, 1)
-    act = _action_from(
+    hide = rand_env(rng, cfg.alphabet, 1)
+    act = rand_action(
         rng, [a for a in cfg.alphabet if a not in hide], tau=True, timeout=True
     )
     x = _sub(rng, cfg)
@@ -179,7 +163,7 @@ def _bi_hide_free(rng, cfg):
 
 
 def _bi_hide_hidden(rng, cfg):
-    hide = _some_env(rng, cfg, 1)
+    hide = rand_env(rng, cfg.alphabet, 1)
     act = visible(rng.choice(tuple(hide)))
     x = _sub(rng, cfg)
     return (
@@ -188,15 +172,8 @@ def _bi_hide_hidden(rng, cfg):
     )
 
 
-def _rand_pairs(rng, cfg):
-    pairs = set()
-    for _ in range(rng.randint(1, 2)):
-        pairs.add((rng.choice(cfg.alphabet), rng.choice(cfg.alphabet)))
-    return pairs
-
-
 def _bi_rename_sum(rng, cfg):
-    pairs = _rand_pairs(rng, cfg)
+    pairs = rand_renaming(rng, cfg)
     x, y = _sub(rng, cfg), _sub(rng, cfg)
     return (
         mk_rename(pairs, mk_choice(x, y)),
@@ -205,7 +182,7 @@ def _bi_rename_sum(rng, cfg):
 
 
 def _bi_rename_tau(rng, cfg):
-    pairs = _rand_pairs(rng, cfg)
+    pairs = rand_renaming(rng, cfg)
     x = _sub(rng, cfg)
     return (
         mk_rename(pairs, mk_prefix(TAU, x)),
@@ -214,7 +191,7 @@ def _bi_rename_tau(rng, cfg):
 
 
 def _bi_rename_timeout(rng, cfg):
-    pairs = _rand_pairs(rng, cfg)
+    pairs = rand_renaming(rng, cfg)
     x = _sub(rng, cfg)
     return (
         mk_rename(pairs, mk_prefix(TIMEOUT, x)),
@@ -223,7 +200,7 @@ def _bi_rename_timeout(rng, cfg):
 
 
 def _bi_rename_action(rng, cfg):
-    pairs = _rand_pairs(rng, cfg)
+    pairs = rand_renaming(rng, cfg)
     a = rng.choice(cfg.alphabet)
     x = _sub(rng, cfg)
     images = sorted(dst for src, dst in pairs if src == a)
@@ -234,13 +211,13 @@ def _bi_rename_action(rng, cfg):
 
 
 def _bi_expansion(rng, cfg):
-    sync = _some_env(rng, cfg)
+    sync = rand_env(rng, cfg.alphabet)
     ps = [
-        (_action_from(rng, cfg.alphabet, tau=True, timeout=True), _sub(rng, cfg))
+        (rand_action(rng, cfg.alphabet, tau=True, timeout=True), _sub(rng, cfg))
         for _ in range(rng.randint(0, 2))
     ]
     qs = [
-        (_action_from(rng, cfg.alphabet, tau=True, timeout=True), _sub(rng, cfg))
+        (rand_action(rng, cfg.alphabet, tau=True, timeout=True), _sub(rng, cfg))
         for _ in range(rng.randint(0, 2))
     ]
     p = sum_of(mk_prefix(a, x) for a, x in ps)
@@ -261,7 +238,7 @@ def _bi_expansion(rng, cfg):
 
 
 def _bi_branching(rng, cfg):
-    act = _action_from(rng, cfg.alphabet, tau=True, timeout=True)
+    act = rand_action(rng, cfg.alphabet, tau=True, timeout=True)
     x, y = _sub(rng, cfg), _sub(rng, cfg)
     grown = mk_choice(x, y)
     return (
@@ -277,10 +254,10 @@ def _bi_unfold(rng, cfg):
 
 
 def _bi_theta_skip_sum(rng, cfg):
-    lower, upper = _nested_envs(rng, cfg)
+    lower, upper = rand_nested_envs(rng, cfg)
     free = [a for a in cfg.alphabet if a not in lower]
     parts = [
-        mk_prefix(_action_from(rng, free, timeout=True), _sub(rng, cfg))
+        mk_prefix(rand_action(rng, free, timeout=True), _sub(rng, cfg))
         for _ in range(rng.randint(1, 3))
     ]
     body = sum_of(parts)
@@ -288,9 +265,9 @@ def _bi_theta_skip_sum(rng, cfg):
 
 
 def _bi_theta_prune(rng, cfg):
-    lower, upper = _nested_envs(rng, cfg)
-    alpha = _action_from(rng, tuple(lower), tau=True)
-    beta = _action_from(
+    lower, upper = rand_nested_envs(rng, cfg)
+    alpha = rand_action(rng, lower, tau=True)
+    beta = rand_action(
         rng, [a for a in cfg.alphabet if a not in upper], timeout=True
     )
     x, y, z = _sub(rng, cfg), _sub(rng, cfg), _sub(rng, cfg)
@@ -302,9 +279,9 @@ def _bi_theta_prune(rng, cfg):
 
 
 def _bi_theta_split(rng, cfg):
-    lower, upper = _nested_envs(rng, cfg)
-    alpha = _action_from(rng, tuple(lower), tau=True)
-    beta = _action_from(rng, tuple(upper), tau=True)
+    lower, upper = rand_nested_envs(rng, cfg)
+    alpha = rand_action(rng, lower, tau=True)
+    beta = rand_action(rng, upper, tau=True)
     x, y, z = _sub(rng, cfg), _sub(rng, cfg), _sub(rng, cfg)
     kept = mk_choice(x, mk_prefix(alpha, y))
     split = mk_prefix(beta, z)
@@ -315,15 +292,15 @@ def _bi_theta_split(rng, cfg):
 
 
 def _bi_theta_prefix(rng, cfg):
-    lower, upper = _nested_envs(rng, cfg)
-    act = _action_from(rng, cfg.alphabet, timeout=True)
+    lower, upper = rand_nested_envs(rng, cfg)
+    act = rand_action(rng, cfg.alphabet, timeout=True)
     x = _sub(rng, cfg)
     body = mk_prefix(act, x)
     return mk_theta(lower, upper, body), body
 
 
 def _bi_theta_tau(rng, cfg):
-    lower, upper = _nested_envs(rng, cfg)
+    lower, upper = rand_nested_envs(rng, cfg)
     x = _sub(rng, cfg)
     return (
         mk_theta(lower, upper, mk_prefix(TAU, x)),
@@ -332,7 +309,7 @@ def _bi_theta_tau(rng, cfg):
 
 
 def _psi_env(rng, cfg, proper=False):
-    env = _some_env(rng, cfg)
+    env = rand_env(rng, cfg.alphabet)
     while proper and len(env) == len(cfg.alphabet):
         env = envset(a for a in env if rng.random() < 0.5)
     return env
@@ -350,7 +327,7 @@ def _bi_psi_free(rng, cfg):
 
 def _bi_psi_prune(rng, cfg):
     env = _psi_env(rng, cfg)
-    alpha = _action_from(rng, tuple(env), tau=True)
+    alpha = rand_action(rng, env, tau=True)
     x, y, z = _sub(rng, cfg), _sub(rng, cfg), _sub(rng, cfg)
     kept = mk_choice(x, mk_prefix(alpha, y))
     return (
@@ -361,8 +338,8 @@ def _bi_psi_prune(rng, cfg):
 
 def _bi_psi_split(rng, cfg):
     env = _psi_env(rng, cfg)
-    alpha = _action_from(rng, tuple(env), tau=True)
-    beta = _action_from(rng, tuple(env), tau=True)
+    alpha = rand_action(rng, env, tau=True)
+    beta = rand_action(rng, env, tau=True)
     x, y, z = _sub(rng, cfg), _sub(rng, cfg), _sub(rng, cfg)
     kept = mk_choice(x, mk_prefix(alpha, y))
     split = mk_prefix(beta, z)
@@ -374,7 +351,7 @@ def _bi_psi_split(rng, cfg):
 
 def _bi_psi_prefix(rng, cfg):
     env = _psi_env(rng, cfg)
-    act = _action_from(rng, cfg.alphabet, tau=True)
+    act = rand_action(rng, cfg.alphabet, tau=True)
     x = _sub(rng, cfg)
     body = mk_prefix(act, x)
     return mk_psi(env, body), body

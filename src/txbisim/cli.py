@@ -4,7 +4,10 @@ Subcommands: ``parse``, ``lts``, ``check``, ``modal``, ``distinguish``,
 ``quotient``, ``fuzz-axioms``.  Exit codes are uniform: 0 for success (and
 for "equivalent" / "satisfied" verdicts), 1 for a negative verdict, 2 for
 any error.  ``TXBISIM_MAX_STATES`` overrides the exploration budget unless
-``--max-states`` is given explicitly.
+``--max-states`` is given explicitly.  Each subcommand runs as
+``cmd_*(opts, args)``: one :class:`~txbisim.equiv.CheckOptions` built from
+``--method``, ``--max-states`` and ``--max-alphabet``, and the parsed
+arguments, which it reads ``--output`` and the rest from.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import dataclass
 
 from .axioms import fuzz_axioms
 from .encoding import MAX_UNIVERSE, encode
@@ -37,37 +39,9 @@ from .modal import distinguish as modal_distinguish
 from .semantics import explore
 from .terms import definitions_text, envset, parse_file, term_text
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 RELATIONS = ("brb", "rbrb", "brb-x", "rbrb-x", "strong", "srbb", "rsrbb")
-
-
-@dataclass
-class RunConfig:
-    """Plumbing knobs shared by the subcommands.
-
-    ``max_states=None`` defers to ``TXBISIM_MAX_STATES`` or the built-in
-    default of 10000.  ``max_states``, ``method`` and ``max_alphabet`` are
-    checked as :class:`~txbisim.equiv.CheckOptions` checks them.
-    """
-
-    max_states: int | None = None
-    max_alphabet: int = MAX_UNIVERSE
-    method: str = "both"
-    seed: int = 0
-    output: str = "text"
-
-    def __post_init__(self):
-        if self.output not in ("text", "json"):
-            raise TxbisimError(f"unknown output mode {self.output!r}")
-        self.check_options()
-
-    def check_options(self):
-        return CheckOptions(
-            method=self.method,
-            max_states=self.max_states,
-            max_alphabet=self.max_alphabet,
-        )
 
 
 def _load(path):
@@ -103,8 +77,8 @@ def _parse_env(text):
     return envset(names)
 
 
-def _emit(cfg, payload, text_lines):
-    if cfg.output == "json":
+def _emit(args, payload, text_lines):
+    if args.output == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for line in text_lines:
@@ -115,9 +89,9 @@ def _emit(cfg, payload, text_lines):
 # subcommands
 
 
-def cmd_parse(cfg, args):
+def cmd_parse(opts, args):
     defs = _load(args.file)
-    if cfg.output == "json":
+    if args.output == "json":
         spec_names = defs.spec_names()
         payload = {
             "definitions": {
@@ -132,13 +106,13 @@ def cmd_parse(cfg, args):
     return 0
 
 
-def cmd_lts(cfg, args):
+def cmd_lts(opts, args):
     defs = _load(args.file)
     term = _lookup(defs, args.file, args.name)
-    lts = explore(term, cfg.max_states)
+    lts = explore(term, opts.max_states)
     if args.encoded:
-        universe = process_universe(term, limit=cfg.max_alphabet)
-        lts = encode(lts, universe, cfg.max_states)
+        universe = process_universe(term, limit=opts.max_alphabet)
+        lts = encode(lts, universe, opts.max_states)
     if args.format == "aut":
         sys.stdout.write(lts.to_aut())
     else:
@@ -146,8 +120,7 @@ def cmd_lts(cfg, args):
     return 0
 
 
-def _check_verdict(cfg, relation, env, p, q):
-    opts = cfg.check_options()
+def _check_verdict(opts, relation, env, p, q):
     if relation in ("brb-x", "rbrb-x"):
         if env is None:
             raise TxbisimError(f"relation {relation} needs --env with a set")
@@ -157,19 +130,19 @@ def _check_verdict(cfg, relation, env, p, q):
         return brb(p, q, opts)
     if relation == "rbrb":
         return rbrb(p, q, opts)
-    lts = explore((p, q), cfg.max_states)
+    lts = explore((p, q), opts.max_states)
     fn = {"strong": strong, "srbb": sr_branching, "rsrbb": r_sr_branching}[
         relation
     ]
     return fn(lts, p, q)
 
 
-def cmd_check(cfg, args):
+def cmd_check(opts, args):
     defs = _load(args.file)
     p = _lookup(defs, args.file, args.name1)
     q = _lookup(defs, args.file, args.name2)
     env = _parse_env(args.env) if args.env is not None else None
-    verdict = _check_verdict(cfg, args.relation, env, p, q)
+    verdict = _check_verdict(opts, args.relation, env, p, q)
     payload = verdict.to_json_dict()
     payload.update(
         relation=args.relation,
@@ -190,16 +163,16 @@ def cmd_check(cfg, args):
         lines.append(f"witness size: {verdict.witness.size}")
     if verdict.reason is not None:
         lines.append(f"first failure: {verdict.reason}")
-    _emit(cfg, payload, lines)
+    _emit(args, payload, lines)
     return 0 if verdict else 1
 
 
-def cmd_modal(cfg, args):
+def cmd_modal(opts, args):
     defs = _load(args.file)
     term = _lookup(defs, args.file, args.name)
     phi = parse_formula(args.formula)
     mode = _parse_env(args.env)
-    lts = explore(term, cfg.max_states)
+    lts = explore(term, opts.max_states)
     holds = satisfies(lts, term, phi, mode)
     payload = {
         "process": args.name,
@@ -216,18 +189,18 @@ def cmd_modal(cfg, args):
         f"{formula_text(phi)}"
         + ("" if mode is None else f" under {{{','.join(sorted(mode))}}}")
     ]
-    _emit(cfg, payload, lines)
+    _emit(args, payload, lines)
     return 0 if holds else 1
 
 
-def cmd_distinguish(cfg, args):
+def cmd_distinguish(opts, args):
     defs = _load(args.file)
     p = _lookup(defs, args.file, args.name1)
     q = _lookup(defs, args.file, args.name2)
-    phi = modal_distinguish(p, q, rooted=args.rooted, opts=cfg.check_options())
+    phi = modal_distinguish(p, q, rooted=args.rooted, opts=opts)
     if phi is None:
         _emit(
-            cfg,
+            args,
             {"equivalent": True, "formula": None},
             ["equivalent"],
         )
@@ -244,14 +217,14 @@ def cmd_distinguish(cfg, args):
         f"{formula_text(phi)}",
         f"holds in {args.name1}, fails in {args.name2} ({subclass})",
     ]
-    _emit(cfg, payload, lines)
+    _emit(args, payload, lines)
     return 1
 
 
-def cmd_quotient(cfg, args):
+def cmd_quotient(opts, args):
     defs = _load(args.file)
     term = _lookup(defs, args.file, args.name)
-    lts, partition = brb_partition(term, cfg.check_options())
+    lts, partition = brb_partition(term, opts)
     reduced = lts_quotient(lts, partition)
     if args.format == "aut":
         sys.stdout.write(reduced.to_aut())
@@ -260,19 +233,19 @@ def cmd_quotient(cfg, args):
     return 0
 
 
-def cmd_fuzz_axioms(cfg, args):
+def cmd_fuzz_axioms(opts, args):
     alphabet = tuple(
         part.strip() for part in args.alphabet.split(",") if part.strip()
     )
     gen_cfg = GenConfig(alphabet=alphabet, max_depth=args.depth)
     results = fuzz_axioms(
         instances=args.count,
-        seed=cfg.seed,
+        seed=args.seed,
         cfg=gen_cfg,
-        opts=cfg.check_options(),
+        opts=opts,
     )
     payload = {
-        "seed": cfg.seed,
+        "seed": args.seed,
         "count": args.count,
         "results": [r.to_json_dict() for r in results],
         "all_expected": all(r.ok for r in results),
@@ -289,7 +262,7 @@ def cmd_fuzz_axioms(cfg, args):
         if payload["all_expected"]
         else "some laws did not behave as expected"
     )
-    _emit(cfg, payload, lines)
+    _emit(args, payload, lines)
     return 0 if payload["all_expected"] else 1
 
 
@@ -418,14 +391,12 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = RunConfig(
+        opts = CheckOptions(
+            method=getattr(args, "method", "both"),
             max_states=args.max_states,
             max_alphabet=args.max_alphabet,
-            method=getattr(args, "method", "both"),
-            seed=getattr(args, "seed", 0),
-            output=args.output,
         )
-        return args.run(cfg, args)
+        return args.run(opts, args)
     except TxbisimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -29,11 +29,14 @@ allowing(X) P       t          allowing(X) P'      D(P, X), P -t-> P'
 ==================  =========  ==================  ======================
 
 The closure (:class:`Closure`) is built on indices, and the table above is
-written once, in its breadth-first loop.  A wrapper is numbered when it is
-first reached, breadth first from the triggered roots: a state's
-successors in the order of its base steps, then its settlings in subset
-order.  Each wrapper keeps its moves as ``(label code, wrapper)`` pairs,
-which is all the encode route's fixpoint reads, so a check makes no
+written once, in its breadth-first loop.  A wrapper is keyed by its base
+state and its environment column (:func:`env_columns`), the same index the
+direct route's table uses: the mask of the actions it allows, or one
+triggered column past them.  A wrapper is numbered when it is first
+reached, breadth first from the triggered roots: a state's successors in
+the order of its base steps, then its settlings in the order of their
+sets' names.  Each wrapper keeps its moves as ``(label code, wrapper)``
+pairs, which is all the encode route's fixpoint reads, so a check makes no
 wrapper object.  A tau step keeps its environment, so the tau steps of the
 closure are those of the base copied into each environment.  Its tau
 components, and the states that can reach a stable one, are therefore
@@ -46,17 +49,17 @@ table when first read.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import AlphabetLimitError, StateBudgetError
 from .lts import Lts
 from .semantics import max_states_budget
-from .terms import EnvSet
 
 __all__ = [
     "Closure",
     "EncState",
     "encode",
+    "env_columns",
     "eps_label",
     "MAX_UNIVERSE",
 ]
@@ -91,11 +94,20 @@ class EncState:
         return self.mode is None
 
 
-def _subsets(names):
-    out = [()]
-    for name in names:
-        out += [sub + (name,) for sub in out]
-    return sorted(out)
+@lru_cache(maxsize=32)
+def env_columns(universe):
+    """``(bit, names, trig)``, the columns that index both the direct
+    route's table and the closure's wrappers: ``bit[a]`` is ``1 << k`` for
+    the ``k``-th action of ``universe``, column ``x < trig`` allows the
+    actions ``names[x]`` of mask ``x``, and ``trig``, whose bit lies outside
+    every environment, is the triggered column.  The result is cached and
+    shared, so no caller may change it."""
+    bit = {a: 1 << k for k, a in enumerate(universe)}
+    # bit k joins as the last name of every mask that holds it
+    names = [()]
+    for a in universe:
+        names += [got + (a,) for got in names]
+    return bit, tuple(names), len(names)
 
 
 class Closure:
@@ -106,34 +118,34 @@ class Closure:
     base roots.  Wrapper ``k`` has the moves ``coded_moves[k]``, pairs
     ``(code, j)`` whose label is ``labels[code]``; ``tau_sccs`` and
     ``can_reach_stable_mask`` are those of :class:`~txbisim.lts.Lts`, lifted
-    from the base system.  :meth:`index` finds a wrapper by its mode and
-    base state, :meth:`wrappings` gives each wrapper's base state and
-    environment, and :attr:`lts` is the closure as a system of
+    from the base system.  A wrapper is keyed by its base state and its
+    column of :func:`env_columns`: ``trig`` for a triggered wrapper, else
+    the mask of the actions it allows.  :meth:`index` finds a wrapper by
+    column and base state, :meth:`wrappings` gives each wrapper's base
+    state and column, and :attr:`lts` is the closure as a system of
     :class:`EncState` wrappers with the same numbering, built when first
     read.
     """
 
     def __init__(self, base, universe, max_states=None):
         check_universe(universe)
-        names = tuple(universe)
-        stray = set(base.labels) - {"tau", "t"} - set(names)
+        bit, names, trig = env_columns(tuple(universe))
+        stray = set(base.labels) - {"tau", "t"} - set(bit)
         if stray:
             raise AlphabetLimitError(
                 "universe must cover the visible labels; missing: "
                 + ", ".join(sorted(stray))
             )
         budget = max_states_budget(max_states)
-        bit = {a: 1 << k for k, a in enumerate(names)}
-        # slot 0 is the triggered wrapping, slot s > 0 allows modes[s - 1]
-        modes = _subsets(names)
-        width = len(modes) + 1
-        allowed = [0] + [sum(bit[a] for a in m) for m in modes]
-        labels = tuple(
-            dict.fromkeys((*base.labels, "t_eps", *map(eps_label, modes)))
-        )
+        width = trig + 1
+        # the allowing columns in settling order, sorted by their names
+        order = sorted(range(trig), key=names.__getitem__)
+        labels = tuple(dict.fromkeys(
+            (*base.labels, "t_eps", *(eps_label(names[x]) for x in order))
+        ))
         codes = {lab: k for k, lab in enumerate(labels)}
         tau, t, t_eps = codes.get("tau"), codes.get("t"), codes["t_eps"]
-        settle = [(s, codes[eps_label(m)]) for s, m in enumerate(modes, 1)]
+        settle = [(x, codes[eps_label(names[x])]) for x in order]
         # per base state its steps as (code, j, bit of a visible label), and
         # the mask of its visible labels
         steps = []
@@ -148,13 +160,11 @@ class Closure:
         stable = [base.is_stable(i) for i in range(base.n_states)]
         self.base = base
         self.labels = labels
-        self._modes = modes
-        self._width = width
-        self._masks = allowed
-        self._slot = {m: s for s, m in enumerate(modes, 1)}
-        self._slot[None] = 0
+        self.trig = trig
+        self._names = names
+        self._columns = (trig, *order)
 
-        # a state is the key base index * width + slot until it is numbered
+        # a state is the key base index * width + column until it is numbered
         seen = self._seen = {}
         keys = self._keys = []
 
@@ -167,27 +177,26 @@ class Closure:
 
         index = base.index
         for r in base.roots:
-            if index[r] * width not in seen:
-                admit(index[r] * width)
+            if index[r] * width + trig not in seen:
+                admit(index[r] * width + trig)
         table = []
         at = 0
         while at < len(keys):
-            i, s = divmod(keys[at], width)
+            i, x = divmod(keys[at], width)
             # the successors of state ``at`` as (code, key), in base step order
-            if s:
-                mask = allowed[s]
-                quiet = stable[i] and not vis[i] & mask
+            if x != trig:
+                quiet = stable[i] and not vis[i] & x
                 succ = []
                 for k, j, b in steps[i]:
                     if k == tau or k == t and quiet:
-                        succ.append((k, j * width + s))
-                    elif b & mask:
-                        succ.append((k, j * width))
+                        succ.append((k, j * width + x))
+                    elif b & x:
+                        succ.append((k, j * width + trig))
                 if quiet:
-                    succ.append((t_eps, i * width))
+                    succ.append((t_eps, i * width + trig))
             else:
-                succ = [(k, j * width) for k, j, _ in steps[i] if k != t]
-                succ += [(k, i * width + s2) for s2, k in settle]
+                succ = [(k, j * width + trig) for k, j, _ in steps[i] if k != t]
+                succ += [(k, i * width + y) for y, k in settle]
             own = [(k, seen[key] if key in seen else admit(key)) for k, key in succ]
             table.append(tuple(own))
             at += 1
@@ -199,24 +208,20 @@ class Closure:
     def n_states(self):
         return len(self._keys)
 
-    def index(self, mode, i):
-        """The number of the wrapping of base state index ``i`` in ``mode``:
-        None for the triggered one, else the allowed names in universe
-        order."""
-        return self._seen[i * self._width + self._slot[mode]]
+    def index(self, x, i):
+        """The number of the wrapping of base state index ``i`` in column
+        ``x``."""
+        return self._seen[i * (self.trig + 1) + x]
 
-    def wrappings(self, trig):
-        """Each wrapper's base state index and column, in wrapper order:
-        the column is ``trig`` for a triggered wrapper, else the mask of the
-        actions it allows, bit ``k`` for the ``k``-th action of the
-        universe."""
-        width = self._width
-        cols = [trig, *self._masks[1:]]
-        return [(key // width, cols[key % width]) for key in self._keys]
+    def wrappings(self):
+        """Each wrapper's base state index and column, in wrapper order."""
+        width = self.trig + 1
+        return [divmod(key, width) for key in self._keys]
 
     def _wrap(self, key):
-        i, s = divmod(key, self._width)
-        return EncState(self._modes[s - 1] if s else None, self.base.states[i])
+        i, x = divmod(key, self.trig + 1)
+        mode = None if x == self.trig else self._names[x]
+        return EncState(mode, self.base.states[i])
 
     def _text(self, state):
         inner = self.base.state_text(state.inner)
@@ -246,22 +251,23 @@ class Closure:
         """Read the tau components, and the states that can reach a stable
         one, off the base system.
 
-        A tau step keeps its slot, so the tau steps of the closure are those
-        of the base copied into every slot; the states reached in a slot are
-        closed under them, so each base component is reached in a slot whole
-        or not at all.  Taking the base components in order and their slots
-        within keeps every component after all components it reaches.  A
+        A tau step keeps its column, so the tau steps of the closure are
+        those of the base copied into every column; the states reached in a
+        column are closed under them, so each base component is reached in a
+        column whole or not at all.  Taking the base components in order and
+        their columns within (the triggered one first, then the settling
+        order) keeps every component after all components it reaches.  A
         wrapping reaches a stable state exactly when its base state does.
         """
-        base, seen, width = self.base, self._seen, self._width
+        base, seen, width = self.base, self._seen, self.trig + 1
         reach = base.can_reach_stable_mask
         sccs = []
         mask = 0
         for comp in base.tau_sccs:
             good = reach >> comp[0] & 1
-            for s in range(width):
-                if comp[0] * width + s in seen:
-                    lifted = [seen[i * width + s] for i in comp]
+            for x in self._columns:
+                if comp[0] * width + x in seen:
+                    lifted = [seen[i * width + x] for i in comp]
                     sccs.append(lifted)
                     if good:
                         for k in lifted:

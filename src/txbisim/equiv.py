@@ -65,7 +65,7 @@ from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 
-from .encoding import MAX_UNIVERSE, Closure
+from .encoding import MAX_UNIVERSE, Closure, env_columns
 from .errors import (
     AlphabetLimitError,
     MethodDisagreementError,
@@ -237,10 +237,12 @@ def process_universe(*terms, limit=None):
 class _Profile:
     """Bit-level view of one system against a fixed environment universe.
 
-    Environments are masks over the universe, ``0 .. nx-1``.  ``trig``,
-    one past them, names the pair row's column in the direct route's
-    table: its bit lies outside every environment, so ``deadend(p, trig)``
-    is ``stable[p]``.
+    The columns are those of :func:`~txbisim.encoding.env_columns`, which
+    also key the closure's wrappers: environments are masks over the
+    universe, ``0 .. nx-1``, and ``names[x]`` lists the actions of mask
+    ``x``.  ``trig``, one past them, names the pair row's column in the
+    direct route's table: its bit lies outside every environment, so
+    ``deadend(p, trig)`` is ``stable[p]``.
     """
 
     __slots__ = (
@@ -248,7 +250,6 @@ class _Profile:
         "n",
         "full",
         "universe",
-        "k",
         "nx",
         "trig",
         "umask",
@@ -267,11 +268,9 @@ class _Profile:
         self.n = lts.n_states
         self.full = (1 << self.n) - 1
         self.universe = tuple(universe)
-        self.k = len(self.universe)
-        self.nx = 1 << self.k
-        self.trig = self.nx
+        self.ubit, self.names, self.trig = env_columns(self.universe)
+        self.nx = self.trig
         self.umask = self.nx - 1
-        self.ubit = {a: 1 << i for i, a in enumerate(self.universe)}
         init_vis = []
         for moves in lts.moves:
             vis = 0
@@ -290,12 +289,6 @@ class _Profile:
         self.notinit = tuple(
             self.umask & ~vis for vis in init_vis
         )
-        # each mask's action names, in universe order: bit i joins as the
-        # last name of every mask that holds it
-        names = [()]
-        for a in self.universe:
-            names += [got + (a,) for got in names]
-        self.names = tuple(names)
         self._subs = {}
         self._clauses = [[None] * (self.trig + 1) for _ in range(self.n)]
 
@@ -851,7 +844,7 @@ def _projection(pf, enc, rel):
     split by column once, and its members share the parts.  Only the
     wrappers the encoding reaches appear, so this can be a proper part of
     the direct route's greatest relation."""
-    wraps = enc.wrappings(pf.trig)
+    wraps = enc.wrappings()
     rows = [[0] * (pf.trig + 1) for _ in range(pf.n)]
     for block in dict.fromkeys(rel):
         members = [wraps[k] for k in iter_bits(block)]
@@ -1064,9 +1057,6 @@ class Analysis:
     def enc_branch(self):
         return _branching_fixpoint(self.encoded)
 
-    def enc_index(self, mode, term):
-        return self.encoded.index(mode, self.lts.index[term])
-
     def canonical_env(self, x):
         return envset(x).intersection(self.universe)
 
@@ -1101,22 +1091,24 @@ def _store_thunk(an, name, *parts):
 def _check(p, q, env, rooted, opts):
     """Decide one of the four reactive relations of two closed terms:
     triggered when ``env`` is None, else in the environment ``env``, and
-    rooted or not.  ``opts.method`` picks the route.  Under ``"direct"``
-    and ``"both"`` an entry that :func:`_first_round` removes is outside
-    every bisimulation: an unrooted check reports that removal at once, and
-    a rooted one (rooted lies within unrooted) runs the direct route only
-    for its first-step reason.  Otherwise ``"both"`` decides by the encode
-    route: a positive answer whose projection holds the queried entry (and,
-    when rooted, its first steps) is certified by :func:`_clauses_hold`,
-    and raises if that fails; any other answer is checked against the
-    direct route, whose verdict is reported."""
+    rooted or not, in one column of :func:`~txbisim.encoding.env_columns`
+    for either route.  ``opts.method`` picks the route; a rooted
+    ``"direct"`` check goes straight to the direct fixpoint.  Else an entry
+    that :func:`_first_round` removes is outside every bisimulation: an
+    unrooted check reports that removal at once, and a rooted one (rooted
+    lies within unrooted) runs the direct route only for its first-step
+    reason.  Otherwise ``"both"`` decides by the encode route: a positive
+    answer whose projection holds the queried entry (and, when rooted, its
+    first steps) is certified by :func:`_clauses_hold`, and raises if that
+    fails; any other answer is checked against the direct route, whose
+    verdict is reported."""
     an = Analysis(p, q, opts)
     method = an.opts.method
+    bit, _, x = env_columns(tuple(an.universe))
     if env is not None:
-        env = an.canonical_env(env)
+        x = sum(bit[a] for a in an.canonical_env(env))
     if method == "encode":
-        mode = None if env is None else tuple(env)
-        i, j = an.enc_index(mode, an.p), an.enc_index(mode, an.q)
+        i, j = an.encoded.index(x, an.ip), an.encoded.index(x, an.iq)
         fail = _plain_fail(an.encoded, an.enc_branch, i, j, rooted)
         # only a reason names wrapper states
         enc = None if fail is None else an.encoded.lts
@@ -1128,8 +1120,11 @@ def _check(p, q, env, rooted, opts):
             an, "encoded_projection", "lts", "universe", "encoded", "enc_branch"
         )
         return _verdict("encode", fail, enc, store, an.lts, an.universe)
+    if method == "direct" and rooted:
+        # the fixpoint runs either way: for the answer, or for the
+        # first-step reason of an entry the first round removes
+        return _direct_check(an, x, rooted)
     pf = an.profile
-    x = pf.trig if env is None else pf.env_mask(env)
     caught = _first_round(pf, an.ip, x, an.iq)
     if caught is not None and not rooted:
         return _verdict(method, caught, an.lts, None, an.lts, an.universe)
@@ -1141,8 +1136,7 @@ def _check(p, q, env, rooted, opts):
         e, by = False, "its first round"
     else:
         # the encode route's answer reads the closure and builds no wrapper
-        mode = None if env is None else tuple(env)
-        i, j = an.enc_index(mode, an.p), an.enc_index(mode, an.q)
+        i, j = an.encoded.index(x, an.ip), an.encoded.index(x, an.iq)
         if rooted:
             e = _rooted_branching_fail(an.encoded, an.enc_branch, i, j) is None
         else:

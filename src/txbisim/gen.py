@@ -29,15 +29,8 @@ from .terms import (
     NIL,
     TAU,
     TIMEOUT,
-    Abstract,
-    Choice,
-    Par,
     Prefix,
-    Psi,
     RecCall,
-    Rename,
-    Term,
-    Theta,
     envset,
     mk_abstract,
     mk_choice,
@@ -49,17 +42,23 @@ from .terms import (
     mk_rename,
     mk_theta,
     mk_var,
+    operands,
     sum_of,
     summands,
     visible,
+    with_operand,
 )
 
 __all__ = [
     "GenConfig",
     "equivalent_pair",
     "rand_context",
+    "rand_action",
+    "rand_env",
     "rand_formula",
     "rand_guarded_spec",
+    "rand_nested_envs",
+    "rand_renaming",
     "rand_term",
 ]
 
@@ -73,17 +72,37 @@ class GenConfig:
     recursion: bool = True
 
 
-def _rand_env(rng, cfg, min_size=0):
-    names = [a for a in cfg.alphabet if rng.random() < 0.5]
-    while len(names) < min_size:
-        extra = rng.choice(cfg.alphabet)
-        if extra not in names:
-            names.append(extra)
-    return envset(names)
+def rand_env(rng, names, min_size=0):
+    """A random set of the actions ``names``, each in with even odds,
+    topped up to at least ``min_size`` actions."""
+    got = [a for a in names if rng.random() < 0.5]
+    while len(got) < min_size:
+        extra = rng.choice(names)
+        if extra not in got:
+            got.append(extra)
+    return envset(got)
 
 
-def rand_action(rng, cfg, tau=True, timeout=True):
-    pool = [visible(a) for a in cfg.alphabet]
+def rand_nested_envs(rng, cfg):
+    """A random pair ``lower <= upper`` of action sets, as ``theta`` takes
+    them."""
+    upper = rand_env(rng, cfg.alphabet)
+    lower = envset(a for a in upper if rng.random() < 0.6)
+    return lower, upper
+
+
+def rand_renaming(rng, cfg):
+    """One or two random renaming pairs ``(src, dst)`` over the alphabet."""
+    pairs = set()
+    for _ in range(rng.randint(1, 2)):
+        pairs.add((rng.choice(cfg.alphabet), rng.choice(cfg.alphabet)))
+    return pairs
+
+
+def rand_action(rng, names, tau=False, timeout=False):
+    """A random action: a visible one named in ``names``, or ``tau`` or
+    the time-out where allowed."""
+    pool = [visible(a) for a in names]
     if tau:
         pool.append(TAU)
     if timeout:
@@ -96,12 +115,15 @@ def rand_term(rng, cfg=None, depth=None):
     cfg = cfg or GenConfig()
     depth = cfg.max_depth if depth is None else depth
     if depth <= 0:
-        return NIL if rng.random() < 0.4 else mk_prefix(rand_action(rng, cfg), NIL)
+        if rng.random() < 0.4:
+            return NIL
+        return mk_prefix(rand_action(rng, cfg.alphabet, tau=True, timeout=True), NIL)
     roll = rng.random()
     if roll < 0.06:
         return NIL
     if roll < 0.40:
-        return mk_prefix(rand_action(rng, cfg), rand_term(rng, cfg, depth - 1))
+        act = rand_action(rng, cfg.alphabet, tau=True, timeout=True)
+        return mk_prefix(act, rand_term(rng, cfg, depth - 1))
     if roll < 0.62:
         return mk_choice(
             rand_term(rng, cfg, depth - 1), rand_term(rng, cfg, depth - 1)
@@ -109,22 +131,19 @@ def rand_term(rng, cfg=None, depth=None):
     if roll < 0.74:
         return mk_par(
             rand_term(rng, cfg, depth - 1),
-            _rand_env(rng, cfg),
+            rand_env(rng, cfg.alphabet),
             rand_term(rng, cfg, depth - 1),
         )
     if roll < 0.82:
-        return mk_abstract(_rand_env(rng, cfg, 1), rand_term(rng, cfg, depth - 1))
+        hide = rand_env(rng, cfg.alphabet, 1)
+        return mk_abstract(hide, rand_term(rng, cfg, depth - 1))
     if roll < 0.88:
-        pairs = set()
-        for _ in range(rng.randint(1, 2)):
-            pairs.add((rng.choice(cfg.alphabet), rng.choice(cfg.alphabet)))
-        return mk_rename(pairs, rand_term(rng, cfg, depth - 1))
+        return mk_rename(rand_renaming(rng, cfg), rand_term(rng, cfg, depth - 1))
     if roll < 0.93:
-        upper = _rand_env(rng, cfg)
-        lower = envset(a for a in upper if rng.random() < 0.6)
+        lower, upper = rand_nested_envs(rng, cfg)
         return mk_theta(lower, upper, rand_term(rng, cfg, depth - 1))
     if roll < 0.97 or not cfg.recursion:
-        return mk_psi(_rand_env(rng, cfg), rand_term(rng, cfg, depth - 1))
+        return mk_psi(rand_env(rng, cfg.alphabet), rand_term(rng, cfg, depth - 1))
     spec = rand_guarded_spec(rng, cfg, depth - 1)
     return mk_reccall(rng.choice(spec.vars), spec)
 
@@ -139,7 +158,7 @@ def rand_guarded_spec(rng, cfg=None, depth=2):
     for v in names:
         parts = []
         for _ in range(rng.randint(1, 2)):
-            act = rand_action(rng, cfg, tau=False)
+            act = rand_action(rng, cfg.alphabet, timeout=True)
             if rng.random() < 0.5:
                 target = mk_var(rng.choice(names))
             else:
@@ -166,30 +185,29 @@ def rand_context(rng, cfg=None, depth=None):
     for _ in range(rng.randint(1, max(depth, 1))):
         kind = rng.randrange(8)
         if kind == 0:
-            act = rand_action(rng, cfg)
+            act = rand_action(rng, cfg.alphabet, tau=True, timeout=True)
             layers.append(lambda h, act=act: mk_prefix(act, h))
         elif kind == 1:
             other = rand_term(rng, cfg, depth - 1)
             layers.append(lambda h, o=other: mk_choice(h, o))
         elif kind == 2:
             other = rand_term(rng, cfg, depth - 1)
-            sync = _rand_env(rng, cfg)
+            sync = rand_env(rng, cfg.alphabet)
             if rng.random() < 0.5:
                 layers.append(lambda h, o=other, s=sync: mk_par(h, s, o))
             else:
                 layers.append(lambda h, o=other, s=sync: mk_par(o, s, h))
         elif kind == 3:
-            hide = _rand_env(rng, cfg, 1)
+            hide = rand_env(rng, cfg.alphabet, 1)
             layers.append(lambda h, i=hide: mk_abstract(i, h))
         elif kind == 4:
             pairs = {(rng.choice(cfg.alphabet), rng.choice(cfg.alphabet))}
             layers.append(lambda h, p=pairs: mk_rename(p, h))
         elif kind == 5:
-            upper = _rand_env(rng, cfg)
-            lower = envset(a for a in upper if rng.random() < 0.6)
+            lower, upper = rand_nested_envs(rng, cfg)
             layers.append(lambda h, lo=lower, up=upper: mk_theta(lo, up, h))
         elif kind == 6:
-            env = _rand_env(rng, cfg)
+            env = rand_env(rng, cfg.alphabet)
             layers.append(lambda h, x=env: mk_psi(x, h))
         else:
             other = rand_term(rng, cfg, depth - 1)
@@ -212,50 +230,14 @@ def _positions(term):
     """All paths to subterms, root first.  Paths do not enter recursive
     specification bodies, so any subterm reached is closed."""
     out = [()]
-    for slot, child in enumerate(_children(term)):
+    for slot, child in enumerate(operands(term)):
         out.extend((slot,) + p for p in _positions(child))
     return out
 
 
-def _children(term):
-    match term:
-        case Prefix():
-            return (term.body,)
-        case Choice():
-            return (term.left, term.right)
-        case Par():
-            return (term.left, term.right)
-        case Abstract() | Rename() | Theta() | Psi():
-            return (term.body,)
-    return ()
-
-
-def _rebuild(term, slot, child):
-    match term:
-        case Prefix():
-            return mk_prefix(term.action, child)
-        case Choice():
-            pair = [term.left, term.right]
-            pair[slot] = child
-            return mk_choice(*pair)
-        case Par():
-            pair = [term.left, term.right]
-            pair[slot] = child
-            return mk_par(pair[0], term.sync, pair[1])
-        case Abstract():
-            return mk_abstract(term.hide, child)
-        case Rename():
-            return mk_rename(term.pairs, child)
-        case Theta():
-            return mk_theta(term.lower, term.upper, child)
-        case Psi():
-            return mk_psi(term.env, child)
-    raise AssertionError("no child to rebuild")
-
-
 def _get_at(term, path):
     for slot in path:
-        term = _children(term)[slot]
+        term = operands(term)[slot]
     return term
 
 
@@ -263,8 +245,8 @@ def _replace_at(term, path, new):
     if not path:
         return new
     slot = path[0]
-    child = _replace_at(_children(term)[slot], path[1:], new)
-    return _rebuild(term, slot, child)
+    child = _replace_at(operands(term)[slot], path[1:], new)
+    return with_operand(term, slot, child)
 
 
 def _rw_duplicate(rng, cfg, sub):
@@ -307,8 +289,7 @@ def _rw_theta_skip(rng, cfg, sub):
     # theta has no effect on a single non-internal prefix
     if not isinstance(sub, Prefix) or sub.action is TAU:
         return None
-    upper = _rand_env(rng, cfg)
-    lower = envset(a for a in upper if rng.random() < 0.6)
+    lower, upper = rand_nested_envs(rng, cfg)
     return mk_theta(lower, upper, sub)
 
 
@@ -316,7 +297,7 @@ def _rw_psi_skip(rng, cfg, sub):
     # psi has no effect on a single non-time-out prefix
     if not isinstance(sub, Prefix) or sub.action is TIMEOUT:
         return None
-    return mk_psi(_rand_env(rng, cfg), sub)
+    return mk_psi(rand_env(rng, cfg.alphabet), sub)
 
 
 _REWRITES = (
@@ -368,10 +349,6 @@ def rand_formula(rng, alphabet=("a", "b"), depth=3, cls="Lbc"):
     raise ValueError(f"unknown sublogic {cls!r}")
 
 
-def _rand_env_names(rng, alphabet):
-    return tuple(a for a in alphabet if rng.random() < 0.5)
-
-
 def _rand_lbc(rng, alphabet, depth):
     stable = Eps(Not(Diamond("tau", TOP)))
     if depth <= 0:
@@ -401,7 +378,7 @@ def _rand_lbc(rng, alphabet, depth):
     if roll < 0.90:
         return Eps(
             EnvDiamond(
-                _rand_env_names(rng, alphabet), _rand_lbc(rng, alphabet, depth - 1)
+                rand_env(rng, alphabet), _rand_lbc(rng, alphabet, depth - 1)
             )
         )
     return stable
@@ -426,5 +403,5 @@ def _rand_lbcr(rng, alphabet, depth):
         label = rng.choice(alphabet + ("tau",))
         return Diamond(label, _rand_lbc(rng, alphabet, depth - 1))
     return EnvDiamond(
-        _rand_env_names(rng, alphabet), _rand_lbc(rng, alphabet, depth - 1)
+        rand_env(rng, alphabet), _rand_lbc(rng, alphabet, depth - 1)
     )

@@ -134,6 +134,13 @@ def _check_diamond_label(label):
         )
 
 
+def _diamond_name_ok(name):
+    try:
+        _check_diamond_label(name)
+    except TxbisimError as exc:
+        raise ParseError(str(exc)) from None
+
+
 def conjunction(formulas):
     """Conjunction of a possibly empty, possibly redundant list."""
     unique = tuple(dict.fromkeys(formulas))
@@ -196,13 +203,9 @@ def parse_formula(text):
                 break
             raise ParseError(f"cannot read formula at {rest[:12]!r}")
         pos = m.end()
+        # every alternative ends in a named group
         kind = m.lastgroup
-        if kind is None:
-            for k in ("top", "not", "and", "lpar", "rpar", "eps", "hat", "env", "diamond"):
-                if m.group(k) is not None:
-                    kind = k
-                    break
-        tokens.append((kind, m.group(kind) if kind else None))
+        tokens.append((kind, m.group(kind)))
     tokens.append(("end", None))
 
     at = 0
@@ -255,12 +258,6 @@ def parse_formula(text):
             take("rpar")
             return inner
         raise ParseError(f"unexpected {kind} in formula")
-
-    def _diamond_name_ok(name):
-        if name in ("t", "t_eps") or name.startswith("eps"):
-            raise ParseError(
-                f"<{name}> is not a modality; write <{{...}}> to observe a time-out"
-            )
 
     result = parse_conj()
     take("end")

@@ -57,6 +57,8 @@ __all__ = [
     "mk_var",
     "mk_recspec",
     "mk_reccall",
+    "operands",
+    "with_operand",
     "spec_close",
     "free_vars",
     "validate",
@@ -524,6 +526,38 @@ def mk_reccall(var, spec):
     return node
 
 
+def operands(term):
+    """The process operands of a term, in order: the body of a prefix or a
+    unary operator, the two sides of a sum or a parallel composition.  A
+    recursive call has none; its specification's bodies are no operands."""
+    if isinstance(term, (Choice, Par)):
+        return (term.left, term.right)
+    if isinstance(term, (Prefix, Abstract, Rename, Theta, Psi)):
+        return (term.body,)
+    return ()
+
+
+def with_operand(term, slot, child):
+    """The term with its operand number ``slot`` (of :func:`operands`)
+    replaced by ``child``, built by the term's own factory."""
+    if isinstance(term, (Choice, Par)):
+        left, right = (child, term.right) if slot == 0 else (term.left, child)
+        if isinstance(term, Choice):
+            return mk_choice(left, right)
+        return mk_par(left, term.sync, right)
+    if isinstance(term, Prefix):
+        return mk_prefix(term.action, child)
+    if isinstance(term, Abstract):
+        return mk_abstract(term.hide, child)
+    if isinstance(term, Rename):
+        return mk_rename(term.pairs, child)
+    if isinstance(term, Theta):
+        return mk_theta(term.lower, term.upper, child)
+    if isinstance(term, Psi):
+        return mk_psi(term.env, child)
+    raise InvalidTermError(f"{term.kindname} has no operand {slot}")
+
+
 def spec_close(term, spec):
     """The derived call binding a term by a specification.
 
@@ -577,21 +611,19 @@ def validate(term):
                     f"{path or 'root'}: {node.kindname} body has bound variable(s) "
                     + ", ".join(sorted(hit))
                 )
-            walk(node.body, f"{path}.{node.kindname}", binders)
-        elif isinstance(node, Prefix):
-            walk(node.body, f"{path}.prefix", binders)
-        elif isinstance(node, Choice):
+        if isinstance(node, Choice):
             for i, s in enumerate(summands(node)):
                 walk(s, f"{path}.sum[{i}]", binders)
         elif isinstance(node, Par):
             walk(node.left, f"{path}.par.left", binders)
             walk(node.right, f"{path}.par.right", binders)
-        elif isinstance(node, (Abstract, Rename)):
-            walk(node.body, f"{path}.{node.kindname}", binders)
         elif isinstance(node, RecCall):
             inner = binders | set(node.spec.vars)
             for v, b in zip(node.spec.vars, node.spec.bodies):
                 walk(b, f"{path}.<{node.var}|...>.{v}", inner)
+        else:
+            for child in operands(node):
+                walk(child, f"{path}.{node.kindname}", binders)
 
     walk(term, "", frozenset())
     return ValidationReport(False, not term.fv, tuple(violations))
@@ -632,23 +664,16 @@ def _subst(term, mapping):
         return term
     if isinstance(term, Var):
         return live.get(term.name, term)
-    if isinstance(term, Prefix):
-        return mk_prefix(term.action, _subst(term.body, live))
     if isinstance(term, Choice):
         return sum_of(_subst(s, live) for s in summands(term))
     if isinstance(term, Par):
         return mk_par(_subst(term.left, live), term.sync, _subst(term.right, live))
-    if isinstance(term, Abstract):
-        return mk_abstract(term.hide, _subst(term.body, live))
-    if isinstance(term, Rename):
-        return mk_rename(term.pairs, _subst(term.body, live))
-    if isinstance(term, Theta):
-        return mk_theta(term.lower, term.upper, _subst(term.body, live))
-    if isinstance(term, Psi):
-        return mk_psi(term.env, _subst(term.body, live))
     if isinstance(term, RecCall):
         spec, var = _subst_spec(term.spec, term.var, live)
         return mk_reccall(var, spec)
+    ops = operands(term)
+    if len(ops) == 1:
+        return with_operand(term, 0, _subst(ops[0], live))
     raise InvalidTermError(f"cannot substitute into {term!r}")
 
 
@@ -696,25 +721,17 @@ def alphabet(term):
         if node.uid in seen:
             return
         seen.add(node.uid)
-        if isinstance(node, Prefix):
-            if node.action.is_visible:
-                names.add(node.action.name)
-            walk(node.body)
-        elif isinstance(node, Choice):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, Par):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, (Abstract, Rename, Theta, Psi)):
-            if isinstance(node, Rename):
-                for src, dst in node.pairs:
-                    names.add(src)
-                    names.add(dst)
-            walk(node.body)
+        if isinstance(node, Prefix) and node.action.is_visible:
+            names.add(node.action.name)
+        elif isinstance(node, Rename):
+            for src, dst in node.pairs:
+                names.add(src)
+                names.add(dst)
         elif isinstance(node, RecCall):
             for b in node.spec.bodies:
                 walk(b)
+        for child in operands(node):
+            walk(child)
 
     walk(term)
     result = envset(names)
@@ -1194,22 +1211,12 @@ def _collect_specs(term, found, order):
     stack = [term]
     while stack:
         node = stack.pop()
-        if isinstance(node, Prefix):
-            stack.append(node.body)
-        elif isinstance(node, Choice):
-            stack.append(node.left)
-            stack.append(node.right)
-        elif isinstance(node, Par):
-            stack.append(node.left)
-            stack.append(node.right)
-        elif isinstance(node, (Abstract, Rename, Theta, Psi)):
-            stack.append(node.body)
-        elif isinstance(node, RecCall):
-            if node.spec.uid not in found:
-                found.add(node.spec.uid)
-                for b in node.spec.bodies:
-                    _collect_specs(b, found, order)
-                order.append(node.spec)
+        stack.extend(operands(node))
+        if isinstance(node, RecCall) and node.spec.uid not in found:
+            found.add(node.spec.uid)
+            for b in node.spec.bodies:
+                _collect_specs(b, found, order)
+            order.append(node.spec)
 
 
 def definitions_text(definitions):

@@ -173,7 +173,8 @@ def test_lifted_tau_structure_equals_recomputed(drawn):
 @given(timed_systems())
 def test_closure_is_its_wrapper_system_on_indices(drawn):
     """The coded table, the wrapper lookup and the branching fixpoint of
-    the closure are those of its wrapper system."""
+    the closure are those of its wrapper system; wrappers are keyed by
+    base state and environment column."""
     base, universe = drawn
     closure = Closure(base, universe)
     e = closure.lts
@@ -184,8 +185,14 @@ def test_closure_is_its_wrapper_system_on_indices(drawn):
         for k, j in own
     }
     assert coded == set(e.trans_idx)
-    for i, s in enumerate(e.states):
-        assert closure.index(s.mode, base.index[s.inner]) == i
+    wraps = closure.wrappings()
+    names = tuple(universe)
+    for k, s in enumerate(e.states):
+        i, x = wraps[k]
+        assert i == base.index[s.inner] and closure.index(x, i) == k
+        assert (x == closure.trig) == s.triggered
+        if not s.triggered:
+            assert s.mode == tuple(a for n, a in enumerate(names) if x >> n & 1)
     got, want = _branching_fixpoint(closure), _branching_fixpoint(e)
     assert (got.rel, got.rounds) == (want.rel, want.rounds)
 

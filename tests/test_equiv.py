@@ -528,6 +528,26 @@ def test_both_runs_the_direct_fixpoint_only_for_negative_verdicts(monkeypatch):
         calls.clear()
 
 
+def test_rooted_direct_check_runs_no_first_round(monkeypatch):
+    """A rooted ``method="direct"`` check runs the fixpoint in any case, so
+    it skips the first round; under ``both`` the first round runs once."""
+    calls = []
+    first_round = equiv._first_round
+
+    def counted(*args):
+        calls.append(args)
+        return first_round(*args)
+
+    monkeypatch.setattr(equiv, "_first_round", counted)
+    for pair in ((parse_term("a.0 + t.b.0"), parse_term("a.0")),
+                 (parse_term("a.tau.b.0"), parse_term("a.b.0"))):
+        for opts, want in ((DIRECT, 0), (CheckOptions(method="both"), 1)):
+            d = rbrb(*pair, opts)
+            assert len(calls) == want, opts.method
+            assert d.equivalent == rbrb(*pair, CheckOptions(method="encode")).equivalent
+            calls.clear()
+
+
 @given(
     st.integers(0, 10**9),
     st.booleans(),
@@ -566,7 +586,7 @@ def test_both_refuses_a_projection_that_fails_the_clauses(monkeypatch, stability
 
     def joined(system):
         res = branching(system)
-        i, j = (system.index(None, system.base.index[t]) for t in (p, q))
+        i, j = (system.index(system.trig, system.base.index[t]) for t in (p, q))
         block = res.rel[i] | res.rel[j]
         for k in iter_bits(block):
             res.rel[k] = block
@@ -574,7 +594,8 @@ def test_both_refuses_a_projection_that_fails_the_clauses(monkeypatch, stability
 
     monkeypatch.setattr(equiv, "_branching_fixpoint", joined)
     an = Analysis(p, q)
-    assert an.enc_branch.has(an.enc_index(None, p), an.enc_index(None, q))
+    x = an.encoded.trig
+    assert an.enc_branch.has(an.encoded.index(x, an.ip), an.encoded.index(x, an.iq))
     with pytest.raises(MethodDisagreementError, match="fails the clauses"):
         brb(p, q, CheckOptions(method="both"))
 
@@ -759,16 +780,18 @@ def test_negative_verdict_names_a_clause(stability_defs):
                 assert "round" not in v.reason
             if method == "encode" and not rooted:
                 an = Analysis(p, q)
-                mode = None if env is None else tuple(an.canonical_env(env))
-                assert_clause_fails_on_encoded(an, v.reason, mode)
+                x = an.encoded.trig
+                if env is not None:
+                    x = an.profile.env_mask(an.canonical_env(env))
+                assert_clause_fails_on_encoded(an, v.reason, x)
 
 
-def assert_clause_fails_on_encoded(an, reason, mode=None):
-    """The named clause of the encoded root pair in ``mode`` (None for the
-    triggered wrappers) fails against the final relation with that pair
-    added, judged by the reference's matching."""
+def assert_clause_fails_on_encoded(an, reason, x):
+    """The named clause of the encoded root pair in environment column
+    ``x`` fails against the final relation with that pair added, judged by
+    the reference's matching."""
     enc = an.encoded.lts
-    i, j = an.enc_index(mode, an.p), an.enc_index(mode, an.q)
+    i, j = an.encoded.index(x, an.ip), an.encoded.index(x, an.iq)
     a, b = (i, j) if reason["side"] == "left" else (j, i)
     rel = {(k, m) for k in range(enc.n_states) for m in iter_bits(an.enc_branch.rel[k])}
     rel |= {(a, b), (b, a)}

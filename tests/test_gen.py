@@ -6,6 +6,9 @@ from hypothesis import given, strategies as st
 
 from txbisim import CheckOptions, GenConfig, rbrb
 from txbisim.gen import (
+    _get_at,
+    _positions,
+    _replace_at,
     equivalent_pair,
     rand_context,
     rand_formula,
@@ -14,7 +17,15 @@ from txbisim.gen import (
 )
 from txbisim.modal import in_subclass
 from txbisim.semantics import explore
-from txbisim.terms import alphabet, free_vars, mk_reccall, parse_term, validate
+from txbisim.terms import (
+    alphabet,
+    free_vars,
+    mk_reccall,
+    operands,
+    parse_term,
+    validate,
+    with_operand,
+)
 
 CFG = GenConfig(alphabet=("a", "b"), max_depth=4)
 
@@ -39,6 +50,17 @@ def test_terms_respect_the_depth_knob(seed):
     rng = random.Random(seed)
     t = rand_term(rng, GenConfig(alphabet=("a",), max_depth=0, recursion=False))
     assert t.size <= 2
+
+
+@given(st.integers(0, 10**9))
+def test_putting_an_operand_back_rebuilds_the_same_term(seed):
+    """Replacing an operand, or the subterm at a path, by itself gives the
+    interned term back."""
+    t = rand_term(random.Random(seed), CFG)
+    for k, c in enumerate(operands(t)):
+        assert with_operand(t, k, c) is t
+    for path in _positions(t):
+        assert _replace_at(t, path, _get_at(t, path)) is t
 
 
 @given(st.integers(0, 10**9))
