@@ -23,6 +23,10 @@ running the script in the old and the new checkout and diffing the
 output:
 
     PYTHONPATH=src python3 scripts/engine_digest.py > digest.txt
+
+CI diffs ``--seeds 1 --per-seed 30`` against the committed
+``engine_digest_s1x30.txt`` beside this script; a change meant to alter
+answers writes that file again with the same command.
 """
 
 import argparse

@@ -21,7 +21,8 @@ syntactically identical sides.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .equiv import CheckOptions, process_universe, r_sr_branching, rbrb
@@ -59,16 +60,18 @@ __all__ = ["AXIOMS", "Axiom", "AxiomResult", "axiom_by_name", "fuzz_axioms"]
 
 @dataclass(frozen=True)
 class Axiom:
-    """One law: a name, soundness expectation, and instance builder."""
+    """One law: a name, soundness expectation, and instance builder
+    ``build(rng, cfg)``, which returns the two sides of one instance."""
 
     name: str
     sound: bool
     kind: str  # "equation" or "implication"
     strong_ok: bool
+    build: Callable = field(compare=False, repr=False)
     note: str = ""
 
     def instantiate(self, rng, cfg):
-        return _BUILDERS[self.name](rng, cfg)
+        return self.build(rng, cfg)
 
 
 @dataclass
@@ -380,73 +383,45 @@ def _approx_premise_pair(rng, cfg):
     return rand_term(rng, cfg), rand_term(rng, cfg)
 
 
-_BUILDERS = {
-    "choice-assoc": _bi_assoc,
-    "choice-comm": _bi_comm,
-    "choice-idem-zero": _bi_idem_zero,
-    "choice-idem": _bi_idem,
-    "choice-unit": _bi_unit,
-    "hide-sum": _bi_hide_sum,
-    "hide-prefix-free": _bi_hide_free,
-    "hide-prefix-hidden": _bi_hide_hidden,
-    "rename-sum": _bi_rename_sum,
-    "rename-tau": _bi_rename_tau,
-    "rename-timeout": _bi_rename_timeout,
-    "rename-action": _bi_rename_action,
-    "expansion": _bi_expansion,
-    "branching": _bi_branching,
-    "rec-unfold": _bi_unfold,
-    "theta-skip-sum": _bi_theta_skip_sum,
-    "theta-prune": _bi_theta_prune,
-    "theta-split": _bi_theta_split,
-    "theta-prefix": _bi_theta_prefix,
-    "theta-tau": _bi_theta_tau,
-    "psi-free-action": _bi_psi_free,
-    "psi-prune-timeout": _bi_psi_prune,
-    "psi-split": _bi_psi_split,
-    "psi-prefix": _bi_psi_prefix,
-    "psi-timeouts": _bi_psi_timeouts,
-    "tau-shadows-timeout": _bi_tau_shadow,
-    "reactive-approximation": _approx_premise_pair,
-}
-
 AXIOMS = (
-    Axiom("choice-assoc", True, "equation", True, "identity by canonical sums"),
-    Axiom("choice-comm", True, "equation", True, "identity by canonical sums"),
+    Axiom("choice-assoc", True, "equation", True, _bi_assoc, "identity by canonical sums"),
+    Axiom("choice-comm", True, "equation", True, _bi_comm, "identity by canonical sums"),
     Axiom(
         "choice-idem-zero",
         False,
         "equation",
         True,
+        _bi_idem_zero,
         "x+x = 0: idempotence is not cancellation",
     ),
-    Axiom("choice-idem", True, "equation", True),
-    Axiom("choice-unit", True, "equation", True, "identity by canonical sums"),
-    Axiom("hide-sum", True, "equation", True),
-    Axiom("hide-prefix-free", True, "equation", True),
-    Axiom("hide-prefix-hidden", True, "equation", True),
-    Axiom("rename-sum", True, "equation", True),
-    Axiom("rename-tau", True, "equation", True),
-    Axiom("rename-timeout", True, "equation", True),
-    Axiom("rename-action", True, "equation", True),
-    Axiom("expansion", True, "equation", True),
-    Axiom("branching", True, "equation", True),
-    Axiom("rec-unfold", True, "equation", True),
-    Axiom("theta-skip-sum", True, "equation", True),
-    Axiom("theta-prune", True, "equation", True),
-    Axiom("theta-split", True, "equation", True),
-    Axiom("theta-prefix", True, "equation", True),
-    Axiom("theta-tau", True, "equation", True),
-    Axiom("psi-free-action", True, "equation", True),
-    Axiom("psi-prune-timeout", True, "equation", True),
-    Axiom("psi-split", True, "equation", True),
-    Axiom("psi-prefix", True, "equation", True),
-    Axiom("psi-timeouts", True, "equation", True),
+    Axiom("choice-idem", True, "equation", True, _bi_idem),
+    Axiom("choice-unit", True, "equation", True, _bi_unit, "identity by canonical sums"),
+    Axiom("hide-sum", True, "equation", True, _bi_hide_sum),
+    Axiom("hide-prefix-free", True, "equation", True, _bi_hide_free),
+    Axiom("hide-prefix-hidden", True, "equation", True, _bi_hide_hidden),
+    Axiom("rename-sum", True, "equation", True, _bi_rename_sum),
+    Axiom("rename-tau", True, "equation", True, _bi_rename_tau),
+    Axiom("rename-timeout", True, "equation", True, _bi_rename_timeout),
+    Axiom("rename-action", True, "equation", True, _bi_rename_action),
+    Axiom("expansion", True, "equation", True, _bi_expansion),
+    Axiom("branching", True, "equation", True, _bi_branching),
+    Axiom("rec-unfold", True, "equation", True, _bi_unfold),
+    Axiom("theta-skip-sum", True, "equation", True, _bi_theta_skip_sum),
+    Axiom("theta-prune", True, "equation", True, _bi_theta_prune),
+    Axiom("theta-split", True, "equation", True, _bi_theta_split),
+    Axiom("theta-prefix", True, "equation", True, _bi_theta_prefix),
+    Axiom("theta-tau", True, "equation", True, _bi_theta_tau),
+    Axiom("psi-free-action", True, "equation", True, _bi_psi_free),
+    Axiom("psi-prune-timeout", True, "equation", True, _bi_psi_prune),
+    Axiom("psi-split", True, "equation", True, _bi_psi_split),
+    Axiom("psi-prefix", True, "equation", True, _bi_psi_prefix),
+    Axiom("psi-timeouts", True, "equation", True, _bi_psi_timeouts),
     Axiom(
         "tau-shadows-timeout",
         True,
         "equation",
         False,
+        _bi_tau_shadow,
         "an internal step pre-empts time-outs; reactive only",
     ),
     Axiom(
@@ -454,6 +429,7 @@ AXIOMS = (
         True,
         "implication",
         False,
+        _approx_premise_pair,
         "agreement under every environment implies equivalence",
     ),
 )

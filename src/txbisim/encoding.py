@@ -67,15 +67,6 @@ __all__ = [
 MAX_UNIVERSE = 12
 
 
-def check_universe(universe):
-    if len(universe) > MAX_UNIVERSE:
-        raise AlphabetLimitError(
-            f"universe of {len(universe)} visible actions needs "
-            f"2^{len(universe)} environment sets; restrict the alphabet to "
-            f"at most {MAX_UNIVERSE} actions"
-        )
-
-
 def eps_label(names):
     """The settling label for an environment set, e.g. ``eps_{a,b}``."""
     return "eps_{" + ",".join(names) + "}"
@@ -101,7 +92,14 @@ def env_columns(universe):
     the ``k``-th action of ``universe``, column ``x < trig`` allows the
     actions ``names[x]`` of mask ``x``, and ``trig``, whose bit lies outside
     every environment, is the triggered column.  The result is cached and
-    shared, so no caller may change it."""
+    shared, so no caller may change it.  A universe of more than
+    :data:`MAX_UNIVERSE` actions raises :class:`AlphabetLimitError`."""
+    if len(universe) > MAX_UNIVERSE:
+        raise AlphabetLimitError(
+            f"universe of {len(universe)} visible actions needs "
+            f"2^{len(universe)} environment sets; restrict the alphabet to "
+            f"at most {MAX_UNIVERSE} actions"
+        )
     bit = {a: 1 << k for k, a in enumerate(universe)}
     # bit k joins as the last name of every mask that holds it
     names = [()]
@@ -128,7 +126,6 @@ class Closure:
     """
 
     def __init__(self, base, universe, max_states=None):
-        check_universe(universe)
         bit, names, trig = env_columns(tuple(universe))
         stray = set(base.labels) - {"tau", "t"} - set(bit)
         if stray:

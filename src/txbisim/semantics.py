@@ -23,9 +23,12 @@ transition rules of the language:
 * A call ``<y|S>`` has the transitions of the defining body with every
   specification variable replaced by its call.
 
-Results are memoised per interned term, so repeated exploration is cheap;
-a cycle of calls that reaches itself without passing an action prefix is
-reported as unguarded recursion.
+A term's transitions and its offered actions are kept on the interned node
+itself (its ``moves`` and ``init`` slots), so repeated exploration is
+cheap and the cache lives as long as the term.  While a node's transitions
+are being computed its ``moves`` slot holds a marker, so a cycle of calls
+that reaches itself without passing an action prefix is reported as
+unguarded recursion; the marker is cleared when any error propagates.
 """
 
 from __future__ import annotations
@@ -73,34 +76,32 @@ __all__ = [
 DEFAULT_MAX_STATES = 10_000
 MAX_STATES_ENV = "TXBISIM_MAX_STATES"
 
-_DERIVE_CACHE: dict[int, tuple] = {}
 _IN_PROGRESS = object()
 
 
 def derive(term):
     """Outgoing transitions of a closed term as a sorted (action, target) tuple."""
-    cached = _DERIVE_CACHE.get(term.uid)
-    if cached is _IN_PROGRESS:
+    moves = term.moves
+    if moves is _IN_PROGRESS:
         raise UnguardedRecursionError(
             f"unguarded recursion at {term_text(term)}"
         )
-    if cached is not None:
-        return cached
+    if moves is not None:
+        return moves
     if term.fv:
         raise InvalidTermError(
             f"cannot take transitions of an open term: {term_text(term)}"
         )
-    _DERIVE_CACHE[term.uid] = _IN_PROGRESS
+    term.moves = _IN_PROGRESS
     try:
         moves = _rules(term)
     except BaseException:
-        del _DERIVE_CACHE[term.uid]
+        term.moves = None
         raise
-    result = tuple(
+    term.moves = tuple(
         sorted(set(moves), key=lambda m: (m[0].sort_key(), m[1].uid))
     )
-    _DERIVE_CACHE[term.uid] = result
-    return result
+    return term.moves
 
 
 def _rules(term):
@@ -195,18 +196,13 @@ def unfold(call):
     return spec_close(call.spec.body(call.var), call.spec)
 
 
-_INIT_CACHE: dict[int, frozenset] = {}
-
-
 def init_set(term):
     """Names of the instantaneous actions on offer (time-outs excluded)."""
-    cached = _INIT_CACHE.get(term.uid)
-    if cached is None:
-        cached = frozenset(
+    if term.init is None:
+        term.init = frozenset(
             act.name for act, _ in derive(term) if act.in_a_tau
         )
-        _INIT_CACHE[term.uid] = cached
-    return cached
+    return term.init
 
 
 def is_stable(term):

@@ -206,6 +206,7 @@ EMPTY_ENV = envset()
 
 _INTERN: dict[tuple, "Term"] = {}
 _UID = 0
+_NO_VARS = frozenset()
 
 
 def _next_uid():
@@ -217,14 +218,22 @@ def _next_uid():
 class Term:
     """Base class of interned process terms.
 
-    Every node caches its free variables (``fv``), the variables that occur
-    free inside the body of some ``theta``/``psi`` subterm and are not yet
-    bound (``tp_pending``), and a validity bit: a term is invalid when a
-    ``theta``/``psi`` body has a free variable that a surrounding recursive
-    specification binds.
+    A node is made once, by :func:`_interned`, which sets its fields (the
+    subclass's slots), a stable ``uid`` and three static facts derived from
+    its parts: its free variables (``fv``), the variables that occur free
+    inside the body of some ``theta``/``psi`` subterm and are not yet bound
+    (``tp_pending``), and a validity bit (``valid``): a term is invalid when
+    a ``theta``/``psi`` body has a free variable that a surrounding
+    recursive specification binds.
+
+    Three more slots cache what a node computes on first request and never
+    changes: ``alpha`` holds :func:`alphabet`'s set, ``moves`` holds
+    :func:`~txbisim.semantics.derive`'s transitions and ``init`` holds
+    :func:`~txbisim.semantics.init_set`'s names.  Each is None until its
+    function fills it; ``semantics`` fills the last two.
     """
 
-    __slots__ = ("uid", "fv", "tp_pending", "valid", "size")
+    __slots__ = ("uid", "fv", "tp_pending", "valid", "alpha", "moves", "init")
 
     kindname = "term"
 
@@ -232,22 +241,9 @@ class Term:
         return f"<{term_text(self)}>"
 
 
-def _finish(node, fv, tp_pending, valid, size):
-    node.uid = _next_uid()
-    node.fv = fv
-    node.tp_pending = tp_pending
-    node.valid = valid
-    node.size = size
-    return node
-
-
 class Nil(Term):
     __slots__ = ()
     kindname = "nil"
-
-
-NIL = _finish(Nil(), frozenset(), frozenset(), True, 1)
-_INTERN[("nil",)] = NIL
 
 
 class Prefix(Term):
@@ -295,6 +291,53 @@ class RecCall(Term):
     kindname = "reccall"
 
 
+def operands(term):
+    """The process operands of a term, in order: the body of a prefix or a
+    unary operator, the two sides of a sum or a parallel composition.  A
+    recursive call has none; its specification's bodies are no operands."""
+    if isinstance(term, (Choice, Par)):
+        return (term.left, term.right)
+    if isinstance(term, (Prefix, Abstract, Rename, Theta, Psi)):
+        return (term.body,)
+    return ()
+
+
+def _interned(key, cls, *fields):
+    """The one node of class ``cls`` with ``fields`` (its slots, in order),
+    made under ``key`` on first request.
+
+    Its facts come from its parts: the operands, or a recursive call's
+    specification; ``Var`` and ``Nil`` have none, and a variable is free in
+    itself.  A node shares the sets of its only part, or of its only part
+    with a nonempty set, as the sets never change.  ``theta`` and ``psi``
+    add their body's free variables to ``tp_pending``.
+    """
+    node = _INTERN.get(key)
+    if node is not None:
+        return node
+    node = cls()
+    for slot, value in zip(cls.__slots__, fields):
+        setattr(node, slot, value)
+    node.uid = _next_uid()
+    node.alpha = node.moves = node.init = None
+    fv = pend = _NO_VARS
+    valid = True
+    if cls is Var:
+        fv = frozenset(fields)
+    for part in (node.spec,) if cls is RecCall else operands(node):
+        fv = fv | part.fv if fv else part.fv
+        pend = pend | part.tp_pending if pend else part.tp_pending
+        valid = valid and part.valid
+    if cls is Theta or cls is Psi:
+        pend = pend | fv
+    node.fv, node.tp_pending, node.valid = fv, pend, valid
+    _INTERN[key] = node
+    return node
+
+
+NIL = _interned(("nil",), Nil)
+
+
 class RecSpec:
     """A recursive specification: one defining equation per variable.
 
@@ -310,8 +353,8 @@ class RecSpec:
         self.bodies = bodies
         self.uid = _next_uid()
         binder = frozenset(vars_)
-        self.fv = frozenset().union(*(b.fv for b in bodies)) - binder if bodies else frozenset()
-        pend = frozenset().union(*(b.tp_pending for b in bodies)) if bodies else frozenset()
+        self.fv = frozenset().union(*(b.fv for b in bodies)) - binder
+        pend = frozenset().union(*(b.tp_pending for b in bodies))
         # the capture check: a theta/psi body below must not mention a
         # variable this specification binds
         self.valid = all(b.valid for b in bodies) and not (pend & binder)
@@ -354,15 +397,7 @@ def mk_recspec(equations):
 def mk_prefix(action, body):
     if not isinstance(action, Action):
         raise InvalidTermError(f"prefix needs an Action, got {action!r}")
-    key = ("pre", action.kind, action.name, body.uid)
-    node = _INTERN.get(key)
-    if node is None:
-        node = Prefix()
-        node.action = action
-        node.body = body
-        _finish(node, body.fv, body.tp_pending, body.valid, body.size + 1)
-        _INTERN[key] = node
-    return node
+    return _interned(("pre", action.kind, action.name, body.uid), Prefix, action, body)
 
 
 def summands(term):
@@ -380,25 +415,6 @@ def summands(term):
     return out
 
 
-def _raw_choice(left, right):
-    # plain binary node, no normalisation; the basis mk_choice builds on
-    key = ("cho", left.uid, right.uid)
-    node = _INTERN.get(key)
-    if node is None:
-        node = Choice()
-        node.left = left
-        node.right = right
-        _finish(
-            node,
-            left.fv | right.fv,
-            left.tp_pending | right.tp_pending,
-            left.valid and right.valid,
-            left.size + right.size + 1,
-        )
-        _INTERN[key] = node
-    return node
-
-
 def mk_choice(left, right):
     """Sum of two terms, normalised: flattened, ``0`` dropped, sorted.
 
@@ -411,7 +427,8 @@ def mk_choice(left, right):
     items.sort(key=lambda t: t.uid)
     acc = items[0]
     for item in items[1:]:
-        acc = _raw_choice(acc, item)
+        # a plain binary node, left-nested in summand order
+        acc = _interned(("cho", acc.uid, item.uid), Choice, acc, item)
     return acc
 
 
@@ -423,34 +440,11 @@ def sum_of(terms):
 
 
 def mk_par(left, sync, right):
-    key = ("par", left.uid, sync.names, right.uid)
-    node = _INTERN.get(key)
-    if node is None:
-        node = Par()
-        node.left = left
-        node.sync = sync
-        node.right = right
-        _finish(
-            node,
-            left.fv | right.fv,
-            left.tp_pending | right.tp_pending,
-            left.valid and right.valid,
-            left.size + right.size + 1,
-        )
-        _INTERN[key] = node
-    return node
+    return _interned(("par", left.uid, sync.names, right.uid), Par, left, sync, right)
 
 
 def mk_abstract(hide, body):
-    key = ("abs", hide.names, body.uid)
-    node = _INTERN.get(key)
-    if node is None:
-        node = Abstract()
-        node.hide = hide
-        node.body = body
-        _finish(node, body.fv, body.tp_pending, body.valid, body.size + 1)
-        _INTERN[key] = node
-    return node
+    return _interned(("abs", hide.names, body.uid), Abstract, hide, body)
 
 
 def mk_rename(pairs, body):
@@ -459,15 +453,7 @@ def mk_rename(pairs, body):
     for src, dst in canon:
         _check_action_name(src)
         _check_action_name(dst)
-    key = ("ren", canon, body.uid)
-    node = _INTERN.get(key)
-    if node is None:
-        node = Rename()
-        node.pairs = canon
-        node.body = body
-        _finish(node, body.fv, body.tp_pending, body.valid, body.size + 1)
-        _INTERN[key] = node
-    return node
+    return _interned(("ren", canon, body.uid), Rename, canon, body)
 
 
 def mk_theta(lower, upper, body):
@@ -475,66 +461,25 @@ def mk_theta(lower, upper, body):
         raise InvalidTermError(
             f"theta needs lower within upper: {lower.text()} vs {upper.text()}"
         )
-    key = ("theta", lower.names, upper.names, body.uid)
-    node = _INTERN.get(key)
-    if node is None:
-        node = Theta()
-        node.lower = lower
-        node.upper = upper
-        node.body = body
-        _finish(node, body.fv, body.tp_pending | body.fv, body.valid, body.size + 1)
-        _INTERN[key] = node
-    return node
+    return _interned(
+        ("theta", lower.names, upper.names, body.uid), Theta, lower, upper, body
+    )
 
 
 def mk_psi(env, body):
-    key = ("psi", env.names, body.uid)
-    node = _INTERN.get(key)
-    if node is None:
-        node = Psi()
-        node.env = env
-        node.body = body
-        _finish(node, body.fv, body.tp_pending | body.fv, body.valid, body.size + 1)
-        _INTERN[key] = node
-    return node
+    return _interned(("psi", env.names, body.uid), Psi, env, body)
 
 
 def mk_var(name):
     if not _NAME_RE.match(name) or name in RESERVED:
         raise InvalidTermError(f"bad variable name: {name!r}")
-    key = ("var", name)
-    node = _INTERN.get(key)
-    if node is None:
-        node = Var()
-        node.name = name
-        _finish(node, frozenset({name}), frozenset(), True, 1)
-        _INTERN[key] = node
-    return node
+    return _interned(("var", name), Var, name)
 
 
 def mk_reccall(var, spec):
     if var not in spec.vars:
         raise InvalidTermError(f"{var!r} is not a variable of the specification")
-    key = ("rec", var, spec.uid)
-    node = _INTERN.get(key)
-    if node is None:
-        node = RecCall()
-        node.var = var
-        node.spec = spec
-        _finish(node, spec.fv, spec.tp_pending, spec.valid, 2)
-        _INTERN[key] = node
-    return node
-
-
-def operands(term):
-    """The process operands of a term, in order: the body of a prefix or a
-    unary operator, the two sides of a sum or a parallel composition.  A
-    recursive call has none; its specification's bodies are no operands."""
-    if isinstance(term, (Choice, Par)):
-        return (term.left, term.right)
-    if isinstance(term, (Prefix, Abstract, Rename, Theta, Psi)):
-        return (term.body,)
-    return ()
+    return _interned(("rec", var, spec.uid), RecCall, var, spec)
 
 
 def with_operand(term, slot, child):
@@ -701,9 +646,6 @@ def _subst_spec(spec, var, mapping):
 # ---------------------------------------------------------------------------
 # Alphabet
 
-_ALPHABET_CACHE: dict[int, EnvSet] = {}
-
-
 def alphabet(term):
     """A finite superset of every visible action the term can ever perform.
 
@@ -711,9 +653,8 @@ def alphabet(term):
     with the sources and targets of every renaming.  The operator index sets
     cannot enable actions of their own, so they do not contribute.
     """
-    cached = _ALPHABET_CACHE.get(term.uid)
-    if cached is not None:
-        return cached
+    if term.alpha is not None:
+        return term.alpha
     names: set[str] = set()
     seen: set[int] = set()
 
@@ -734,9 +675,8 @@ def alphabet(term):
             walk(child)
 
     walk(term)
-    result = envset(names)
-    _ALPHABET_CACHE[term.uid] = result
-    return result
+    term.alpha = envset(names)
+    return term.alpha
 
 
 # ---------------------------------------------------------------------------

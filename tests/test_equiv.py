@@ -947,6 +947,15 @@ def test_process_universe_is_the_joint_alphabet():
         process_universe(p, q, limit=3)
 
 
+def test_raw_systems_refuse_a_universe_above_the_ceiling():
+    # one step per label, so the default universe has MAX_UNIVERSE + 1 actions
+    labels = [f"x{k}" for k in range(MAX_UNIVERSE + 1)]
+    fan = [(0, lab, k + 1) for k, lab in enumerate(labels)]
+    lts = Lts(range(len(labels) + 1), fan, (0,))
+    with pytest.raises(AlphabetLimitError, match=f"at most {MAX_UNIVERSE} actions"):
+        brb_states(lts, 0, 1)
+
+
 def test_check_options_validate_method():
     with pytest.raises(TxbisimError):
         CheckOptions(method="quantum")

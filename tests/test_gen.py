@@ -18,6 +18,8 @@ from txbisim.gen import (
 from txbisim.modal import in_subclass
 from txbisim.semantics import explore
 from txbisim.terms import (
+    NIL,
+    Prefix,
     alphabet,
     free_vars,
     mk_reccall,
@@ -49,7 +51,7 @@ def test_terms_are_closed_valid_processes(seed):
 def test_terms_respect_the_depth_knob(seed):
     rng = random.Random(seed)
     t = rand_term(rng, GenConfig(alphabet=("a",), max_depth=0, recursion=False))
-    assert t.size <= 2
+    assert t is NIL or (isinstance(t, Prefix) and t.body is NIL)
 
 
 @given(st.integers(0, 10**9))

@@ -151,9 +151,13 @@ def test_unfold_substitutes_calls():
 
 
 def test_unguarded_recursion_is_reported():
-    defs = parse_file("spec L { x = x; } def Stuck = <x|L>;")
+    stuck = parse_file("spec L { x = x; } def Stuck = <x|L>;").defs["Stuck"]
     with pytest.raises(UnguardedRecursionError):
-        derive(defs.defs["Stuck"])
+        derive(stuck)
+    # the in-progress mark is cleared, so the term is judged afresh
+    assert stuck.moves is None
+    with pytest.raises(UnguardedRecursionError):
+        derive(stuck)
 
 
 def test_unguarded_through_choice_is_reported():

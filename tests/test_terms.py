@@ -19,6 +19,16 @@ from txbisim.terms import (
     NIL,
     TAU,
     TIMEOUT,
+    Abstract,
+    Choice,
+    Nil,
+    Par,
+    Prefix,
+    Psi,
+    RecCall,
+    Rename,
+    Theta,
+    Var,
     alphabet,
     definitions_text,
     envset,
@@ -33,6 +43,7 @@ from txbisim.terms import (
     mk_rename,
     mk_theta,
     mk_var,
+    operands,
     parse_file,
     parse_term,
     spec_close,
@@ -147,6 +158,75 @@ def test_validate_flags_env_operator_under_recursion_binder():
     assert any("theta" in v for v in report.violations)
     good = validate(parse_term("theta{a;a}(a.0)"))
     assert good.ok and good.is_process
+
+
+def _facts_from_scratch(term):
+    """``(fv, tp_pending, valid)`` of a term, read off each variable
+    occurrence and the path above it within the term: a ``frozenset`` step
+    for a specification binding those variables, ``None`` for a
+    ``theta``/``psi``.  An occurrence that no step binds is free, and pending
+    below an environment operator; one bound by a specification that has an
+    environment operator below it, above the occurrence, breaks validity."""
+    fv, pending, valid = set(), set(), True
+    stack = [(term, ())]
+    while stack:
+        node, path = stack.pop()
+        if isinstance(node, Var):
+            binders = [k for k, step in enumerate(path) if step and node.name in step]
+            last = binders[-1] if binders else -1
+            under_env = None in path[last + 1:]
+            if last < 0:
+                fv.add(node.name)
+                if under_env:
+                    pending.add(node.name)
+            elif under_env:
+                valid = False
+        elif isinstance(node, RecCall):
+            inner = path + (frozenset(node.spec.vars),)
+            stack.extend((b, inner) for b in node.spec.bodies)
+        elif isinstance(node, (Theta, Psi)):
+            stack.append((node.body, path + (None,)))
+        else:
+            stack.extend((c, path) for c in operands(node))
+    return fv, pending, valid
+
+
+REBUILD = {
+    Nil: lambda n: NIL,
+    Prefix: lambda n: mk_prefix(n.action, n.body),
+    Choice: lambda n: mk_choice(n.left, n.right),
+    Par: lambda n: mk_par(n.left, n.sync, n.right),
+    Abstract: lambda n: mk_abstract(n.hide, n.body),
+    Rename: lambda n: mk_rename(n.pairs, n.body),
+    Theta: lambda n: mk_theta(n.lower, n.upper, n.body),
+    Psi: lambda n: mk_psi(n.env, n.body),
+    Var: lambda n: mk_var(n.name),
+    RecCall: lambda n: mk_reccall(n.var, n.spec),
+}
+
+
+@given(st.integers(0, 10**9))
+def test_node_facts_match_a_recomputation_and_factories_rebuild_nodes(seed):
+    """Every node of a random term, and of a specification that captures a
+    variable below ``psi``, carries the facts its occurrences give, and its
+    factory given its own fields returns the node itself."""
+    t = rand_term(random.Random(seed), GenConfig(alphabet=("a", "b"), max_depth=4))
+    open_psi = mk_psi(EMPTY_ENV, mk_choice(t, mk_var("v0")))
+    capture = mk_reccall("v0", mk_recspec({"v0": mk_prefix(visible("a"), open_psi)}))
+    assert not capture.valid
+    seen = set()
+    stack = [capture]
+    while stack:
+        node = stack.pop()
+        if node.uid in seen:
+            continue
+        seen.add(node.uid)
+        assert (node.fv, node.tp_pending, node.valid) == _facts_from_scratch(node)
+        assert REBUILD[type(node)](node) is node
+        if isinstance(node, RecCall):
+            assert mk_recspec(node.spec.equations()) is node.spec
+            stack.extend(node.spec.bodies)
+        stack.extend(operands(node))
 
 
 def test_alphabet_is_prefixes_plus_renaming_edges():
