@@ -36,7 +36,7 @@ from .gen import (
     rand_renaming,
     rand_term,
 )
-from .semantics import explore, unfold
+from .semantics import unfold
 from .terms import (
     NIL,
     TAU,
@@ -457,17 +457,17 @@ def _holds_reactively(lhs, rhs, opts):
     return bool(rbrb(lhs, rhs, opts))
 
 
-def _holds_strongly(lhs, rhs, opts):
-    lts = explore((lhs, rhs), opts.max_states)
-    return bool(r_sr_branching(lts, lhs, rhs))
-
-
 def _check_equation(axiom, lhs, rhs, opts):
-    if not _holds_reactively(lhs, rhs, opts):
-        return False
-    if axiom.strong_ok and not _holds_strongly(lhs, rhs, opts):
-        return False
-    return True
+    """An equation holds reactively, and for a ``strong_ok`` law also
+    under rooted stability respecting branching bisimilarity, decided on
+    the system the reactive verdict explored."""
+    verdict = rbrb(lhs, rhs, opts)
+    if not verdict or not axiom.strong_ok:
+        return bool(verdict)
+    # keep the system, not the verdict's witness tables
+    lts = verdict.lts
+    del verdict
+    return bool(r_sr_branching(lts, lhs, rhs))
 
 
 def _check_approximation(lhs, rhs, opts):

@@ -34,11 +34,13 @@ place and works set-at-a-time on its masks: the fixpoint loops it, and
 the witness check makes one literal pass.  A state's clauses are compiled
 once (:meth:`_Profile.clauses`) for all the columns that allow the same of
 its actions, a tau step naming the row's own column.  Match sets and
-backward tau closures are kept by value for the whole fixpoint, so equal
-rows share them.  A round's removals are applied after it, their mirror
-entries in the other orientation once per column and removed mask.  The
-fixpoint never judges a state against itself, the greatest relation
-being reflexive, and stops visiting a row that holds only that state.
+backward tau closures are kept by value for every pass of one check
+(:attr:`Analysis.memo`), so equal rows share them, and the fixpoint's
+first round reuses those of :func:`_first_round`.  A round's removals
+are applied after it, their mirror entries in the other orientation once
+per column and removed mask.  The fixpoint never judges a state against
+itself, the greatest relation being reflexive, and stops visiting a row
+that holds only that state.
 Every removal is stamped with its round and the violated clause, one
 :class:`Removal` per clause and round for all the entries it removes;
 those records drive both the explanation of a negative verdict and the
@@ -46,9 +48,14 @@ synthesis of distinguishing formulas in :mod:`txbisim.modal`.  The plain
 relations, stability respecting branching bisimilarity (which the encode
 route decides on the wrapped system) and strong bisimilarity, share one
 partition refinement (:func:`_refine`) over moves with coded labels that
-stamps nothing: a negative verdict is explained by the first clause the
-queried pair fails against the final relation, found when the verdict asks
-for it.  The encode route refines the index-level closure
+stamps nothing.  Its blocks keep their names while they do not split, so
+after a round that renames few components the next recomputes only the
+signatures those names reach, with the rounds and blocks of recomputing
+every one: on a chain, which takes a round per link, the refinement's
+time grows about linearly with the length rather than quadratically.  A
+negative verdict is explained by the first clause the queried pair fails
+against the final relation, found when the verdict asks for it.  The
+encode route refines the index-level closure
 (:class:`~txbisim.encoding.Closure`) itself, so its answer, the rooted
 first-step check on it, and its relation projected into the direct
 route's table (:func:`_projection`), the witness and certificate of a
@@ -64,6 +71,7 @@ from __future__ import annotations
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
+from heapq import heapify, heappop, heappush
 
 from .encoding import MAX_UNIVERSE, Closure, env_columns
 from .errors import (
@@ -445,10 +453,11 @@ def _round(pf, rows, live, memo, sink, rnd):
     the row itself for tau (an internal step may be matched by standing
     still) and closed backward under tau for a time-out.  ``memo`` keeps
     these match sets by ``(lab, row value)``, and a move's backward tau
-    closure by the set it closes; its entries stay valid, so one ``memo``
-    serves every pass of a fixpoint.  Unless ``sink`` is None each removal
-    goes to ``sink[p, x]`` as ``(mask, removal)``, one :class:`Removal` per
-    clause for the whole pass.
+    closure by the set it closes; its entries depend on the system alone,
+    so one ``memo`` (:attr:`Analysis.memo`) serves every pass over it, on
+    any table.  Unless ``sink`` is None each removal goes to ``sink[p, x]``
+    as ``(mask, removal)``, one :class:`Removal` per clause for the whole
+    pass.
 
     Returns the removals as ``(p, x, mask)`` and the live rows that still
     hold an entry to judge.
@@ -517,7 +526,7 @@ def _round(pf, rows, live, memo, sink, rnd):
     return removed, still
 
 
-def _generalized_fixpoint(pf, record=True):
+def _generalized_fixpoint(pf, record=True, memo=None):
     """Greatest relation closed under the pair and triple clauses.
 
     The clauses are followed literally: the internal runs that precede a
@@ -529,14 +538,16 @@ def _generalized_fixpoint(pf, record=True):
     of ``M`` in that column, so a mask is walked once per round however
     many rows removed it.  With ``record`` every removal is stamped with
     its round and clause in ``records``.  Match sets and tau closures are
-    kept by value for the whole fixpoint.  The greatest relation is
+    kept by value in ``memo``, a fresh one unless given, so round 1 can
+    reuse those of :func:`_first_round`.  The greatest relation is
     reflexive, so a row is judged without its own state, and leaves the
     live rows once that is all it holds.
     """
     rows = [[pf.full] * (pf.trig + 1) for _ in range(pf.n)]
     live = [(p, x, ~(1 << p), pf.clauses(p, x))
             for p in range(pf.n) for x in range(pf.trig + 1)]
-    memo = {}
+    if memo is None:
+        memo = {}
     by_row: dict | None = {} if record else None
     rounds = 0
     while True:
@@ -557,7 +568,7 @@ def _generalized_fixpoint(pf, record=True):
     return _GenResult(rows, _RowRecords(by_row or {}), rounds)
 
 
-def _first_round(pf, p, x, q):
+def _first_round(pf, p, x, q, memo):
     """The direct fixpoint's first round on the entry ``(p, x, q)`` alone:
     one :func:`_round` over the rows of ``p`` and ``q`` in column ``x``,
     each judged on the other state, against a table that relates
@@ -565,11 +576,12 @@ def _first_round(pf, p, x, q):
     the fixpoint's ``fail(p, x, q)`` where the entry leaves in round 1, or
     None where it stays longer.  An entry that fails a clause against the
     full relation lies outside every bisimulation, so a removal here proves
-    the pair inequivalent without the fixpoint."""
+    the pair inequivalent without the fixpoint.  ``memo`` is
+    :func:`_round`'s."""
     rows = [[pf.full] * (pf.trig + 1)] * pf.n
     live = [(p, x, 1 << q, pf.clauses(p, x)), (q, x, 1 << p, pf.clauses(q, x))]
     sink = {}
-    _round(pf, rows, live, {}, sink, 1)
+    _round(pf, rows, live, memo, sink, 1)
     for side, key in enumerate(((p, x), (q, x))):
         if key in sink:
             return side, sink[key][0][1]
@@ -666,6 +678,15 @@ def _tau_code(labels):
     return labels.index("tau") if "tau" in labels else None
 
 
+# below this many components every round is a full one.  Small closures
+# refine in a few rounds, where the predecessor lists a marked round needs
+# cost about what it saves: on the benchmark's corpus and fuzz closures a
+# floor of 16 made the refinement 3-4 % slower than never marking, none
+# 4-7 %, and 32 or 48 no slower; chains of more than a few links lie
+# above it
+_MARK_FLOOR = 48
+
+
 def _refine(labels, comp, moves, exits, block, fail):
     """Greatest relation by signature refinement in the manner of Blom and
     Orzan, as a :class:`_PairResult` whose clauses are ``fail``.
@@ -679,18 +700,70 @@ def _refine(labels, comp, moves, exits, block, fail):
     of the exits inside its block (inert steps, left out themselves),
     computed in order, then splits each block by signature, until a round
     splits nothing.
+
+    A *full* round computes every signature and names each block by its
+    first member, so a block that does not split keeps its name (the
+    initial names are any integers, and round 1 may rename every block;
+    that only makes round 2 a full one).  A signature can change only
+    where a block name it reads changed, its own or a target's, or where the
+    signature of an inert exit changed.  So the round after one that
+    renamed at most a quarter of the components is a *marked* round, in
+    the manner of Groote and Vaandrager: it recomputes only the renamed
+    components and those with a move or an exit into one, and, in
+    component order, those with an inert exit into a component whose
+    signature it changed.  Every member of a block had the block's
+    signature, so a recomputed member leaves its block exactly when its
+    signature changed.  The leavers are grouped by signature; the members
+    that stay keep the block's name (if none stays, the first group keeps
+    it), and each other group takes a fresh one.  A marked round thus
+    splits every block as a full round would, and the rounds and the
+    partition are those of recomputing every signature in every round.
+    Below :data:`_MARK_FLOOR` components every round is a full one.
     """
     # a signature entry (label, block) is the integer block * width + code
     width = len(labels)
     tau = _tau_code(labels)
+    n = len(block)
+
+    def popped(heap):
+        while heap:
+            yield heappop(heap)
+
     count = len(set(block))
+    moved = None  # the components the last round renamed, if few
+    preds = None
     rounds = 0
     while True:
         rounds += 1
-        sigs = []
-        ids = {}
-        fresh = []
-        for c in range(len(block)):
+        marked = moved is not None
+        if marked:
+            if preds is None:
+                # who reads a component's name, and who its signature
+                preds = [[] for _ in range(n)]
+                inert = [[] for _ in range(n)]
+                for c, own in enumerate(moves):
+                    for _, d in own:
+                        preds[d].append(c)
+                for c, out in enumerate(exits):
+                    for d in out:
+                        preds[d].append(c)
+                        inert[d].append(c)
+                stamp = [0] * n
+            heap = []
+            for d in moved:
+                for c in (d, *preds[d]):
+                    if stamp[c] != rounds:
+                        stamp[c] = rounds
+                        heap.append(c)
+            heapify(heap)
+            groups = {}
+            order = popped(heap)
+        else:
+            sigs = []
+            ids = {}
+            fresh = []
+            order = range(n)
+        for c in order:
             b = block[c]
             sig = {block[d] * width + k for k, d in moves[c]}
             for d in exits[c]:
@@ -699,13 +772,52 @@ def _refine(labels, comp, moves, exits, block, fail):
                 else:
                     sig.add(block[d] * width + tau)
             sig = frozenset(sig)
-            sigs.append(sig)
-            fresh.append(ids.setdefault((b, sig), len(ids)))
-        block = fresh
-        if len(ids) == count:
-            break
-        count = len(ids)
-    masks = [0] * count
+            if not marked:
+                sigs.append(sig)
+                fresh.append(ids.setdefault((b, sig), c))
+            elif sig != sigs[c]:
+                sigs[c] = sig
+                groups.setdefault((b, sig), []).append(c)
+                for e in inert[c]:
+                    if block[e] == b and stamp[e] != rounds:
+                        stamp[e] = rounds
+                        heappush(heap, e)
+        if not marked:
+            if len(ids) == count:
+                block = fresh
+                break
+            count = len(ids)
+            if n >= _MARK_FLOOR:
+                moved = [c for c, b in enumerate(block) if fresh[c] != b]
+                if 4 * len(moved) <= n:
+                    # block sizes by name; fresh names are appended
+                    size = [0] * n
+                    for b in fresh:
+                        size[b] += 1
+            block = fresh
+        else:
+            left = {}
+            for (b, _), members in groups.items():
+                left[b] = left.get(b, 0) + len(members)
+            # judged on the sizes before this round's splits
+            emptied = {b for b, k in left.items() if k == size[b]}
+            moved = []
+            for (b, _), members in groups.items():
+                if b in emptied:
+                    emptied.discard(b)
+                    continue
+                size[b] -= len(members)
+                for c in members:
+                    block[c] = len(size)
+                size.append(len(members))
+                moved += members
+                count += 1
+            if not moved:
+                break
+        if moved is not None and 4 * len(moved) > n:
+            moved = None
+    # names lie below the size list's length once a round was marked
+    masks = [0] * (n if preds is None else len(size))
     for i, c in enumerate(comp):
         masks[block[c]] |= 1 << i
     rel = [masks[block[c]] for c in comp]
@@ -904,19 +1016,19 @@ def generalized_witness_ok(lts, universe, store):
     """
     pf = _Profile(lts, universe)
     rows = _store_masks(lts, pf, store)
-    return rows is not None and _clauses_hold(pf, rows)
+    return rows is not None and _clauses_hold(pf, rows, {})
 
 
-def _clauses_hold(pf, rows):
+def _clauses_hold(pf, rows, memo):
     """One literal pass of every clause over the table ``rows``: True when
     every pair also stands as a triple for every environment, and one
     :func:`_round` over every nonempty row, judged whole, removes
-    nothing."""
+    nothing.  ``memo`` is :func:`_round`'s."""
     if any(cols[pf.trig] & ~row for cols in rows for row in cols):
         return False
     live = [(p, x, -1, pf.clauses(p, x))
             for p, cols in enumerate(rows) for x, row in enumerate(cols) if row]
-    return not _round(pf, rows, live, {}, None, 0)[0]
+    return not _round(pf, rows, live, memo, None, 0)[0]
 
 
 def _pair_witness_ok(lts, store, fail):
@@ -1044,8 +1156,15 @@ class Analysis:
         return _Profile(self.lts, self.universe)
 
     @cached_property
+    def memo(self):
+        """The match sets and tau closures of :func:`_round` on :attr:`lts`,
+        shared by the first round, the direct fixpoint and the certificate.
+        A verdict's witness does not hold them."""
+        return {}
+
+    @cached_property
     def gen(self):
-        return _generalized_fixpoint(self.profile)
+        return _generalized_fixpoint(self.profile, memo=self.memo)
 
     @cached_property
     def encoded(self):
@@ -1125,7 +1244,7 @@ def _check(p, q, env, rooted, opts):
         # first-step reason of an entry the first round removes
         return _direct_check(an, x, rooted)
     pf = an.profile
-    caught = _first_round(pf, an.ip, x, an.iq)
+    caught = _first_round(pf, an.ip, x, an.iq, an.memo)
     if caught is not None and not rooted:
         return _verdict(method, caught, an.lts, None, an.lts, an.universe)
     if method == "direct":
@@ -1148,7 +1267,7 @@ def _check(p, q, env, rooted, opts):
         if res.has(ip, x, iq) and (
             not rooted or _rooted_fail(pf, res, ip, x, iq) is None
         ):
-            if not _clauses_hold(pf, res.rows):
+            if not _clauses_hold(pf, res.rows, an.memo):
                 raise MethodDisagreementError(
                     f"encoding says True for {term_text(p)} vs {term_text(q)}, "
                     "but its relation fails the clauses of branching reactive "

@@ -2,8 +2,9 @@
 
 import pytest
 
-from txbisim import CheckOptions, GenConfig, brb, rbrb
+from txbisim import CheckOptions, GenConfig, axioms, brb, equiv, rbrb
 from txbisim.axioms import AXIOMS, AxiomResult, axiom_by_name, fuzz_axioms
+from txbisim.semantics import explore
 from txbisim.terms import parse_term
 
 
@@ -31,6 +32,24 @@ def test_registry_is_complete_and_named_lookup_works():
 def test_every_law_meets_its_expectation():
     for res in run():
         assert res.ok, f"{res.name}: {res.failures}/{res.instances} failed"
+
+
+def test_strong_check_reuses_the_reactive_verdicts_system(monkeypatch):
+    """A ``strong_ok`` law's instance is explored once: its rooted
+    stability respecting branching check reads the system the reactive
+    verdict explored."""
+    explored = []
+
+    def counting(roots, max_states=None):
+        explored.append(roots)
+        return explore(roots, max_states)
+
+    assert axiom_by_name("choice-comm").strong_ok
+    monkeypatch.setattr(equiv, "explore", counting)
+    monkeypatch.setattr(axioms, "explore", counting, raising=False)
+    (res,) = fuzz_axioms(instances=1, names=["choice-comm"])
+    assert res.ok
+    assert len(explored) == 1
 
 
 def test_unsound_idempotence_to_zero_fails_quickly():

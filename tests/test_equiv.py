@@ -1,9 +1,14 @@
 """Equivalence checking: engine fixpoints against the reference procedures,
 decision procedures against each other, witnesses against their validators."""
 
+import gc
 import random
+import weakref
+from collections.abc import Sequence
+from functools import cached_property
 from itertools import combinations
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given
@@ -228,7 +233,56 @@ def test_first_round_equals_the_fixpoints_round_one_removals(lts):
         for p in range(pf.n):
             for q in range(pf.n):
                 want = res.fail(p, x, q) if res.round(p, x, q) == 1 else None
-                assert _first_round(pf, p, x, q) == want
+                assert _first_round(pf, p, x, q, {}) == want
+
+
+def test_fixpoint_reuses_the_first_rounds_match_sets(monkeypatch):
+    """``a.a.0`` against ``a.b.0`` passes the first round and leaves in
+    round 2 of the direct fixpoint, whose round 1 reads the match sets the
+    first round built against the full table: no ``(label, row)`` match
+    set is computed twice for one system."""
+    calls = []
+    pred_mask = Lts.pred_mask
+
+    def counting(lts, label, target):
+        calls.append((label, target == (1 << lts.n_states) - 1, target))
+        return pred_mask(lts, label, target)
+
+    monkeypatch.setattr(Lts, "pred_mask", counting)
+    v = brb(parse_term("a.a.0"), parse_term("a.b.0"), DIRECT)
+    assert v.reason["round"] == 2
+    assert ("a", True) in {call[:2] for call in calls}
+    assert len(calls) == len(set(calls))
+
+
+@pytest.mark.parametrize("method", ["direct", "both"])
+def test_verdicts_hold_no_match_sets(monkeypatch, method):
+    """The match sets shared by a check's passes die with the check: a
+    verdict, its witness thunk included, keeps none of them alive."""
+
+    class Memo(dict):
+        pass
+
+    made = []
+
+    def memo(an):
+        made.append(Memo())
+        return made[-1]
+
+    tracked = cached_property(memo)
+    tracked.__set_name__(Analysis, "memo")
+    monkeypatch.setattr(Analysis, "memo", tracked)
+    opts = CheckOptions(method=method)
+    pairs = [("a.tau.b.0 + t.b.0", "a.b.0 + t.b.0"), ("a.a.0", "a.b.0")]
+    verdicts = [brb(parse_term(p), parse_term(q), opts) for p, q in pairs]
+    assert [v.equivalent for v in verdicts] == [True, False]
+    refs = [weakref.ref(m) for m in made]
+    made.clear()
+    assert refs
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+    v = verdicts[0]
+    assert generalized_witness_ok(v.lts, v.universe, v.witness)
 
 
 def test_rooted_checks_equal_reference_relation(small_corpus):
@@ -446,6 +500,173 @@ def test_strong_rows_equal_reference(small_corpus):
     systems = [explore((p, q)) for p, q, _ in small_corpus]
     for lts in systems + list(_hand_built_systems().values()):
         assert_rows_match_reference(lts, _strong_fixpoint, ref_strong)
+
+
+# -- the refinement against a round-synchronous reference
+
+
+def reference_refine(labels, comp, moves, exits, block):
+    """The rows and rounds of :func:`equiv._refine` by its literal loop:
+    every round recomputes every component's signature and splits every
+    block, blocks numbered in order of first appearance."""
+    width = len(labels)
+    tau = labels.index("tau") if "tau" in labels else None
+    count = len(set(block))
+    rounds = 0
+    while True:
+        rounds += 1
+        sigs = []
+        ids = {}
+        fresh = []
+        for c in range(len(block)):
+            b = block[c]
+            sig = {block[d] * width + k for k, d in moves[c]}
+            for d in exits[c]:
+                if block[d] == b:
+                    sig |= sigs[d]
+                else:
+                    sig.add(block[d] * width + tau)
+            sig = frozenset(sig)
+            sigs.append(sig)
+            fresh.append(ids.setdefault((b, sig), len(ids)))
+        block = fresh
+        if len(ids) == count:
+            break
+        count = len(ids)
+    masks = [0] * count
+    for i, c in enumerate(comp):
+        masks[block[c]] |= 1 << i
+    return [masks[block[c]] for c in comp], rounds
+
+
+def assert_refinements_equal_reference(systems):
+    """Each of the three fixpoints on each system (closures take the
+    branching one alone) has the reference's rows and rounds; returns how
+    many refinements had at least ``equiv._MARK_FLOOR`` components."""
+    real = equiv._refine
+    large = 0
+
+    def checked(labels, comp, moves, exits, block, fail):
+        nonlocal large
+        res = real(labels, comp, moves, exits, block, fail)
+        want = reference_refine(labels, comp, moves, exits, block)
+        assert (res.rel, res.rounds) == want
+        large += len(block) >= equiv._MARK_FLOOR
+        return res
+
+    with mock.patch.object(equiv, "_refine", checked):
+        for system in systems:
+            _branching_fixpoint(system)
+            if isinstance(system, Lts):
+                _strong_fixpoint(system)
+    return large
+
+
+def chain_pair(n):
+    """``a.``×n ``a.0`` against ``a.``×(n-1) ``tau.a.0``: one refinement
+    round per link."""
+    return parse_term("a." * n + "a.0"), parse_term("a." * (n - 1) + "tau.a.0")
+
+
+def three_tails(k, pad):
+    """Three ``a``-chains of ``k`` links ending in ``0``, ``b.0`` and
+    ``c.0``, beside ``pad`` deadlocks.  Each round splits the chains' states
+    at the next depth from the block of deeper ones into three; in the
+    last round that block holds the three heads alone, and all of them
+    leave it, into three groups."""
+    edges = []
+    for tag, end in (("x", None), ("y", "b"), ("z", "c")):
+        edges += [((tag, i), "a", (tag, i + 1)) for i in range(k)]
+        if end:
+            edges.append(((tag, k), end, "nil"))
+    heads = (("x", 0), ("y", 0), ("z", 0))
+    states = dict.fromkeys(heads)
+    states.update((("d", i), None) for i in range(pad))
+    states.update((s, None) for p, _, q in edges for s in (p, q))
+    return Lts(list(states), edges, heads)
+
+
+def inert_step_leaver(k, j, pad):
+    """``d`` has a ``b`` move to the head of an ``a``-chain of ``k``
+    links, ``c`` a ``b`` move to the chain's state ``j`` links further and
+    a tau step to ``d``, and ``g`` both ``b`` moves, beside ``pad``
+    deadlocks.  Once those two chain states part, ``c`` and ``g`` leave
+    ``d``'s block together; the round after, ``c``'s tau step is no
+    longer inert and parts it from ``g``, though no target of ``c``
+    changed block in between."""
+    edges = [(("s", i), "a", ("s", i + 1)) for i in range(k)]
+    edges += [("d", "b", ("s", 0)), ("c", "b", ("s", j)), ("c", "tau", "d"),
+              ("g", "b", ("s", 0)), ("g", "b", ("s", j))]
+    states = dict.fromkeys(("c", "d", "g"))
+    states.update((("p", i), None) for i in range(pad))
+    states.update((s, None) for p, _, q in edges for s in (p, q))
+    return Lts(list(states), edges, ("c", "d", "g"))
+
+
+@given(raw_systems())
+def test_refinement_equals_reference_on_drawn_systems(lts):
+    """Below the component floor every round is a full one, whose blocks
+    named by first members give the reference's rows and rounds."""
+    universe = envset(lab for lab in lts.labels if lab not in ("tau", "t"))
+    assert_refinements_equal_reference([lts, encoding.Closure(lts, universe)])
+
+
+def test_refinement_equals_reference_with_marked_rounds():
+    """Drawn pairs, chain pairs of 20 to 60 links, the three cells,
+    systems whose last split empties a block into three groups, and
+    systems where an inert step stops being inert, as raw systems and
+    closures: most refine above the component floor, where rounds after a
+    small split recompute only what it touches."""
+    rng = random.Random(5)
+    cfg = GenConfig(alphabet=("a", "b", "c"), max_depth=4)
+    pairs = [chain_pair(n) for n in (20, 33, 47, 60)] + [three_cells()]
+    while len(pairs) < 45:
+        p, q = rand_term(rng, cfg), rand_term(rng, cfg)
+        try:
+            explore((p, q), 200)
+        except StateBudgetError:
+            continue
+        pairs.append((p, q))
+    systems = [three_tails(k, pad) for k, pad in ((10, 20), (15, 0), (12, 40))]
+    systems += [inert_step_leaver(k, 3, 40) for k in (8, 12, 20)]
+    for p, q in pairs:
+        lts = explore((p, q))
+        systems += [lts, encoding.Closure(lts, process_universe(p, q))]
+    assert assert_refinements_equal_reference(systems) >= 30
+
+
+class CountingSequence(Sequence):
+    def __init__(self, items):
+        self.items = items
+        self.reads = 0
+
+    def __len__(self):
+        return len(self.items)
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return self.items[i]
+
+
+def test_refinement_reads_each_components_moves_a_few_times():
+    """On the 200-link chain pair's closure (203 rounds), the refinement
+    reads a component's moves a few times in all, not once per round."""
+    an = Analysis(*chain_pair(200))
+    real = equiv._refine
+    seen = []
+
+    def grab(*args):
+        seen.append(args)
+        return real(*args)
+
+    with mock.patch.object(equiv, "_refine", grab):
+        _branching_fixpoint(an.encoded)
+    labels, comp, moves, exits, block, fail = seen[0]
+    counting = CountingSequence(moves)
+    res = real(labels, comp, counting, exits, block, fail)
+    assert res.rounds == 203
+    assert res.rel == an.enc_branch.rel
+    assert counting.reads <= 8 * len(block)
 
 
 # -- the two decision methods against each other
