@@ -3,7 +3,8 @@
 A deeper version of ``txbisim fuzz-axioms``: more instances, optionally a
 larger alphabet and deeper terms, and a per-law table with vacuity counts
 and the first counterexample.  The unsound law is expected to fail; every
-other law failing, or the unsound one surviving, makes the run exit 1.
+other law failing, or the unsound one surviving, makes the run exit 1;
+input the harness refuses makes it exit 2.
 
     python3 scripts/axiom_fuzz.py --instances 500 --depth 4
 """
@@ -12,7 +13,7 @@ import argparse
 import sys
 import time
 
-from txbisim import CheckOptions, GenConfig
+from txbisim import CheckOptions, GenConfig, TxbisimError
 from txbisim.axioms import fuzz_axioms
 
 
@@ -28,18 +29,22 @@ def main(argv=None):
     )
     args = parser.parse_args(argv)
 
-    cfg = GenConfig(
-        alphabet=tuple(args.alphabet.split(",")), max_depth=args.depth
-    )
     names = args.names.split(",") if args.names else None
     t0 = time.perf_counter()
-    results = fuzz_axioms(
-        instances=args.instances,
-        seed=args.seed,
-        cfg=cfg,
-        opts=CheckOptions(method="direct", max_states=4000),
-        names=names,
-    )
+    try:
+        cfg = GenConfig(
+            alphabet=tuple(args.alphabet.split(",")), max_depth=args.depth
+        )
+        results = fuzz_axioms(
+            instances=args.instances,
+            seed=args.seed,
+            cfg=cfg,
+            opts=CheckOptions(method="direct", max_states=4000),
+            names=names,
+        )
+    except TxbisimError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     elapsed = time.perf_counter() - t0
 
     width = max(len(r.name) for r in results)

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .equiv import CheckOptions, process_universe, r_sr_branching, rbrb
+from .errors import TxbisimError
 from .gen import (
     GenConfig,
     equivalent_pair,
@@ -482,6 +483,12 @@ def _check_approximation(lhs, rhs, opts):
 def fuzz_axioms(instances=50, seed=0, cfg=None, opts=None, names=None):
     """Fuzz every law (or the named subset) with ``instances`` random
     instances each; returns one :class:`AxiomResult` per law."""
+    if instances < 1:
+        raise TxbisimError(f"instances must be at least 1, not {instances}")
+    if names is not None:
+        unknown = sorted(set(names) - {axiom.name for axiom in AXIOMS})
+        if unknown:
+            raise TxbisimError(f"unknown law(s): {', '.join(unknown)}")
     cfg = cfg or GenConfig(max_depth=3)
     opts = opts or CheckOptions()
     results = []

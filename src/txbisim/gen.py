@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import TxbisimError
 from .modal import (
     TOP,
     And,
@@ -65,11 +66,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GenConfig:
-    """Shape limits for random terms."""
+    """Shape limits for random terms: a nonempty alphabet of visible action
+    names and a depth of at least 0, checked before any draw."""
 
     alphabet: tuple = ("a", "b")
     max_depth: int = 4
     recursion: bool = True
+
+    def __post_init__(self):
+        if not self.alphabet:
+            raise TxbisimError("the alphabet needs at least one action name")
+        for name in self.alphabet:
+            visible(name)
+        if self.max_depth < 0:
+            raise TxbisimError(f"max_depth must be at least 0, not {self.max_depth}")
 
 
 def rand_env(rng, names, min_size=0):

@@ -49,7 +49,6 @@ from .terms import (
     TAU,
     Term,
     Theta,
-    Var,
     mk_abstract,
     mk_par,
     mk_prefix,
@@ -57,6 +56,7 @@ from .terms import (
     mk_theta,
     spec_close,
     sum_of,
+    summands,
     term_text,
     visible,
 )
@@ -88,7 +88,7 @@ def derive(term):
         )
     if moves is not None:
         return moves
-    if term.fv:
+    if not term.closed:
         raise InvalidTermError(
             f"cannot take transitions of an open term: {term_text(term)}"
         )
@@ -110,7 +110,9 @@ def _rules(term):
     if isinstance(term, Prefix):
         return [(term.action, term.body)]
     if isinstance(term, Choice):
-        return list(derive(term.left)) + list(derive(term.right))
+        # summand by summand, so a long sum derives without deep recursion
+        # and its inner sums cache no moves of their own
+        return [move for s in summands(term) for move in derive(s)]
     if isinstance(term, Par):
         return _par_rules(term)
     if isinstance(term, Abstract):
@@ -141,8 +143,6 @@ def _rules(term):
         return _psi_rules(term)
     if isinstance(term, RecCall):
         return list(derive(unfold(term)))
-    if isinstance(term, Var):
-        raise InvalidTermError("free variable has no transitions")
     raise InvalidTermError(f"no transition rules for {term!r}")
 
 

@@ -206,7 +206,6 @@ EMPTY_ENV = envset()
 
 _INTERN: dict[tuple, "Term"] = {}
 _UID = 0
-_NO_VARS = frozenset()
 
 
 def _next_uid():
@@ -219,12 +218,10 @@ class Term:
     """Base class of interned process terms.
 
     A node is made once, by :func:`_interned`, which sets its fields (the
-    subclass's slots), a stable ``uid`` and three static facts derived from
-    its parts: its free variables (``fv``), the variables that occur free
-    inside the body of some ``theta``/``psi`` subterm and are not yet bound
-    (``tp_pending``), and a validity bit (``valid``): a term is invalid when
-    a ``theta``/``psi`` body has a free variable that a surrounding
-    recursive specification binds.
+    subclass's slots), a stable ``uid`` and two static facts derived from
+    its parts: ``closed``, true when no variable occurs free, and ``valid``,
+    false when the term reaches a recursive specification that has a
+    ``theta``/``psi`` above one of its own variables.
 
     Three more slots cache what a node computes on first request and never
     changes: ``alpha`` holds :func:`alphabet`'s set, ``moves`` holds
@@ -233,7 +230,7 @@ class Term:
     function fills it; ``semantics`` fills the last two.
     """
 
-    __slots__ = ("uid", "fv", "tp_pending", "valid", "alpha", "moves", "init")
+    __slots__ = ("uid", "closed", "valid", "alpha", "moves", "init")
 
     kindname = "term"
 
@@ -306,11 +303,9 @@ def _interned(key, cls, *fields):
     """The one node of class ``cls`` with ``fields`` (its slots, in order),
     made under ``key`` on first request.
 
-    Its facts come from its parts: the operands, or a recursive call's
-    specification; ``Var`` and ``Nil`` have none, and a variable is free in
-    itself.  A node shares the sets of its only part, or of its only part
-    with a nonempty set, as the sets never change.  ``theta`` and ``psi``
-    add their body's free variables to ``tp_pending``.
+    Its facts come from its operands.  A variable is open; a recursive call
+    has no operands, is closed, as every specification is, and is valid
+    when its specification is.
     """
     node = _INTERN.get(key)
     if node is not None:
@@ -320,17 +315,13 @@ def _interned(key, cls, *fields):
         setattr(node, slot, value)
     node.uid = _next_uid()
     node.alpha = node.moves = node.init = None
-    fv = pend = _NO_VARS
-    valid = True
-    if cls is Var:
-        fv = frozenset(fields)
-    for part in (node.spec,) if cls is RecCall else operands(node):
-        fv = fv | part.fv if fv else part.fv
-        pend = pend | part.tp_pending if pend else part.tp_pending
+    closed, valid = cls is not Var, True
+    for part in operands(node):
+        closed = closed and part.closed
         valid = valid and part.valid
-    if cls is Theta or cls is Psi:
-        pend = pend | fv
-    node.fv, node.tp_pending, node.valid = fv, pend, valid
+    if cls is RecCall:
+        valid = node.spec.valid
+    node.closed, node.valid = closed, valid
     _INTERN[key] = node
     return node
 
@@ -343,22 +334,29 @@ class RecSpec:
 
     Interned like terms; equality is object identity.  The display name used
     by the concrete syntax lives in ``Definitions``, not here, so the same
-    specification parsed under two names is shared.
+    specification parsed under two names is shared.  A specification is
+    closed: its bodies have no free variable but its own, so every call of
+    it is a closed term.
     """
 
-    __slots__ = ("uid", "vars", "bodies", "fv", "tp_pending", "valid")
+    __slots__ = ("uid", "vars", "bodies", "valid")
 
     def __init__(self, vars_, bodies):
+        occurrences = set().union(*(_free_occurrences(b) for b in bodies))
+        stray = sorted({name for name, _ in occurrences} - set(vars_))
+        if stray:
+            raise InvalidTermError(
+                "a specification may use no free variable but its own: "
+                + ", ".join(stray)
+            )
         self.vars = vars_
         self.bodies = bodies
         self.uid = _next_uid()
-        binder = frozenset(vars_)
-        self.fv = frozenset().union(*(b.fv for b in bodies)) - binder
-        pend = frozenset().union(*(b.tp_pending for b in bodies))
-        # the capture check: a theta/psi body below must not mention a
-        # variable this specification binds
-        self.valid = all(b.valid for b in bodies) and not (pend & binder)
-        self.tp_pending = pend - binder
+        # the capture check: every variable left is bound here, so one below
+        # a theta/psi would put that operator inside the recursion
+        self.valid = all(b.valid for b in bodies) and not any(
+            under_env for _, under_env in occurrences
+        )
 
     def body(self, var):
         return self.bodies[self.vars.index(var)]
@@ -375,7 +373,8 @@ _SPEC_INTERN: dict[tuple, RecSpec] = {}
 
 
 def mk_recspec(equations):
-    """Intern a recursive specification from a var -> term mapping."""
+    """Intern a recursive specification from a var -> term mapping; a body
+    with a free variable that is not a key is refused."""
     if not equations:
         raise InvalidTermError("a recursive specification needs at least one equation")
     items = sorted(equations.items())
@@ -516,9 +515,31 @@ def spec_close(term, spec):
 # Queries
 
 
+def _free_occurrences(term):
+    """The free variable occurrences of a term as ``(name, under_env)``
+    pairs, ``under_env`` telling whether a ``theta``/``psi`` lies above the
+    occurrence.  The walk skips closed subterms, so it never enters a
+    recursive call, and visits a shared subterm once per value of
+    ``under_env``."""
+    found = set()
+    seen = set()
+    stack = [(term, False)]
+    while stack:
+        node, under_env = stack.pop()
+        if node.closed or (node, under_env) in seen:
+            continue
+        seen.add((node, under_env))
+        if isinstance(node, Var):
+            found.add((node.name, under_env))
+        else:
+            under_env = under_env or isinstance(node, (Theta, Psi))
+            stack.extend((child, under_env) for child in operands(node))
+    return found
+
+
 def free_vars(term):
     """Variables with a free occurrence; spec-bound occurrences do not count."""
-    return term.fv
+    return frozenset(name for name, _ in _free_occurrences(term))
 
 
 @dataclass(frozen=True)
@@ -541,106 +562,67 @@ def validate(term):
     it must not guard.  Violations are reported as paths from the root.
     """
     if term.valid:
-        return ValidationReport(True, not term.fv, ())
+        return ValidationReport(True, term.closed, ())
     violations = []
-
-    def walk(node, path, binders):
-        # a subtree matters only if it still awaits a binding that would
-        # put an environment operator inside a recursion
-        if node.valid and not (node.tp_pending & binders):
-            return
-        if isinstance(node, (Theta, Psi)):
-            hit = node.body.fv & binders
-            if hit:
-                violations.append(
-                    f"{path or 'root'}: {node.kindname} body has bound variable(s) "
-                    + ", ".join(sorted(hit))
-                )
-        if isinstance(node, Choice):
-            for i, s in enumerate(summands(node)):
-                walk(s, f"{path}.sum[{i}]", binders)
+    # entries (node, path, in_body): in_body tells whether the node lies in
+    # a specification body, whose free variables that specification binds
+    stack = [(term, "", False)]
+    while stack:
+        node, path, in_body = stack.pop()
+        if node.valid and (node.closed or not in_body):
+            continue
+        if in_body and isinstance(node, (Theta, Psi)) and not node.body.closed:
+            violations.append(
+                f"{path or 'root'}: {node.kindname} body has bound variable(s) "
+                + ", ".join(sorted(free_vars(node.body)))
+            )
+        if isinstance(node, RecCall):
+            steps = [
+                (f"<{node.var}|...>.{v}", b) for v, b in node.spec.equations().items()
+            ]
+            in_body = True
+        elif isinstance(node, Choice):
+            steps = [(f"sum[{i}]", s) for i, s in enumerate(summands(node))]
         elif isinstance(node, Par):
-            walk(node.left, f"{path}.par.left", binders)
-            walk(node.right, f"{path}.par.right", binders)
-        elif isinstance(node, RecCall):
-            inner = binders | set(node.spec.vars)
-            for v, b in zip(node.spec.vars, node.spec.bodies):
-                walk(b, f"{path}.<{node.var}|...>.{v}", inner)
+            steps = [("par.left", node.left), ("par.right", node.right)]
         else:
-            for child in operands(node):
-                walk(child, f"{path}.{node.kindname}", binders)
-
-    walk(term, "", frozenset())
-    return ValidationReport(False, not term.fv, tuple(violations))
+            steps = [(node.kindname, child) for child in operands(node)]
+        stack.extend(
+            (child, f"{path}.{step}", in_body) for step, child in reversed(steps)
+        )
+    return ValidationReport(False, term.closed, tuple(violations))
 
 
 # ---------------------------------------------------------------------------
 # Substitution
 
 
-_FRESH_COUNTER = 0
-
-
-def _fresh_name(base, avoid):
-    global _FRESH_COUNTER
-    stem = base.rstrip("0123456789")
-    while True:
-        _FRESH_COUNTER += 1
-        cand = f"{stem}{_FRESH_COUNTER}"
-        if cand not in avoid and cand not in RESERVED:
-            return cand
-
-
 def substitute(term, mapping):
-    """Capture-avoiding simultaneous substitution of terms for free variables.
+    """Simultaneous substitution of terms for free variables.
 
-    Bound specification variables are renamed apart when an image would be
-    captured.
+    Specifications are closed, so no binder lies between a term's root and
+    its free variables and no image can be captured; closed subterms,
+    recursive calls among them, are left as they are.  A run of prefixes is
+    taken in a loop, so deep chains substitute without deep recursion.
     """
-    mapping = {v: img for v, img in mapping.items() if v in term.fv and img is not mk_var(v)}
-    if not mapping:
+    if term.closed:
         return term
-    return _subst(term, mapping)
-
-
-def _subst(term, mapping):
-    live = {v: img for v, img in mapping.items() if v in term.fv}
-    if not live:
-        return term
+    actions = []
+    while isinstance(term, Prefix):
+        actions.append(term.action)
+        term = term.body
     if isinstance(term, Var):
-        return live.get(term.name, term)
-    if isinstance(term, Choice):
-        return sum_of(_subst(s, live) for s in summands(term))
-    if isinstance(term, Par):
-        return mk_par(_subst(term.left, live), term.sync, _subst(term.right, live))
-    if isinstance(term, RecCall):
-        spec, var = _subst_spec(term.spec, term.var, live)
-        return mk_reccall(var, spec)
-    ops = operands(term)
-    if len(ops) == 1:
-        return with_operand(term, 0, _subst(ops[0], live))
-    raise InvalidTermError(f"cannot substitute into {term!r}")
-
-
-def _subst_spec(spec, var, mapping):
-    live = {v: img for v, img in mapping.items() if v in spec.fv}
-    if not live:
-        return spec, var
-    binder = set(spec.vars)
-    image_frees = set().union(*(img.fv for img in live.values()))
-    clash = binder & image_frees
-    vars_ = spec.vars
-    bodies = spec.bodies
-    if clash:
-        avoid = binder | image_frees | set(live) | set().union(*(b.fv for b in bodies))
-        ren = {old: _fresh_name(old, avoid) for old in sorted(clash)}
-        ren_map = {old: mk_var(new) for old, new in ren.items()}
-        vars_ = tuple(ren.get(v, v) for v in vars_)
-        bodies = tuple(_subst(b, ren_map) for b in bodies)
-        var = ren.get(var, var)
-    new_bodies = tuple(_subst(b, live) for b in bodies)
-    new_spec = mk_recspec(dict(zip(vars_, new_bodies)))
-    return new_spec, var
+        term = mapping.get(term.name, term)
+    elif isinstance(term, Choice):
+        term = sum_of(substitute(s, mapping) for s in summands(term))
+    elif isinstance(term, Par):
+        left, right = (substitute(side, mapping) for side in (term.left, term.right))
+        term = mk_par(left, term.sync, right)
+    else:
+        term = with_operand(term, 0, substitute(term.body, mapping))
+    for action in reversed(actions):
+        term = mk_prefix(action, term)
+    return term
 
 
 # ---------------------------------------------------------------------------
@@ -656,12 +638,13 @@ def alphabet(term):
     if term.alpha is not None:
         return term.alpha
     names: set[str] = set()
-    seen: set[int] = set()
-
-    def walk(node):
-        if node.uid in seen:
-            return
-        seen.add(node.uid)
+    seen: set[Term] = set()
+    stack = [term]
+    while stack:
+        node = stack.pop()
+        if node in seen:
+            continue
+        seen.add(node)
         if isinstance(node, Prefix) and node.action.is_visible:
             names.add(node.action.name)
         elif isinstance(node, Rename):
@@ -669,12 +652,8 @@ def alphabet(term):
                 names.add(src)
                 names.add(dst)
         elif isinstance(node, RecCall):
-            for b in node.spec.bodies:
-                walk(b)
-        for child in operands(node):
-            walk(child)
-
-    walk(term)
+            stack.extend(node.spec.bodies)
+        stack.extend(operands(node))
     term.alpha = envset(names)
     return term.alpha
 
@@ -734,7 +713,7 @@ class _Parser:
         self.toks = _tokenize(text)
         self.pos = 0
         self.defs = definitions if definitions is not None else Definitions()
-        self.spec_vars: tuple[str, ...] = ()
+        self.spec_vars: frozenset[str] = frozenset()
         self.depth = 0
 
     # -- token plumbing
@@ -799,7 +778,7 @@ class _Parser:
             self.fail(f"duplicate name {name!r}", name_tok)
         self.expect("{")
         raw = []
-        var_names = []
+        var_names = set()
         while self.peek().text != "}":
             var_tok = self.next()
             if var_tok.kind != "ident" or var_tok.text in RESERVED:
@@ -810,16 +789,16 @@ class _Parser:
             body = self.parse_proc()
             self.expect(";")
             raw.append((var_tok, body))
-            var_names.append(var_tok.text)
+            var_names.add(var_tok.text)
         self.expect("}")
-        self.spec_vars = tuple(var_names)
+        self.spec_vars = frozenset(var_names)
         try:
             equations = {}
             for var_tok, body in raw:
                 equations[var_tok.text] = self.resolve_names(body, var_tok)
             spec = mk_recspec(equations)
         finally:
-            self.spec_vars = ()
+            self.spec_vars = frozenset()
         if not spec.valid:
             sample = mk_reccall(spec.vars[0], spec)
             self.fail(
@@ -834,7 +813,9 @@ class _Parser:
         Identifiers bound by the specification being parsed stay variables;
         everything else must name an earlier ``def`` and is inlined.
         """
-        pending = term.fv - set(self.spec_vars)
+        if term.closed:
+            return term
+        pending = free_vars(term) - self.spec_vars
         images = {}
         for n in sorted(pending):
             if n in self.defs.defs:

@@ -1,4 +1,4 @@
-"""Release gate: thirteen behavioural criteria, one test and one line each.
+"""Release gate: fourteen behavioural criteria, one test and one line each.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the checklist; every
 test prints ``criterion NN: PASS`` with a short tally once its assertions
@@ -9,6 +9,8 @@ the tallies are stable run to run.
 import math
 import random
 from itertools import combinations
+
+import pytest
 
 from txbisim import (
     CheckOptions,
@@ -28,12 +30,12 @@ from txbisim.equiv import (
     rbrb,
     strong,
 )
-from txbisim.errors import TxbisimError
+from txbisim.errors import ParseError, TxbisimError
 from txbisim.gen import rand_context, rand_formula
 from txbisim.lts import disjoint_union, iter_bits
 from txbisim.lts import quotient as lts_quotient
 from txbisim.modal import distinguish, in_subclass, satisfies
-from txbisim.terms import envset, mk_theta
+from txbisim.terms import alphabet, envset, mk_theta, parse_file, parse_term
 
 BOTH = CheckOptions(method="both")
 DIRECT = CheckOptions(method="direct", max_states=1600)
@@ -283,3 +285,19 @@ def test_criterion_13_inclusion_chain(corpus_analyses):
         f"strong ({n_strong}) implies rooted ({n_rooted}) "
         f"implies plain ({n_plain}) on {len(corpus_analyses)} pairs",
     )
+
+
+def test_criterion_14_deep_and_wide_terms():
+    # a 1000-link chain pair, a 1200-summand sum and a 1500-prefix
+    # definition reference, each past Python's recursion limit
+    p = parse_term("a." * 1000 + "0")
+    q = parse_term("a." * 999 + "tau.a.0")
+    assert brb(p, q, BOTH)
+    wide = parse_term(" + ".join(f"a{i}.0" for i in range(1200)))
+    lts = explore(wide)
+    assert lts.n_states == 2 and strong(lts, wide, wide)
+    defs = parse_file("def A = b.0; def B = " + "a." * 1500 + "A;")
+    assert alphabet(defs.defs["B"]).names == ("a", "b")
+    with pytest.raises(ParseError):
+        parse_term("(" * 1000 + "a.0" + ")" * 1000)
+    report(14, "deep and wide terms are decided or refused cleanly")

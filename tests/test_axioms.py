@@ -1,8 +1,12 @@
 """Law fuzzing: sound laws hold, the planted unsound law is caught."""
 
+import runpy
+from pathlib import Path
+from types import SimpleNamespace
+
 import pytest
 
-from txbisim import CheckOptions, GenConfig, axioms, brb, equiv, rbrb
+from txbisim import CheckOptions, GenConfig, TxbisimError, axioms, brb, equiv, rbrb
 from txbisim.axioms import AXIOMS, AxiomResult, axiom_by_name, fuzz_axioms
 from txbisim.semantics import explore
 from txbisim.terms import parse_term
@@ -50,6 +54,31 @@ def test_strong_check_reuses_the_reactive_verdicts_system(monkeypatch):
     (res,) = fuzz_axioms(instances=1, names=["choice-comm"])
     assert res.ok
     assert len(explored) == 1
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"instances": 0}, {"instances": -3}, {"names": ["branching", "nope"]}]
+)
+def test_fuzz_input_is_refused_before_any_draw(monkeypatch, kwargs):
+    def no_draws(seed):
+        raise AssertionError("drew a random number")
+
+    monkeypatch.setattr(axioms, "random", SimpleNamespace(Random=no_draws))
+    with pytest.raises(TxbisimError):
+        fuzz_axioms(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "argv", [["--instances", "0"], ["--depth", "-1"], ["--names", "nope"]]
+)
+def test_axiom_fuzz_script_refuses_bad_input_in_one_line(capsys, argv):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "axiom_fuzz.py"
+    main = runpy.run_path(str(script))["main"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error:")
 
 
 def test_unsound_idempotence_to_zero_fails_quickly():

@@ -73,6 +73,34 @@ def test_parse_reprints_a_deep_prefix_chain(capsys, tmp_path):
     assert parse_file(out) == parse_file(text)
 
 
+# Deep and wide inputs: each argv reads its file, which holds a 1000-link
+# chain pair, a 1200-summand sum or a 1500-prefix definition reference.
+DEEP_AND_WIDE = {
+    "chain.ccspt": f"def P = {'a.' * 1000}0;\ndef Q = {'a.' * 999}tau.a.0;\n",
+    "sum.ccspt": f"def P = {' + '.join(f'a{i}.0' for i in range(1200))};\ndef Q = P;\n",
+    "ref.ccspt": "def A = b.0;\ndef B = " + "a." * 1500 + "A;\n",
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "chain.ccspt", "P", "Q", "brb"],
+        ["lts", "sum.ccspt", "P"],
+        ["check", "sum.ccspt", "P", "Q", "strong"],
+        ["parse", "ref.ccspt"],
+    ],
+)
+def test_deep_and_wide_inputs_are_decided_without_recursion_errors(
+    capsys, tmp_path, argv
+):
+    path = tmp_path / argv[1]
+    path.write_text(DEEP_AND_WIDE[argv[1]])
+    code, _, err = run(capsys, [argv[0], str(path), *argv[2:]])
+    assert code == 0, err
+    assert "RecursionError" not in err
+
+
 def test_deep_nesting_is_a_parse_error(capsys, tmp_path):
     deep = tmp_path / "nested.ccspt"
     deep.write_text("def Deep = " + "(" * 1000 + "a.0" + ")" * 1000 + ";\n")
@@ -425,6 +453,18 @@ def test_fuzz_axioms_reports_missed_expectation(capsys):
     payload = json.loads(out)
     missed = [r["axiom"] for r in payload["results"] if not r["ok"]]
     assert missed == ["choice-idem-zero"]
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--count", "0"], ["--count", "-3"], ["--depth", "-1"], ["--alphabet", ""]],
+)
+def test_fuzz_axioms_refuses_bad_input(capsys, flags):
+    code, out, err = run(capsys, ["fuzz-axioms", *flags])
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "Error:" not in err
 
 
 # -- shared plumbing

@@ -2,9 +2,10 @@
 
 import random
 
+import pytest
 from hypothesis import given, strategies as st
 
-from txbisim import CheckOptions, GenConfig, rbrb
+from txbisim import CheckOptions, GenConfig, TxbisimError, rbrb
 from txbisim.gen import (
     _get_at,
     _positions,
@@ -30,6 +31,20 @@ from txbisim.terms import (
 )
 
 CFG = GenConfig(alphabet=("a", "b"), max_depth=4)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"alphabet": ()},
+        {"alphabet": ("a", "B")},
+        {"alphabet": ("tau",)},
+        {"max_depth": -1},
+    ],
+)
+def test_config_refuses_what_no_draw_can_use(kwargs):
+    with pytest.raises(TxbisimError):
+        GenConfig(**kwargs)
 
 
 def test_seeded_streams_are_reproducible():

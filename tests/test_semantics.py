@@ -150,6 +150,13 @@ def test_unfold_substitutes_calls():
     assert (act.name, term_text(target, defs.spec_names())) == ("a", "<y|S>")
 
 
+def test_a_sum_derives_summand_by_summand():
+    wide = parse_term(" + ".join(f"a{i}.0" for i in range(1200)))
+    assert len(derive(wide)) == 1200
+    # the inner sums of the left-nested spine were never derived
+    assert wide.left.moves is None
+
+
 def test_unguarded_recursion_is_reported():
     stuck = parse_file("spec L { x = x; } def Stuck = <x|L>;").defs["Stuck"]
     with pytest.raises(UnguardedRecursionError):

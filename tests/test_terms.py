@@ -1,6 +1,7 @@
 """Syntax layer: constructors, canonical forms, parsing, printing."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -150,6 +151,36 @@ def test_spec_close_and_unfolding_shape():
     assert spec_close(mk_var("x"), spec) is call
 
 
+def test_specifications_are_closed():
+    with pytest.raises(InvalidTermError, match="own: y"):
+        mk_recspec({"x": mk_prefix(visible("a"), mk_choice(mk_var("x"), mk_var("y")))})
+    # a call is closed, so substitution leaves it as it is
+    spec = mk_recspec({"x": mk_prefix(visible("a"), mk_var("x"))})
+    call = mk_reccall("x", spec)
+    assert substitute(call, {"x": NIL}) is call
+
+
+def test_parsing_a_wide_parallel_spec_body_stays_small():
+    # every binary node once held the union of its sides' variable sets,
+    # O(n^2) entries for a left-nested || over n variables
+    n = 2000
+    text = (
+        "spec S { "
+        + " ".join(f"x{i} = a.0;" for i in range(1, n))
+        + " x0 = a.("
+        + " ||{} ".join(f"x{i}" for i in range(n))
+        + "); }"
+    )
+    tracemalloc.start()
+    try:
+        defs = parse_file(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(defs.specs["S"].vars) == n
+    assert peak < 20 * 2**20
+
+
 def test_validate_flags_env_operator_under_recursion_binder():
     spec = mk_recspec({"x": mk_theta(envset(("a",)), envset(("a",)), mk_var("x"))})
     call = mk_reccall("x", spec)
@@ -161,25 +192,22 @@ def test_validate_flags_env_operator_under_recursion_binder():
 
 
 def _facts_from_scratch(term):
-    """``(fv, tp_pending, valid)`` of a term, read off each variable
-    occurrence and the path above it within the term: a ``frozenset`` step
-    for a specification binding those variables, ``None`` for a
-    ``theta``/``psi``.  An occurrence that no step binds is free, and pending
-    below an environment operator; one bound by a specification that has an
-    environment operator below it, above the occurrence, breaks validity."""
-    fv, pending, valid = set(), set(), True
+    """``(closed, valid)`` of a term, read off each variable occurrence and
+    the path above it within the term: a ``frozenset`` step for a
+    specification binding those variables, ``None`` for a ``theta``/``psi``.
+    An occurrence that no step binds is free; one bound by a specification
+    that has an environment operator below it, above the occurrence, breaks
+    validity."""
+    closed, valid = True, True
     stack = [(term, ())]
     while stack:
         node, path = stack.pop()
         if isinstance(node, Var):
             binders = [k for k, step in enumerate(path) if step and node.name in step]
             last = binders[-1] if binders else -1
-            under_env = None in path[last + 1:]
             if last < 0:
-                fv.add(node.name)
-                if under_env:
-                    pending.add(node.name)
-            elif under_env:
+                closed = False
+            elif None in path[last + 1:]:
                 valid = False
         elif isinstance(node, RecCall):
             inner = path + (frozenset(node.spec.vars),)
@@ -188,7 +216,7 @@ def _facts_from_scratch(term):
             stack.append((node.body, path + (None,)))
         else:
             stack.extend((c, path) for c in operands(node))
-    return fv, pending, valid
+    return closed, valid
 
 
 REBUILD = {
@@ -221,7 +249,7 @@ def test_node_facts_match_a_recomputation_and_factories_rebuild_nodes(seed):
         if node.uid in seen:
             continue
         seen.add(node.uid)
-        assert (node.fv, node.tp_pending, node.valid) == _facts_from_scratch(node)
+        assert (node.closed, node.valid) == _facts_from_scratch(node)
         assert REBUILD[type(node)](node) is node
         if isinstance(node, RecCall):
             assert mk_recspec(node.spec.equations()) is node.spec
