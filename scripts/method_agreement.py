@@ -4,16 +4,16 @@ For each depth in a sweep this generates seeded pairs, decides plain and
 rooted equivalence, triggered and in a seeded subset of the pair's
 actions, with the direct fixpoint, with the environment encoding and with
 ``method="both"``, and reports agreement plus wall-clock totals.  A
-``both`` answer must equal the direct one, a negative ``both`` verdict must
-name the direct route's reason, and the witness of a positive ``both``
-verdict (the encode route's projection, certified by one literal pass of
-the clauses) must pass ``generalized_witness_ok``.  It counts the
-unrooted negative verdicts whose reason is a round-1 removal, those the
-direct route's first round certifies without a fixpoint, and it asks
-``distinguish``, plain and rooted, for a formula separating every pair:
-that must return one exactly when the pair is inequivalent.  Any
-disagreement is printed in full and the script exits nonzero, so it
-doubles as a slow randomised check:
+``both`` answer must equal the direct one, a negative ``encode`` or
+``both`` verdict must name the direct route's reason, and the witness of a
+positive ``both`` verdict (the encode route's projection, certified by one
+literal pass of the clauses) must pass ``generalized_witness_ok``.  It
+counts the unrooted negative verdicts that the first pass of the direct
+route's clauses, against the relation that relates everything, certifies
+without a fixpoint, and it asks ``distinguish``, plain and rooted, for a
+formula separating every pair: that must return one exactly when the pair
+is inequivalent.  Any disagreement is printed in full and the script exits
+nonzero, so it doubles as a slow randomised check:
 
     python3 scripts/method_agreement.py --per-depth 200 --max-depth 5
 """
@@ -24,6 +24,7 @@ import sys
 import time
 
 from txbisim import (
+    Analysis,
     CheckOptions,
     GenConfig,
     StateBudgetError,
@@ -37,7 +38,7 @@ from txbisim import (
     rbrb,
     rbrb_x,
 )
-from txbisim.equiv import generalized_witness_ok
+from txbisim.equiv import _first_fail, generalized_witness_ok
 from txbisim.modal import distinguish, formula_text
 from txbisim.terms import term_text
 
@@ -61,6 +62,16 @@ def sample_pairs(rng, cfg, count, cap, rewrite_share):
     return pairs
 
 
+def first_pass_fails(p, q, env=None):
+    """Whether the queried pair fails a clause against the relation that
+    relates everything, which certifies it inequivalent without a
+    fixpoint."""
+    an = Analysis(p, q, BOTH)
+    pf = an.profile
+    x = pf.trig if env is None else pf.env_mask(an.canonical_env(env))
+    return _first_fail(pf, an.ip, x, an.iq, an.memo) is not None
+
+
 def run_depth(rng, env_rng, depth, args):
     cfg = GenConfig(alphabet=tuple(args.alphabet.split(",")), max_depth=depth)
     pairs = sample_pairs(rng, cfg, args.per_depth, args.state_cap, 0.3)
@@ -79,8 +90,9 @@ def run_depth(rng, env_rng, depth, args):
             t_direct += time.perf_counter() - t0
             d = related[relation] = bool(dv)
             t0 = time.perf_counter()
-            e = bool(relation(p, q, *args_x, ENCODE))
+            ev = relation(p, q, *args_x, ENCODE)
             t_encode += time.perf_counter() - t0
+            e = bool(ev)
             t0 = time.perf_counter()
             try:
                 v = relation(p, q, *args_x, BOTH)
@@ -91,17 +103,22 @@ def run_depth(rng, env_rng, depth, args):
             witness_ok = not v or generalized_witness_ok(
                 v.lts, v.universe, v.witness
             )
-            same_reason = v is None or v.reason == dv.reason
-            if relation in (brb, brb_x) and v is not None and not v:
+            same_reason = ev.reason == dv.reason and (
+                v is None or v.reason == dv.reason
+            )
+            if relation in (brb, brb_x) and not d:
                 negatives += 1
-                first_round += v.reason.get("round") == 1
+                first_round += first_pass_fails(p, q, *args_x)
             if not d == e == b or not witness_ok or not same_reason:
                 where = "".join(f" in {{{','.join(x)}}}" for x in args_x)
                 detail = f"direct={d} encode={e} both={b}"
                 if not witness_ok:
                     detail += " (its witness fails generalized_witness_ok)"
                 if not same_reason:
-                    detail += f" (both's reason {v.reason} is not direct's {dv.reason})"
+                    detail += (
+                        f" (reasons: direct {dv.reason}, encode {ev.reason}, "
+                        f"both {v and v.reason})"
+                    )
                 mismatches.append((relation.__name__ + where, p, q, detail))
         for relation, rooted in ((brb, False), (rbrb, True)):
             t0 = time.perf_counter()
@@ -124,7 +141,7 @@ def run_depth(rng, env_rng, depth, args):
         f"depth {depth}: {len(pairs)} pairs, {equivalent} equivalent, "
         f"direct {t_direct:.2f}s, encode {t_encode:.2f}s, both {t_both:.2f}s, "
         f"distinguish {t_formula:.2f}s, {len(mismatches)} mismatches; "
-        f"{first_round} of {negatives} unrooted negatives certified in round 1"
+        f"{first_round} of {negatives} unrooted negatives certified by the first pass"
     )
     return mismatches
 

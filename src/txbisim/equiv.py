@@ -10,60 +10,42 @@ Two independent routes lead to each reactive verdict:
   branching bisimilarity on the result, reading reactive verdicts off the
   triggered and allowing wrapper states.
 
-Both routes produce the same answers.  ``method="both"`` checks its
-answer without trusting the encoding.  A pair that fails a clause against
-the relation relating everything lies outside every bisimulation: the
-direct route's first round, run on the queried pair alone
-(:func:`_first_round`), finds such a pair before any closure or fixpoint
-is built, and that removal is the negative verdict.  Otherwise ``"both"``
-decides by the encode route: a positive answer is certified by one literal
-pass of the direct route's clauses over the encode route's relation,
-projected onto the explored states; a negative one is checked against the
-direct fixpoint.  Either check raises
-:class:`~txbisim.errors.MethodDisagreementError` if the routes split, which
-doubles as a strong internal consistency check.
+Both routes give the same answers and the same reasons.  A negative
+verdict names the first clause the queried pair fails (:func:`_first_fail`)
+against the relation that relates everything, or if none fails there,
+against the final relation with the pair joined; a rooted one names the
+first step with no match into the final relation (:func:`_rooted_fail`).
+Either route's relation is read as a table of the direct route's form.
+``method="both"`` checks its answer without trusting the encoding.  A pair
+that fails a clause against the full relation lies outside every
+bisimulation, so the first pass of :func:`_first_fail` on the queried
+pair alone decides such a negative before any closure or fixpoint is
+built.  Otherwise ``"both"`` decides by the encode route: a positive
+answer is certified by one literal pass of the direct route's clauses over
+the encode route's relation projected onto the explored states, a
+negative one is checked against the direct fixpoint, and either check
+raises :class:`~txbisim.errors.MethodDisagreementError` if the routes
+split.
 
-Relations are kept as one successor-set mask per row.  The direct route
-keeps its relation as one table ``rows[p][x]``: a column per environment
-mask and one more, :attr:`_Profile.trig`, for the pairs.  A pair row is
-judged like a triple row in which every visible move counts, so each
-clause, the rooted first-step condition and the witness check are written
-once for all columns.  The clauses are scanned in one place,
-:func:`_round`, a pass over a list of live rows that reads the table in
-place and works set-at-a-time on its masks: the fixpoint loops it, and
-the witness check makes one literal pass.  A state's clauses are compiled
-once (:meth:`_Profile.clauses`) for all the columns that allow the same of
-its actions, a tau step naming the row's own column.  Match sets and
-backward tau closures are kept by value for every pass of one check
-(:attr:`Analysis.memo`), so equal rows share them, and the fixpoint's
-first round reuses those of :func:`_first_round`.  A round's removals
-are applied after it, their mirror entries in the other orientation once
-per column and removed mask.  The fixpoint never judges a state against
-itself, the greatest relation being reflexive, and stops visiting a row
-that holds only that state.
-Every removal is stamped with its round and the violated clause, one
-:class:`Removal` per clause and round for all the entries it removes;
-those records drive both the explanation of a negative verdict and the
-synthesis of distinguishing formulas in :mod:`txbisim.modal`.  The plain
-relations, stability respecting branching bisimilarity (which the encode
-route decides on the wrapped system) and strong bisimilarity, share one
-partition refinement (:func:`_refine`) over moves with coded labels that
-stamps nothing.  Its blocks keep their names while they do not split, so
-after a round that renames few components the next recomputes only the
-signatures those names reach, with the rounds and blocks of recomputing
-every one: on a chain, which takes a round per link, the refinement's
-time grows about linearly with the length rather than quadratically.  A
-negative verdict is explained by the first clause the queried pair fails
-against the final relation, found when the verdict asks for it.  The
-encode route refines the index-level closure
-(:class:`~txbisim.encoding.Closure`) itself, so its answer, the rooted
-first-step check on it, and its relation projected into the direct
-route's table (:func:`_projection`), the witness and certificate of a
-positive verdict, need no wrapper object; the system of wrapper states is
-built only for the route's reasons, so only for negative verdicts.
-
-All four reactive checks, plain or rooted and triggered or in a fixed
-environment, go through :func:`_check`.
+The direct route keeps its relation as one table ``rows[p][x]`` of
+successor-set masks: a column per environment mask and one more,
+:attr:`_Profile.trig`, for the pairs, judged like a triple row in which
+every visible move counts.  The clauses are compiled once per state and
+visible footprint (:meth:`_Profile.clauses`) and scanned in one place,
+:func:`_round`, a set-at-a-time pass over a list of live rows that the
+fixpoint loops and the reason and the witness check run once.  Match sets
+and backward tau closures are kept by value for every pass of one check
+(:attr:`Analysis.memo`).  A round's removals, and their mirror entries,
+are applied after it; the fixpoint never judges a state against itself.
+Every removal is stamped with its round and clause (:class:`Removal`),
+for the synthesis of distinguishing formulas in :mod:`txbisim.modal`
+alone.  The plain relations, stability respecting branching bisimilarity
+(which the encode route decides on the index-level closure,
+:class:`~txbisim.encoding.Closure`, building no wrapper object) and strong
+bisimilarity, share one partition refinement (:func:`_refine`) that
+recomputes only the signatures a split can change, so a chain's time
+grows about linearly with its length.  All four reactive checks, plain or
+rooted and triggered or in a fixed environment, go through :func:`_check`.
 """
 
 from __future__ import annotations
@@ -113,14 +95,12 @@ class CheckOptions:
     """Knobs shared by all term-level checks.
 
     ``method`` selects the decision route: ``"direct"``, ``"encode"``, or
-    ``"both"`` (certify a negative answer the direct route's first round
-    finds on the queried pair; else decide by the encode route, certify a
-    positive answer by one literal pass of the clauses over its relation,
-    cross-check a negative one against the direct route and report the
-    direct result).  ``max_states`` bounds the explored and the encoded
-    states; it must be positive, and None defers to ``TXBISIM_MAX_STATES``
-    or the built-in default.  A negative answer the first round finds
-    builds no encoding, so only the explored states count against it.
+    ``"both"`` (the encode route, its answers certified or cross-checked,
+    see :func:`_check`).  ``max_states`` bounds the explored and the
+    encoded states; it must be positive, and None defers to
+    ``TXBISIM_MAX_STATES`` or the built-in default.  A negative answer the
+    first pass of the clauses finds builds no encoding, so only the
+    explored states count against it.
     ``max_alphabet`` bounds the visible actions of the compared terms; it
     must be positive and may not exceed
     :data:`~txbisim.encoding.MAX_UNIVERSE`, the most the environment
@@ -167,13 +147,9 @@ class Verdict:
     ``"both"``, the relation projected from the wrappers its encoding
     reaches, which may be smaller (under ``"both"`` it has passed the
     literal check already).  It is built by ``build_witness`` when first
-    read, and kept.  For a negative verdict ``reason`` names a violated
-    clause of the queried pair.  The direct route, and ``"both"``, name the
-    clause that removed the pair, with its removal ``round``; a pair
-    removed in round 1 is found without the fixpoint, by the same clause.
-    The encode route, :func:`sr_branching` and :func:`strong` name the
-    first clause the pair fails against the final relation, with no round.
-    Rooted checks name the first step that has no match, with no round.
+    read, and kept.  For a negative verdict ``reason`` names the first
+    clause the queried pair fails, the same under every method (see the
+    module's text).
     """
 
     equivalent: bool
@@ -205,7 +181,7 @@ class Verdict:
 
 @dataclass(frozen=True)
 class Removal:
-    """Why and when a row entry left the candidate relation.
+    """Why a row entry left the candidate relation, and in which round.
 
     On the direct route the entry is ``(p, x, q)`` of its table, ``x`` the
     pair column or an environment mask.  ``clause`` is ``"move"`` (a
@@ -213,8 +189,8 @@ class Removal:
     ``"timeout"`` (a time-out obligation under environment ``env``
     failed), or ``"stability"`` (the other side cannot reach a stable
     state).  ``succ`` is the successor index on the failing side.
-    ``round`` is 0 for a clause found failing against a final relation
-    rather than stamped by a fixpoint round.
+    ``round`` is the fixpoint round that removed the entry, or 0 for a
+    clause found failing against a given relation; no reason shows it.
     """
 
     round: int
@@ -247,7 +223,7 @@ class _Profile:
 
     The columns are those of :func:`~txbisim.encoding.env_columns`, which
     also key the closure's wrappers: environments are masks over the
-    universe, ``0 .. nx-1``, and ``names[x]`` lists the actions of mask
+    universe, ``0 .. trig-1``, and ``names[x]`` lists the actions of mask
     ``x``.  ``trig``, one past them, names the pair row's column in the
     direct route's table: its bit lies outside every environment, so
     ``deadend(p, trig)`` is ``stable[p]``.
@@ -257,8 +233,6 @@ class _Profile:
         "lts",
         "n",
         "full",
-        "universe",
-        "nx",
         "trig",
         "umask",
         "ubit",
@@ -275,10 +249,8 @@ class _Profile:
         self.lts = lts
         self.n = lts.n_states
         self.full = (1 << self.n) - 1
-        self.universe = tuple(universe)
-        self.ubit, self.names, self.trig = env_columns(self.universe)
-        self.nx = self.trig
-        self.umask = self.nx - 1
+        self.ubit, self.names, self.trig = env_columns(tuple(universe))
+        self.umask = self.trig - 1
         init_vis = []
         for moves in lts.moves:
             vis = 0
@@ -294,14 +266,9 @@ class _Profile:
         self.init_vis = tuple(init_vis)
         self.stable = tuple(lts.is_stable(i) for i in range(self.n))
         self.unstable = self.full & ~lts.stable_mask
-        self.notinit = tuple(
-            self.umask & ~vis for vis in init_vis
-        )
+        self.notinit = tuple(self.umask & ~vis for vis in init_vis)
         self._subs = {}
         self._clauses = [[None] * (self.trig + 1) for _ in range(self.n)]
-
-    def env_names(self, xmask):
-        return self.names[xmask]
 
     def env_mask(self, names):
         mask = 0
@@ -390,22 +357,12 @@ class _GenResult:
     def has(self, p, x, q):
         return bool(self.rows[p][x] >> q & 1)
 
-    def fail(self, p, x, q):
-        """None while the entry is related, else its removal as
-        ``(side, removal)``: the own orientation's record if present, else
-        the mirror's."""
+    def round(self, p, x, q):
+        """Removal round of an entry, from its own orientation's record or
+        else its mirror's, or None while it is still related."""
         if self.has(p, x, q):
             return None
-        for side, key in enumerate(((p, x, q), (q, x, p))):
-            rec = self.records.get(key)
-            if rec is not None:
-                return side, rec
-        raise TxbisimError("removed entry has no removal record")
-
-    def round(self, p, x, q):
-        """Removal round of an entry, or None while it is still related."""
-        fail = self.fail(p, x, q)
-        return None if fail is None else fail[1].round
+        return (self.records.get((p, x, q)) or self.records[q, x, p]).round
 
 
 class _RowRecords(Mapping):
@@ -539,7 +496,7 @@ def _generalized_fixpoint(pf, record=True, memo=None):
     many rows removed it.  With ``record`` every removal is stamped with
     its round and clause in ``records``.  Match sets and tau closures are
     kept by value in ``memo``, a fresh one unless given, so round 1 can
-    reuse those of :func:`_first_round`.  The greatest relation is
+    reuse those of :func:`_first_fail`.  The greatest relation is
     reflexive, so a row is judged without its own state, and leaves the
     live rows once that is all it holds.
     """
@@ -568,23 +525,31 @@ def _generalized_fixpoint(pf, record=True, memo=None):
     return _GenResult(rows, _RowRecords(by_row or {}), rounds)
 
 
-def _first_round(pf, p, x, q, memo):
-    """The direct fixpoint's first round on the entry ``(p, x, q)`` alone:
-    one :func:`_round` over the rows of ``p`` and ``q`` in column ``x``,
-    each judged on the other state, against a table that relates
-    everything.  Returns the first removal as ``(side, removal)``, which is
-    the fixpoint's ``fail(p, x, q)`` where the entry leaves in round 1, or
-    None where it stays longer.  An entry that fails a clause against the
-    full relation lies outside every bisimulation, so a removal here proves
-    the pair inequivalent without the fixpoint.  ``memo`` is
-    :func:`_round`'s."""
-    rows = [[pf.full] * (pf.trig + 1)] * pf.n
+def _first_fail(pf, p, x, q, memo, rows=None):
+    """The first clause the entry ``(p, x, q)`` fails, as ``(side,
+    removal)`` with round 0, or None: one :func:`_round` over the rows of
+    ``p`` and ``q`` in column ``x``, each judged on the other state,
+    against the relation that relates everything, then, if none fails
+    there and ``rows`` is given, against the table ``rows`` with the entry
+    joined, where some clause must fail.  The first pass fails exactly the
+    entries the direct fixpoint removes in round 1, which lie outside every
+    bisimulation.  ``memo`` is :func:`_round`'s."""
     live = [(p, x, 1 << q, pf.clauses(p, x)), (q, x, 1 << p, pf.clauses(q, x))]
-    sink = {}
-    _round(pf, rows, live, memo, sink, 1)
-    for side, key in enumerate(((p, x), (q, x))):
-        if key in sink:
-            return side, sink[key][0][1]
+    tables = [[[pf.full] * (pf.trig + 1)] * pf.n]
+    if rows is not None:
+        joined = rows[:]
+        for a, b in ((p, q), (q, p)):
+            joined[a] = joined[a][:]
+            joined[a][x] |= 1 << b
+        tables.append(joined)
+    for table in tables:
+        sink = {}
+        _round(pf, table, live, memo, sink, 0)
+        for side, key in enumerate(((p, x), (q, x))):
+            if key in sink:
+                return side, sink[key][0][1]
+    if rows is not None:
+        raise TxbisimError("unrelated entry violates no clause")
     return None
 
 
@@ -831,8 +796,8 @@ def _branching_fixpoint(system):
     ``system`` is an :class:`~txbisim.lts.Lts` or an encoding
     :class:`~txbisim.encoding.Closure`: the fixpoint reads only their
     ``labels``, ``coded_moves``, ``tau_sccs`` and ``can_reach_stable_mask``.
-    A closure's reasons are found on its wrapper system, built when a
-    reason is first asked for.  Members of a tau cycle are always related,
+    The clauses of its separations read an Lts, so a closure's are only
+    counted.  Members of a tau cycle are always related,
     so the refined components are the tau components in Tarjan's order,
     and the tau steps between them are the exits.  The first split, states
     that can reach a stable state against the rest, is the stability
@@ -861,10 +826,7 @@ def _branching_fixpoint(system):
     reach = system.can_reach_stable_mask
     block = [0 if reach >> members[0] & 1 else 1 for members in sccs]
 
-    def fail(rel, p, row):
-        lts = system if isinstance(system, Lts) else system.lts
-        return _branching_fail(lts, rel, p, row)
-
+    fail = partial(_branching_fail, system)
     return _refine(system.labels, comp, moves, exits, block, fail)
 
 
@@ -917,8 +879,6 @@ def _reason(lts, side, rec):
         "side": ("left", "right")[side],
         "clause": rec.clause,
     }
-    if rec.round:
-        out["round"] = rec.round
     if rec.label is not None:
         out["label"] = rec.label
     if rec.succ is not None:
@@ -934,7 +894,7 @@ def _reason(lts, side, rec):
 
 def _gen_store(pf, res):
     states = pf.lts.states
-    envs = [envset(pf.env_names(x)) for x in range(pf.nx)]
+    envs = [envset(names) for names in pf.names]
     pairs = set()
     triples = set()
     for p, cols in enumerate(res.rows):
@@ -1057,31 +1017,34 @@ def strong_witness_ok(lts, store):
 # verdicts
 
 
-def _verdict(method, fail, system, store, lts, universe=None):
+def _verdict(method, fail, store, lts, universe=None):
     """A negative verdict naming the failing clause ``fail``, a pair
-    ``(side, removal)`` over ``system``, or with ``fail`` None a positive
-    one whose witness ``store()`` builds."""
+    ``(side, removal)`` over ``lts``, or with ``fail`` None a positive one
+    whose witness ``store()`` builds."""
     if fail is None:
         return Verdict(True, method, lts=lts, universe=universe, build_witness=store)
     return Verdict(
-        False, method, reason=_reason(system, *fail), lts=lts, universe=universe
+        False, method, reason=_reason(lts, *fail), lts=lts, universe=universe
     )
 
 
-def _direct(pf, res, i, j, x, rooted, store, universe):
-    """The direct route's verdict on states ``i`` and ``j`` in column
-    ``x``: ``pf.trig`` for a triggered check, else an environment mask."""
-    fail = _rooted_fail(pf, res, i, x, j) if rooted else res.fail(i, x, j)
-    return _verdict("direct", fail, pf.lts, store, pf.lts, universe)
-
-
-def _plain_fail(system, res, i, j, rooted):
-    return _rooted_branching_fail(system, res, i, j) if rooted else res.fail(i, j)
+def _direct(pf, res, i, j, x, rooted, store, universe, memo):
+    """The verdict of the table ``res`` on states ``i`` and ``j`` in column
+    ``x``, ``pf.trig`` or an environment mask, with the reason
+    :func:`_rooted_fail` or :func:`_first_fail` (with ``memo``) names."""
+    if rooted:
+        fail = _rooted_fail(pf, res, i, x, j)
+    elif res.has(i, x, j):
+        fail = None
+    else:
+        fail = _first_fail(pf, i, x, j, memo, res.rows)
+    return _verdict("direct", fail, store, pf.lts, universe)
 
 
 def _plain(lts, res, s, t, rooted=False):
-    fail = _plain_fail(lts, res, lts.index[s], lts.index[t], rooted)
-    return _verdict("direct", fail, lts, lambda: _pair_store(lts, res.rel), lts)
+    i, j = lts.index[s], lts.index[t]
+    fail = _rooted_branching_fail(lts, res, i, j) if rooted else res.fail(i, j)
+    return _verdict("direct", fail, lambda: _pair_store(lts, res.rel), lts)
 
 
 # --------------------------------------------------------------------------
@@ -1117,7 +1080,7 @@ def brb_states(lts, s, t, universe=None, rooted=False):
     res = _generalized_fixpoint(pf)
     return _direct(
         pf, res, lts.index[s], lts.index[t], pf.trig, rooted,
-        lambda: _gen_store(pf, res), universe,
+        lambda: _gen_store(pf, res), universe, {},
     )
 
 
@@ -1158,8 +1121,8 @@ class Analysis:
     @cached_property
     def memo(self):
         """The match sets and tau closures of :func:`_round` on :attr:`lts`,
-        shared by the first round, the direct fixpoint and the certificate.
-        A verdict's witness does not hold them."""
+        shared by the first pass, the direct fixpoint, the reason and the
+        certificate.  A verdict's witness does not hold them."""
         return {}
 
     @cached_property
@@ -1184,6 +1147,16 @@ class Analysis:
         """The encode route's relation on the explored states, in the
         direct route's table form (:func:`_projection`)."""
         return _projection(self.profile, self.encoded, self.enc_branch.rel)
+
+    @cached_property
+    def whole_projection(self):
+        """:func:`_projection` of the closure rooted at every explored
+        state, the direct route's whole table, whereas :attr:`projection`
+        lacks the states only a time-out no wrapper takes reaches.  The
+        table's size bounds it, not the state budget."""
+        pf = self.profile
+        enc = Closure(self.lts, self.universe, pf.n * (pf.trig + 1), range(pf.n))
+        return _projection(pf, enc, _branching_fixpoint(enc).rel)
 
     def gen_store(self):
         return _gen_store(self.profile, self.gen)
@@ -1211,56 +1184,51 @@ def _check(p, q, env, rooted, opts):
     """Decide one of the four reactive relations of two closed terms:
     triggered when ``env`` is None, else in the environment ``env``, and
     rooted or not, in one column of :func:`~txbisim.encoding.env_columns`
-    for either route.  ``opts.method`` picks the route; a rooted
-    ``"direct"`` check goes straight to the direct fixpoint.  Else an entry
-    that :func:`_first_round` removes is outside every bisimulation: an
-    unrooted check reports that removal at once, and a rooted one (rooted
-    lies within unrooted) runs the direct route only for its first-step
-    reason.  Otherwise ``"both"`` decides by the encode route: a positive
-    answer whose projection holds the queried entry (and, when rooted, its
-    first steps) is certified by :func:`_clauses_hold`, and raises if that
-    fails; any other answer is checked against the direct route, whose
-    verdict is reported."""
+    for either route.  ``opts.method`` picks the route.  ``"encode"``
+    decides on the closure; a rooted ``"direct"`` check goes straight to
+    the direct fixpoint.  Else an entry that the first pass of
+    :func:`_first_fail` fails is outside every bisimulation, and an
+    unrooted check reports that clause at once.  Any other negative
+    ``"encode"`` answer takes its reason from
+    :attr:`Analysis.whole_projection`.  Otherwise ``"both"`` decides by
+    the encode route, or when rooted by the first pass: a positive answer
+    whose projection holds the queried entry (and, when rooted, its first
+    steps) is certified by :func:`_clauses_hold`, and raises if that fails;
+    any other answer is checked against the direct route, whose verdict is
+    reported."""
     an = Analysis(p, q, opts)
     method = an.opts.method
-    bit, _, x = env_columns(tuple(an.universe))
-    if env is not None:
-        x = sum(bit[a] for a in an.canonical_env(env))
-    if method == "encode":
-        i, j = an.encoded.index(x, an.ip), an.encoded.index(x, an.iq)
-        fail = _plain_fail(an.encoded, an.enc_branch, i, j, rooted)
-        # only a reason names wrapper states
-        enc = None if fail is None else an.encoded.lts
-        if rooted and fail is not None:
-            # the first failing move in the wrapper system's order, which
-            # is not the closure's label order
-            fail = _rooted_branching_fail(enc, an.enc_branch, i, j)
-        store = _store_thunk(
-            an, "encoded_projection", "lts", "universe", "encoded", "enc_branch"
-        )
-        return _verdict("encode", fail, enc, store, an.lts, an.universe)
-    if method == "direct" and rooted:
-        # the fixpoint runs either way: for the answer, or for the
-        # first-step reason of an entry the first round removes
-        return _direct_check(an, x, rooted)
     pf = an.profile
-    caught = _first_round(pf, an.ip, x, an.iq, an.memo)
+    x = pf.trig if env is None else pf.env_mask(an.canonical_env(env))
+    if method == "encode":
+        if _encode_answer(an, x, rooted):
+            store = _store_thunk(
+                an, "encoded_projection", "lts", "universe", "encoded", "enc_branch"
+            )
+            return _verdict("encode", None, store, an.lts, an.universe)
+    elif method == "direct" and rooted:
+        # the fixpoint runs either way: for the answer, or for the
+        # first-step reason of an entry the first pass fails
+        return _direct_check(an, x, rooted)
+    caught = _first_fail(pf, an.ip, x, an.iq, an.memo)
     if caught is not None and not rooted:
-        return _verdict(method, caught, an.lts, None, an.lts, an.universe)
+        return _verdict(method, caught, None, an.lts, an.universe)
+    if method == "encode":
+        v = _direct(
+            pf, an.whole_projection, an.ip, an.iq, x, rooted, None, an.universe,
+            an.memo,
+        )
+        if v.equivalent:
+            raise MethodDisagreementError(
+                f"encoding says False for {term_text(p)} vs {term_text(q)}, "
+                "but its relation meets the first-step condition"
+            )
+        return replace(v, method="encode")
     if method == "direct":
         return _direct_check(an, x, rooted)
-    if caught is not None:
-        # rooted lies within unrooted, so the answer is known; the direct
-        # route gives its first-step reason
-        e, by = False, "its first round"
-    else:
-        # the encode route's answer reads the closure and builds no wrapper
-        i, j = an.encoded.index(x, an.ip), an.encoded.index(x, an.iq)
-        if rooted:
-            e = _rooted_branching_fail(an.encoded, an.enc_branch, i, j) is None
-        else:
-            e = an.enc_branch.has(i, j)
-        by = "encoding"
+    # a caught rooted pair is known inequivalent, rooted lying within unrooted
+    e = caught is None and _encode_answer(an, x, rooted)
+    by = "encoding" if caught is None else "its first round"
     if e:
         res = an.projection
         ip, iq = an.ip, an.iq
@@ -1274,9 +1242,7 @@ def _check(p, q, env, rooted, opts):
                     "bisimulation"
                 )
             store = _store_thunk(an, "encoded_projection", "profile", "projection")
-            return Verdict(
-                True, "both", lts=an.lts, universe=an.universe, build_witness=store
-            )
+            return _verdict("both", None, store, an.lts, an.universe)
     d = _direct_check(an, x, rooted)
     if d.equivalent != e:
         raise MethodDisagreementError(
@@ -1286,10 +1252,21 @@ def _check(p, q, env, rooted, opts):
     return replace(d, method="both")
 
 
+def _encode_answer(an, x, rooted):
+    """The encode route's answer on the analysis' pair in column ``x``,
+    read off the closure; it builds no wrapper."""
+    i, j = an.encoded.index(x, an.ip), an.encoded.index(x, an.iq)
+    if rooted:
+        return _rooted_branching_fail(an.encoded, an.enc_branch, i, j) is None
+    return an.enc_branch.has(i, j)
+
+
 def _direct_check(an, x, rooted):
     """The direct route's verdict on the analysis' pair in column ``x``."""
     store = _store_thunk(an, "gen_store", "profile", "gen")
-    return _direct(an.profile, an.gen, an.ip, an.iq, x, rooted, store, an.universe)
+    return _direct(
+        an.profile, an.gen, an.ip, an.iq, x, rooted, store, an.universe, an.memo
+    )
 
 
 def brb(p, q, opts=None):

@@ -114,6 +114,15 @@ def _rules(term):
         # and its inner sums cache no moves of their own
         return [move for s in summands(term) for move in derive(s)]
     if isinstance(term, Par):
+        # a left-nested || derives its spine bottom-up, so no level
+        # recurses into more than the one below it
+        spine = []
+        node = term.left
+        while isinstance(node, Par) and node.moves is None:
+            spine.append(node)
+            node = node.left
+        for node in reversed(spine):
+            derive(node)
         return _par_rules(term)
     if isinstance(term, Abstract):
         out = []

@@ -418,8 +418,14 @@ def mk_choice(left, right):
     """Sum of two terms, normalised: flattened, ``0`` dropped, sorted.
 
     Duplicate summands are kept; idempotence is an equivalence to be proved,
-    not a structural identity.
+    not a structural identity.  A single summand that sorts after the whole
+    of a sum joins it without a walk, so a ``+`` chain builds in linear
+    time.
     """
+    if left is not NIL and right is not NIL and not isinstance(right, Choice):
+        last = left.right if isinstance(left, Choice) else left
+        if right.uid >= last.uid:
+            return _interned(("cho", left.uid, right.uid), Choice, left, right)
     items = [s for s in summands(left) + summands(right) if s is not NIL]
     if not items:
         return NIL

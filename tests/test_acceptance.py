@@ -232,7 +232,7 @@ def test_criterion_12_lemma_suite(corpus_analyses):
                 if pf.stable[i] and pf.stable[j]:
                     assert lts.out_labels(i) == lts.out_labels(j)
                     stable_pairs += 1
-            for x in range(pf.nx):
+            for x in range(pf.trig):
                 for j in iter_bits(res.rows[i][x]):
                     if pf.stable[i] and pf.stable[j]:
                         assert pf.init_vis[i] & x == pf.init_vis[j] & x
@@ -253,7 +253,7 @@ def test_criterion_12_lemma_suite(corpus_analyses):
                     if not member >> k & 1:
                         assert not reach[k] & member, (i, k, j)
                         stutters += 1
-            for x in range(pf.nx):
+            for x in range(pf.trig):
                 memx = 0
                 for i in range(n):
                     if res.has(i, x, j):

@@ -101,6 +101,17 @@ def test_deep_and_wide_inputs_are_decided_without_recursion_errors(
     assert "RecursionError" not in err
 
 
+def test_a_wide_parallel_composition_stops_at_the_state_budget(capsys, tmp_path):
+    """A 400-operand left-nested ``||`` derives its spine bottom-up, one
+    level at a time, so the state budget stops it, not the recursion
+    limit."""
+    wide = tmp_path / "wide.ccspt"
+    wide.write_text("def P = " + " ||{} ".join(["a.0"] * 400) + ";\n")
+    code, _, err = run(capsys, ["lts", str(wide), "P", "--max-states", "5"])
+    assert code == 2
+    assert "state budget of 5 exceeded" in err
+
+
 def test_deep_nesting_is_a_parse_error(capsys, tmp_path):
     deep = tmp_path / "nested.ccspt"
     deep.write_text("def Deep = " + "(" * 1000 + "a.0" + ")" * 1000 + ";\n")

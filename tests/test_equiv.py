@@ -5,6 +5,7 @@ import gc
 import random
 import weakref
 from collections.abc import Sequence
+from dataclasses import replace
 from functools import cached_property
 from itertools import combinations
 from types import SimpleNamespace
@@ -31,7 +32,7 @@ from txbisim.equiv import (
     _Profile,
     _RowRecords,
     _branching_fixpoint,
-    _first_round,
+    _first_fail,
     _generalized_fixpoint,
     _rooted_branching_fail,
     _rooted_fail,
@@ -76,9 +77,9 @@ def engine_rows(lts, universe):
     res = _generalized_fixpoint(pf)
     pairs = {(i, j) for i in range(pf.n) for j in iter_bits(res.rows[i][pf.trig])}
     trips = {
-        (i, frozenset(pf.env_names(x)), j)
+        (i, frozenset(pf.names[x]), j)
         for i in range(pf.n)
-        for x in range(pf.nx)
+        for x in range(pf.trig)
         for j in iter_bits(res.rows[i][x])
     }
     return pf, res, pairs, trips
@@ -103,7 +104,7 @@ def test_generalized_rows_equal_reference_relation(small_corpus):
             for j in range(pf.n)
             if not res.has(i, x, j)
         }
-        assert all(res.fail(i, x, j) is not None for i, x, j in removed)
+        assert all(res.round(i, x, j) is not None for i, x, j in removed)
         assert set(res.records) <= removed
         assert len(res.records) == sum(1 for _ in res.records)
 
@@ -222,18 +223,30 @@ def test_direct_table_is_an_equivalence_with_records_on_drawn_systems(lts):
 
 @given(raw_systems())
 def test_first_round_equals_the_fixpoints_round_one_removals(lts):
-    """The first round judged on two rows alone removes an entry exactly
-    when the fixpoint removes it in round 1, with the same record and side,
-    in every column and for every pair of states, a state with itself
-    included."""
+    """The first pass of :func:`_first_fail`, judged on two rows alone
+    against the full relation, fails an entry exactly when the fixpoint
+    removes it in round 1, by the clause of its record (the own
+    orientation's, else the mirror's) and with no round, in every column
+    and for every pair of states, a state with itself included.  Given the
+    final table it names a clause for every removed entry, that one where
+    the first pass finds one."""
     universe = envset(lab for lab in lts.labels if lab not in ("tau", "t"))
     pf = _Profile(lts, universe)
     res = _generalized_fixpoint(pf)
     for x in range(pf.trig + 1):
         for p in range(pf.n):
             for q in range(pf.n):
-                want = res.fail(p, x, q) if res.round(p, x, q) == 1 else None
-                assert _first_round(pf, p, x, q, {}) == want
+                rnd = res.round(p, x, q)
+                want = None
+                if rnd == 1:
+                    side = 0 if (p, x, q) in res.records else 1
+                    rec = res.records[(p, x, q) if side == 0 else (q, x, p)]
+                    want = side, replace(rec, round=0)
+                assert _first_fail(pf, p, x, q, {}) == want
+                if rnd is not None:
+                    fail = _first_fail(pf, p, x, q, {}, res.rows)
+                    assert fail[1].round == 0
+                    assert want is None or fail == want
 
 
 def test_fixpoint_reuses_the_first_rounds_match_sets(monkeypatch):
@@ -248,9 +261,11 @@ def test_fixpoint_reuses_the_first_rounds_match_sets(monkeypatch):
         calls.append((label, target == (1 << lts.n_states) - 1, target))
         return pred_mask(lts, label, target)
 
+    pair = parse_term("a.a.0"), parse_term("a.b.0")
+    an = Analysis(*pair, DIRECT)
+    assert an.gen.round(an.ip, an.profile.trig, an.iq) == 2
     monkeypatch.setattr(Lts, "pred_mask", counting)
-    v = brb(parse_term("a.a.0"), parse_term("a.b.0"), DIRECT)
-    assert v.reason["round"] == 2
+    assert not brb(*pair, DIRECT)
     assert ("a", True) in {call[:2] for call in calls}
     assert len(calls) == len(set(calls))
 
@@ -299,9 +314,9 @@ def test_rooted_checks_equal_reference_relation(small_corpus):
         }
         assert eng_rp == ora_rp
         eng_rt = {
-            (i, frozenset(pf.env_names(x)), j)
+            (i, frozenset(pf.names[x]), j)
             for i in range(pf.n)
-            for x in range(pf.nx)
+            for x in range(pf.trig)
             for j in range(pf.n)
             if _rooted_fail(pf, res, i, x, j) is None
         }
@@ -383,22 +398,10 @@ def test_encoded_fixpoint_counts_are_pinned(pair, counts):
     assert (enc.n_states, enc.n_transitions, res.rounds, len(res.records)) == counts
 
 
-def test_encode_rooted_reason_follows_the_wrapper_systems_move_order():
-    """A rooted ``encode`` reason names the first failing move in the
-    wrapper system's order, which differs from the closure's label order
-    (there ``eps_{}`` would come first)."""
-    v = rbrb(parse_term("0"), parse_term("tau.b.0"), CheckOptions(method="encode"))
-    assert v.reason == {
-        "side": "left", "clause": "move", "label": "eps_{b}", "successor": "[{b}] 0",
-    }
-
-
 def test_cross_check_builds_no_wrapper(monkeypatch):
-    """Under ``method="both"`` the encode route reads its closure alone: no
-    :class:`~txbisim.encoding.EncState` and no wrapper system is made.
-    ``method="encode"`` builds the wrapper system once for a negative
-    verdict, whose reason names wrapper states, and never for a positive
-    one."""
+    """The encode route reads its closure alone, its reasons included: no
+    :class:`~txbisim.encoding.EncState` and no wrapper system is made
+    under any method, for positive and negative verdicts alike."""
     made = []
     make_state = encoding.EncState
     from_indexed = encoding.Lts.from_indexed
@@ -422,10 +425,12 @@ def test_cross_check_builds_no_wrapper(monkeypatch):
         (parse_term("a.0 + t.b.0"), parse_term("a.0")),
         # related, but not rooted
         (parse_term("a.0"), parse_term("tau.a.0")),
+        # split after the first round
+        (parse_term("a.a.0"), parse_term("a.b.0")),
     ]
     env = envset(("a",))
     answers = {}
-    for method in ("both", "encode"):
+    for method in ("both", "encode", "direct"):
         opts = CheckOptions(method=method)
         for p, q in cases:
             got = answers.setdefault((p, q), {}).setdefault(method, [])
@@ -433,15 +438,14 @@ def test_cross_check_builds_no_wrapper(monkeypatch):
                 args = (p, q) if check in (brb, rbrb) else (p, q, env)
                 v = check(*args, opts)
                 assert (v.witness is None) == (v.reason is not None)
-                if method == "both" or v.equivalent:
-                    assert made == []
-                else:
-                    assert made.count("Lts") == 1 and "EncState" in made
-                made.clear()
+                assert made == []
                 got.append(v.equivalent)
-    assert all(got["both"] == got["encode"] for got in answers.values())
+    assert all(
+        got["both"] == got["encode"] == got["direct"] for got in answers.values()
+    )
     assert [got["both"] for got in answers.values()] == [
-        [True] * 4, [False, False, True, True], [True, False, True, False]
+        [True] * 4, [False, False, True, True], [True, False, True, False],
+        [False] * 4,
     ]
 
 
@@ -703,7 +707,7 @@ def test_both_runs_the_direct_fixpoint_only_for_negative_verdicts(monkeypatch):
     unrooted it builds neither the closure nor the fixpoint, rooted it runs
     the fixpoint once for the first-step reason.  Any other negative one
     builds the closure and runs the fixpoint once.  Every negative verdict
-    reports the direct route's reason."""
+    reports the direct route's reason, with no round."""
     calls = []
     fixpoint = equiv._generalized_fixpoint
     closure = equiv.Closure
@@ -723,20 +727,20 @@ def test_both_runs_the_direct_fixpoint_only_for_negative_verdicts(monkeypatch):
     timed, plain = parse_term("a.0 + t.b.0"), parse_term("a.0")
     positive = (parse_term("a.tau.b.0 + t.b.0"), parse_term("a.b.0 + t.b.0"))
     deep = (parse_term("a.a.0"), parse_term("a.b.0"))
-    # check, pair, environment, answer, fixpoints, closures, removal round
+    # check, pair, environment, answer, fixpoints, closures
     cases = [
-        (brb, positive, None, True, 0, 1, None),
-        (rbrb, positive, None, True, 0, 1, None),
-        (brb_x, positive, env, True, 0, 1, None),
-        (rbrb_x, positive, env, True, 0, 1, None),
-        (brb, (timed, plain), None, False, 0, 0, 1),
-        (brb_x, (timed, plain), env, False, 0, 0, 1),
-        (rbrb, (timed, plain), None, False, 1, 0, None),
-        (rbrb_x, (timed, plain), envset(()), False, 1, 0, None),
-        (brb, deep, None, False, 1, 1, 2),
-        (rbrb, (plain, parse_term("tau.a.0")), None, False, 1, 1, None),
+        (brb, positive, None, True, 0, 1),
+        (rbrb, positive, None, True, 0, 1),
+        (brb_x, positive, env, True, 0, 1),
+        (rbrb_x, positive, env, True, 0, 1),
+        (brb, (timed, plain), None, False, 0, 0),
+        (brb_x, (timed, plain), env, False, 0, 0),
+        (rbrb, (timed, plain), None, False, 1, 0),
+        (rbrb_x, (timed, plain), envset(()), False, 1, 0),
+        (brb, deep, None, False, 1, 1),
+        (rbrb, (plain, parse_term("tau.a.0")), None, False, 1, 1),
     ]
-    for check, pair, x, expect, fixpoints, closures, rnd in cases:
+    for check, pair, x, expect, fixpoints, closures in cases:
         args = pair if x is None else (*pair, x)
         v = check(*args, both)
         assert v.equivalent == expect and v.method == "both"
@@ -745,21 +749,22 @@ def test_both_runs_the_direct_fixpoint_only_for_negative_verdicts(monkeypatch):
         if not expect:
             direct = check(*args, DIRECT)
             assert v.reason == direct.reason
-            assert v.reason.get("round") == rnd
+            assert "round" not in v.reason
         calls.clear()
 
 
 def test_rooted_direct_check_runs_no_first_round(monkeypatch):
     """A rooted ``method="direct"`` check runs the fixpoint in any case, so
-    it skips the first round; under ``both`` the first round runs once."""
+    it skips the first round; under ``both`` the first round runs once.
+    A rooted reason is a first step, so no other pass follows."""
     calls = []
-    first_round = equiv._first_round
+    first_fail = equiv._first_fail
 
     def counted(*args):
         calls.append(args)
-        return first_round(*args)
+        return first_fail(*args)
 
-    monkeypatch.setattr(equiv, "_first_round", counted)
+    monkeypatch.setattr(equiv, "_first_fail", counted)
     for pair in ((parse_term("a.0 + t.b.0"), parse_term("a.0")),
                  (parse_term("a.tau.b.0"), parse_term("a.b.0"))):
         for opts, want in ((DIRECT, 0), (CheckOptions(method="both"), 1)):
@@ -983,55 +988,100 @@ def test_negative_verdict_names_a_clause(stability_defs):
         (rbrb, plain, parse_term("tau.a.0"), None),
         (rbrb_x, timed, plain, envset(())),
     ]
+    # the right side's time-out leaves an unstable state, so no wrapper of
+    # the pair's closure takes it: the encode route's reason must come from
+    # a closure of every explored state
+    unreached = parse_term("t.0"), parse_term("tau.0 + tau{a}(t.0)")
+    cases += [(brb, *unreached, None), (rbrb, *unreached, None)]
     for check, p, q, env in cases:
-        rooted = check in (rbrb, rbrb_x)
-        for method in ("direct", "encode"):
+        reasons = []
+        for method in ("direct", "encode", "both"):
             opts = CheckOptions(method=method)
             v = check(p, q, opts) if env is None else check(p, q, env, opts)
             assert not v.equivalent, (check.__name__, method)
             assert v.witness is None
             assert v.reason["clause"] in ("move", "timeout", "stability")
             assert v.reason["side"] in ("left", "right")
+            assert "round" not in v.reason
             data = v.to_json_dict()
             assert data["equivalent"] is False
             assert data["removal_trace"] == v.reason
-            if method == "direct" and not rooted:
-                assert v.reason["round"] >= 1
-            else:
-                assert "round" not in v.reason
-            if method == "encode" and not rooted:
-                an = Analysis(p, q)
-                x = an.encoded.trig
-                if env is not None:
-                    x = an.profile.env_mask(an.canonical_env(env))
-                assert_clause_fails_on_encoded(an, v.reason, x)
+            reasons.append(v.reason)
+        assert reasons[0] == reasons[1] == reasons[2], check.__name__
+        assert_reason_fails(p, q, env, check in (rbrb, rbrb_x), reasons[0])
 
 
-def assert_clause_fails_on_encoded(an, reason, x):
-    """The named clause of the encoded root pair in environment column
-    ``x`` fails against the final relation with that pair added, judged by
-    the reference's matching."""
-    enc = an.encoded.lts
-    i, j = an.encoded.index(x, an.ip), an.encoded.index(x, an.iq)
+def assert_reason_fails(p, q, env, rooted, reason):
+    """The clause a reason names fails for the queried pair, judged by the
+    reference's matching against the reference relation (triggered, or in
+    the environment ``env``) with the pair joined.  A rooted reason names a
+    first step that no single step of the other side matches into the
+    reference relation."""
+    lts = explore((p, q))
+    uni = process_universe(p, q)
+    pairs, trips = ref_reactive(lts, uni)
+    x = None if env is None else frozenset(a for a in env if a in uni)
+    i, j = lts.index[p], lts.index[q]
     a, b = (i, j) if reason["side"] == "left" else (j, i)
-    rel = {(k, m) for k in range(enc.n_states) for m in iter_bits(an.enc_branch.rel[k])}
-    rel |= {(a, b), (b, a)}
-    reach = [tau_reach(enc, k) for k in range(enc.n_states)]
-    assert "round" not in reason
+
+    def rel(s, y, t):
+        if not rooted and {s, t} == {a, b} and y == x:
+            return True
+        return (s, t) in pairs if y is None else (s, y, t) in trips
+
+    reach = [tau_reach(lts, k) for k in range(lts.n_states)]
     if reason["clause"] == "stability":
-        assert enc.is_stable(a)
-        assert not any(enc.is_stable(k) for k in reach[b])
+        assert not rooted and lts.is_stable(a)
+        assert not any(lts.is_stable(k) for k in reach[b])
         return
-    assert reason["clause"] == "move"
     lab = reason["label"]
-    a2 = [k for k, s in enumerate(enc.states) if enc.state_text(s) == reason["successor"]]
-    assert len(a2) == 1 and enc.succ_mask(a, lab) >> a2[0] & 1
+    a2 = [k for k, s in enumerate(lts.states) if lts.state_text(s) == reason["successor"]]
+    assert len(a2) == 1 and lts.succ_mask(a, lab) >> a2[0] & 1
+    # the column of the successor: a time-out's environment, a tau step's
+    # own column, a visible step's pair column
+    end = frozenset(reason["env"]) if lab == "t" else x if lab == "tau" else None
+    if rooted:
+        assert not any(rel(a2[0], end, b2) for b2 in iter_bits(lts.succ_mask(b, lab)))
+        return
     assert not _match(
-        enc, reach, b, lab,
-        mid_ok=lambda q1: (a, q1) in rel,
-        end_ok=lambda q2: (a2[0], q2) in rel,
+        lts, reach, b, lab,
+        mid_ok=lambda q1: lab == "t" or rel(a, x, q1),
+        end_ok=lambda q2: rel(a2[0], end, q2),
         allow_stay=lab == "tau",
     )
+
+
+@given(st.integers(0, 10**9), st.booleans())
+def test_every_method_gives_the_same_reason(seed, rewrite):
+    """On drawn pairs a negative verdict's reason is the same dict under
+    ``direct``, ``encode`` and ``both``, for all four relations and every
+    environment over the pair's actions, carries no round, and names a
+    clause that fails."""
+    rng = random.Random(seed)
+    cfg = GenConfig(alphabet=("a", "b"), max_depth=3)
+    if rewrite:
+        p, q = equivalent_pair(rng, cfg)
+    else:
+        p, q = rand_term(rng, cfg), rand_term(rng, cfg)
+    try:
+        explore((p, q), 30)
+    except StateBudgetError:
+        assume(False)
+    names = sorted(process_universe(p, q))
+    envs = [envset(xs) for k in range(len(names) + 1) for xs in combinations(names, k)]
+    checks = [(brb, None), (rbrb, None)]
+    checks += [(check, env) for check in (brb_x, rbrb_x) for env in envs]
+    for check, env in checks:
+        args = (p, q) if env is None else (p, q, env)
+        verdicts = [
+            check(*args, CheckOptions(method=m)) for m in ("direct", "encode", "both")
+        ]
+        assert len({v.equivalent for v in verdicts}) == 1
+        reason = verdicts[0].reason
+        assert all(v.reason == reason for v in verdicts), check.__name__
+        if reason is not None:
+            assert "round" not in reason
+            assert_reason_fails(p, q, env, check in (rbrb, rbrb_x), reason)
 
 
 def test_strong_negative_verdict_names_a_failing_clause(small_corpus):

@@ -112,6 +112,28 @@ def test_choice_keeps_duplicate_summands():
     assert len(summands(twice)) == 2
 
 
+def test_sum_chain_parses_without_walking_its_summands(monkeypatch):
+    """Each ``+`` of a parsed chain adds one fresh summand, which sorts
+    last and joins the sum without a walk of its summands, so parsing a
+    chain is linear.  The sum is the node ``sum_of`` builds, sorting, from
+    the summands in reverse order."""
+    from txbisim import terms
+
+    walks = []
+    real = terms.summands
+
+    def counted(term):
+        walks.append(term)
+        return real(term)
+
+    monkeypatch.setattr(terms, "summands", counted)
+    chain = parse_term(" + ".join(f"sumchain{i}.0" for i in range(200)))
+    assert walks == []
+    parts = real(chain)
+    assert [term_text(s) for s in parts] == [f"sumchain{i}.0" for i in range(200)]
+    assert sum_of(reversed(parts)) is chain
+
+
 def test_interning_gives_identity():
     assert parse_term("a.b.0 + tau.0") is parse_term("a.b.0+tau.0")
     assert mk_par(NIL, envset(("a",)), NIL) is mk_par(NIL, envset(("a",)), NIL)
