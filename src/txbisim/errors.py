@@ -18,6 +18,12 @@ class ParseError(TxbisimError):
         self.line = line
         self.col = col
 
+    @classmethod
+    def at(cls, message, text, pos):
+        """The error located at character offset ``pos`` of ``text``."""
+        line_start = text.rfind("\n", 0, pos) + 1
+        return cls(message, text.count("\n", 0, pos) + 1, pos - line_start + 1)
+
 
 class UndefinedNameError(ParseError):
     """A process file refers to a name that is not in scope."""

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from .equiv import Analysis, _rooted_fail
 from .errors import ParseError, TxbisimError, WitnessError
 from .lts import iter_bits
-from .terms import envset
+from .terms import MAX_NESTING, envset
 
 __all__ = [
     "And",
@@ -175,7 +175,7 @@ def formula_text(phi):
 
 
 _TOKEN = re.compile(
-    r"""\s*(?:
+    r"""\s*(?P<start>)(?:
         (?P<top>T\b)
       | (?P<not>~)
       | (?P<and>&)
@@ -189,10 +189,23 @@ _TOKEN = re.compile(
     re.VERBOSE,
 )
 
+# each unary operator's kind of token, and how it wraps a formula given the
+# token's text
+_UNARY = {
+    "not": lambda _, sub: Not(sub),
+    "eps": lambda _, sub: Eps(sub),
+    "hat": HatDiamond,
+    "diamond": Diamond,
+    "env": lambda raw, sub: EnvDiamond(
+        tuple(n.strip() for n in raw.split(",") if n.strip()), sub
+    ),
+}
+
 
 def parse_formula(text):
     """Parse the textual formula syntax; unary operators bind tighter
-    than ``&``."""
+    than ``&``.  Unary operators and parentheses nest at most
+    ``terms.MAX_NESTING`` deep."""
     tokens = []
     pos = 0
     while pos < len(text):
@@ -205,10 +218,11 @@ def parse_formula(text):
         pos = m.end()
         # every alternative ends in a named group
         kind = m.lastgroup
-        tokens.append((kind, m.group(kind)))
-    tokens.append(("end", None))
+        tokens.append((kind, m.group(kind), m.start("start")))
+    tokens.append(("end", None, len(text)))
 
     at = 0
+    depth = 0
 
     def peek():
         return tokens[at][0]
@@ -230,34 +244,36 @@ def parse_formula(text):
         return And(tuple(parts))
 
     def parse_unary():
-        kind = peek()
-        if kind == "not":
-            take("not")
-            return Not(parse_unary())
-        if kind == "eps":
-            take("eps")
-            return Eps(parse_unary())
-        if kind == "hat":
-            name = take("hat")
-            _diamond_name_ok(name)
-            return HatDiamond(name, parse_unary())
-        if kind == "env":
-            raw = take("env")
-            names = [n.strip() for n in raw.split(",") if n.strip()]
-            return EnvDiamond(tuple(names), parse_unary())
-        if kind == "diamond":
-            name = take("diamond")
-            _diamond_name_ok(name)
-            return Diamond(name, parse_unary())
-        if kind == "top":
-            take("top")
-            return TOP
-        if kind == "lpar":
-            take("lpar")
-            inner = parse_conj()
-            take("rpar")
-            return inner
-        raise ParseError(f"unexpected {kind} in formula")
+        # a run of unary operators in a loop, so that only parentheses
+        # recurse; the operators wrap the formula innermost first
+        nonlocal depth
+        outer = depth
+        wraps = []
+        while True:
+            kind = peek()
+            if kind == "top":
+                take("top")
+                phi = TOP
+                break
+            if kind not in _UNARY and kind != "lpar":
+                raise ParseError(f"unexpected {kind} in formula")
+            if depth >= MAX_NESTING:
+                raise ParseError.at(
+                    f"nesting deeper than {MAX_NESTING} levels", text, tokens[at][2]
+                )
+            depth += 1
+            value = take(kind)
+            if kind == "lpar":
+                phi = parse_conj()
+                take("rpar")
+                break
+            if kind in ("hat", "diamond"):
+                _diamond_name_ok(value)
+            wraps.append((_UNARY[kind], value))
+        for wrap, value in reversed(wraps):
+            phi = wrap(value, phi)
+        depth = outer
+        return phi
 
     result = parse_conj()
     take("end")

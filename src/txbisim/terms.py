@@ -19,7 +19,9 @@ construction itself is single-writer.
 
 from __future__ import annotations
 
+import itertools
 import re
+import string
 from dataclasses import dataclass
 
 from .errors import InvalidTermError, ParseError, UndefinedNameError
@@ -667,55 +669,46 @@ def alphabet(term):
 # ---------------------------------------------------------------------------
 # Concrete syntax: tokenizer
 
-
-_TOKEN_RE = re.compile(
-    r"""
-      (?P<ws>\s+|\#[^\n]*)
-    | (?P<arrow>->)
-    | (?P<parpipe>\|\|)
-    | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
-    | (?P<zero>0)
-    | (?P<punct>[+.(){};,<>|=])
-    """,
-    re.VERBOSE,
-)
-
-
-@dataclass(frozen=True)
-class _Tok:
-    kind: str
-    text: str
-    line: int
-    col: int
+# A token is an identifier (it starts with a letter), ``0``, ``->``, ``||`` or
+# one punctuation character; whitespace and ``#`` comments separate tokens.
+# Any other character scans as a one-character token that is neither a
+# letter nor in ``_ONE_CHAR``, which ``_tokenize`` refuses.  A comment scans
+# as ``""``.
+_SCAN_RE = re.compile(r"#[^\n]*|(->|\|\||[A-Za-z][A-Za-z0-9_]*|0|[+.(){};,<>|=]|\S)")
+_ONE_CHAR = frozenset("0+.(){};,<>|=" + string.ascii_letters)
 
 
 def _tokenize(text):
-    toks = []
-    pos = 0
-    line = 1
-    line_start = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(
-                f"unexpected character {text[pos]!r}", line, pos - line_start + 1
-            )
-        kind = m.lastgroup
-        chunk = m.group()
-        if kind != "ws":
-            toks.append(_Tok(kind, chunk, line, pos - line_start + 1))
-        line += chunk.count("\n")
-        if "\n" in chunk:
-            line_start = pos + chunk.rindex("\n") + 1
-        pos = m.end()
-    toks.append(_Tok("eof", "", line, pos - line_start + 1))
+    """The tokens of ``text`` as strings, then two ``""`` end sentinels."""
+    toks = _SCAN_RE.findall(text)
+    if "#" in text:
+        toks = [tok for tok in toks if tok]
+    bad = {tok for tok in set(toks) if len(tok) == 1 and tok not in _ONE_CHAR}
+    if bad:
+        first = next(i for i, tok in enumerate(toks) if tok in bad)
+        raise ParseError.at(f"unexpected character {toks[first]!r}", text,
+                            _token_start(text, first))
+    toks += ("", "")
     return toks
 
 
+def _token_start(text, index):
+    """The offset of token ``index`` in ``text``, or its length for a
+    sentinel; rescans, so only errors pay for positions."""
+    starts = (m.start() for m in _SCAN_RE.finditer(text) if m.group(1))
+    return next(itertools.islice(starts, index, None), len(text))
+
+
 class _Parser:
-    """Recursive-descent parser for process files and standalone terms."""
+    """Recursive-descent parser for process files and standalone terms.
+
+    Tokens are plain strings and the parser keeps token indices; a token is
+    an identifier exactly when ``str.isidentifier`` holds, and ``""`` is the
+    end of input.
+    """
 
     def __init__(self, text, definitions=None):
+        self.text = text
         self.toks = _tokenize(text)
         self.pos = 0
         self.defs = definitions if definitions is not None else Definitions()
@@ -724,100 +717,104 @@ class _Parser:
 
     # -- token plumbing
 
-    def peek(self, ahead=0):
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
-
     def next(self):
-        tok = self.toks[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+        """The current token's index; advances unless at the end of input."""
+        at = self.pos
+        if self.toks[at]:
+            self.pos = at + 1
+        return at
 
     def expect(self, text):
-        tok = self.next()
-        if tok.text != text:
-            raise ParseError(f"expected {text!r}, found {tok.text or 'end of input'!r}",
-                             tok.line, tok.col)
-        return tok
+        at = self.pos
+        tok = self.toks[at]
+        if tok != text:
+            self.fail(f"expected {text!r}, found {tok or 'end of input'!r}", at)
+        self.pos = at + 1
 
-    def fail(self, message, tok=None):
-        tok = tok or self.peek()
-        raise ParseError(message, tok.line, tok.col)
+    def fail(self, message, at=None, error=ParseError):
+        """Raise ``error`` located at token ``at`` (default: the current one)."""
+        at = self.pos if at is None else at
+        raise error.at(message, self.text, _token_start(self.text, at))
 
     # -- items
 
     def parse_items(self):
-        while self.peek().kind != "eof":
-            tok = self.peek()
-            if tok.text == "def":
+        toks = self.toks
+        while toks[self.pos]:
+            tok = toks[self.pos]
+            if tok == "def":
                 self.parse_def()
-            elif tok.text == "spec":
+            elif tok == "spec":
                 self.parse_spec()
             else:
-                self.fail(f"expected 'def' or 'spec', found {tok.text!r}")
+                self.fail(f"expected 'def' or 'spec', found {tok!r}")
         return self.defs
+
+    def parse_new_name(self, what):
+        """Read the name a ``def`` or ``spec`` introduces; its token index."""
+        at = self.next()
+        name = self.toks[at]
+        if not name.isidentifier() or name in RESERVED:
+            self.fail(f"bad {what} name {name!r}", at)
+        if name in self.defs.defs or name in self.defs.specs:
+            self.fail(f"duplicate name {name!r}", at)
+        return at
 
     def parse_def(self):
         self.expect("def")
-        name_tok = self.next()
-        name = name_tok.text
-        if name_tok.kind != "ident" or name in RESERVED:
-            self.fail(f"bad definition name {name!r}", name_tok)
-        if name in self.defs.defs or name in self.defs.specs:
-            self.fail(f"duplicate name {name!r}", name_tok)
+        at = self.parse_new_name("definition")
+        name = self.toks[at]
         self.expect("=")
         term = self.parse_proc()
         self.expect(";")
-        term = self.resolve_names(term, name_tok)
+        term = self.resolve_names(term, at)
         report = validate(term)
         if not report.ok:
-            self.fail(f"invalid definition {name!r}: {report.violations[0]}", name_tok)
+            self.fail(f"invalid definition {name!r}: {report.violations[0]}", at)
         self.defs.add_def(name, term)
 
     def parse_spec(self):
         self.expect("spec")
-        name_tok = self.next()
-        name = name_tok.text
-        if name_tok.kind != "ident" or name in RESERVED:
-            self.fail(f"bad specification name {name!r}", name_tok)
-        if name in self.defs.defs or name in self.defs.specs:
-            self.fail(f"duplicate name {name!r}", name_tok)
+        at = self.parse_new_name("specification")
+        name = self.toks[at]
         self.expect("{")
+        toks = self.toks
         raw = []
         var_names = set()
-        while self.peek().text != "}":
-            var_tok = self.next()
-            if var_tok.kind != "ident" or var_tok.text in RESERVED:
-                self.fail(f"bad specification variable {var_tok.text!r}", var_tok)
-            if var_tok.text in var_names:
-                self.fail(f"duplicate equation for {var_tok.text!r}", var_tok)
+        while toks[self.pos] != "}":
+            var_at = self.next()
+            var = toks[var_at]
+            if not var.isidentifier() or var in RESERVED:
+                self.fail(f"bad specification variable {var!r}", var_at)
+            if var in var_names:
+                self.fail(f"duplicate equation for {var!r}", var_at)
             self.expect("=")
             body = self.parse_proc()
             self.expect(";")
-            raw.append((var_tok, body))
-            var_names.add(var_tok.text)
+            raw.append((var_at, body))
+            var_names.add(var)
         self.expect("}")
         self.spec_vars = frozenset(var_names)
         try:
             equations = {}
-            for var_tok, body in raw:
-                equations[var_tok.text] = self.resolve_names(body, var_tok)
+            for var_at, body in raw:
+                equations[toks[var_at]] = self.resolve_names(body, var_at)
             spec = mk_recspec(equations)
         finally:
             self.spec_vars = frozenset()
         if not spec.valid:
             sample = mk_reccall(spec.vars[0], spec)
             self.fail(
-                f"invalid specification {name!r}: {validate(sample).violations[0]}",
-                name_tok,
+                f"invalid specification {name!r}: {validate(sample).violations[0]}", at
             )
         self.defs.add_spec(name, spec)
 
-    def resolve_names(self, term, at_tok):
+    def resolve_names(self, term, at):
         """Resolve bare identifiers against earlier definitions.
 
         Identifiers bound by the specification being parsed stay variables;
-        everything else must name an earlier ``def`` and is inlined.
+        everything else must name an earlier ``def`` and is inlined.  A
+        failure is located at token ``at``.
         """
         if term.closed:
             return term
@@ -827,29 +824,27 @@ class _Parser:
             if n in self.defs.defs:
                 images[n] = self.defs.defs[n]
             elif n in self.defs.specs:
-                raise UndefinedNameError(
-                    f"{n!r} names a specification, not a process",
-                    at_tok.line, at_tok.col,
-                )
+                self.fail(f"{n!r} names a specification, not a process", at,
+                          UndefinedNameError)
             else:
-                raise UndefinedNameError(
-                    f"reference to undefined name {n!r}", at_tok.line, at_tok.col
-                )
+                self.fail(f"reference to undefined name {n!r}", at, UndefinedNameError)
         return substitute(term, images) if images else term
 
     # -- processes
 
     def parse_proc(self):
         term = self.parse_par()
-        while self.peek().text == "+":
-            self.next()
+        toks = self.toks
+        while toks[self.pos] == "+":
+            self.pos += 1
             term = mk_choice(term, self.parse_par())
         return term
 
     def parse_par(self):
         term = self.parse_prefix()
-        while self.peek().kind == "parpipe":
-            self.next()
+        toks = self.toks
+        while toks[self.pos] == "||":
+            self.pos += 1
             self.expect("{")
             sync = self.parse_acts("}")
             self.expect("}")
@@ -859,52 +854,53 @@ class _Parser:
     def parse_prefix(self):
         # a run of prefixes in a loop, so deep chains parse without deep
         # recursion; the prefixes are built innermost first
+        toks = self.toks
+        at = self.pos
         actions = []
-        while True:
-            tok = self.peek()
-            if tok.kind != "ident" or self.peek(1).text != "." or tok.text in (
-                "theta", "psi", "ren",
-            ):
-                break
-            self.next()
-            self.next()
-            actions.append(self.action_for(tok))
+        while toks[at + 1] == "." and toks[at].isidentifier() and toks[at] not in (
+            "theta", "psi", "ren",
+        ):
+            actions.append(self.action_at(at))
+            at += 2
+        self.pos = at
         term = self.parse_atom()
         for action in reversed(actions):
             term = mk_prefix(action, term)
         return term
 
-    def action_for(self, tok):
-        if tok.text == "tau":
+    def action_at(self, at):
+        tok = self.toks[at]
+        if tok == "tau":
             return TAU
-        if tok.text == "t":
+        if tok == "t":
             return TIMEOUT
         try:
-            return visible(tok.text)
+            return visible(tok)
         except InvalidTermError as exc:
-            self.fail(str(exc), tok)
+            self.fail(str(exc), at)
 
     def parse_atom(self):
-        tok = self.peek()
-        if tok.kind == "zero":
-            self.next()
+        at = self.pos
+        tok = self.toks[at]
+        if tok == "0":
+            self.pos = at + 1
             return NIL
-        if tok.text == "<":
+        if tok == "<":
             return self.parse_reccall()
-        if tok.text == "(":
-            self.next()
+        if tok == "(":
+            self.pos = at + 1
             wrap = None
-        elif tok.text in _OPERATORS and self.peek(1).text == "{":
-            wrap = _OPERATORS[tok.text](self)
-        elif tok.kind == "ident":
-            if tok.text in RESERVED:
-                self.fail(f"reserved word {tok.text!r} cannot stand alone here")
-            self.next()
-            return mk_var(tok.text)
+        elif tok in _OPERATORS and self.toks[at + 1] == "{":
+            wrap = _OPERATORS[tok](self)
+        elif tok.isidentifier():
+            if tok in RESERVED:
+                self.fail(f"reserved word {tok!r} cannot stand alone here")
+            self.pos = at + 1
+            return mk_var(tok)
         else:
-            self.fail(f"expected a process, found {tok.text or 'end of input'!r}")
+            self.fail(f"expected a process, found {tok or 'end of input'!r}")
         if self.depth >= MAX_NESTING:
-            self.fail(f"nesting deeper than {MAX_NESTING} levels", tok)
+            self.fail(f"nesting deeper than {MAX_NESTING} levels", at)
         self.depth += 1
         term = self.parse_proc()
         self.depth -= 1
@@ -913,37 +909,37 @@ class _Parser:
 
     def parse_reccall(self):
         self.expect("<")
-        var_tok = self.next()
-        if var_tok.kind != "ident" or var_tok.text in RESERVED:
-            self.fail(f"bad variable {var_tok.text!r}", var_tok)
+        var_at = self.next()
+        var = self.toks[var_at]
+        if not var.isidentifier() or var in RESERVED:
+            self.fail(f"bad variable {var!r}", var_at)
         self.expect("|")
-        name_tok = self.next()
-        spec = self.defs.specs.get(name_tok.text)
+        name_at = self.next()
+        name = self.toks[name_at]
+        spec = self.defs.specs.get(name)
         if spec is None:
-            raise UndefinedNameError(
-                f"reference to undefined specification {name_tok.text!r}",
-                name_tok.line, name_tok.col,
-            )
+            self.fail(f"reference to undefined specification {name!r}", name_at,
+                      UndefinedNameError)
         self.expect(">")
-        if var_tok.text not in spec.vars:
-            self.fail(
-                f"{var_tok.text!r} is not a variable of {name_tok.text!r}", var_tok
-            )
-        return mk_reccall(var_tok.text, spec)
+        if var not in spec.vars:
+            self.fail(f"{var!r} is not a variable of {name!r}", var_at)
+        return mk_reccall(var, spec)
 
     def parse_acts(self, closer, minimum=0):
+        toks = self.toks
         names = []
-        while self.peek().text != closer:
-            tok = self.next()
-            if tok.kind != "ident":
-                self.fail(f"expected an action name, found {tok.text!r}", tok)
+        while toks[self.pos] != closer:
+            at = self.next()
+            tok = toks[at]
+            if not tok.isidentifier():
+                self.fail(f"expected an action name, found {tok!r}", at)
             try:
-                names.append(visible(tok.text).name)
+                names.append(visible(tok).name)
             except InvalidTermError as exc:
-                self.fail(str(exc), tok)
-            if self.peek().text == ",":
-                self.next()
-            elif self.peek().text != closer:
+                self.fail(str(exc), at)
+            if toks[self.pos] == ",":
+                self.pos += 1
+            elif toks[self.pos] != closer:
                 self.fail(f"expected ',' or {closer!r}")
         if len(names) < minimum:
             self.fail("this operator needs at least one action")
@@ -954,7 +950,7 @@ class _Parser:
     # that bodies nest through parse_atom alone
 
     def abstract_head(self):
-        self.next()
+        self.pos += 1
         self.expect("{")
         hide = self.parse_acts("}", minimum=1)
         self.expect("}")
@@ -962,22 +958,23 @@ class _Parser:
         return lambda body: mk_abstract(hide, body)
 
     def rename_head(self):
-        self.next()
+        self.pos += 1
         self.expect("{")
+        toks = self.toks
         pairs = []
-        while self.peek().text != "}":
+        while toks[self.pos] != "}":
             src = self.next()
             self.expect("->")
             dst = self.next()
-            for tok in (src, dst):
-                if tok.kind != "ident":
-                    self.fail(f"expected an action name, found {tok.text!r}", tok)
+            for at in (src, dst):
+                if not toks[at].isidentifier():
+                    self.fail(f"expected an action name, found {toks[at]!r}", at)
             try:
-                pairs.append((visible(src.text).name, visible(dst.text).name))
+                pairs.append((visible(toks[src]).name, visible(toks[dst]).name))
             except InvalidTermError as exc:
                 self.fail(str(exc), src)
-            if self.peek().text == ",":
-                self.next()
+            if toks[self.pos] == ",":
+                self.pos += 1
         self.expect("}")
         if not pairs:
             self.fail("a renaming needs at least one pair")
@@ -985,7 +982,8 @@ class _Parser:
         return lambda body: mk_rename(pairs, body)
 
     def theta_head(self):
-        open_tok = self.next()
+        open_at = self.pos
+        self.pos += 1
         self.expect("{")
         lower = self.parse_acts(";")
         self.expect(";")
@@ -997,12 +995,12 @@ class _Parser:
             try:
                 return mk_theta(lower, upper, body)
             except InvalidTermError as exc:
-                self.fail(str(exc), open_tok)
+                self.fail(str(exc), open_at)
 
         return build
 
     def psi_head(self):
-        self.next()
+        self.pos += 1
         self.expect("{")
         env = self.parse_acts("}")
         self.expect("}")
@@ -1059,11 +1057,11 @@ def parse_term(text, definitions=None, allow_free=False):
     """
     parser = _Parser(text, definitions)
     term = parser.parse_proc()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        parser.fail(f"trailing input {tok.text!r}")
+    tok = parser.toks[parser.pos]
+    if tok:
+        parser.fail(f"trailing input {tok!r}")
     if not allow_free:
-        term = parser.resolve_names(term, parser.toks[0])
+        term = parser.resolve_names(term, 0)
     return term
 
 

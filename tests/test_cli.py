@@ -304,6 +304,15 @@ def test_modal_bad_formula(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("formula", ["<a>" * 3000 + "T", "~" * 3000 + "T",
+                                     "(" * 3000 + "T" + ")" * 3000])
+def test_modal_deep_formula_is_a_parse_error(capsys, formula):
+    code, _, err = run(capsys, ["modal", LAWS, "TimedB", "--formula", formula])
+    assert code == 2
+    assert err.startswith("error: nesting deeper than 200 levels (line 1, column")
+    assert "RecursionError" not in err
+
+
 def test_modal_json_payload(capsys):
     code, out, _ = run(
         capsys,

@@ -23,7 +23,7 @@ from txbisim.modal import (
     satisfies,
 )
 from txbisim.semantics import deadend, explore
-from txbisim.terms import envset, parse_term
+from txbisim.terms import MAX_NESTING, envset, parse_term
 
 
 def sat(source, phi, mode=None):
@@ -72,6 +72,33 @@ def test_conjunction_normalises():
     assert isinstance(two, And) and len(two.children) == 2
     with pytest.raises(TxbisimError):
         And((TOP,))
+
+
+@pytest.mark.parametrize(
+    "opener,closer",
+    [("<a>", ""), ("~", ""), ("<eps>", ""), ("<^tau>", ""), ("<{a}>", ""),
+     ("(", ")"), ("(T & ", ")"), ("~(", ")")],
+)
+def test_formula_nesting_is_bounded_by_a_parse_error(opener, closer):
+    # ``~(`` nests two levels per copy
+    per_copy = 2 if opener == "~(" else 1
+
+    def nested(depth):
+        copies = depth // per_copy
+        return opener * copies + "<a>" * (depth % per_copy) + "T" + closer * copies
+
+    phi = parse_formula(nested(MAX_NESTING))
+    assert parse_formula(formula_text(phi)) == phi
+    assert in_subclass(phi, "Lbc") in (True, False)
+    assert in_subclass(phi, "Lbcr") in (True, False)
+    p = parse_term("a.0")
+    assert satisfies(explore(p), p, phi) in (True, False)
+    assert satisfies(explore(p), p, phi, mode=()) in (True, False)
+    with pytest.raises(ParseError) as exc:
+        parse_formula(nested(MAX_NESTING + 1))
+    assert str(MAX_NESTING) in str(exc.value)
+    # raised at the operator one level too deep
+    assert (exc.value.line, exc.value.col) == (1, MAX_NESTING * len(opener) // per_copy + 1)
 
 
 def test_parse_rejects_garbage():

@@ -357,6 +357,94 @@ def test_parse_error_reports_position():
     assert exc.value.line == 2
 
 
+@pytest.mark.parametrize(
+    "parse,text,error,message,line,col",
+    [
+        (parse_file, "def P = a.0;\n$", ParseError,
+         "unexpected character '$'", 2, 1),
+        (parse_file, "def P = a.0;\ndef Q = a.", ParseError,
+         "expected a process, found 'end of input'", 2, 11),
+        (parse_file, "def P =\ta.0 +\t;", ParseError,
+         "expected a process, found ';'", 1, 15),
+        (parse_file, "def P = a.0;\r\ndef Q = b.;\r\n", ParseError,
+         "expected a process, found ';'", 2, 11),
+        (parse_file, "def P = a.0;\r\ndef Q = P;\r\n\r\n\tdef R = Q +\r\n ;",
+         ParseError, "expected a process, found ';'", 5, 2),
+        (parse_file, "def P = a.0 # no newline", ParseError,
+         "expected ';', found 'end of input'", 1, 25),
+        (parse_term, "0a", ParseError, "trailing input 'a'", 1, 2),
+        (parse_term, "00", ParseError, "trailing input '0'", 1, 2),
+        (parse_term, "a.0 b", ParseError, "trailing input 'b'", 1, 5),
+        (parse_term, "-", ParseError, "unexpected character '-'", 1, 1),
+        (parse_term, "ren{a-b}(a.0)", ParseError, "unexpected character '-'", 1, 6),
+        (parse_term, "|", ParseError, "expected a process, found '|'", 1, 1),
+        (parse_term, "->", ParseError, "expected a process, found '->'", 1, 1),
+        (parse_term, "a.0 -> b.0", ParseError, "trailing input '->'", 1, 5),
+        (parse_term, "a.0 || b.0", ParseError, "expected '{', found 'b'", 1, 8),
+        (parse_term, "", ParseError, "expected a process, found 'end of input'", 1, 1),
+        (parse_file, "def 1x = a.0;", ParseError, "unexpected character '1'", 1, 5),
+        (parse_file, "def P = a.0; # trailing\ndef", ParseError,
+         "bad definition name ''", 2, 4),
+        (parse_file, "def P = a.0;\n\n  def Q = a.P;\ndef R = Q + Z;",
+         UndefinedNameError, "reference to undefined name 'Z'", 4, 5),
+        (parse_file, "def P = <x|T>;", UndefinedNameError,
+         "reference to undefined specification 'T'", 1, 12),
+        (parse_term, "x + a.0", UndefinedNameError,
+         "reference to undefined name 'x'", 1, 1),
+        (parse_file, "spec S { x = a.x; tau = b.0; }", ParseError,
+         "bad specification variable 'tau'", 1, 19),
+        (parse_file, "spec S { 0 = a.0; }", ParseError,
+         "bad specification variable '0'", 1, 10),
+        (parse_file, "spec S { x = a.x; }\ndef P = <y|S>;", ParseError,
+         "'y' is not a variable of 'S'", 2, 10),
+    ],
+)
+def test_parse_errors_name_their_place(parse, text, error, message, line, col):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert type(exc.value) is error
+    assert str(exc.value) == f"{message} (line {line}, column {col})"
+    assert (exc.value.line, exc.value.col) == (line, col)
+
+
+def test_parsing_well_formed_text_locates_no_token(monkeypatch):
+    # token positions are computed by a rescan, only for an error
+    from txbisim import terms
+
+    def locate(text, index):
+        raise AssertionError(f"token {index} located without an error")
+
+    monkeypatch.setattr(terms, "_token_start", locate)
+    defs = parse_file(
+        """
+        # every operator, a comment and a specification
+        spec S { x = tau.y + t.0; y = a.x; }
+        def P = <x|S> ||{a} ren{a->b}(a.0);  # trailing
+        def Q = tau{b}(P) + theta{a;a,b}(psi{}(t.0));
+        """
+    )
+    assert set(defs.defs) == {"P", "Q"}
+    assert parse_term("a.(b.0 + 0)") is parse_term("a.b.0")
+
+
+# the token alphabet, its separators, and characters no token holds
+PARSE_ALPHABET = ["def", "spec", "P", "x", "a", "b", "tau", "t", "theta", "psi", "ren",
+                  "0", "->", "||", "|", "+", ".", "(", ")", "{", "}", ";", ",", "<",
+                  ">", "=", " ", "\t", "\n", "\r\n", "# note\n", "#", "-", "1",
+                  "_", "$", "\u00e9", "\u00a0"]
+
+
+@given(st.lists(st.sampled_from(PARSE_ALPHABET), max_size=40).map("".join))
+def test_parse_file_returns_definitions_or_a_located_parse_error(text):
+    try:
+        defs = parse_file(text)
+    except ParseError as exc:
+        assert 1 <= exc.line <= text.count("\n") + 1
+        assert exc.col >= 1
+    else:
+        assert isinstance(defs, Definitions)
+
+
 NESTERS = ["(", "(a.0 + ", "theta{a;a,b}(", "psi{a}(", "ren{a->b}(", "tau{b}("]
 
 
