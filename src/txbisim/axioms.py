@@ -53,7 +53,6 @@ from .terms import (
     mk_theta,
     sum_of,
     term_text,
-    visible,
 )
 
 __all__ = ["AXIOMS", "Axiom", "AxiomResult", "axiom_by_name", "fuzz_axioms"]
@@ -168,7 +167,7 @@ def _bi_hide_free(rng, cfg):
 
 def _bi_hide_hidden(rng, cfg):
     hide = rand_env(rng, cfg.alphabet, 1)
-    act = visible(rng.choice(tuple(hide)))
+    act = rng.choice(tuple(hide))
     x = _sub(rng, cfg)
     return (
         mk_abstract(hide, mk_prefix(act, x)),
@@ -209,8 +208,8 @@ def _bi_rename_action(rng, cfg):
     x = _sub(rng, cfg)
     images = sorted(dst for src, dst in pairs if src == a)
     return (
-        mk_rename(pairs, mk_prefix(visible(a), x)),
-        sum_of(mk_prefix(visible(b), mk_rename(pairs, x)) for b in images),
+        mk_rename(pairs, mk_prefix(a, x)),
+        sum_of(mk_prefix(b, mk_rename(pairs, x)) for b in images),
     )
 
 
@@ -226,17 +225,13 @@ def _bi_expansion(rng, cfg):
     ]
     p = sum_of(mk_prefix(a, x) for a, x in ps)
     q = sum_of(mk_prefix(b, y) for b, y in qs)
-
-    def free(act):
-        return not (act.is_visible and act.name in sync)
-
-    parts = [mk_prefix(a, mk_par(x, sync, q)) for a, x in ps if free(a)]
-    parts += [mk_prefix(b, mk_par(p, sync, y)) for b, y in qs if free(b)]
+    parts = [mk_prefix(a, mk_par(x, sync, q)) for a, x in ps if a not in sync]
+    parts += [mk_prefix(b, mk_par(p, sync, y)) for b, y in qs if b not in sync]
     parts += [
         mk_prefix(a, mk_par(x, sync, y))
         for a, x in ps
         for b, y in qs
-        if a == b and not free(a)
+        if a == b and a in sync
     ]
     return mk_par(p, sync, q), sum_of(parts)
 
@@ -321,7 +316,7 @@ def _psi_env(rng, cfg, proper=False):
 
 def _bi_psi_free(rng, cfg):
     env = _psi_env(rng, cfg, proper=True)
-    alpha = visible(rng.choice([a for a in cfg.alphabet if a not in env]))
+    alpha = rng.choice([a for a in cfg.alphabet if a not in env])
     x, y = _sub(rng, cfg), _sub(rng, cfg)
     return (
         mk_psi(env, mk_choice(x, mk_prefix(alpha, y))),

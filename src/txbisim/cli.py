@@ -126,6 +126,11 @@ def _check_verdict(opts, relation, env, p, q):
             raise TxbisimError(f"relation {relation} needs --env with a set")
         fn = brb_x if relation == "brb-x" else rbrb_x
         return fn(p, q, env, opts)
+    if env is not None:
+        use = f"{relation}-x" if relation in ("brb", "rbrb") else "brb-x or rbrb-x"
+        raise TxbisimError(
+            f"relation {relation} takes no environment set; use {use} with --env"
+        )
     if relation == "brb":
         return brb(p, q, opts)
     if relation == "rbrb":
@@ -333,7 +338,8 @@ def _build_parser():
     p.add_argument("relation", choices=RELATIONS)
     p.add_argument(
         "--env", default=None, metavar="SET",
-        help="environment for the -x relations, e.g. '{a,b}' or '{}'",
+        help="environment for the -x relations, e.g. '{a,b}' or '{}'; "
+        "the other relations refuse a set",
     )
     p.add_argument(
         "--method", choices=("both", "direct", "encode"), default="both",

@@ -7,8 +7,10 @@ Two independent routes lead to each reactive verdict:
   branching reactive bisimilarity literally;
 * the *encode* route closes the system under a most general environment
   (:mod:`txbisim.encoding`) and decides ordinary stability respecting
-  branching bisimilarity on the result, reading reactive verdicts off the
-  triggered and allowing wrapper states.
+  branching bisimilarity on the result, reading reactive verdicts off its
+  projection onto the explored states (:attr:`Analysis.projection`), the
+  triggered and allowing wrappers' relation in the direct route's table
+  form.
 
 Both routes give the same answers and the same reasons.  A negative
 verdict names the first clause the queried pair fails (:func:`_first_fail`)
@@ -859,18 +861,17 @@ def _rooted_fail(pf, res, p, x, q):
     return None
 
 
-def _rooted_branching_fail(system, res, p, q):
-    """First-step condition on a plain system or an encoding closure
-    (read as in :func:`_branching_fixpoint`): every move matched strongly
+def _rooted_branching_fail(lts, res, p, q):
+    """First-step condition on a plain system: every move matched strongly
     into the unrooted relation."""
-    moves = system.coded_moves
+    moves = lts.coded_moves
     for side, (a, b) in enumerate(((p, q), (q, p))):
         succ = {}
         for k, b2 in moves[b]:
             succ[k] = succ.get(k, 0) | 1 << b2
         for k, a2 in moves[a]:
             if not succ.get(k, 0) & res.rel[a2]:
-                return side, Removal(0, "move", system.labels[k], a2)
+                return side, Removal(0, "move", lts.labels[k], a2)
     return None
 
 
@@ -1026,6 +1027,14 @@ def _verdict(method, fail, store, lts, universe=None):
     return Verdict(
         False, method, reason=_reason(lts, *fail), lts=lts, universe=universe
     )
+
+
+def _holds(pf, res, i, x, j, rooted):
+    """Whether the table ``res`` relates states ``i`` and ``j`` in column
+    ``x`` or, when rooted, matches their first steps into itself."""
+    if rooted:
+        return _rooted_fail(pf, res, i, x, j) is None
+    return res.has(i, x, j)
 
 
 def _direct(pf, res, i, j, x, rooted, store, universe, memo):
@@ -1184,27 +1193,24 @@ def _check(p, q, env, rooted, opts):
     """Decide one of the four reactive relations of two closed terms:
     triggered when ``env`` is None, else in the environment ``env``, and
     rooted or not, in one column of :func:`~txbisim.encoding.env_columns`
-    for either route.  ``opts.method`` picks the route.  ``"encode"``
-    decides on the closure; a rooted ``"direct"`` check goes straight to
-    the direct fixpoint.  Else an entry that the first pass of
-    :func:`_first_fail` fails is outside every bisimulation, and an
-    unrooted check reports that clause at once.  Any other negative
-    ``"encode"`` answer takes its reason from
+    for either route.  ``opts.method`` picks the route.  The encode route
+    reads its answer off :attr:`Analysis.projection` (:func:`_holds`); a
+    rooted ``"direct"`` check goes straight to the direct fixpoint.  Else
+    an entry that the first pass of :func:`_first_fail` fails is outside
+    every bisimulation, and an unrooted check reports that clause at once.
+    Any other negative ``"encode"`` answer takes its reason from
     :attr:`Analysis.whole_projection`.  Otherwise ``"both"`` decides by
     the encode route, or when rooted by the first pass: a positive answer
-    whose projection holds the queried entry (and, when rooted, its first
-    steps) is certified by :func:`_clauses_hold`, and raises if that fails;
-    any other answer is checked against the direct route, whose verdict is
+    is certified by :func:`_clauses_hold`, and raises if that fails; any
+    other answer is checked against the direct route, whose verdict is
     reported."""
     an = Analysis(p, q, opts)
     method = an.opts.method
     pf = an.profile
     x = pf.trig if env is None else pf.env_mask(an.canonical_env(env))
     if method == "encode":
-        if _encode_answer(an, x, rooted):
-            store = _store_thunk(
-                an, "encoded_projection", "lts", "universe", "encoded", "enc_branch"
-            )
+        if _holds(pf, an.projection, an.ip, x, an.iq, rooted):
+            store = _store_thunk(an, "encoded_projection", "profile", "projection")
             return _verdict("encode", None, store, an.lts, an.universe)
     elif method == "direct" and rooted:
         # the fixpoint runs either way: for the answer, or for the
@@ -1227,22 +1233,17 @@ def _check(p, q, env, rooted, opts):
     if method == "direct":
         return _direct_check(an, x, rooted)
     # a caught rooted pair is known inequivalent, rooted lying within unrooted
-    e = caught is None and _encode_answer(an, x, rooted)
+    e = caught is None and _holds(pf, an.projection, an.ip, x, an.iq, rooted)
     by = "encoding" if caught is None else "its first round"
     if e:
-        res = an.projection
-        ip, iq = an.ip, an.iq
-        if res.has(ip, x, iq) and (
-            not rooted or _rooted_fail(pf, res, ip, x, iq) is None
-        ):
-            if not _clauses_hold(pf, res.rows, an.memo):
-                raise MethodDisagreementError(
-                    f"encoding says True for {term_text(p)} vs {term_text(q)}, "
-                    "but its relation fails the clauses of branching reactive "
-                    "bisimulation"
-                )
-            store = _store_thunk(an, "encoded_projection", "profile", "projection")
-            return _verdict("both", None, store, an.lts, an.universe)
+        if not _clauses_hold(pf, an.projection.rows, an.memo):
+            raise MethodDisagreementError(
+                f"encoding says True for {term_text(p)} vs {term_text(q)}, "
+                "but its relation fails the clauses of branching reactive "
+                "bisimulation"
+            )
+        store = _store_thunk(an, "encoded_projection", "profile", "projection")
+        return _verdict("both", None, store, an.lts, an.universe)
     d = _direct_check(an, x, rooted)
     if d.equivalent != e:
         raise MethodDisagreementError(
@@ -1250,15 +1251,6 @@ def _check(p, q, env, rooted, opts):
             f"for {term_text(p)} vs {term_text(q)}"
         )
     return replace(d, method="both")
-
-
-def _encode_answer(an, x, rooted):
-    """The encode route's answer on the analysis' pair in column ``x``,
-    read off the closure; it builds no wrapper."""
-    i, j = an.encoded.index(x, an.ip), an.encoded.index(x, an.iq)
-    if rooted:
-        return _rooted_branching_fail(an.encoded, an.enc_branch, i, j) is None
-    return an.enc_branch.has(i, j)
 
 
 def _direct_check(an, x, rooted):

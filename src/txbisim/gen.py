@@ -112,7 +112,7 @@ def rand_renaming(rng, cfg):
 def rand_action(rng, names, tau=False, timeout=False):
     """A random action: a visible one named in ``names``, or ``tau`` or
     the time-out where allowed."""
-    pool = [visible(a) for a in names]
+    pool = list(names)
     if tau:
         pool.append(TAU)
     if timeout:
@@ -283,7 +283,7 @@ def _rw_branching(rng, cfg, sub):
 def _rw_timeout_shadow(rng, cfg, sub):
     # an internal step shadows a fresh time-out: tau.x + ... = tau.x + ... + t.y
     if not any(
-        isinstance(s, Prefix) and s.action is TAU for s in summands(sub)
+        isinstance(s, Prefix) and s.action == TAU for s in summands(sub)
     ):
         return None
     return mk_choice(sub, mk_prefix(TIMEOUT, rand_term(rng, cfg, 1)))
@@ -297,7 +297,7 @@ def _rw_unfold(rng, cfg, sub):
 
 def _rw_theta_skip(rng, cfg, sub):
     # theta has no effect on a single non-internal prefix
-    if not isinstance(sub, Prefix) or sub.action is TAU:
+    if not isinstance(sub, Prefix) or sub.action == TAU:
         return None
     lower, upper = rand_nested_envs(rng, cfg)
     return mk_theta(lower, upper, sub)
@@ -305,7 +305,7 @@ def _rw_theta_skip(rng, cfg, sub):
 
 def _rw_psi_skip(rng, cfg, sub):
     # psi has no effect on a single non-time-out prefix
-    if not isinstance(sub, Prefix) or sub.action is TIMEOUT:
+    if not isinstance(sub, Prefix) or sub.action == TIMEOUT:
         return None
     return mk_psi(rand_env(rng, cfg.alphabet), sub)
 

@@ -134,13 +134,6 @@ def _check_diamond_label(label):
         )
 
 
-def _diamond_name_ok(name):
-    try:
-        _check_diamond_label(name)
-    except TxbisimError as exc:
-        raise ParseError(str(exc)) from None
-
-
 def conjunction(formulas):
     """Conjunction of a possibly empty, possibly redundant list."""
     unique = tuple(dict.fromkeys(formulas))
@@ -210,16 +203,18 @@ def parse_formula(text):
     pos = 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
-        if not m or m.end() == m.start():
+        if not m:
             rest = text[pos:].strip()
             if not rest:
                 break
-            raise ParseError(f"cannot read formula at {rest[:12]!r}")
+            raise ParseError.at(
+                f"cannot read formula at {rest[:12]!r}", text, text.index(rest, pos)
+            )
         pos = m.end()
         # every alternative ends in a named group
         kind = m.lastgroup
-        tokens.append((kind, m.group(kind), m.start("start")))
-    tokens.append(("end", None, len(text)))
+        tokens.append((kind, m.group(kind), m.start("start"), pos))
+    tokens.append(("end", None, len(text), len(text)))
 
     at = 0
     depth = 0
@@ -227,17 +222,25 @@ def parse_formula(text):
     def peek():
         return tokens[at][0]
 
-    def take(kind):
+    def fail(expected):
+        kind, _, start, stop = tokens[at]
+        found = "end of input" if kind == "end" else repr(text[start:stop])
+        raise ParseError.at(f"expected {expected}, found {found}", text, start)
+
+    def take():
         nonlocal at
-        if tokens[at][0] != kind:
-            raise ParseError(f"expected {kind}, found {tokens[at][0]}")
         at += 1
         return tokens[at - 1][1]
+
+    def expect(kind, expected):
+        if tokens[at][0] != kind:
+            fail(expected)
+        take()
 
     def parse_conj():
         parts = [parse_unary()]
         while peek() == "and":
-            take("and")
+            take()
             parts.append(parse_unary())
         if len(parts) == 1:
             return parts[0]
@@ -252,23 +255,28 @@ def parse_formula(text):
         while True:
             kind = peek()
             if kind == "top":
-                take("top")
+                take()
                 phi = TOP
                 break
             if kind not in _UNARY and kind != "lpar":
-                raise ParseError(f"unexpected {kind} in formula")
+                fail("a formula")
+            start = tokens[at][2]
             if depth >= MAX_NESTING:
                 raise ParseError.at(
-                    f"nesting deeper than {MAX_NESTING} levels", text, tokens[at][2]
+                    f"nesting deeper than {MAX_NESTING} levels", text, start
                 )
             depth += 1
-            value = take(kind)
+            value = take()
             if kind == "lpar":
                 phi = parse_conj()
-                take("rpar")
+                expect("rpar", "')'")
                 break
-            if kind in ("hat", "diamond"):
-                _diamond_name_ok(value)
+            try:
+                # the operator checks its label or names here, where the
+                # error can name its place
+                _UNARY[kind](value, TOP)
+            except TxbisimError as exc:
+                raise ParseError.at(str(exc), text, start) from None
             wraps.append((_UNARY[kind], value))
         for wrap, value in reversed(wraps):
             phi = wrap(value, phi)
@@ -276,7 +284,7 @@ def parse_formula(text):
         return phi
 
     result = parse_conj()
-    take("end")
+    expect("end", "end of input")
     return result
 
 

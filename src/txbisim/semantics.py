@@ -1,7 +1,10 @@
 """Structural operational semantics and state-space exploration.
 
 ``derive`` computes the outgoing transitions of a closed term by the
-transition rules of the language:
+transition rules of the language, as ``(label, target)`` pairs whose label
+is the action's string: visible moves first, by name, then ``tau``, then
+``t``, ties broken by the target's ``uid``.  ``explore`` emits the labels
+as they are.
 
 * ``alpha.E`` performs ``alpha`` and becomes ``E``; sums offer the
   transitions of their summands.
@@ -47,6 +50,7 @@ from .terms import (
     RecCall,
     Rename,
     TAU,
+    TIMEOUT,
     Term,
     Theta,
     mk_abstract,
@@ -58,7 +62,6 @@ from .terms import (
     sum_of,
     summands,
     term_text,
-    visible,
 )
 
 __all__ = [
@@ -77,6 +80,8 @@ DEFAULT_MAX_STATES = 10_000
 MAX_STATES_ENV = "TXBISIM_MAX_STATES"
 
 _IN_PROGRESS = object()
+
+_ORDER = {TAU: 1, TIMEOUT: 2}
 
 
 def derive(term):
@@ -99,7 +104,7 @@ def derive(term):
         term.moves = None
         raise
     term.moves = tuple(
-        sorted(set(moves), key=lambda m: (m[0].sort_key(), m[1].uid))
+        sorted(set(moves), key=lambda m: (_ORDER.get(m[0], 0), m[0], m[1].uid))
     )
     return term.moves
 
@@ -125,26 +130,20 @@ def _rules(term):
             derive(node)
         return _par_rules(term)
     if isinstance(term, Abstract):
-        out = []
-        for act, target in derive(term.body):
-            wrapped = mk_abstract(term.hide, target)
-            if act.is_visible and act.name in term.hide:
-                out.append((TAU, wrapped))
-            else:
-                out.append((act, wrapped))
-        return out
+        hide = term.hide
+        return [
+            (TAU if act in hide else act, mk_abstract(hide, target))
+            for act, target in derive(term.body)
+        ]
     if isinstance(term, Rename):
-        images: dict[str, list[str]] = {}
+        # tau and t map to themselves; a visible action to its images
+        images = {TAU: [TAU], TIMEOUT: [TIMEOUT]}
         for src, dst in term.pairs:
             images.setdefault(src, []).append(dst)
         out = []
         for act, target in derive(term.body):
             wrapped = mk_rename(term.pairs, target)
-            if act.is_visible:
-                for dst in images.get(act.name, ()):
-                    out.append((visible(dst), wrapped))
-            else:
-                out.append((act, wrapped))
+            out.extend((dst, wrapped) for dst in images.get(act, ()))
         return out
     if isinstance(term, Theta):
         return _theta_rules(term)
@@ -161,13 +160,13 @@ def _par_rules(term):
     right_moves = derive(term.right)
     out = []
     for act, target in left_moves:
-        if not (act.is_visible and act.name in sync):
+        if act not in sync:
             out.append((act, mk_par(target, sync, term.right)))
     for act, target in right_moves:
-        if not (act.is_visible and act.name in sync):
+        if act not in sync:
             out.append((act, mk_par(term.left, sync, target)))
     for act, lt in left_moves:
-        if act.is_visible and act.name in sync:
+        if act in sync:
             for act2, rt in right_moves:
                 if act2 == act:
                     out.append((act, mk_par(lt, sync, rt)))
@@ -179,9 +178,9 @@ def _theta_rules(term):
     quiet = deadend(term.body, term.lower)
     out = []
     for act, target in moves:
-        if act is TAU:
+        if act == TAU:
             out.append((act, mk_theta(term.lower, term.upper, target)))
-        elif act.is_visible and act.name in term.upper:
+        elif act in term.upper:
             out.append((act, target))
         if quiet:
             out.append((act, target))
@@ -193,7 +192,7 @@ def _psi_rules(term):
     quiet = deadend(term.body, term.env)
     out = []
     for act, target in moves:
-        if act.in_a_tau:
+        if act != TIMEOUT:
             out.append((act, target))
         elif quiet:
             out.append((act, mk_theta(term.env, term.env, target)))
@@ -208,20 +207,18 @@ def unfold(call):
 def init_set(term):
     """Names of the instantaneous actions on offer (time-outs excluded)."""
     if term.init is None:
-        term.init = frozenset(
-            act.name for act, _ in derive(term) if act.in_a_tau
-        )
+        term.init = frozenset(act for act, _ in derive(term) if act != TIMEOUT)
     return term.init
 
 
 def is_stable(term):
-    return "tau" not in init_set(term)
+    return TAU not in init_set(term)
 
 
 def deadend(term, env):
     """No internal step and nothing the environment ``env`` allows."""
     offered = init_set(term)
-    if "tau" in offered:
+    if TAU in offered:
         return False
     return offered.isdisjoint(env)
 
@@ -271,7 +268,7 @@ def explore(root, max_states=None):
     while at < len(queue):
         for act, target in derive(queue[at]):
             got = seen.get(target)
-            edges.append((at, act.name, admit(target) if got is None else got))
+            edges.append((at, act, admit(target) if got is None else got))
         at += 1
     return Lts.from_indexed(queue, edges, roots, state_text=term_text)
 

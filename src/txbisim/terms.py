@@ -5,7 +5,9 @@ action is a visible name, the internal step ``tau``, or the time-out ``t``),
 binary choice ``E + F``, synchronised parallel composition ``E ||{S} F``,
 abstraction ``tau{I}(E)``, relational renaming ``ren{a->b,...}(E)``, the
 environment operators ``theta{L;U}(E)`` and ``psi{X}(E)``, and recursion via
-named specifications ``<x|S>``.
+named specifications ``<x|S>``.  An action is a plain string at every
+layer: :data:`TAU` is ``"tau"``, :data:`TIMEOUT` is ``"t"``, and
+:func:`visible` returns a visible name once it has checked it.
 
 Terms are interned: construction goes through the ``mk_*`` factories, which
 normalise sums (flatten, drop ``0`` summands, sort children) and return a
@@ -27,7 +29,6 @@ from dataclasses import dataclass
 from .errors import InvalidTermError, ParseError, UndefinedNameError
 
 __all__ = [
-    "Action",
     "TAU",
     "TIMEOUT",
     "visible",
@@ -89,53 +90,28 @@ _ACT_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 
 
 def _check_action_name(name):
-    if not _ACT_RE.match(name):
+    if not isinstance(name, str) or not _ACT_RE.match(name):
         raise InvalidTermError(f"action names are lowercase identifiers: {name!r}")
     if name in RESERVED or name.startswith("eps_"):
         raise InvalidTermError(f"reserved spelling cannot name a visible action: {name!r}")
 
 
 # ---------------------------------------------------------------------------
-# Actions
+# Actions: plain strings.  Environment sets hold visible names only, so
+# ``label in env`` needs no test of the label's kind.
 
+TAU = "tau"
+TIMEOUT = "t"
 
-@dataclass(frozen=True, slots=True)
-class Action:
-    """A transition label at the term level: visible name, ``tau``, or ``t``."""
-
-    kind: str  # "vis" | "tau" | "t"
-    name: str
-
-    @property
-    def is_visible(self):
-        return self.kind == "vis"
-
-    @property
-    def in_a_tau(self):
-        """Membership in the instantaneous actions (visible or ``tau``)."""
-        return self.kind != "t"
-
-    def sort_key(self):
-        return ({"vis": 0, "tau": 1, "t": 2}[self.kind], self.name)
-
-    def __str__(self):
-        return self.name
-
-
-TAU = Action("tau", "tau")
-TIMEOUT = Action("t", "t")
-
-_VISIBLE_CACHE: dict[str, Action] = {}
+_VISIBLE: set[str] = set()
 
 
 def visible(name):
-    """The visible action with the given (validated) name."""
-    act = _VISIBLE_CACHE.get(name)
-    if act is None:
+    """The visible action name ``name``, once validated."""
+    if not (isinstance(name, str) and name in _VISIBLE):
         _check_action_name(name)
-        act = Action("vis", name)
-        _VISIBLE_CACHE[name] = act
-    return act
+        _VISIBLE.add(name)
+    return name
 
 
 # ---------------------------------------------------------------------------
@@ -396,9 +372,11 @@ def mk_recspec(equations):
 
 
 def mk_prefix(action, body):
-    if not isinstance(action, Action):
-        raise InvalidTermError(f"prefix needs an Action, got {action!r}")
-    return _interned(("pre", action.kind, action.name, body.uid), Prefix, action, body)
+    """``action.body`` for a label ``action``: ``tau``, ``t`` or a valid
+    visible name."""
+    if action != TAU and action != TIMEOUT:
+        visible(action)
+    return _interned(("pre", action, body.uid), Prefix, action, body)
 
 
 def summands(term):
@@ -653,8 +631,8 @@ def alphabet(term):
         if node in seen:
             continue
         seen.add(node)
-        if isinstance(node, Prefix) and node.action.is_visible:
-            names.add(node.action.name)
+        if isinstance(node, Prefix) and node.action not in (TAU, TIMEOUT):
+            names.add(node.action)
         elif isinstance(node, Rename):
             for src, dst in node.pairs:
                 names.add(src)
@@ -934,7 +912,7 @@ class _Parser:
             if not tok.isidentifier():
                 self.fail(f"expected an action name, found {tok!r}", at)
             try:
-                names.append(visible(tok).name)
+                names.append(visible(tok))
             except InvalidTermError as exc:
                 self.fail(str(exc), at)
             if toks[self.pos] == ",":
@@ -970,7 +948,7 @@ class _Parser:
                 if not toks[at].isidentifier():
                     self.fail(f"expected an action name, found {toks[at]!r}", at)
             try:
-                pairs.append((visible(toks[src]).name, visible(toks[dst]).name))
+                pairs.append((visible(toks[src]), visible(toks[dst])))
             except InvalidTermError as exc:
                 self.fail(str(exc), src)
             if toks[self.pos] == ",":

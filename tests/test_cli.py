@@ -220,6 +220,17 @@ def test_check_env_relations(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("relation", ["brb", "rbrb", "strong", "srbb", "rsrbb"])
+def test_check_refuses_env_on_a_relation_without_one(capsys, relation):
+    # brb-x under {a} calls this pair equivalent; triggered brb does not
+    code, out, err = run(
+        capsys, ["check", STABILITY, "P0", "Q0", relation, "--env", "{a}"]
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: relation {relation} takes no environment set")
+    assert "-x" in err
+
+
 def test_check_json_payload(capsys):
     code, out, _ = run(
         capsys,

@@ -107,6 +107,24 @@ def test_parse_rejects_garbage():
             parse_formula(bad)
 
 
+@pytest.mark.parametrize(
+    "text, message, col",
+    [
+        ("<<", "cannot read formula at '<<'", 1),
+        ("(T", "expected ')', found end of input", 3),
+        ("<a>", "expected a formula, found end of input", 4),
+        ("T T", "expected end of input, found 'T'", 3),
+        ("<{a}T", "cannot read formula at '<{a}T'", 1),
+        ("~", "expected a formula, found end of input", 2),
+    ],
+)
+def test_formula_parse_errors_name_their_place(text, message, col):
+    with pytest.raises(ParseError) as exc:
+        parse_formula(text)
+    assert str(exc.value) == f"{message} (line 1, column {col})"
+    assert (exc.value.line, exc.value.col) == (1, col)
+
+
 # -- satisfaction, triggered scenario
 
 

@@ -28,7 +28,7 @@ from txbisim.terms import envset, parse_file, parse_term, term_text
 
 def moves(source):
     term = parse_term(source) if isinstance(source, str) else term_from(source)
-    return sorted((act.name, term_text(target)) for act, target in derive(term))
+    return sorted((act, term_text(target)) for act, target in derive(term))
 
 
 def term_from(source):
@@ -54,6 +54,15 @@ def test_choice_unions_summand_moves():
 
 
 # -- parallel composition
+
+
+def test_derive_orders_visible_by_name_then_tau_then_timeout():
+    acts = [act for act, _ in derive(parse_term("t.0 + tau.0 + b.0 + a.0"))]
+    assert acts == ["a", "b", "tau", "t"]
+    # moves with one label come in the order of their targets' uids
+    targets = [target for _, target in derive(parse_term("a.c.0 + a.b.0 + a.0"))]
+    assert len(targets) == 3
+    assert [t.uid for t in targets] == sorted(t.uid for t in targets)
 
 
 def test_par_interleaves_unsynced_actions():
@@ -147,7 +156,7 @@ def test_unfold_substitutes_calls():
     p = defs.defs["P"]
     assert term_text(unfold(p), defs.spec_names()) == "a.<y|S>"
     ((act, target),) = derive(p)
-    assert (act.name, term_text(target, defs.spec_names())) == ("a", "<y|S>")
+    assert (act, term_text(target, defs.spec_names())) == ("a", "<y|S>")
 
 
 def test_a_sum_derives_summand_by_summand():
@@ -257,5 +266,5 @@ def test_head_normal_form_preserves_transitions(seed):
     t = rand_term(random.Random(seed), GenConfig(max_depth=3))
     hnf = head_normal_form(t)
     assert sorted(
-        (a.name, tgt.uid) for a, tgt in derive(hnf)
-    ) == sorted((a.name, tgt.uid) for a, tgt in derive(t))
+        (a, tgt.uid) for a, tgt in derive(hnf)
+    ) == sorted((a, tgt.uid) for a, tgt in derive(t))

@@ -61,11 +61,12 @@ from txbisim.terms import (
 
 
 def test_action_kinds():
-    a = visible("a")
-    assert a.is_visible and a.in_a_tau
-    assert TAU.in_a_tau and not TAU.is_visible
-    assert not TIMEOUT.in_a_tau
-    assert visible("a") is a
+    # a label is its string at every layer
+    assert (TAU, TIMEOUT) == ("tau", "t")
+    assert visible("a") == "a"
+    assert [parse_term(f"{act}.0").action for act in ("a", "tau", "t")] == [
+        "a", TAU, TIMEOUT,
+    ]
 
 
 @pytest.mark.parametrize("bad", ["tau", "t", "A", "1x", "", "t_eps", "spec"])
@@ -88,10 +89,11 @@ def test_envset_is_canonical_and_interned():
 
 
 def test_prefix_requires_action():
-    p = mk_prefix(visible("a"), NIL)
-    assert term_text(p) == "a.0"
-    with pytest.raises(InvalidTermError):
-        mk_prefix("a", NIL)
+    assert term_text(mk_prefix("a", NIL)) == "a.0"
+    assert mk_prefix(TAU, NIL) is parse_term("tau.0")
+    for bad in (5, [], "A", "t_eps"):
+        with pytest.raises(InvalidTermError):
+            mk_prefix(bad, NIL)
 
 
 def test_choice_flattens_sorts_and_drops_nil():
