@@ -68,7 +68,6 @@ from .terms import (
     TAU,
     TIMEOUT,
     Definitions,
-    EnvSet,
     Term,
     alphabet,
     definitions_text,

@@ -443,7 +443,6 @@ def axiom_by_name(name):
 
 
 def _env_subsets(names):
-    names = tuple(names)
     for size in range(len(names) + 1):
         for combo in combinations(names, size):
             yield envset(combo)

@@ -65,7 +65,7 @@ from .errors import (
 )
 from .lts import Lts, Partition, iter_bits
 from .semantics import explore
-from .terms import EnvSet, Term, alphabet, envset, term_text
+from .terms import Term, alphabet, envset, term_text
 
 __all__ = [
     "Analysis",
@@ -158,7 +158,7 @@ class Verdict:
     method: str
     reason: dict | None = None
     lts: Lts | None = field(default=None, repr=False)
-    universe: EnvSet | None = field(default=None, repr=False)
+    universe: tuple | None = field(default=None, repr=False)
     build_witness: Callable[[], RelationStore] | None = field(
         default=None, repr=False, compare=False
     )
@@ -205,10 +205,7 @@ class Removal:
 def process_universe(*terms, limit=None):
     """Smallest canonical environment universe for comparing closed terms:
     the union of the actions occurring in them."""
-    names = set()
-    for t in terms:
-        names |= set(alphabet(t))
-    u = envset(names)
+    u = envset(name for t in terms for name in alphabet(t))
     if limit is not None and len(u) > limit:
         raise AlphabetLimitError(
             f"{len(u)} visible actions exceed the configured bound {limit}"
@@ -582,12 +579,14 @@ class _PairResult:
 class _Separations(Mapping):
     """The ordered pairs a partition puts in different blocks.
 
-    Looking a pair up scans its clauses (``fail(rel, p, row)``, bound to
-    :func:`_strong_fail` or :func:`_branching_fail` and a system), in both
-    orientations, against the partition with the pair joined, and gives the
-    first that fails as ``(side, removal)``.  The partition is the greatest
-    relation, so some clause fails.  Nothing is scanned until a pair is
-    looked up; the count comes from the block sizes.
+    Looking a pair up names the first clause it fails (:func:`_pair_fail`
+    with ``fail(rel, p, row)``, bound to :func:`_strong_fail` or
+    :func:`_branching_fail` and a system) against the relation that
+    relates everything, or if none fails there, against the partition with
+    the pair joined, as :func:`_first_fail` does on the direct route.  The
+    partition is the greatest relation, so some clause fails.  Nothing is
+    scanned until a pair is looked up; the count comes from the block
+    sizes.
     """
 
     def __init__(self, rel, fail):
@@ -607,14 +606,26 @@ class _Separations(Mapping):
         p, q = pair
         if self.rel[p] >> q & 1:
             raise KeyError(pair)
-        rel = self.rel[:]
-        rel[p] |= 1 << q
-        rel[q] |= 1 << p
+        n = len(self.rel)
+        joined = self.rel[:]
+        joined[p] |= 1 << q
+        joined[q] |= 1 << p
+        found = _pair_fail(self.fail, ([(1 << n) - 1] * n, joined), p, q)
+        if found is None:
+            raise TxbisimError("unrelated pair violates no clause")
+        return found
+
+
+def _pair_fail(fail, rels, p, q):
+    """The first clause ``fail(rel, a, row)`` finds for the pair ``(p, q)``,
+    scanning both orientations against each relation of ``rels`` in turn,
+    as ``(side, removal)``; None when the pair passes them all."""
+    for rel in rels:
         for side, (a, b) in enumerate(((p, q), (q, p))):
-            rec = self.fail(rel, a, 1 << b)
+            rec = fail(rel, a, 1 << b)
             if rec is not None:
                 return side, rec
-        raise TxbisimError("unrelated pair violates no clause")
+    return None
 
 
 def _strong_fail(lts, rel, p, row):
@@ -861,20 +872,6 @@ def _rooted_fail(pf, res, p, x, q):
     return None
 
 
-def _rooted_branching_fail(lts, res, p, q):
-    """First-step condition on a plain system: every move matched strongly
-    into the unrooted relation."""
-    moves = lts.coded_moves
-    for side, (a, b) in enumerate(((p, q), (q, p))):
-        succ = {}
-        for k, b2 in moves[b]:
-            succ[k] = succ.get(k, 0) | 1 << b2
-        for k, a2 in moves[a]:
-            if not succ.get(k, 0) & res.rel[a2]:
-                return side, Removal(0, "move", lts.labels[k], a2)
-    return None
-
-
 def _reason(lts, side, rec):
     out = {
         "side": ("left", "right")[side],
@@ -895,7 +892,6 @@ def _reason(lts, side, rec):
 
 def _gen_store(pf, res):
     states = pf.lts.states
-    envs = [envset(names) for names in pf.names]
     pairs = set()
     triples = set()
     for p, cols in enumerate(res.rows):
@@ -904,7 +900,7 @@ def _gen_store(pf, res):
             if x == pf.trig:
                 pairs.update((s, states[q]) for q in iter_bits(row))
             else:
-                env = envs[x]
+                env = pf.names[x]
                 triples.update((s, env, states[q]) for q in iter_bits(row))
     return RelationStore(frozenset(pairs), frozenset(triples))
 
@@ -1052,7 +1048,11 @@ def _direct(pf, res, i, j, x, rooted, store, universe, memo):
 
 def _plain(lts, res, s, t, rooted=False):
     i, j = lts.index[s], lts.index[t]
-    fail = _rooted_branching_fail(lts, res, i, j) if rooted else res.fail(i, j)
+    if rooted:
+        # the first step is matched strongly into the unrooted relation
+        fail = _pair_fail(partial(_strong_fail, lts), (res.rel,), i, j)
+    else:
+        fail = res.fail(i, j)
     return _verdict("direct", fail, lambda: _pair_store(lts, res.rel), lts)
 
 
@@ -1084,7 +1084,9 @@ def brb_states(lts, s, t, universe=None, rooted=False):
     the first step on each side is matched strongly.
     """
     if universe is None:
-        universe = envset(lab for lab in lts.labels if lab not in ("tau", "t"))
+        universe = (lab for lab in lts.labels if lab not in ("tau", "t"))
+    # sorted, so that the witness's triples hold canonical sets
+    universe = envset(universe)
     pf = _Profile(lts, universe)
     res = _generalized_fixpoint(pf)
     return _direct(
@@ -1149,7 +1151,7 @@ class Analysis:
         return _branching_fixpoint(self.encoded)
 
     def canonical_env(self, x):
-        return envset(x).intersection(self.universe)
+        return tuple(a for a in envset(x) if a in self.universe)
 
     @cached_property
     def projection(self):

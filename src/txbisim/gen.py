@@ -94,8 +94,8 @@ def rand_env(rng, names, min_size=0):
 
 
 def rand_nested_envs(rng, cfg):
-    """A random pair ``lower <= upper`` of action sets, as ``theta`` takes
-    them."""
+    """A random pair of action sets with ``lower`` ⊆ ``upper``, as
+    ``theta`` takes them."""
     upper = rand_env(rng, cfg.alphabet)
     lower = envset(a for a in upper if rng.random() < 0.6)
     return lower, upper

@@ -116,7 +116,7 @@ class EnvDiamond(Formula):
     sub: Formula
 
     def __post_init__(self):
-        object.__setattr__(self, "names", tuple(envset(self.names)))
+        object.__setattr__(self, "names", envset(self.names))
 
 
 @dataclass(frozen=True, slots=True)
@@ -340,9 +340,8 @@ def satisfies(lts, state, formula, mode=None):
                 return any(
                     sat(j, sub, None) for j in iter_bits(lts.succ_mask(i, label))
                 )
-            case EnvDiamond(names, sub):
-                x = envset(names)
-                blocked = x if env is None else x.union(env)
+            case EnvDiamond(x, sub):
+                blocked = x if env is None else envset((*x, *env))
                 if not _lts_deadend(lts, i, blocked):
                     return False
                 return any(

@@ -7,7 +7,10 @@ abstraction ``tau{I}(E)``, relational renaming ``ren{a->b,...}(E)``, the
 environment operators ``theta{L;U}(E)`` and ``psi{X}(E)``, and recursion via
 named specifications ``<x|S>``.  An action is a plain string at every
 layer: :data:`TAU` is ``"tau"``, :data:`TIMEOUT` is ``"t"``, and
-:func:`visible` returns a visible name once it has checked it.
+:func:`visible` returns a visible name once it has checked it.  An
+environment set (the ``S``, ``I``, ``L``, ``U`` and ``X`` above) is a
+sorted tuple of distinct visible names, and :func:`envset` returns one
+shared tuple per set: ``envset(("b", "a")) == ("a", "b")``.
 
 Terms are interned: construction goes through the ``mk_*`` factories, which
 normalise sums (flatten, drop ``0`` summands, sort children) and return a
@@ -32,7 +35,6 @@ __all__ = [
     "TAU",
     "TIMEOUT",
     "visible",
-    "EnvSet",
     "envset",
     "EMPTY_ENV",
     "Term",
@@ -89,13 +91,6 @@ _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 _ACT_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 
 
-def _check_action_name(name):
-    if not isinstance(name, str) or not _ACT_RE.match(name):
-        raise InvalidTermError(f"action names are lowercase identifiers: {name!r}")
-    if name in RESERVED or name.startswith("eps_"):
-        raise InvalidTermError(f"reserved spelling cannot name a visible action: {name!r}")
-
-
 # ---------------------------------------------------------------------------
 # Actions: plain strings.  Environment sets hold visible names only, so
 # ``label in env`` needs no test of the label's kind.
@@ -108,72 +103,33 @@ _VISIBLE: set[str] = set()
 
 def visible(name):
     """The visible action name ``name``, once validated."""
-    if not (isinstance(name, str) and name in _VISIBLE):
-        _check_action_name(name)
-        _VISIBLE.add(name)
+    if isinstance(name, str) and name in _VISIBLE:
+        return name
+    if not isinstance(name, str) or not _ACT_RE.match(name):
+        raise InvalidTermError(f"action names are lowercase identifiers: {name!r}")
+    if name in RESERVED or name.startswith("eps_"):
+        raise InvalidTermError(
+            f"reserved spelling cannot name a visible action: {name!r}"
+        )
+    _VISIBLE.add(name)
     return name
 
 
 # ---------------------------------------------------------------------------
-# Environment sets
+# Environment sets: sorted tuples of distinct visible names, one shared
+# tuple per set
 
-
-class EnvSet:
-    """An immutable, canonically ordered set of visible action names."""
-
-    __slots__ = ("names", "_set")
-
-    def __init__(self, names):
-        object.__setattr__(self, "names", tuple(names))
-        object.__setattr__(self, "_set", frozenset(self.names))
-
-    def __contains__(self, name):
-        return name in self._set
-
-    def __iter__(self):
-        return iter(self.names)
-
-    def __len__(self):
-        return len(self.names)
-
-    def __eq__(self, other):
-        return isinstance(other, EnvSet) and self.names == other.names
-
-    def __hash__(self):
-        return hash(self.names)
-
-    def __le__(self, other):
-        return self._set <= other._set
-
-    def union(self, other):
-        return envset(self._set | set(other))
-
-    def intersection(self, other):
-        return envset(self._set & set(other))
-
-    def isdisjoint(self, other):
-        return self._set.isdisjoint(set(other))
-
-    def text(self):
-        return "{" + ",".join(self.names) + "}"
-
-    def __repr__(self):
-        return f"EnvSet({self.names!r})"
-
-
-_ENVSET_CACHE: dict[tuple, EnvSet] = {}
+_ENVSETS: dict[tuple, tuple] = {}
 
 
 def envset(names=()):
-    """Canonical EnvSet over the given visible action names."""
-    ordered = tuple(sorted(set(names)))
-    cached = _ENVSET_CACHE.get(ordered)
-    if cached is None:
-        for n in ordered:
-            _check_action_name(n)
-        cached = EnvSet(ordered)
-        _ENVSET_CACHE[ordered] = cached
-    return cached
+    """The environment set of the visible action names ``names``: their
+    sorted tuple, the same object for every call with the same set."""
+    hit = _ENVSETS.get(names) if type(names) is tuple else None
+    if hit is None:
+        ordered = tuple(sorted({visible(name) for name in names}))
+        hit = _ENVSETS.setdefault(ordered, ordered)
+    return hit
 
 
 EMPTY_ENV = envset()
@@ -425,34 +381,37 @@ def sum_of(terms):
 
 
 def mk_par(left, sync, right):
-    return _interned(("par", left.uid, sync.names, right.uid), Par, left, sync, right)
+    sync = envset(sync)
+    return _interned(("par", left.uid, sync, right.uid), Par, left, sync, right)
 
 
 def mk_abstract(hide, body):
-    return _interned(("abs", hide.names, body.uid), Abstract, hide, body)
+    hide = envset(hide)
+    return _interned(("abs", hide, body.uid), Abstract, hide, body)
 
 
 def mk_rename(pairs, body):
     """Renaming by a finite relation on visible actions, given as (src, dst) pairs."""
     canon = tuple(sorted(set(pairs)))
     for src, dst in canon:
-        _check_action_name(src)
-        _check_action_name(dst)
+        visible(src)
+        visible(dst)
     return _interned(("ren", canon, body.uid), Rename, canon, body)
 
 
 def mk_theta(lower, upper, body):
-    if not lower <= upper:
+    lower, upper = envset(lower), envset(upper)
+    if not set(lower) <= set(upper):
         raise InvalidTermError(
-            f"theta needs lower within upper: {lower.text()} vs {upper.text()}"
+            "theta needs lower within upper: "
+            f"{{{','.join(lower)}}} vs {{{','.join(upper)}}}"
         )
-    return _interned(
-        ("theta", lower.names, upper.names, body.uid), Theta, lower, upper, body
-    )
+    return _interned(("theta", lower, upper, body.uid), Theta, lower, upper, body)
 
 
 def mk_psi(env, body):
-    return _interned(("psi", env.names, body.uid), Psi, env, body)
+    env = envset(env)
+    return _interned(("psi", env, body.uid), Psi, env, body)
 
 
 def mk_var(name):
@@ -1088,20 +1047,20 @@ def term_text(term, spec_names=None):
                 cursor = cursor.left
             parts = [render(cursor, 2)]
             for sync, right in reversed(chain):
-                parts.append(f"||{{{','.join(sync.names)}}} {render(right, 2)}")
+                parts.append(f"||{{{','.join(sync)}}} {render(right, 2)}")
             return " ".join(parts)
         if isinstance(node, Abstract):
-            return f"tau{{{','.join(node.hide.names)}}}({plain(node.body)})"
+            return f"tau{{{','.join(node.hide)}}}({plain(node.body)})"
         if isinstance(node, Rename):
             pairs = ",".join(f"{s}->{d}" for s, d in node.pairs)
             return f"ren{{{pairs}}}({plain(node.body)})"
         if isinstance(node, Theta):
             return (
-                f"theta{{{','.join(node.lower.names)};"
-                f"{','.join(node.upper.names)}}}({plain(node.body)})"
+                f"theta{{{','.join(node.lower)};"
+                f"{','.join(node.upper)}}}({plain(node.body)})"
             )
         if isinstance(node, Psi):
-            return f"psi{{{','.join(node.env.names)}}}({plain(node.body)})"
+            return f"psi{{{','.join(node.env)}}}({plain(node.body)})"
         if isinstance(node, RecCall):
             name = names.get(node.spec.uid, f"S{node.spec.uid}")
             return f"<{node.var}|{name}>"

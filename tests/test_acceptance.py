@@ -297,7 +297,7 @@ def test_criterion_14_deep_and_wide_terms():
     lts = explore(wide)
     assert lts.n_states == 2 and strong(lts, wide, wide)
     defs = parse_file("def A = b.0; def B = " + "a." * 1500 + "A;")
-    assert alphabet(defs.defs["B"]).names == ("a", "b")
+    assert alphabet(defs.defs["B"]) == ("a", "b")
     with pytest.raises(ParseError):
         parse_term("(" * 1000 + "a.0" + ")" * 1000)
     report(14, "deep and wide terms are decided or refused cleanly")

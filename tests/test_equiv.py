@@ -34,7 +34,7 @@ from txbisim.equiv import (
     _branching_fixpoint,
     _first_fail,
     _generalized_fixpoint,
-    _rooted_branching_fail,
+    _plain,
     _rooted_fail,
     _round,
     _strong_fixpoint,
@@ -495,7 +495,7 @@ def test_rooted_branching_equals_reference(small_corpus):
             (i, j)
             for i in range(lts.n_states)
             for j in range(lts.n_states)
-            if _rooted_branching_fail(lts, res, i, j) is None
+            if _plain(lts, res, lts.states[i], lts.states[j], rooted=True)
         }
         assert eng == ref_rooted_branching(lts)
 
@@ -1108,6 +1108,18 @@ def test_strong_negative_verdict_names_a_failing_clause(small_corpus):
     assert negatives
 
 
+def test_plain_relations_follow_the_one_reason_rule():
+    """``strong`` and ``srbb`` scan the relation that relates everything
+    first, as ``brb`` does: ``Q`` has no ``c`` at all, while its ``a``
+    fails only against the final relation."""
+    p, q = parse_term("a.b.0 + c.0"), parse_term("a.c.0")
+    lts = explore((p, q))
+    want = brb(p, q).reason
+    assert (want["side"], want["label"]) == ("left", "c")
+    for check in (strong, sr_branching):
+        assert check(lts, p, q).reason == want, check.__name__
+
+
 @pytest.mark.parametrize("kind", ["generalized", "branching", "strong"])
 def test_validators_reject_foreign_names_without_raising(kind):
     p = parse_term("a.0 + t.b.0")
@@ -1205,6 +1217,13 @@ def test_brb_states_defaults_universe_to_visible_labels():
     assert not brb_states(
         lts, parse_term("a.0"), parse_term("tau.a.0"), rooted=True
     )
+
+
+def test_brb_states_witness_holds_environment_sets():
+    p = parse_term("a.0 + b.0")
+    v = brb_states(explore(p), p, p, universe={"b", "a"})
+    assert v.universe == ("a", "b")
+    assert {x for _, x, _ in v.witness.triples} == {(), ("a",), ("b",), ("a", "b")}
 
 
 # -- universe handling

@@ -76,13 +76,12 @@ def test_reserved_and_malformed_action_names(bad):
 
 
 def test_envset_is_canonical_and_interned():
-    e = envset(("b", "a", "b"))
-    assert e.names == ("a", "b")
-    assert envset(["a", "b"]) is e
-    assert "a" in e and "c" not in e
-    assert envset(()) is EMPTY_ENV
-    assert e.intersection(envset(("b", "c"))) is envset(("b",))
-    assert e.union(envset(("c",))).names == ("a", "b", "c")
+    assert envset(("b", "a", "b")) == ("a", "b")
+    assert envset(["a", "b"]) is envset(("a", "b"))
+    assert envset(()) == EMPTY_ENV == ()
+    for bad in ("tau", "t", "A", "eps_x"):
+        with pytest.raises(InvalidTermError):
+            envset((bad,))
 
 
 # -- constructors and canonical sums
@@ -139,6 +138,9 @@ def test_sum_chain_parses_without_walking_its_summands(monkeypatch):
 def test_interning_gives_identity():
     assert parse_term("a.b.0 + tau.0") is parse_term("a.b.0+tau.0")
     assert mk_par(NIL, envset(("a",)), NIL) is mk_par(NIL, envset(("a",)), NIL)
+    # factories canonicalise a hand-written set
+    p, q = parse_term("a.0"), parse_term("b.0")
+    assert mk_par(p, ("b", "a"), q) is mk_par(p, envset("ab"), q)
 
 
 def test_rename_pairs_are_canonicalised():
@@ -154,6 +156,11 @@ def test_theta_requires_lower_inside_upper():
     mk_theta(envset(("a",)), envset(("a", "b")), body)
     with pytest.raises(InvalidTermError):
         mk_theta(envset(("a", "b")), envset(("a",)), body)
+    # as tuples ("b",) sorts after ("a", "b"), yet {b} lies within {a,b}
+    assert term_text(parse_term("theta{b;a,b}(a.0)")) == "theta{b;a,b}(a.0)"
+    with pytest.raises(ParseError) as err:
+        parse_term("theta{a,c;a,b}(a.0)")
+    assert (err.value.line, err.value.col) == (1, 1)
 
 
 # -- variables, recursion, validation
