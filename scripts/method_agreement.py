@@ -12,7 +12,8 @@ counts the unrooted negative verdicts that the first pass of the direct
 route's clauses, against the relation that relates everything, certifies
 without a fixpoint, and it asks ``distinguish``, plain and rooted, for a
 formula separating every pair: that must return one exactly when the pair
-is inequivalent.  Any disagreement is printed in full and the script exits
+is inequivalent.  ``brb_partition`` of each pair's state space must put
+the pair in one block exactly when ``brb`` relates it.  Any disagreement is printed in full and the script exits
 nonzero, so it doubles as a slow randomised check:
 
     python3 scripts/method_agreement.py --per-depth 200 --max-depth 5
@@ -29,6 +30,7 @@ from txbisim import (
     GenConfig,
     StateBudgetError,
     brb,
+    brb_partition,
     brb_x,
     envset,
     equivalent_pair,
@@ -76,7 +78,7 @@ def run_depth(rng, env_rng, depth, args):
     cfg = GenConfig(alphabet=tuple(args.alphabet.split(",")), max_depth=depth)
     pairs = sample_pairs(rng, cfg, args.per_depth, args.state_cap, 0.3)
     mismatches = []
-    t_direct = t_encode = t_both = t_formula = 0.0
+    t_direct = t_encode = t_both = t_formula = t_partition = 0.0
     equivalent = negatives = first_round = 0
     for p, q in pairs:
         # a separate generator, so the pairs are those drawn without it
@@ -136,11 +138,24 @@ def run_depth(rng, env_rng, depth, args):
                         f"{relation.__name__}={related[relation]} formula={got}",
                     )
                 )
+        t0 = time.perf_counter()
+        try:
+            lts, part = brb_partition((p, q), DIRECT)
+            together = part.same(lts.index[p], lts.index[q])
+            ok = together == related[brb]
+        except Exception as exc:
+            ok, together = False, f"raised {type(exc).__name__}: {exc}"
+        t_partition += time.perf_counter() - t0
+        if not ok:
+            mismatches.append(
+                ("brb_partition", p, q, f"brb={related[brb]} same block={together}")
+            )
         equivalent += related[brb]
     print(
         f"depth {depth}: {len(pairs)} pairs, {equivalent} equivalent, "
         f"direct {t_direct:.2f}s, encode {t_encode:.2f}s, both {t_both:.2f}s, "
-        f"distinguish {t_formula:.2f}s, {len(mismatches)} mismatches; "
+        f"distinguish {t_formula:.2f}s, partition {t_partition:.2f}s, "
+        f"{len(mismatches)} mismatches; "
         f"{first_round} of {negatives} unrooted negatives certified by the first pass"
     )
     return mismatches

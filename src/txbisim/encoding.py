@@ -33,9 +33,9 @@ written once, in its breadth-first loop.  A wrapper is keyed by its base
 state and its environment column (:func:`env_columns`), the same index the
 direct route's table uses: the mask of the actions it allows, or one
 triggered column past them.  A wrapper is numbered when it is first
-reached, breadth first from the triggered roots (the base roots, or any
-given base states): a state's successors in the order of its base steps,
-then its settlings in the order of their sets' names.  Each wrapper keeps
+reached, breadth first from the triggered wrappings of the base roots: a
+state's successors in the order of its base steps, then its settlings in
+the order of their sets' names.  Each wrapper keeps
 its moves as ``(label code, wrapper)`` pairs, which is all the encode
 route reads, for its answers and reasons alike, so no check makes a
 wrapper object.  A tau step keeps its environment, so the tau steps of the
@@ -113,21 +113,21 @@ class Closure:
     """The environment closure of a system on indices, reachable part only.
 
     ``universe`` must contain every visible label of the base system.  The
-    wrappers are numbered breadth first from the triggered wrappings of
-    ``roots``, base state indices, by default those of the base roots.
-    Wrapper ``k`` has the moves ``coded_moves[k]``, pairs
-    ``(code, j)`` whose label is ``labels[code]``; ``tau_sccs`` and
-    ``can_reach_stable_mask`` are those of :class:`~txbisim.lts.Lts`, lifted
-    from the base system.  A wrapper is keyed by its base state and its
-    column of :func:`env_columns`: ``trig`` for a triggered wrapper, else
-    the mask of the actions it allows.  :meth:`index` finds a wrapper by
-    column and base state, :meth:`wrappings` gives each wrapper's base
+    wrappers are numbered breadth first from the triggered wrappings of the
+    base roots; a time-out fires from an idle wrapper alone, as the direct
+    route's clause asks.  Wrapper ``k`` has the moves ``coded_moves[k]``,
+    pairs ``(code, j)`` whose label is ``labels[code]``; ``tau_sccs`` and
+    ``can_reach_stable_mask`` are those of :class:`~txbisim.lts.Lts`,
+    lifted from the base system.  A wrapper is keyed by its base state and
+    its column of :func:`env_columns`: ``trig`` for a triggered wrapper,
+    else the mask of the actions it allows.  :meth:`index` finds a wrapper
+    by column and base state, :meth:`wrappings` gives each wrapper's base
     state and column, and :attr:`lts` is the closure as a system of
     :class:`EncState` wrappers with the same numbering, built when first
-    read, its roots those of the base roots.
+    read.
     """
 
-    def __init__(self, base, universe, max_states=None, roots=None):
+    def __init__(self, base, universe, max_states=None):
         bit, names, trig = env_columns(tuple(universe))
         stray = set(base.labels) - {"tau", "t"} - set(bit)
         if stray:
@@ -174,11 +174,8 @@ class Closure:
             keys.append(key)
             return got
 
-        if roots is None:
-            roots = [base.index[r] for r in base.roots]
-        for i in roots:
-            if i * width + trig not in seen:
-                admit(i * width + trig)
+        for key in dict.fromkeys(base.index[r] * width + trig for r in base.roots):
+            admit(key)
         table = []
         at = 0
         while at < len(keys):

@@ -100,9 +100,9 @@ class CheckOptions:
     ``"both"`` (the encode route, its answers certified or cross-checked,
     see :func:`_check`).  ``max_states`` bounds the explored and the
     encoded states; it must be positive, and None defers to
-    ``TXBISIM_MAX_STATES`` or the built-in default.  A negative answer the
-    first pass of the clauses finds builds no encoding, so only the
-    explored states count against it.
+    ``TXBISIM_MAX_STATES`` or the built-in default.  Outside ``"encode"``
+    a negative answer the first pass of the clauses finds builds no
+    encoding, so only the explored states count against it.
     ``max_alphabet`` bounds the visible actions of the compared terms; it
     must be positive and may not exceed
     :data:`~txbisim.encoding.MAX_UNIVERSE`, the most the environment
@@ -241,6 +241,7 @@ class _Profile:
         "notinit",
         "names",
         "_subs",
+        "_idle",
         "_clauses",
     )
 
@@ -267,6 +268,7 @@ class _Profile:
         self.unstable = self.full & ~lts.stable_mask
         self.notinit = tuple(self.umask & ~vis for vis in init_vis)
         self._subs = {}
+        self._idle = {}
         self._clauses = [[None] * (self.trig + 1) for _ in range(self.n)]
 
     def env_mask(self, names):
@@ -294,6 +296,13 @@ class _Profile:
 
     def deadend(self, i, xmask):
         return self.stable[i] and not self.init_vis[i] & xmask
+
+    def idle(self, xmask):
+        """The dead ends under ``xmask`` as a mask, kept once computed."""
+        if xmask not in self._idle:
+            self._idle[xmask] = sum(
+                1 << i for i in range(self.n) if self.deadend(i, xmask))
+        return self._idle[xmask]
 
     def clauses(self, p, x):
         """The step clauses of the row of ``p`` in column ``x`` as
@@ -407,13 +416,26 @@ def _round(pf, rows, live, memo, sink, rnd):
 
     A clause reads the ``lab`` predecessors of its target row, joined by
     the row itself for tau (an internal step may be matched by standing
-    still) and closed backward under tau for a time-out.  ``memo`` keeps
-    these match sets by ``(lab, row value)``, and a move's backward tau
-    closure by the set it closes; its entries depend on the system alone,
-    so one ``memo`` (:attr:`Analysis.memo`) serves every pass over it, on
-    any table.  Unless ``sink`` is None each removal goes to ``sink[p, x]``
-    as ``(mask, removal)``, one :class:`Removal` per clause for the whole
-    pass.
+    still); a time-out under the environment ``col`` is matched by internal
+    steps to a state idle there (:meth:`_Profile.idle`), then its time-out.
+    ``memo`` keeps a move's match set by ``(lab, row value)``, a time-out's
+    by ``(col, row value)``, and a move's backward tau closure by the set it
+    closes; its entries depend on the system alone, so one ``memo``
+    (:attr:`Analysis.memo`) serves every pass over it, on any table.
+    Unless ``sink`` is None each removal goes to ``sink[p, x]`` as ``(mask,
+    removal)``, one :class:`Removal` per clause for the whole pass.
+
+    The encoding fires time-outs from idle wrappers alone, as here, and the
+    greatest relation is that of the looser clause taking the time-out of
+    any ``q ==> q1``.  Let ``B`` be the latter's, ``(p, x, q)`` in it, ``p``
+    a dead end under ``x``, ``p -t-> p2`` and ``y`` refused by ``p``.  The
+    stable ``p`` matches each tau step of ``q`` by standing still, so all of
+    ``q ==> q0`` is related to ``p`` in ``x``, and by stability so is some
+    stable ``qs`` with ``q0 ==> qs``.  ``p`` matches no step of ``qs``
+    allowed by ``x``, so ``qs`` is a dead end under ``x``, where all its
+    visible steps count and ``p`` matches each directly: ``qs`` refuses
+    ``y`` too.  So the loose clause on ``(p, x, qs)`` gives ``qs -t-> q'``
+    with ``(p2, y, q')`` in ``B``, and ``B`` is closed under the idle one.
 
     Returns the removals as ``(p, x, mask)`` and the live rows that still
     hold an entry to judge.
@@ -421,7 +443,7 @@ def _round(pf, rows, live, memo, sink, rnd):
     lts = pf.lts
     pred = lts.pred_mask
     closure = lts.backward_tau_closure
-    stable, unstable = pf.stable, pf.unstable
+    stable, unstable, idle = pf.stable, pf.unstable, pf.idle
     unreach = ~lts.can_reach_stable_mask
     shared = {}
     stability = Removal(rnd, "stability")
@@ -436,14 +458,15 @@ def _round(pf, rows, live, memo, sink, rnd):
         for cl in clauses:
             lab, p2, col, env = cl
             target = rows[p2][x if col is None else col]
-            base = memo.get((lab, target))
+            key = (lab if env is None else col), target
+            base = memo.get(key)
             if base is None:
                 base = pred(lab, target)
                 if lab == "tau":
                     base |= target
-                elif lab == "t":
-                    base = closure(base)
-                memo[lab, target] = base
+                elif env is not None:
+                    base = closure(base & idle(col))
+                memo[key] = base
             if env is None:
                 # a move needs a branching match whose endpoints stay
                 # related to the source and the target respectively; the
@@ -457,7 +480,7 @@ def _round(pf, rows, live, memo, sink, rnd):
                         closed = memo[base] = closure(base)
                     fresh &= ~closed
             else:
-                # a time-out is matched by internal steps then a time-out
+                # matched by internal steps to an idle state, then its time-out
                 fresh = remaining & ~base
             if fresh:
                 if sink is not None:
@@ -862,11 +885,13 @@ def _rooted_fail(pf, res, p, x, q):
     """First-step condition for rooted equivalence of the entry
     ``(p, x, q)``, both orientations: every step clause of the row
     (:meth:`_Profile.clauses`) is matched by one step into the unrooted
-    relation.  Returns None when satisfied, else (side, removal)."""
+    relation, a time-out only by one the other side takes idle, as in
+    :func:`_round`.  Returns None when satisfied, else (side, removal)."""
     lts = pf.lts
     for side, (a, b) in enumerate(((p, q), (q, p))):
         for lab, a2, col, env in pf.clauses(a, x):
-            if not lts.succ_mask(b, lab) & res.rows[a2][x if col is None else col]:
+            succ = lts.succ_mask(b, lab) if env is None or pf.deadend(b, col) else 0
+            if not succ & res.rows[a2][x if col is None else col]:
                 clause = "move" if env is None else "timeout"
                 return side, Removal(0, clause, lab, a2, env)
     return None
@@ -1025,25 +1050,17 @@ def _verdict(method, fail, store, lts, universe=None):
     )
 
 
-def _holds(pf, res, i, x, j, rooted):
-    """Whether the table ``res`` relates states ``i`` and ``j`` in column
-    ``x`` or, when rooted, matches their first steps into itself."""
-    if rooted:
-        return _rooted_fail(pf, res, i, x, j) is None
-    return res.has(i, x, j)
-
-
-def _direct(pf, res, i, j, x, rooted, store, universe, memo):
-    """The verdict of the table ``res`` on states ``i`` and ``j`` in column
-    ``x``, ``pf.trig`` or an environment mask, with the reason
-    :func:`_rooted_fail` or :func:`_first_fail` (with ``memo``) names."""
+def _direct(method, pf, res, i, j, x, rooted, store, universe, memo):
+    """The verdict by ``method`` of the table ``res`` on states ``i`` and
+    ``j`` in column ``x``, with the reason :func:`_rooted_fail` or
+    :func:`_first_fail` (with ``memo``) names."""
     if rooted:
         fail = _rooted_fail(pf, res, i, x, j)
     elif res.has(i, x, j):
         fail = None
     else:
         fail = _first_fail(pf, i, x, j, memo, res.rows)
-    return _verdict("direct", fail, store, pf.lts, universe)
+    return _verdict(method, fail, store, pf.lts, universe)
 
 
 def _plain(lts, res, s, t, rooted=False):
@@ -1090,7 +1107,7 @@ def brb_states(lts, s, t, universe=None, rooted=False):
     pf = _Profile(lts, universe)
     res = _generalized_fixpoint(pf)
     return _direct(
-        pf, res, lts.index[s], lts.index[t], pf.trig, rooted,
+        "direct", pf, res, lts.index[s], lts.index[t], pf.trig, rooted,
         lambda: _gen_store(pf, res), universe, {},
     )
 
@@ -1159,16 +1176,6 @@ class Analysis:
         direct route's table form (:func:`_projection`)."""
         return _projection(self.profile, self.encoded, self.enc_branch.rel)
 
-    @cached_property
-    def whole_projection(self):
-        """:func:`_projection` of the closure rooted at every explored
-        state, the direct route's whole table, whereas :attr:`projection`
-        lacks the states only a time-out no wrapper takes reaches.  The
-        table's size bounds it, not the state budget."""
-        pf = self.profile
-        enc = Closure(self.lts, self.universe, pf.n * (pf.trig + 1), range(pf.n))
-        return _projection(pf, enc, _branching_fixpoint(enc).rel)
-
     def gen_store(self):
         return _gen_store(self.profile, self.gen)
 
@@ -1195,47 +1202,41 @@ def _check(p, q, env, rooted, opts):
     """Decide one of the four reactive relations of two closed terms:
     triggered when ``env`` is None, else in the environment ``env``, and
     rooted or not, in one column of :func:`~txbisim.encoding.env_columns`
-    for either route.  ``opts.method`` picks the route.  The encode route
-    reads its answer off :attr:`Analysis.projection` (:func:`_holds`); a
-    rooted ``"direct"`` check goes straight to the direct fixpoint.  Else
-    an entry that the first pass of :func:`_first_fail` fails is outside
-    every bisimulation, and an unrooted check reports that clause at once.
-    Any other negative ``"encode"`` answer takes its reason from
-    :attr:`Analysis.whole_projection`.  Otherwise ``"both"`` decides by
-    the encode route, or when rooted by the first pass: a positive answer
-    is certified by :func:`_clauses_hold`, and raises if that fails; any
-    other answer is checked against the direct route, whose verdict is
-    reported."""
+    for either route.  ``opts.method`` picks the route.  ``"encode"`` reads
+    its answer and its reason off :attr:`Analysis.projection`: the pair's
+    closure holds every wrapper its clauses read, as both routes fire a
+    time-out from an idle state alone (:func:`_round`).  A rooted
+    ``"direct"`` check goes straight to the direct fixpoint.  Else an entry
+    that the first pass of :func:`_first_fail` fails is outside every
+    bisimulation, and an unrooted check reports that clause at once.
+    Otherwise ``"both"`` decides by the encode route, or when rooted by the
+    first pass: a positive answer is certified by :func:`_clauses_hold`,
+    and raises if that fails; any other answer is checked against the
+    direct route, whose verdict is reported."""
     an = Analysis(p, q, opts)
     method = an.opts.method
     pf = an.profile
     x = pf.trig if env is None else pf.env_mask(an.canonical_env(env))
     if method == "encode":
-        if _holds(pf, an.projection, an.ip, x, an.iq, rooted):
-            store = _store_thunk(an, "encoded_projection", "profile", "projection")
-            return _verdict("encode", None, store, an.lts, an.universe)
-    elif method == "direct" and rooted:
+        store = _store_thunk(an, "encoded_projection", "profile", "projection")
+        return _direct(
+            "encode", pf, an.projection, an.ip, an.iq, x, rooted, store,
+            an.universe, an.memo,
+        )
+    if method == "direct" and rooted:
         # the fixpoint runs either way: for the answer, or for the
         # first-step reason of an entry the first pass fails
         return _direct_check(an, x, rooted)
     caught = _first_fail(pf, an.ip, x, an.iq, an.memo)
     if caught is not None and not rooted:
         return _verdict(method, caught, None, an.lts, an.universe)
-    if method == "encode":
-        v = _direct(
-            pf, an.whole_projection, an.ip, an.iq, x, rooted, None, an.universe,
-            an.memo,
-        )
-        if v.equivalent:
-            raise MethodDisagreementError(
-                f"encoding says False for {term_text(p)} vs {term_text(q)}, "
-                "but its relation meets the first-step condition"
-            )
-        return replace(v, method="encode")
     if method == "direct":
         return _direct_check(an, x, rooted)
     # a caught rooted pair is known inequivalent, rooted lying within unrooted
-    e = caught is None and _holds(pf, an.projection, an.ip, x, an.iq, rooted)
+    e = caught is None and (
+        _rooted_fail(pf, an.projection, an.ip, x, an.iq) is None
+        if rooted else an.projection.has(an.ip, x, an.iq)
+    )
     by = "encoding" if caught is None else "its first round"
     if e:
         if not _clauses_hold(pf, an.projection.rows, an.memo):
@@ -1259,7 +1260,8 @@ def _direct_check(an, x, rooted):
     """The direct route's verdict on the analysis' pair in column ``x``."""
     store = _store_thunk(an, "gen_store", "profile", "gen")
     return _direct(
-        an.profile, an.gen, an.ip, an.iq, x, rooted, store, an.universe, an.memo
+        "direct", an.profile, an.gen, an.ip, an.iq, x, rooted, store,
+        an.universe, an.memo,
     )
 
 

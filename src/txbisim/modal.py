@@ -412,7 +412,8 @@ class _Synthesizer:
     the pair column or an environment mask, the produced formula holds at
     ``p`` and fails at ``q`` in that column.  A record from round ``r``
     only ever refers to entries removed strictly earlier, so the recursion
-    terminates.
+    terminates.  A time-out's formula refutes the timed successors of the
+    states idle under its set and the column alone, as :func:`satisfies`.
     """
 
     def __init__(self, analysis):
@@ -466,12 +467,12 @@ class _Synthesizer:
             first = conjunction(self.formula(p, x, q1) for q1 in bad1)
             second = self._refuted(p2, col, bad2, rec.round)
             return Eps(And((first, HatDiamond(lab, second))))
-        # timeout: every timed successor of the closure is already refuted
-        bad = []
-        for q1 in self._closure(q):
-            bad.extend(iter_bits(lts.succ_mask(q1, "t")))
-        body = self._refuted(rec.succ, self.pf.env_mask(rec.env), bad, rec.round)
-        return Eps(EnvDiamond(rec.env, body))
+        # timeout: every timed successor of a closure member idle under the
+        # set and the column (trig's bit is no action's) is already refuted
+        y = self.pf.env_mask(rec.env)
+        bad = [q2 for q1 in self._closure(q) if self.pf.deadend(q1, y | x)
+               for q2 in iter_bits(lts.succ_mask(q1, "t"))]
+        return Eps(EnvDiamond(rec.env, self._refuted(rec.succ, y, bad, rec.round)))
 
     # -- rooted layer
 
@@ -483,9 +484,9 @@ class _Synthesizer:
             x, lab = self.pf.trig, rec.label
         else:
             x, lab = self.pf.env_mask(rec.env), "t"
-        body = conjunction(
-            self.formula(a2, x, q2) for q2 in iter_bits(lts.succ_mask(q, lab))
-        )
+        # the other side's time-outs count only where it idles
+        succ = lts.succ_mask(q, lab) if lab != "t" or self.pf.deadend(q, x) else 0
+        body = conjunction(self.formula(a2, x, q2) for q2 in iter_bits(succ))
         psi = Diamond(lab, body) if rec.clause == "move" else EnvDiamond(rec.env, body)
         return psi if side == 0 else Not(psi)
 

@@ -54,6 +54,7 @@ from txbisim.equiv import (
 )
 from txbisim.encoding import MAX_UNIVERSE, encode
 from txbisim.lts import Lts, disjoint_union, iter_bits, quotient
+from txbisim.modal import distinguish, in_subclass, satisfies
 from txbisim.semantics import explore
 from txbisim.terms import envset, mk_theta, parse_term, term_text
 
@@ -170,8 +171,8 @@ def test_rounds_replay_from_records(small_corpus):
 @pytest.mark.parametrize(
     "pair, counts",
     [
-        (two_cells(), (21, 5, 1182, 265)),
-        (three_cells(), (83, 5, 40238, 3026)),
+        (two_cells(), (21, 5, 1258, 273)),
+        (three_cells(), (83, 5, 42074, 3047)),
         (tuple(map(parse_term, ("a.a.a.a.0", "a.a.a.tau.a.0"))), (9, 6, 150, 84)),
     ],
 )
@@ -219,6 +220,17 @@ def test_direct_table_is_an_equivalence_with_records_on_drawn_systems(lts):
     s = lts.states[0]
     for j, t in enumerate(lts.states):
         assert brb_states(lts, s, t).equivalent == res.has(0, pf.trig, j)
+
+
+@given(raw_systems())
+def test_direct_table_equals_the_reference_on_drawn_systems(lts):
+    """The direct fixpoint matches a time-out only from a state idle in its
+    environment, the reference from any state its side reaches by internal
+    steps; on raw systems, whose unstable states carry time-outs too, the
+    greatest relations are still the same."""
+    universe = envset(lab for lab in lts.labels if lab not in ("tau", "t"))
+    _, _, pairs, trips = engine_rows(lts, universe)
+    assert (pairs, trips) == ref_reactive(lts, universe)
 
 
 @given(raw_systems())
@@ -988,9 +1000,8 @@ def test_negative_verdict_names_a_clause(stability_defs):
         (rbrb, plain, parse_term("tau.a.0"), None),
         (rbrb_x, timed, plain, envset(())),
     ]
-    # the right side's time-out leaves an unstable state, so no wrapper of
-    # the pair's closure takes it: the encode route's reason must come from
-    # a closure of every explored state
+    # the right side's only time-out leaves an unstable state, which idles
+    # in no environment, so the left side's time-out has no match
     unreached = parse_term("t.0"), parse_term("tau.0 + tau{a}(t.0)")
     cases += [(brb, *unreached, None), (rbrb, *unreached, None)]
     for check, p, q, env in cases:
@@ -1011,12 +1022,47 @@ def test_negative_verdict_names_a_clause(stability_defs):
         assert_reason_fails(p, q, env, check in (rbrb, rbrb_x), reasons[0])
 
 
+def test_first_pass_fails_a_time_out_with_no_idle_match():
+    """``t.0`` against ``tau.0 + tau{a}(t.0)``: the right side's time-out
+    leaves an unstable state, so the left side's time-out fails against
+    the relation that relates everything, and the distinguishing formulas
+    say so."""
+    p, q = parse_term("t.0"), parse_term("tau.0 + tau{a}(t.0)")
+    an = Analysis(p, q)
+    pf = an.profile
+    side, rec = _first_fail(pf, an.ip, pf.trig, an.iq, {})
+    assert (side, rec.clause, rec.label, rec.env) == (0, "timeout", "t", ())
+    for rooted, cls in ((False, "Lbc"), (True, "Lbcr")):
+        phi = distinguish(p, q, rooted)
+        assert in_subclass(phi, cls)
+        assert satisfies(an.lts, p, phi) and not satisfies(an.lts, q, phi)
+
+
+@pytest.mark.parametrize("check", [brb, rbrb])
+def test_encode_negative_builds_one_closure(monkeypatch, check):
+    """A negative ``encode`` verdict past the first pass takes its answer
+    and its reason from the pair's own closure, and builds no other."""
+    built = []
+    init = encoding.Closure.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(encoding.Closure, "__init__", counted)
+    p, q = parse_term("a.a.0"), parse_term("a.b.0")
+    v = check(p, q, CheckOptions(method="encode"))
+    assert not v.equivalent and v.reason == check(p, q, DIRECT).reason
+    assert len(built) == 1
+
+
 def assert_reason_fails(p, q, env, rooted, reason):
     """The clause a reason names fails for the queried pair, judged by the
     reference's matching against the reference relation (triggered, or in
     the environment ``env``) with the pair joined.  A rooted reason names a
     first step that no single step of the other side matches into the
-    reference relation."""
+    reference relation.  A time-out under the reason's environment is
+    matched only by the time-out of a state idle there."""
     lts = explore((p, q))
     uni = process_universe(p, q)
     pairs, trips = ref_reactive(lts, uni)
@@ -1040,12 +1086,17 @@ def assert_reason_fails(p, q, env, rooted, reason):
     # the column of the successor: a time-out's environment, a tau step's
     # own column, a visible step's pair column
     end = frozenset(reason["env"]) if lab == "t" else x if lab == "tau" else None
+
+    def idle(k):
+        return lts.is_stable(k) and not set(lts.out_labels(k)) & end
+
     if rooted:
-        assert not any(rel(a2[0], end, b2) for b2 in iter_bits(lts.succ_mask(b, lab)))
+        succ = lts.succ_mask(b, lab) if lab != "t" or idle(b) else 0
+        assert not any(rel(a2[0], end, b2) for b2 in iter_bits(succ))
         return
     assert not _match(
         lts, reach, b, lab,
-        mid_ok=lambda q1: lab == "t" or rel(a, x, q1),
+        mid_ok=idle if lab == "t" else lambda q1: rel(a, x, q1),
         end_ok=lambda q2: rel(a2[0], end, q2),
         allow_stay=lab == "tau",
     )
