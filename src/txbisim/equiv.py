@@ -37,11 +37,12 @@ visible footprint (:meth:`_Profile.clauses`) and scanned in one place,
 :func:`_round`, a set-at-a-time pass over a list of live rows that the
 fixpoint loops and the reason and the witness check run once.  Match sets
 and backward tau closures are kept by value for every pass of one check
-(:attr:`Analysis.memo`).  A round's removals, and their mirror entries,
-are applied after it; the fixpoint never judges a state against itself.
-Every removal is stamped with its round and clause (:class:`Removal`),
-for the synthesis of distinguishing formulas in :mod:`txbisim.modal`
-alone.  The plain relations, stability respecting branching bisimilarity
+(:attr:`Analysis.memo`).  Each row is judged against the table as it
+stands, successors first, so a chain takes two passes; the fixpoint never
+judges a state against itself.  Every removal is stamped with its row
+judgement and clause (:class:`Removal`), for the synthesis of
+distinguishing formulas in :mod:`txbisim.modal` alone.  The plain
+relations, stability respecting branching bisimilarity
 (which the encode route decides on the index-level closure,
 :class:`~txbisim.encoding.Closure`, building no wrapper object) and strong
 bisimilarity, share one partition refinement (:func:`_refine`) that
@@ -183,7 +184,7 @@ class Verdict:
 
 @dataclass(frozen=True)
 class Removal:
-    """Why a row entry left the candidate relation, and in which round.
+    """Why a row entry left the candidate relation, and when.
 
     On the direct route the entry is ``(p, x, q)`` of its table, ``x`` the
     pair column or an environment mask.  ``clause`` is ``"move"`` (a
@@ -191,11 +192,11 @@ class Removal:
     ``"timeout"`` (a time-out obligation under environment ``env``
     failed), or ``"stability"`` (the other side cannot reach a stable
     state).  ``succ`` is the successor index on the failing side.
-    ``round`` is the fixpoint round that removed the entry, or 0 for a
-    clause found failing against a given relation; no reason shows it.
+    ``stamp`` numbers the fixpoint's row judgement that removed the entry,
+    0 for a clause failing against a given relation; no reason shows it.
     """
 
-    round: int
+    stamp: int
     clause: str
     label: str | None = None
     succ: int | None = None
@@ -353,9 +354,9 @@ class _GenResult:
     its pair row (:attr:`_Profile.trig`).  ``records`` maps every removed
     entry ``(p, x, q)`` to its :class:`Removal` when the fixpoint records
     them (:class:`_RowRecords`, empty otherwise); ``rounds`` counts its
-    rounds, the last of which removes nothing.  The encode route's
+    passes, the last of which removes nothing.  The encode route's
     projection (:func:`_projection`) takes the same form, with no records
-    and no rounds.
+    and no passes.
     """
 
     rows: list
@@ -365,19 +366,19 @@ class _GenResult:
     def has(self, p, x, q):
         return bool(self.rows[p][x] >> q & 1)
 
-    def round(self, p, x, q):
-        """Removal round of an entry, from its own orientation's record or
+    def stamp(self, p, x, q):
+        """Removal stamp of an entry, from its own orientation's record or
         else its mirror's, or None while it is still related."""
         if self.has(p, x, q):
             return None
-        return (self.records.get((p, x, q)) or self.records[q, x, p]).round
+        return (self.records.get((p, x, q)) or self.records[q, x, p]).stamp
 
 
 class _RowRecords(Mapping):
     """The direct fixpoint's removals, kept per row: ``by_row[p, x]`` lists
-    ``(mask, removal)``, one per clause and round that removed the entries
-    ``mask`` from the row of ``p`` in column ``x``.  Read as a mapping from
-    each removed entry ``(p, x, q)`` to its :class:`Removal`."""
+    ``(mask, removal)``, one per judgement and clause, which removed ``mask``
+    from the row of ``p`` in column ``x``.  Read as a mapping from each
+    removed entry ``(p, x, q)`` to its :class:`Removal`."""
 
     def __init__(self, by_row):
         self.by_row = by_row
@@ -407,12 +408,13 @@ class _RowRecords(Mapping):
         return rec
 
 
-def _round(pf, rows, live, memo, sink, rnd):
+def _round(pf, rows, live, memo, sink, stamp):
     """One pass of every clause over the live rows of the table ``rows``,
-    which it only reads: each ``(p, x, keep, clauses)`` judges the row
-    ``rows[p][x] & keep`` by its step clauses (:meth:`_Profile.clauses`,
-    whose target column None is the row's own column ``x``), then
-    stability.
+    in order: each ``(p, x, keep, clauses)`` judges the row ``rows[p][x] &
+    keep`` by its step clauses (:meth:`_Profile.clauses`, whose target
+    column None is the row's own column ``x``), then stability, against
+    the table as it stands, and writes its removals and their mirror
+    entries into ``rows`` before the next row is judged.
 
     A clause reads the ``lab`` predecessors of its target row, joined by
     the row itself for tau (an internal step may be matched by standing
@@ -423,7 +425,8 @@ def _round(pf, rows, live, memo, sink, rnd):
     closes; its entries depend on the system alone, so one ``memo``
     (:attr:`Analysis.memo`) serves every pass over it, on any table.
     Unless ``sink`` is None each removal goes to ``sink[p, x]`` as ``(mask,
-    removal)``, one :class:`Removal` per clause for the whole pass.
+    removal)``, one :class:`Removal` per failing clause of a row, stamped
+    ``stamp`` plus the row's position in ``live``.
 
     The encoding fires time-outs from idle wrappers alone, as here, and the
     greatest relation is that of the looser clause taking the time-out of
@@ -437,19 +440,17 @@ def _round(pf, rows, live, memo, sink, rnd):
     ``y`` too.  So the loose clause on ``(p, x, qs)`` gives ``qs -t-> q'``
     with ``(p2, y, q')`` in ``B``, and ``B`` is closed under the idle one.
 
-    Returns the removals as ``(p, x, mask)`` and the live rows that still
-    hold an entry to judge.
+    Returns whether it removed anything, and the live rows that still hold
+    an entry to judge.
     """
     lts = pf.lts
     pred = lts.pred_mask
     closure = lts.backward_tau_closure
     stable, unstable, idle = pf.stable, pf.unstable, pf.idle
     unreach = ~lts.can_reach_stable_mask
-    shared = {}
-    stability = Removal(rnd, "stability")
-    removed = []
+    changed = False
     still = []
-    for item in live:
+    for s, item in enumerate(live, stamp):
         p, x, keep, clauses = item
         own = rows[p][x]
         row = remaining = own & keep
@@ -484,10 +485,8 @@ def _round(pf, rows, live, memo, sink, rnd):
                 fresh = remaining & ~base
             if fresh:
                 if sink is not None:
-                    rec = shared.get(cl)
-                    if rec is None:
-                        clause = "move" if env is None else "timeout"
-                        rec = shared[cl] = Removal(rnd, clause, lab, p2, env)
+                    clause = "move" if env is None else "timeout"
+                    rec = Removal(s, clause, lab, p2, env)
                     sink.setdefault((p, x), []).append((fresh, rec))
                 remaining &= ~fresh
                 if not remaining:
@@ -496,80 +495,105 @@ def _round(pf, rows, live, memo, sink, rnd):
             fresh = remaining & unreach if stable[p] else 0
             if fresh:
                 if sink is not None:
-                    sink.setdefault((p, x), []).append((fresh, stability))
+                    rec = Removal(s, "stability")
+                    sink.setdefault((p, x), []).append((fresh, rec))
                 remaining &= ~fresh
         if remaining != row:
-            removed.append((p, x, row & ~remaining))
+            bad = row & ~remaining
+            rows[p][x] = own & ~bad
+            clear = ~(1 << p)
+            while bad:
+                low = bad & -bad
+                rows[low.bit_length() - 1][x] &= clear
+                bad ^= low
+            changed = True
         if remaining:
             still.append(item)
-    return removed, still
+    return changed, still
 
 
 def _generalized_fixpoint(pf, record=True, memo=None):
     """Greatest relation closed under the pair and triple clauses.
 
     The clauses are followed literally: the internal runs that precede a
-    match may pass through unrelated states.  A round is one :func:`_round`
-    over the live rows, which reads the table in place; its removals, and
-    their mirror entries in the other orientation, are applied after it.
-    The mirror goes by value: the states ``P`` that removed the same mask
-    ``M`` in column ``x`` are cleared together from the row of each member
-    of ``M`` in that column, so a mask is walked once per round however
-    many rows removed it.  With ``record`` every removal is stamped with
-    its round and clause in ``records``.  Match sets and tau closures are
-    kept by value in ``memo``, a fresh one unless given, so round 1 can
-    reuse those of :func:`_first_fail`.  The greatest relation is
-    reflexive, so a row is judged without its own state, and leaves the
-    live rows once that is all it holds.
+    match may pass through unrelated states.  A pass is one :func:`_round`
+    over the live rows, state by state in depth-first finish order
+    (:func:`_finish_order`), until a pass removes nothing: a chain or a fan
+    takes two.  The order costs passes, never the answer (chaotic
+    iteration; Cousot and Cousot 1977): the table always contains the
+    greatest relation ``G``, whose entries and their mirrors match every
+    clause inside ``G``, own row included, and a pass that removes nothing
+    judged every row against one table, which is thus closed under the
+    clauses and within ``G``.  With ``record`` every removal is stamped
+    with its row judgement and clause in ``records``: a record stamped
+    ``s`` failed against the table less the entries stamped below ``s``,
+    in either orientation, so every entry it reads left strictly earlier.
+    Match sets and tau closures are kept by value in ``memo``, a fresh one
+    unless given, so the first pass can reuse those of :func:`_first_fail`.
+    The greatest relation is reflexive, so a row is judged without its own
+    state, and leaves the live rows once that is all it holds.
     """
     rows = [[pf.full] * (pf.trig + 1) for _ in range(pf.n)]
     live = [(p, x, ~(1 << p), pf.clauses(p, x))
-            for p in range(pf.n) for x in range(pf.trig + 1)]
+            for p in _finish_order(pf.lts) for x in range(pf.trig + 1)]
     if memo is None:
         memo = {}
     by_row: dict | None = {} if record else None
-    rounds = 0
-    while True:
+    rounds, stamp = 0, 1
+    changed = True
+    while changed:
         rounds += 1
-        removed, live = _round(pf, rows, live, memo, by_row, rounds)
-        if not removed:
-            break
-        mirror = {}
-        for p, x, bad in removed:
-            rows[p][x] &= ~bad
-            mirror[x, bad] = mirror.get((x, bad), 0) | 1 << p
-        for (x, bad), gone in mirror.items():
-            keep = ~gone
-            while bad:
-                low = bad & -bad
-                rows[low.bit_length() - 1][x] &= keep
-                bad ^= low
+        judged = len(live)
+        changed, live = _round(pf, rows, live, memo, by_row, stamp)
+        stamp += judged
     return _GenResult(rows, _RowRecords(by_row or {}), rounds)
+
+
+def _finish_order(lts):
+    """The states in depth-first finish order over all steps, searched from
+    state 0 upward, iteratively: on acyclic parts a state comes after every
+    state it reaches."""
+    seen = [False] * lts.n_states
+    order = []
+    for root in range(lts.n_states):
+        stack = [] if seen[root] else [(root, iter(lts.moves[root]))]
+        seen[root] = True
+        while stack:
+            p, steps = stack[-1]
+            for _, q in steps:
+                if not seen[q]:
+                    seen[q] = True
+                    stack.append((q, iter(lts.moves[q])))
+                    break
+            else:
+                stack.pop()
+                order.append(p)
+    return order
 
 
 def _first_fail(pf, p, x, q, memo, rows=None):
     """The first clause the entry ``(p, x, q)`` fails, as ``(side,
-    removal)`` with round 0, or None: one :func:`_round` over the rows of
-    ``p`` and ``q`` in column ``x``, each judged on the other state,
-    against the relation that relates everything, then, if none fails
-    there and ``rows`` is given, against the table ``rows`` with the entry
-    joined, where some clause must fail.  The first pass fails exactly the
-    entries the direct fixpoint removes in round 1, which lie outside every
-    bisimulation.  ``memo`` is :func:`_round`'s."""
-    live = [(p, x, 1 << q, pf.clauses(p, x)), (q, x, 1 << p, pf.clauses(q, x))]
-    tables = [[[pf.full] * (pf.trig + 1)] * pf.n]
+    removal)`` with stamp 0, or None: a :func:`_round` over the row of
+    ``p`` in column ``x`` judged on ``q``, then the row of ``q`` judged on
+    ``p``, against the relation that relates everything, then, if none
+    fails there and ``rows`` is given, against the table ``rows`` with the
+    entry joined, where some clause must fail.  An entry the first pass
+    fails lies outside every bisimulation, and the direct fixpoint removes
+    it in its first pass.  Only the rows of ``p`` and ``q`` are written,
+    and both are copies.  ``memo`` is :func:`_round`'s."""
+    full = [pf.full] * (pf.trig + 1)
+    tables = [[full] * pf.n]
     if rows is not None:
-        joined = rows[:]
-        for a, b in ((p, q), (q, p)):
-            joined[a] = joined[a][:]
-            joined[a][x] |= 1 << b
-        tables.append(joined)
+        tables.append(rows[:])
     for table in tables:
-        sink = {}
-        _round(pf, table, live, memo, sink, 0)
-        for side, key in enumerate(((p, x), (q, x))):
-            if key in sink:
-                return side, sink[key][0][1]
+        for a, b in ((p, q), (q, p)):
+            table[a] = table[a][:]
+            table[a][x] |= 1 << b
+        for side, (a, b) in enumerate(((p, q), (q, p))):
+            sink = {}
+            _round(pf, table, [(a, x, 1 << b, pf.clauses(a, x))], memo, sink, 0)
+            if sink:
+                return side, sink[a, x][0][1]
     if rows is not None:
         raise TxbisimError("unrelated entry violates no clause")
     return None
@@ -653,7 +677,7 @@ def _pair_fail(fail, rels, p, q):
 
 def _strong_fail(lts, rel, p, row):
     """First strong bisimulation clause of state ``p`` that some entry of
-    ``row`` fails against the relation ``rel``, as a round-0 removal; None
+    ``row`` fails against the relation ``rel``, as a stamp-0 removal; None
     when every entry passes."""
     for lab, p2 in lts.moves[p]:
         if row & ~lts.pred_mask(lab, rel[p2]):
@@ -1004,8 +1028,9 @@ def generalized_witness_ok(lts, universe, store):
 def _clauses_hold(pf, rows, memo):
     """One literal pass of every clause over the table ``rows``: True when
     every pair also stands as a triple for every environment, and one
-    :func:`_round` over every nonempty row, judged whole, removes
-    nothing.  ``memo`` is :func:`_round`'s."""
+    :func:`_round` over every nonempty row, judged whole, removes nothing,
+    which writes ``rows`` only when it fails, where every caller raises or
+    returns False.  ``memo`` is :func:`_round`'s."""
     if any(cols[pf.trig] & ~row for cols in rows for row in cols):
         return False
     live = [(p, x, -1, pf.clauses(p, x))
@@ -1237,7 +1262,7 @@ def _check(p, q, env, rooted, opts):
         _rooted_fail(pf, an.projection, an.ip, x, an.iq) is None
         if rooted else an.projection.has(an.ip, x, an.iq)
     )
-    by = "encoding" if caught is None else "its first round"
+    by = "encoding" if caught is None else "its first pass"
     if e:
         if not _clauses_hold(pf, an.projection.rows, an.memo):
             raise MethodDisagreementError(

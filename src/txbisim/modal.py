@@ -410,8 +410,8 @@ class _Synthesizer:
 
     For a removed entry ``(p, x, q)`` of the direct route's table, ``x``
     the pair column or an environment mask, the produced formula holds at
-    ``p`` and fails at ``q`` in that column.  A record from round ``r``
-    only ever refers to entries removed strictly earlier, so the recursion
+    ``p`` and fails at ``q`` in that column.  A record stamped ``s`` only
+    ever refers to entries removed strictly earlier, so the recursion
     terminates.  A time-out's formula refutes the timed successors of the
     states idle under its set and the column alone, as :func:`satisfies`.
     """
@@ -440,12 +440,12 @@ class _Synthesizer:
     def _closure(self, q):
         return list(iter_bits(self.lts.tau_closure(1 << q)))
 
-    def _refuted(self, p, x, qs, round_):
+    def _refuted(self, p, x, qs, stamp):
         """Conjunction refuting ``(p, x, q)`` for every ``q`` of ``qs``,
-        each removed before ``round_``."""
+        each removed before ``stamp``."""
         qs = list(dict.fromkeys(qs))
         for q in qs:
-            assert _earlier(self.res.round(p, x, q), round_)
+            assert _earlier(self.res.stamp(p, x, q), stamp)
         return conjunction(self.formula(p, x, q) for q in qs)
 
     def _from(self, p, x, q, rec):
@@ -454,10 +454,10 @@ class _Synthesizer:
         res, lts = self.res, self.lts
         if rec.clause == "move":
             lab, p2 = rec.label, rec.succ
-            # closure members refuted before the recorded round vs the rest
+            # closure members refuted before the recorded stamp vs the rest
             bad1, good = [], []
             for q1 in self._closure(q):
-                (bad1 if _earlier(res.round(p, x, q1), rec.round) else good).append(q1)
+                (bad1 if _earlier(res.stamp(p, x, q1), rec.stamp) else good).append(q1)
             bad2 = []
             for q1 in good:
                 bad2.extend(iter_bits(lts.succ_mask(q1, lab)))
@@ -465,14 +465,14 @@ class _Synthesizer:
                     bad2.append(q1)
             col = x if lab == "tau" else self.pf.trig
             first = conjunction(self.formula(p, x, q1) for q1 in bad1)
-            second = self._refuted(p2, col, bad2, rec.round)
+            second = self._refuted(p2, col, bad2, rec.stamp)
             return Eps(And((first, HatDiamond(lab, second))))
         # timeout: every timed successor of a closure member idle under the
         # set and the column (trig's bit is no action's) is already refuted
         y = self.pf.env_mask(rec.env)
         bad = [q2 for q1 in self._closure(q) if self.pf.deadend(q1, y | x)
                for q2 in iter_bits(lts.succ_mask(q1, "t"))]
-        return Eps(EnvDiamond(rec.env, self._refuted(rec.succ, y, bad, rec.round)))
+        return Eps(EnvDiamond(rec.env, self._refuted(rec.succ, y, bad, rec.stamp)))
 
     # -- rooted layer
 
@@ -491,8 +491,8 @@ class _Synthesizer:
         return psi if side == 0 else Not(psi)
 
 
-def _earlier(round_, bound):
-    return round_ is not None and round_ < bound
+def _earlier(stamp, bound):
+    return stamp is not None and stamp < bound
 
 
 def distinguish(p, q, rooted=False, opts=None):

@@ -5,7 +5,6 @@ import gc
 import random
 import weakref
 from collections.abc import Sequence
-from dataclasses import replace
 from functools import cached_property
 from itertools import combinations
 from types import SimpleNamespace
@@ -35,6 +34,7 @@ from txbisim.equiv import (
     _first_fail,
     _generalized_fixpoint,
     _plain,
+    _projection,
     _rooted_fail,
     _round,
     _strong_fixpoint,
@@ -105,7 +105,7 @@ def test_generalized_rows_equal_reference_relation(small_corpus):
             for j in range(pf.n)
             if not res.has(i, x, j)
         }
-        assert all(res.round(i, x, j) is not None for i, x, j in removed)
+        assert all(res.stamp(i, x, j) is not None for i, x, j in removed)
         assert set(res.records) <= removed
         assert len(res.records) == sum(1 for _ in res.records)
 
@@ -118,8 +118,8 @@ def two_cells():
 
 
 def three_cells():
-    """Like :func:`two_cells` with a third cell: its first rounds remove
-    most entries, many rows in a column the same mask."""
+    """Like :func:`two_cells` with a third cell: its first pass removes
+    most entries."""
     p = parse_term(
         "(a.0 + t.tau.a.0) ||{} (b.0 + t.tau.b.0) ||{} (c.0 + t.tau.c.0)"
     )
@@ -127,15 +127,34 @@ def three_cells():
     return p, q
 
 
-def _earlier_than(removed_in, rnd):
-    return removed_in is not None and removed_in < rnd
+def assert_stamps_replay(pf, res):
+    """Every row judgement of the fixpoint that recorded a removal,
+    replayed alone from the table without the entries stamped below its
+    stamp ``s``, in either orientation, by one scan pass that carries no
+    match sets over, removes exactly the entries stamped ``s``, for the
+    same reasons, and writes them and their mirrors; the last one leaves
+    the final table."""
+    by_stamp = {}
+    for (p, x, q), rec in res.records.items():
+        by_stamp.setdefault(rec.stamp, []).append((p, x, q, rec))
+    table = [[pf.full] * (pf.trig + 1) for _ in range(pf.n)]
+    for s in sorted(by_stamp):
+        (p, x), = {(i, y) for i, y, _, _ in by_stamp[s]}
+        judged = [cols[:] for cols in table]
+        by_row = {}
+        _round(pf, judged, [(p, x, ~(1 << p), pf.clauses(p, x))], {}, by_row, s)
+        assert dict(_RowRecords(by_row)) == {
+            (i, y, j): rec for i, y, j, rec in by_stamp[s]}
+        for i, y, j, _ in by_stamp[s]:
+            table[i][y] &= ~(1 << j)
+            table[j][y] &= ~(1 << i)
+        assert judged == table
+    assert table == res.rows
 
 
-def test_rounds_replay_from_records(small_corpus):
-    """Round ``r`` of the fixpoint, replayed from the table its records
-    leave before ``r`` by one scan pass that carries no match sets over
-    from earlier rounds, removes exactly the entries stamped ``r``, for
-    the same reasons."""
+def test_stamps_replay_from_records(small_corpus):
+    """:func:`assert_stamps_replay` on the small corpus, two chains and the
+    two cells."""
     chains = [
         ("a.a.a.a.a.0", "a.a.a.a.b.0"),
         ("a.a.a.a.0", "a.a.a.tau.a.0"),
@@ -144,42 +163,21 @@ def test_rounds_replay_from_records(small_corpus):
     for p, q in [(p, q) for p, q, _ in small_corpus] + extra:
         lts = explore((p, q))
         pf, res, _, _ = engine_rows(lts, process_universe(p, q))
-        for rnd in range(1, res.rounds + 1):
-            table = [
-                [
-                    sum(
-                        1 << j
-                        for j in range(pf.n)
-                        if not _earlier_than(res.round(i, x, j), rnd)
-                    )
-                    for x in range(pf.trig + 1)
-                ]
-                for i in range(pf.n)
-            ]
-            every = [
-                (i, x, -1, pf.clauses(i, x))
-                for i in range(pf.n)
-                for x in range(pf.trig + 1)
-            ]
-            by_row = {}
-            _round(pf, table, every, {}, by_row, rnd)
-            stamped = {k: r for k, r in res.records.items() if r.round == rnd}
-            assert dict(_RowRecords(by_row)) == stamped, term_text(p)
-        assert table == res.rows
+        assert_stamps_replay(pf, res)
 
 
 @pytest.mark.parametrize(
     "pair, counts",
     [
-        (two_cells(), (21, 5, 1258, 273)),
-        (three_cells(), (83, 5, 42074, 3047)),
-        (tuple(map(parse_term, ("a.a.a.a.0", "a.a.a.tau.a.0"))), (9, 6, 150, 84)),
+        (two_cells(), (21, 2, 913, 142)),
+        (three_cells(), (83, 2, 29118, 1008)),
+        (tuple(map(parse_term, ("a.a.a.a.0", "a.a.a.tau.a.0"))), (9, 2, 96, 24)),
     ],
 )
 def test_direct_fixpoint_counts_are_pinned(pair, counts):
-    """States, rounds, removed entries and ``by_row`` records of three
-    fixpoints, so that a change to how a round shares its work, or applies
-    its removals, cannot change what it records unnoticed."""
+    """States, passes, removed entries and ``by_row`` records of three
+    fixpoints, so that a change to the order in which a pass judges its
+    rows, or to how it records their removals, cannot go unnoticed."""
     p, q = pair
     lts = explore(pair)
     _, res, _, _ = engine_rows(lts, process_universe(p, q))
@@ -205,8 +203,8 @@ def raw_systems(draw):
 def test_direct_table_is_an_equivalence_with_records_on_drawn_systems(lts):
     """Every column of the direct fixpoint's final table is reflexive and
     symmetric, and every removed entry has a record in one orientation:
-    each removal's mirror entry is cleared, however many rows of a column
-    removed the same mask in one round."""
+    each removal's mirror entry is cleared before the next row is
+    judged."""
     universe = envset(lab for lab in lts.labels if lab not in ("tau", "t"))
     pf = _Profile(lts, universe)
     res = _generalized_fixpoint(pf)
@@ -223,6 +221,15 @@ def test_direct_table_is_an_equivalence_with_records_on_drawn_systems(lts):
 
 
 @given(raw_systems())
+def test_stamps_replay_from_records_on_drawn_systems(lts):
+    """:func:`assert_stamps_replay` on raw systems with tau self-loops,
+    whose tau cycles can take the fixpoint more than two passes."""
+    universe = envset(lab for lab in lts.labels if lab not in ("tau", "t"))
+    pf = _Profile(lts, universe)
+    assert_stamps_replay(pf, _generalized_fixpoint(pf))
+
+
+@given(raw_systems())
 def test_direct_table_equals_the_reference_on_drawn_systems(lts):
     """The direct fixpoint matches a time-out only from a state idle in its
     environment, the reference from any state its side reaches by internal
@@ -234,38 +241,39 @@ def test_direct_table_equals_the_reference_on_drawn_systems(lts):
 
 
 @given(raw_systems())
-def test_first_round_equals_the_fixpoints_round_one_removals(lts):
-    """The first pass of :func:`_first_fail`, judged on two rows alone
-    against the full relation, fails an entry exactly when the fixpoint
-    removes it in round 1, by the clause of its record (the own
-    orientation's, else the mirror's) and with no round, in every column
-    and for every pair of states, a state with itself included.  Given the
-    final table it names a clause for every removed entry, that one where
-    the first pass finds one."""
+def test_first_pass_failures_are_removed_in_the_fixpoints_first_pass(lts):
+    """An entry that the first pass of :func:`_first_fail`, judged on two
+    rows alone against the full relation, fails is removed in the direct
+    fixpoint's first pass, in every column and for every pair of states, a
+    state with itself included.  The fixpoint judges later rows against a
+    table its earlier ones have cut, so it may remove an entry the first
+    pass keeps, or by an earlier clause.  Given the final table
+    :func:`_first_fail` names a clause for every removed entry, the first
+    pass's one where it finds one."""
     universe = envset(lab for lab in lts.labels if lab not in ("tau", "t"))
     pf = _Profile(lts, universe)
     res = _generalized_fixpoint(pf)
+    first_pass = pf.n * (pf.trig + 1)
     for x in range(pf.trig + 1):
         for p in range(pf.n):
             for q in range(pf.n):
-                rnd = res.round(p, x, q)
-                want = None
-                if rnd == 1:
-                    side = 0 if (p, x, q) in res.records else 1
-                    rec = res.records[(p, x, q) if side == 0 else (q, x, p)]
-                    want = side, replace(rec, round=0)
-                assert _first_fail(pf, p, x, q, {}) == want
-                if rnd is not None:
+                stamp = res.stamp(p, x, q)
+                want = _first_fail(pf, p, x, q, {})
+                if want is not None:
+                    assert want[1].stamp == 0
+                    assert stamp is not None and stamp <= first_pass
+                if stamp is not None:
                     fail = _first_fail(pf, p, x, q, {}, res.rows)
-                    assert fail[1].round == 0
+                    assert fail[1].stamp == 0
                     assert want is None or fail == want
 
 
 def test_fixpoint_reuses_the_first_rounds_match_sets(monkeypatch):
-    """``a.a.0`` against ``a.b.0`` passes the first round and leaves in
-    round 2 of the direct fixpoint, whose round 1 reads the match sets the
-    first round built against the full table: no ``(label, row)`` match
-    set is computed twice for one system."""
+    """``a.a.0`` against ``a.b.0`` passes the first pass of
+    :func:`_first_fail` and leaves the direct fixpoint at its fifteenth row
+    judgement, the first pass reading the match sets that
+    :func:`_first_fail` built against the full table: no ``(label, row)``
+    match set is computed twice for one system."""
     calls = []
     pred_mask = Lts.pred_mask
 
@@ -275,11 +283,42 @@ def test_fixpoint_reuses_the_first_rounds_match_sets(monkeypatch):
 
     pair = parse_term("a.a.0"), parse_term("a.b.0")
     an = Analysis(*pair, DIRECT)
-    assert an.gen.round(an.ip, an.profile.trig, an.iq) == 2
+    assert an.gen.stamp(an.ip, an.profile.trig, an.iq) == 15
     monkeypatch.setattr(Lts, "pred_mask", counting)
     assert not brb(*pair, DIRECT)
     assert ("a", True) in {call[:2] for call in calls}
     assert len(calls) == len(set(calls))
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [("a.a.0", "a.b.0"), ("a.t.a.0 + b.t.b.0", "tau.(a.t.a.0 + b.t.b.0)")],
+)
+def test_reasons_and_certificates_leave_the_tables_unchanged(monkeypatch, pair):
+    """:func:`_round` writes into the table it judges, yet a ``both``
+    check (its first pass, then the certificate of a positive or the
+    reason of a negative) and :func:`_first_fail` on every removed entry of
+    the final table leave the analysis' projection and direct table as a
+    fresh computation gives them."""
+    made = []
+
+    class Kept(Analysis):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(equiv, "Analysis", Kept)
+    p, q = map(parse_term, pair)
+    brb(p, q)
+    an, = made
+    pf = an.profile
+    assert an.projection.rows == _projection(pf, an.encoded, an.enc_branch.rel).rows
+    for x in range(pf.trig + 1):
+        for i in range(pf.n):
+            for j in range(pf.n):
+                if not an.gen.has(i, x, j):
+                    _first_fail(pf, i, x, j, an.memo, an.gen.rows)
+    assert an.gen.rows == _generalized_fixpoint(pf).rows
 
 
 @pytest.mark.parametrize("method", ["direct", "both"])
@@ -582,6 +621,36 @@ def chain_pair(n):
     """``a.``×n ``a.0`` against ``a.``×(n-1) ``tau.a.0``: one refinement
     round per link."""
     return parse_term("a." * n + "a.0"), parse_term("a." * (n - 1) + "tau.a.0")
+
+
+def fan_pair(n):
+    """``a.b.0 + a.a.b.0 + ...`` up to ``a.``×n ``b.0`` against the same sum
+    without its longest summand; breadth-first numbering puts the fan's
+    predecessors last."""
+    summands = ["a." * i + "b.0" for i in range(1, n + 1)]
+    return parse_term(" + ".join(summands)), parse_term(" + ".join(summands[:-1]))
+
+
+def action_pair(k):
+    """``a.t.a.0 + b.t.b.0 + ...`` over ``k`` actions against the same sum
+    under one ``tau``: equivalent."""
+    names = [chr(ord("a") + i) for i in range(k)]
+    body = " + ".join(f"{a}.t.{a}.0" for a in names)
+    return parse_term(body), parse_term(f"tau.({body})")
+
+
+@pytest.mark.parametrize(
+    "pair, equivalent",
+    [(chain_pair(200), False), (fan_pair(160), False), (action_pair(8), True)],
+    ids=["chain200", "fan160", "actions8"],
+)
+def test_direct_fixpoint_takes_few_passes(pair, equivalent):
+    """Successors first, the direct fixpoint ends within three passes on
+    the long chain, the wide fan and the large alphabet, where a
+    round-synchronous one takes a round per link."""
+    an = Analysis(*pair, DIRECT)
+    assert an.gen.rounds <= 3
+    assert an.gen.has(an.ip, an.profile.trig, an.iq) == equivalent
 
 
 def three_tails(k, pad):
