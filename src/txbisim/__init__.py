@@ -32,7 +32,6 @@ from .errors import (
     TxbisimError,
     UndefinedNameError,
     UnguardedRecursionError,
-    ValidityError,
     WitnessError,
 )
 from .gen import GenConfig, equivalent_pair, rand_context, rand_formula, rand_term

@@ -467,7 +467,7 @@ def _check_equation(axiom, lhs, rhs, opts):
 
 def _check_approximation(lhs, rhs, opts):
     """Returns (holds, vacuous) for one implication instance."""
-    universe = process_universe(lhs, rhs, limit=opts.max_alphabet)
+    universe = process_universe(lhs, rhs)
     for env in _env_subsets(universe):
         if not _holds_reactively(mk_psi(env, lhs), mk_psi(env, rhs), opts):
             return True, True

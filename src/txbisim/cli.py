@@ -6,8 +6,11 @@ for "equivalent" / "satisfied" verdicts), 1 for a negative verdict, 2 for
 any error.  ``TXBISIM_MAX_STATES`` overrides the exploration budget unless
 ``--max-states`` is given explicitly.  Each subcommand runs as
 ``cmd_*(opts, args)``: one :class:`~txbisim.equiv.CheckOptions` built from
-``--method``, ``--max-states`` and ``--max-alphabet``, and the parsed
-arguments, which it reads ``--output`` and the rest from.
+``--method`` and ``--max-states``, and the parsed arguments, which it reads
+``--output`` and the rest from.  No flag sets the alphabet: a command that
+forms an environment universe refuses more than
+:data:`~txbisim.encoding.MAX_UNIVERSE` visible actions, with exit 2, before
+it explores a state.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import logging
 import sys
 
 from .axioms import fuzz_axioms
-from .encoding import MAX_UNIVERSE, encode
+from .encoding import encode
 from .equiv import (
     CheckOptions,
     brb,
@@ -109,9 +112,10 @@ def cmd_parse(opts, args):
 def cmd_lts(opts, args):
     defs = _load(args.file)
     term = _lookup(defs, args.file, args.name)
+    # formed first, so an alphabet over the ceiling explores nothing
+    universe = process_universe(term) if args.encoded else None
     lts = explore(term, opts.max_states)
     if args.encoded:
-        universe = process_universe(term, limit=opts.max_alphabet)
         lts = encode(lts, universe, opts.max_states)
     if args.format == "aut":
         sys.stdout.write(lts.to_aut())
@@ -259,6 +263,8 @@ def cmd_fuzz_axioms(opts, args):
     for r in results:
         status = "ok" if r.ok else "UNEXPECTED"
         line = f"{r.name:26s} {r.failures:4d}/{r.instances} failures  {status}"
+        if r.vacuous:
+            line += f"  {r.vacuous} vacuous"
         if r.counterexample:
             line += f"  e.g. {r.counterexample[0]}  !=  {r.counterexample[1]}"
         lines.append(line)
@@ -287,12 +293,6 @@ def _add_common(parser, suppress):
         "--max-states", type=int, default=default, metavar="N",
         help="state budget per exploration (default: 10000 or "
         "TXBISIM_MAX_STATES)",
-    )
-    parser.add_argument(
-        "--max-alphabet", type=int,
-        default=default if suppress else MAX_UNIVERSE, metavar="N",
-        help=f"largest supported environment alphabet, at most {MAX_UNIVERSE} "
-        f"(default: {MAX_UNIVERSE})",
     )
 
 
@@ -400,7 +400,6 @@ def main(argv=None):
         opts = CheckOptions(
             method=getattr(args, "method", "both"),
             max_states=args.max_states,
-            max_alphabet=args.max_alphabet,
         )
         return args.run(opts, args)
     except TxbisimError as exc:

@@ -58,12 +58,8 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 from heapq import heapify, heappop, heappush
 
-from .encoding import MAX_UNIVERSE, Closure, env_columns
-from .errors import (
-    AlphabetLimitError,
-    MethodDisagreementError,
-    TxbisimError,
-)
+from .encoding import Closure, env_columns
+from .errors import MethodDisagreementError, TxbisimError
 from .lts import Lts, Partition, iter_bits
 from .semantics import explore
 from .terms import Term, alphabet, envset, term_text
@@ -103,29 +99,20 @@ class CheckOptions:
     encoded states; it must be positive, and None defers to
     ``TXBISIM_MAX_STATES`` or the built-in default.  Outside ``"encode"``
     a negative answer the first pass of the clauses finds builds no
-    encoding, so only the explored states count against it.
-    ``max_alphabet`` bounds the visible actions of the compared terms; it
-    must be positive and may not exceed
-    :data:`~txbisim.encoding.MAX_UNIVERSE`, the most the environment
-    encoding supports.
+    encoding, so only the explored states count against it.  No option
+    bounds the alphabet: the compared terms may have at most
+    :data:`~txbisim.encoding.MAX_UNIVERSE` visible actions, the ceiling
+    :func:`process_universe` enforces.
     """
 
     method: str = "both"
     max_states: int | None = None
-    max_alphabet: int = MAX_UNIVERSE
 
     def __post_init__(self):
         if self.method not in ("direct", "encode", "both"):
             raise TxbisimError(f"unknown method {self.method!r}")
         if self.max_states is not None and self.max_states <= 0:
             raise TxbisimError("state budget must be positive")
-        if self.max_alphabet <= 0:
-            raise TxbisimError("alphabet limit must be positive")
-        if self.max_alphabet > MAX_UNIVERSE:
-            raise AlphabetLimitError(
-                f"alphabet limit {self.max_alphabet} exceeds the ceiling of "
-                f"{MAX_UNIVERSE} actions"
-            )
 
 
 @dataclass(frozen=True)
@@ -203,14 +190,16 @@ class Removal:
     env: tuple | None = None
 
 
-def process_universe(*terms, limit=None):
+def process_universe(*terms):
     """Smallest canonical environment universe for comparing closed terms:
-    the union of the actions occurring in them."""
+    the union of the actions occurring in them.  More than
+    :data:`~txbisim.encoding.MAX_UNIVERSE` actions are refused with
+    :class:`~txbisim.errors.AlphabetLimitError` before any state is
+    explored, by :func:`~txbisim.encoding.env_columns`, which caches the
+    columns that :class:`_Profile` and :class:`~txbisim.encoding.Closure`
+    then read."""
     u = envset(name for t in terms for name in alphabet(t))
-    if limit is not None and len(u) > limit:
-        raise AlphabetLimitError(
-            f"{len(u)} visible actions exceed the configured bound {limit}"
-        )
+    env_columns(u)
     return u
 
 
@@ -1153,7 +1142,7 @@ class Analysis:
         self.opts = opts or CheckOptions()
         self.p = p
         self.q = q
-        self.universe = process_universe(p, q, limit=self.opts.max_alphabet)
+        self.universe = process_universe(p, q)
 
     @cached_property
     def lts(self):
@@ -1319,7 +1308,7 @@ def brb_partition(roots, opts=None):
     classes of branching reactive bisimilarity."""
     opts = opts or CheckOptions()
     roots = (roots,) if isinstance(roots, Term) else tuple(roots)
-    universe = process_universe(*roots, limit=opts.max_alphabet)
+    universe = process_universe(*roots)
     lts = explore(roots, opts.max_states)
     pf = _Profile(lts, universe)
     res = _generalized_fixpoint(pf, record=False)

@@ -33,10 +33,6 @@ class InvalidTermError(TxbisimError):
     """A term constructor was given arguments outside its contract."""
 
 
-class ValidityError(TxbisimError):
-    """An operation requires a valid (and usually closed) term."""
-
-
 class UnguardedRecursionError(TxbisimError):
     """Unfolding a recursive call re-reached itself without consuming a prefix."""
 

@@ -394,8 +394,14 @@ class Partition:
         self.lts = lts
         self.blocks = tuple(tuple(sorted(b)) for b in blocks)
         self.block_of = {}
+        indices = range(lts.n_states)
         for bid, block in enumerate(self.blocks):
             for i in block:
+                if i not in indices:
+                    raise TxbisimError(
+                        f"partition block holds {i!r}, not a state index of "
+                        f"the {len(indices)}-state system"
+                    )
                 if i in self.block_of:
                     raise TxbisimError("overlapping partition blocks")
                 self.block_of[i] = bid
@@ -415,19 +421,18 @@ class Partition:
         return self.block_of[i] == self.block_of[j]
 
 
-def quotient(lts, partition, choice=None):
+def quotient(lts, partition):
     """Collapse a system by a partition of its states.
 
     Each block turns into one state.  Instantaneous transitions of a block
-    are those its chosen representative can reach by internal steps and then
+    are those its representative can reach by internal steps and then
     perform from inside the block, except that internal self-loops on a
     block are dropped; time-out transitions additionally need the inner
     source to be stable.  With the partition induced by branching reactive
     equivalence this yields a minimised system equivalent to the original.
 
-    ``choice`` picks the representative state of a block (a tuple of state
-    objects); the default takes the lowest-indexed member.  Only defined for
-    strongly guarded systems: with a cycle of internal steps the chosen
+    A block's representative is its lowest-indexed member.  Only defined for
+    strongly guarded systems: with a cycle of internal steps the
     representative could miss block behaviour, so that case is rejected.
     """
     if lts.divergent:
@@ -443,14 +448,7 @@ def quotient(lts, partition, choice=None):
 
     edges = []
     for bid, block in enumerate(partition.blocks):
-        if choice is None:
-            rep = block[0]
-        else:
-            picked = choice(block_states[bid])
-            if picked not in lts.index or lts.index[picked] not in block:
-                raise TxbisimError("choice function left the block")
-            rep = lts.index[picked]
-        reach = lts.tau_closure(1 << rep)
+        reach = lts.tau_closure(1 << block[0])
         inner = reach & partition.block_mask(bid)
         for p1 in iter_bits(inner):
             stable = lts.is_stable(p1)

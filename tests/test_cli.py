@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from jsonschema import validate
 
-from txbisim import CheckOptions, TxbisimError
+from txbisim import CheckOptions, TxbisimError, cli, equiv
 from txbisim.cli import main
 from txbisim.encoding import MAX_UNIVERSE
 from txbisim.lts import parse_aut
@@ -486,6 +486,24 @@ def test_fuzz_axioms_reports_missed_expectation(capsys):
     assert missed == ["choice-idem-zero"]
 
 
+def test_fuzz_axioms_text_shows_nonzero_vacuous_counts(capsys):
+    argv = ["fuzz-axioms", "--count", "4", "--seed", "2"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    _, js, _ = run(capsys, [*argv, "--output", "json"])
+    vacuous = {
+        r["axiom"]: r["vacuous"]
+        for r in json.loads(js)["results"]
+        if r.get("vacuous")
+    }
+    assert vacuous["reactive-approximation"] > 0
+    for line in out.splitlines()[:-1]:
+        name = line.split()[0]
+        assert ("vacuous" in line) == (name in vacuous)
+        if name in vacuous:
+            assert f"ok  {vacuous[name]} vacuous" in line
+
+
 @pytest.mark.parametrize(
     "flags",
     [["--count", "0"], ["--count", "-3"], ["--depth", "-1"], ["--alphabet", ""]],
@@ -543,20 +561,33 @@ def test_nonpositive_budget_rejected_by_check_options(budget):
         CheckOptions(max_states=budget)
 
 
-@pytest.mark.parametrize("limit", [0, -3])
-def test_nonpositive_alphabet_limit_rejected_by_check_options(limit):
-    # refused as an option, not later as too many actions for the terms
-    with pytest.raises(TxbisimError, match="alphabet limit must be positive"):
-        CheckOptions(max_alphabet=limit)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "P", "Q", "brb"],
+        ["distinguish", "P", "Q"],
+        ["quotient", "P"],
+        ["lts", "P", "--encoded"],
+    ],
+)
+def test_more_actions_than_the_ceiling_are_refused_before_exploring(
+    capsys, monkeypatch, tmp_path, argv
+):
+    wide = " + ".join(f"x{k}.0" for k in range(MAX_UNIVERSE + 1))
+    path = tmp_path / "wide.ccspt"
+    path.write_text(f"def P = {wide};\ndef Q = tau.({wide});\n")
+    code, out, _ = run(capsys, ["lts", str(path), "P"])
+    assert code == 0 and out.startswith("des (0,")
 
+    def explored(*args, **kwargs):
+        raise AssertionError("a state was explored")
 
-def test_alphabet_limit_above_the_ceiling_rejected(capsys):
-    too_wide = str(MAX_UNIVERSE + 1)
-    code, _, err = run(
-        capsys, ["check", STABILITY, "Q0", "R0", "brb", "--max-alphabet", too_wide]
-    )
-    assert code == 2
-    assert f"ceiling of {MAX_UNIVERSE} actions" in err
+    monkeypatch.setattr(equiv, "explore", explored)
+    monkeypatch.setattr(cli, "explore", explored)
+    code, out, err = run(capsys, [argv[0], str(path), *argv[1:]])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: universe of {MAX_UNIVERSE + 1} visible actions")
+    assert f"at most {MAX_UNIVERSE} actions" in err
 
 
 def test_argparse_rejects_unknown_relation():

@@ -1353,8 +1353,11 @@ def test_process_universe_is_the_joint_alphabet():
     p = parse_term("a.0 ||{a} ren{b->c}(b.0)")
     q = parse_term("d.0")
     assert set(process_universe(p, q)) == {"a", "b", "c", "d"}
-    with pytest.raises(AlphabetLimitError):
-        process_universe(p, q, limit=3)
+    # the fixed ceiling: MAX_UNIVERSE actions form a universe, one more does not
+    wide = [parse_term(f"x{k}.0") for k in range(MAX_UNIVERSE + 1)]
+    assert len(process_universe(*wide[:MAX_UNIVERSE])) == MAX_UNIVERSE
+    with pytest.raises(AlphabetLimitError, match=f"at most {MAX_UNIVERSE} actions"):
+        process_universe(*wide)
 
 
 def test_raw_systems_refuse_a_universe_above_the_ceiling():
@@ -1369,9 +1372,3 @@ def test_raw_systems_refuse_a_universe_above_the_ceiling():
 def test_check_options_validate_method():
     with pytest.raises(TxbisimError):
         CheckOptions(method="quantum")
-
-
-def test_check_options_refuse_an_alphabet_above_the_ceiling():
-    assert CheckOptions().max_alphabet == MAX_UNIVERSE
-    with pytest.raises(AlphabetLimitError, match=f"ceiling of {MAX_UNIVERSE} "):
-        CheckOptions(max_alphabet=MAX_UNIVERSE + 1)

@@ -218,14 +218,13 @@ def test_quotient_rejects_divergent_systems():
         quotient(loop, Partition(loop, [(0, 1)]))
 
 
-def test_quotient_choice_function_is_checked():
-    lts = ladder()
-    part = Partition(lts, [(0, 1), (2,)])
-    with pytest.raises(TxbisimError):
-        quotient(lts, part, choice=lambda block: parse_term("c.c.c.0"))
-    picked = quotient(lts, part, choice=lambda block: block[-1])
-    # representative 1 cannot see 0's b-move; only the a-step remains
-    assert [lab for _, lab, _ in picked.transitions()] == ["a"]
+@pytest.mark.parametrize("stray", [5, 2, -1])
+def test_partition_refuses_indices_outside_the_system(stray):
+    # two states, so an index count of two alone does not make a partition
+    lts = explore(parse_term("a.0"))
+    assert lts.n_states == 2
+    with pytest.raises(TxbisimError, match="not a state index"):
+        Partition(lts, [(0,), (stray,)])
 
 
 def test_quotient_keeps_root_blocks():
