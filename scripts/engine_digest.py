@@ -2,7 +2,7 @@
 
 For each seed this draws pairs with ``method_agreement.py``'s
 ``sample_pairs`` (plain random pairs and, three times in ten, pairs
-equivalent by construction) and feeds five
+equivalent by construction) and feeds six
 sections of a digest, each printed as one sha256:
 
 * ``verdicts``: ``brb``, ``rbrb``, and ``brb_x``/``rbrb_x`` under every
@@ -16,7 +16,9 @@ sections of a digest, each printed as one sha256:
 * ``partition``: the ``brb_partition`` blocks of the pair's state space;
 * ``encoding``: the encoded wrapper system's state texts in order, its
   roots, its indexed transitions, and the rounds and block count of the
-  branching fixpoint on its closure.
+  branching fixpoint on its closure;
+* ``plain``: ``strong``, ``sr_branching`` and ``r_sr_branching`` on the
+  pair's state space: ``equivalent``, ``reason`` and the witness relation.
 
 A change to the engines that should keep every answer is checked by
 running the script in the old and the new checkout and diffing the
@@ -43,14 +45,18 @@ from txbisim import (
     brb,
     brb_partition,
     brb_x,
+    explore,
     process_universe,
+    r_sr_branching,
     rbrb,
     rbrb_x,
+    sr_branching,
+    strong,
 )
 from txbisim.modal import distinguish, formula_text
 from txbisim.terms import term_text
 
-SECTIONS = ("verdicts", "direct", "distinguish", "partition", "encoding")
+SECTIONS = ("verdicts", "direct", "distinguish", "partition", "encoding", "plain")
 
 
 def attempt(func, *args):
@@ -106,6 +112,10 @@ def digest_pair(p, q, opts, feed):
     blocks = got if isinstance(got, str) else got[1].blocks
     feed("partition", f"{head}: {blocks}")
     feed("encoding", f"{head}: {attempt(encoding_text, p, q, opts['encode'])}")
+    lts = attempt(explore, (p, q), opts["direct"].max_states)
+    for relation in (strong, sr_branching, r_sr_branching):
+        v = lts if isinstance(lts, str) else attempt(relation, lts, p, q)
+        feed("plain", f"{head} {relation.__name__}: {verdict_text(v)}")
 
 
 def encoding_text(p, q, opts):

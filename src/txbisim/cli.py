@@ -7,10 +7,12 @@ any error.  ``TXBISIM_MAX_STATES`` overrides the exploration budget unless
 ``--max-states`` is given explicitly.  Each subcommand runs as
 ``cmd_*(opts, args)``: one :class:`~txbisim.equiv.CheckOptions` built from
 ``--method`` and ``--max-states``, and the parsed arguments, which it reads
-``--output`` and the rest from.  No flag sets the alphabet: a command that
-forms an environment universe refuses more than
-:data:`~txbisim.encoding.MAX_UNIVERSE` visible actions, with exit 2, before
-it explores a state.
+``--output`` and the rest from.  ``check`` refuses ``--method`` for the
+relations with one route, ``strong``, ``srbb`` and ``rsrbb``, as it
+refuses ``--env`` for those without an environment.  No flag sets the
+alphabet: a command that forms an environment universe refuses more than
+:data:`~txbisim.encoding.MAX_UNIVERSE` visible actions, with exit 2,
+before it explores a state.
 """
 
 from __future__ import annotations
@@ -150,6 +152,12 @@ def cmd_check(opts, args):
     defs = _load(args.file)
     p = _lookup(defs, args.file, args.name1)
     q = _lookup(defs, args.file, args.name2)
+    plain = args.relation in ("strong", "srbb", "rsrbb")
+    if plain and args.method is not None:
+        raise TxbisimError(
+            f"relation {args.relation} has one decision route; it takes no "
+            "--method"
+        )
     env = _parse_env(args.env) if args.env is not None else None
     verdict = _check_verdict(opts, args.relation, env, p, q)
     payload = verdict.to_json_dict()
@@ -342,8 +350,9 @@ def _build_parser():
         "the other relations refuse a set",
     )
     p.add_argument(
-        "--method", choices=("both", "direct", "encode"), default="both",
-        help="decision procedure (default: both, cross-checked)",
+        "--method", choices=("both", "direct", "encode"), default=None,
+        help="decision procedure for the reactive relations (default: both, "
+        "cross-checked); strong, srbb and rsrbb refuse it",
     )
     p.set_defaults(run=cmd_check)
 
@@ -398,7 +407,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         opts = CheckOptions(
-            method=getattr(args, "method", "both"),
+            method=getattr(args, "method", None) or "both",
             max_states=args.max_states,
         )
         return args.run(opts, args)

@@ -45,6 +45,13 @@ lifted from the base system, not recomputed.  :func:`encode` gives the
 same closure as an ordinary :class:`~txbisim.lts.Lts` of :class:`EncState`
 wrappers, numbered alike; :attr:`Closure.lts` builds it from the coded
 table when first read.
+
+Both routes read one bit-level view of the explored system,
+:class:`_Profile`: its columns, each state's visible mask and its
+stability.  The direct route's table and clauses (:mod:`txbisim.equiv`)
+are indexed by it, and a closure is built from it, so a check derives these
+facts once, and the profile's check that the universe covers every visible
+label is the only one.
 """
 
 from __future__ import annotations
@@ -52,7 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .errors import AlphabetLimitError, StateBudgetError
+from .errors import AlphabetLimitError, StateBudgetError, TxbisimError
 from .lts import Lts
 from .semantics import max_states_budget
 
@@ -109,13 +116,144 @@ def env_columns(universe):
     return bit, tuple(names), len(names)
 
 
+class _Profile:
+    """Bit-level view of one system against a fixed environment universe.
+
+    The columns are those of :func:`env_columns`, which also key the
+    closure's wrappers: environments are masks over the universe, ``0 ..
+    trig-1``, and ``names[x]`` lists the actions of mask ``x``.  ``trig``,
+    one past them, names the pair row's column in the direct route's table:
+    its bit lies outside every environment, so ``deadend(p, trig)`` is
+    ``stable[p]``.  ``init_vis[p]`` is the mask of the visible labels of
+    ``p``'s steps.  A universe that misses a visible label of the system is
+    refused with :class:`AlphabetLimitError`, which names every missing
+    label.
+    """
+
+    __slots__ = (
+        "lts",
+        "n",
+        "full",
+        "trig",
+        "umask",
+        "ubit",
+        "stable",
+        "unstable",
+        "init_vis",
+        "notinit",
+        "names",
+        "_subs",
+        "_idle",
+        "_clauses",
+    )
+
+    def __init__(self, lts, universe):
+        self.lts = lts
+        self.n = lts.n_states
+        self.full = (1 << self.n) - 1
+        self.ubit, self.names, self.trig = env_columns(tuple(universe))
+        self.umask = self.trig - 1
+        init_vis = []
+        for moves in lts.moves:
+            vis = 0
+            for lab, _ in moves:
+                if lab not in ("tau", "t"):
+                    bit = self.ubit.get(lab)
+                    if bit is None:
+                        stray = set(lts.labels) - {"tau", "t"} - set(self.ubit)
+                        raise AlphabetLimitError(
+                            "universe must cover the visible labels; missing: "
+                            + ", ".join(sorted(stray))
+                        )
+                    vis |= bit
+            init_vis.append(vis)
+        self.init_vis = tuple(init_vis)
+        self.stable = tuple(lts.is_stable(i) for i in range(self.n))
+        self.unstable = self.full & ~lts.stable_mask
+        self.notinit = tuple(self.umask & ~vis for vis in init_vis)
+        self._subs = {}
+        self._idle = {}
+        self._clauses = [[None] * (self.trig + 1) for _ in range(self.n)]
+
+    def env_mask(self, names):
+        mask = 0
+        for a in names:
+            bit = self.ubit.get(a)
+            if bit is None:
+                raise TxbisimError(f"action {a!r} is outside the universe")
+            mask |= bit
+        return mask
+
+    def submasks_of(self, mask):
+        """All submasks of ``mask``, ascending (the empty set first)."""
+        cached = self._subs.get(mask)
+        if cached is None:
+            subs = []
+            sub = mask
+            while True:
+                subs.append(sub)
+                if sub == 0:
+                    break
+                sub = (sub - 1) & mask
+            cached = self._subs[mask] = tuple(sorted(subs))
+        return cached
+
+    def deadend(self, i, xmask):
+        return self.stable[i] and not self.init_vis[i] & xmask
+
+    def idle(self, xmask):
+        """The dead ends under ``xmask`` as a mask, kept once computed."""
+        if xmask not in self._idle:
+            self._idle[xmask] = sum(
+                1 << i for i in range(self.n) if self.deadend(i, xmask))
+        return self._idle[xmask]
+
+    def clauses(self, p, x):
+        """The step clauses of the row of ``p`` in column ``x`` as
+        ``(label, p2, col, env)``, in ``lts.moves`` order, compiled when
+        first asked for.
+
+        Each clause asks for a match into the row of ``p2`` in column
+        ``col``, where ``col`` None names the row's own column ``x``.  For a
+        move ``env`` is None.  In the pair column every visible move
+        counts; under an environment only the allowed ones, or all of them
+        from a dead end.  A tau step is matched within the own column, a
+        visible step in the pair column.  From a dead end a time-out gives
+        one clause for each environment ``col`` that extends this one with
+        actions ``p`` refuses, and ``env`` names its actions.  Under an
+        environment the clauses depend on ``x`` only through the actions
+        ``p`` can do, ``x & init_vis[p]``, so the columns that agree there
+        share one compiled tuple.
+        """
+        key = x if x == self.trig else x & self.init_vis[p]
+        got = self._clauses[p][key]
+        if got is None:
+            allow = self.umask if x == self.trig else x
+            quiet = self.deadend(p, x)
+            got = []
+            for lab, p2 in self.lts.moves[p]:
+                if lab == "t":
+                    if quiet:
+                        got.extend(
+                            (lab, p2, y, self.names[y])
+                            for y in self.submasks_of(self.notinit[p])
+                        )
+                elif lab == "tau":
+                    got.append((lab, p2, None, None))
+                elif self.ubit[lab] & allow or quiet:
+                    got.append((lab, p2, self.trig, None))
+            got = self._clauses[p][key] = tuple(got)
+        return got
+
+
 class Closure:
     """The environment closure of a system on indices, reachable part only.
 
-    ``universe`` must contain every visible label of the base system.  The
-    wrappers are numbered breadth first from the triggered wrappings of the
-    base roots; a time-out fires from an idle wrapper alone, as the direct
-    route's clause asks.  Wrapper ``k`` has the moves ``coded_moves[k]``,
+    The base system, its universe's columns, and each base state's visible
+    mask and stability are read off the profile ``pf`` (:class:`_Profile`).
+    The wrappers are numbered breadth first from the triggered wrappings of
+    the base roots; a time-out fires from an idle wrapper alone, as the
+    direct route's clause asks.  Wrapper ``k`` has the moves ``coded_moves[k]``,
     pairs ``(code, j)`` whose label is ``labels[code]``; ``tau_sccs`` and
     ``can_reach_stable_mask`` are those of :class:`~txbisim.lts.Lts`,
     lifted from the base system.  A wrapper is keyed by its base state and
@@ -127,14 +265,9 @@ class Closure:
     read.
     """
 
-    def __init__(self, base, universe, max_states=None):
-        bit, names, trig = env_columns(tuple(universe))
-        stray = set(base.labels) - {"tau", "t"} - set(bit)
-        if stray:
-            raise AlphabetLimitError(
-                "universe must cover the visible labels; missing: "
-                + ", ".join(sorted(stray))
-            )
+    def __init__(self, pf, max_states=None):
+        base, bit, names, trig = pf.lts, pf.ubit, pf.names, pf.trig
+        stable, vis = pf.stable, pf.init_vis
         budget = max_states_budget(max_states)
         width = trig + 1
         # the allowing columns in settling order, sorted by their names
@@ -145,18 +278,11 @@ class Closure:
         codes = {lab: k for k, lab in enumerate(labels)}
         tau, t, t_eps = codes.get("tau"), codes.get("t"), codes["t_eps"]
         settle = [(x, codes[eps_label(names[x])]) for x in order]
-        # per base state its steps as (code, j, bit of a visible label), and
-        # the mask of its visible labels
-        steps = []
-        vis = []
-        for moves in base.moves:
-            own = tuple((codes[lab], j, bit.get(lab, 0)) for lab, j in moves)
-            steps.append(own)
-            mask = 0
-            for _, _, b in own:
-                mask |= b
-            vis.append(mask)
-        stable = [base.is_stable(i) for i in range(base.n_states)]
+        # per base state its steps as (code, j, bit of a visible label)
+        steps = [
+            tuple((codes[lab], j, bit.get(lab, 0)) for lab, j in moves)
+            for moves in base.moves
+        ]
         self.base = base
         self.labels = labels
         self.trig = trig
@@ -277,9 +403,10 @@ def encode(base, universe, max_states=None):
     """The environment closure of a system as a system of
     :class:`EncState` wrappers: :attr:`Closure.lts`.
 
-    Its roots are the triggered wrappings of the base roots; allowing
-    wrappings are reachable from them by settling transitions.  Its states
-    are admitted breadth first, and its tau components and the states that
-    can reach a stable one come lifted from the base system.
+    ``universe`` must contain every visible label of the base system.  Its
+    roots are the triggered wrappings of the base roots; allowing wrappings
+    are reachable from them by settling transitions.  Its states are
+    admitted breadth first, and its tau components and the states that can
+    reach a stable one come lifted from the base system.
     """
-    return Closure(base, universe, max_states).lts
+    return Closure(_Profile(base, universe), max_states).lts

@@ -29,7 +29,9 @@ negative one is checked against the direct fixpoint, and either check
 raises :class:`~txbisim.errors.MethodDisagreementError` if the routes
 split.
 
-The direct route keeps its relation as one table ``rows[p][x]`` of
+Both routes read one profile of the explored system,
+:class:`~txbisim.encoding._Profile`, which lives beside the closure it
+feeds.  The direct route keeps its relation as one table ``rows[p][x]`` of
 successor-set masks: a column per environment mask and one more,
 :attr:`_Profile.trig`, for the pairs, judged like a triple row in which
 every visible move counts.  The clauses are compiled once per state and
@@ -47,8 +49,10 @@ relations, stability respecting branching bisimilarity
 :class:`~txbisim.encoding.Closure`, building no wrapper object) and strong
 bisimilarity, share one partition refinement (:func:`_refine`) that
 recomputes only the signatures a split can change, so a chain's time
-grows about linearly with its length.  All four reactive checks, plain or
-rooted and triggered or in a fixed environment, go through :func:`_check`.
+grows about linearly with its length.  A partition is a plain relation,
+and :func:`_plain` names the failing clause of a separated pair.  All four
+reactive checks, plain or rooted and triggered or in a fixed environment,
+go through :func:`_check`.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 from heapq import heapify, heappop, heappush
 
-from .encoding import Closure, env_columns
+from .encoding import Closure, _Profile, env_columns
 from .errors import MethodDisagreementError, TxbisimError
 from .lts import Lts, Partition, iter_bits
 from .semantics import explore
@@ -196,140 +200,11 @@ def process_universe(*terms):
     :data:`~txbisim.encoding.MAX_UNIVERSE` actions are refused with
     :class:`~txbisim.errors.AlphabetLimitError` before any state is
     explored, by :func:`~txbisim.encoding.env_columns`, which caches the
-    columns that :class:`_Profile` and :class:`~txbisim.encoding.Closure`
-    then read."""
+    columns that the check's profile, :class:`~txbisim.encoding._Profile`,
+    then reads, and through it the closure."""
     u = envset(name for t in terms for name in alphabet(t))
     env_columns(u)
     return u
-
-
-# --------------------------------------------------------------------------
-# per-system precomputation
-
-
-class _Profile:
-    """Bit-level view of one system against a fixed environment universe.
-
-    The columns are those of :func:`~txbisim.encoding.env_columns`, which
-    also key the closure's wrappers: environments are masks over the
-    universe, ``0 .. trig-1``, and ``names[x]`` lists the actions of mask
-    ``x``.  ``trig``, one past them, names the pair row's column in the
-    direct route's table: its bit lies outside every environment, so
-    ``deadend(p, trig)`` is ``stable[p]``.
-    """
-
-    __slots__ = (
-        "lts",
-        "n",
-        "full",
-        "trig",
-        "umask",
-        "ubit",
-        "stable",
-        "unstable",
-        "init_vis",
-        "notinit",
-        "names",
-        "_subs",
-        "_idle",
-        "_clauses",
-    )
-
-    def __init__(self, lts, universe):
-        self.lts = lts
-        self.n = lts.n_states
-        self.full = (1 << self.n) - 1
-        self.ubit, self.names, self.trig = env_columns(tuple(universe))
-        self.umask = self.trig - 1
-        init_vis = []
-        for moves in lts.moves:
-            vis = 0
-            for lab, _ in moves:
-                if lab not in ("tau", "t"):
-                    bit = self.ubit.get(lab)
-                    if bit is None:
-                        raise TxbisimError(
-                            f"label {lab!r} is outside the environment universe"
-                        )
-                    vis |= bit
-            init_vis.append(vis)
-        self.init_vis = tuple(init_vis)
-        self.stable = tuple(lts.is_stable(i) for i in range(self.n))
-        self.unstable = self.full & ~lts.stable_mask
-        self.notinit = tuple(self.umask & ~vis for vis in init_vis)
-        self._subs = {}
-        self._idle = {}
-        self._clauses = [[None] * (self.trig + 1) for _ in range(self.n)]
-
-    def env_mask(self, names):
-        mask = 0
-        for a in names:
-            bit = self.ubit.get(a)
-            if bit is None:
-                raise TxbisimError(f"action {a!r} is outside the universe")
-            mask |= bit
-        return mask
-
-    def submasks_of(self, mask):
-        """All submasks of ``mask``, ascending (the empty set first)."""
-        cached = self._subs.get(mask)
-        if cached is None:
-            subs = []
-            sub = mask
-            while True:
-                subs.append(sub)
-                if sub == 0:
-                    break
-                sub = (sub - 1) & mask
-            cached = self._subs[mask] = tuple(sorted(subs))
-        return cached
-
-    def deadend(self, i, xmask):
-        return self.stable[i] and not self.init_vis[i] & xmask
-
-    def idle(self, xmask):
-        """The dead ends under ``xmask`` as a mask, kept once computed."""
-        if xmask not in self._idle:
-            self._idle[xmask] = sum(
-                1 << i for i in range(self.n) if self.deadend(i, xmask))
-        return self._idle[xmask]
-
-    def clauses(self, p, x):
-        """The step clauses of the row of ``p`` in column ``x`` as
-        ``(label, p2, col, env)``, in ``lts.moves`` order, compiled when
-        first asked for.
-
-        Each clause asks for a match into the row of ``p2`` in column
-        ``col``, where ``col`` None names the row's own column ``x``.  For a
-        move ``env`` is None.  In the pair column every visible move
-        counts; under an environment only the allowed ones, or all of them
-        from a dead end.  A tau step is matched within the own column, a
-        visible step in the pair column.  From a dead end a time-out gives
-        one clause for each environment ``col`` that extends this one with
-        actions ``p`` refuses, and ``env`` names its actions.  Under an
-        environment the clauses depend on ``x`` only through the actions
-        ``p`` can do, ``x & init_vis[p]``, so the columns that agree there
-        share one compiled tuple.
-        """
-        key = x if x == self.trig else x & self.init_vis[p]
-        got = self._clauses[p][key]
-        if got is None:
-            allow = self.umask if x == self.trig else x
-            quiet = self.deadend(p, x)
-            got = []
-            for lab, p2 in self.lts.moves[p]:
-                if lab == "t":
-                    if quiet:
-                        got.extend(
-                            (lab, p2, y, self.names[y])
-                            for y in self.submasks_of(self.notinit[p])
-                        )
-                elif lab == "tau":
-                    got.append((lab, p2, None, None))
-                elif self.ubit[lab] & allow or quiet:
-                    got.append((lab, p2, self.trig, None))
-            got = self._clauses[p][key] = tuple(got)
-        return got
 
 
 # --------------------------------------------------------------------------
@@ -600,34 +475,16 @@ class _PairResult:
     nothing."""
 
     rel: list
-    records: Mapping
+    records: _Separations
     rounds: int
 
-    def has(self, p, q):
-        return bool(self.rel[p] >> q & 1)
 
-    def fail(self, p, q):
-        """None for a related pair, else its failing clause as
-        ``(side, removal)``."""
-        return None if self.has(p, q) else self.records[p, q]
+class _Separations:
+    """The ordered pairs a partition puts in different blocks, counted from
+    the block sizes and listed on demand."""
 
-
-class _Separations(Mapping):
-    """The ordered pairs a partition puts in different blocks.
-
-    Looking a pair up names the first clause it fails (:func:`_pair_fail`
-    with ``fail(rel, p, row)``, bound to :func:`_strong_fail` or
-    :func:`_branching_fail` and a system) against the relation that
-    relates everything, or if none fails there, against the partition with
-    the pair joined, as :func:`_first_fail` does on the direct route.  The
-    partition is the greatest relation, so some clause fails.  Nothing is
-    scanned until a pair is looked up; the count comes from the block
-    sizes.
-    """
-
-    def __init__(self, rel, fail):
+    def __init__(self, rel):
         self.rel = rel
-        self.fail = fail
 
     def __len__(self):
         return len(self.rel) ** 2 - sum(row.bit_count() for row in self.rel)
@@ -637,19 +494,6 @@ class _Separations(Mapping):
         for p, row in enumerate(self.rel):
             for q in iter_bits(full & ~row):
                 yield p, q
-
-    def __getitem__(self, pair):
-        p, q = pair
-        if self.rel[p] >> q & 1:
-            raise KeyError(pair)
-        n = len(self.rel)
-        joined = self.rel[:]
-        joined[p] |= 1 << q
-        joined[q] |= 1 << p
-        found = _pair_fail(self.fail, ([(1 << n) - 1] * n, joined), p, q)
-        if found is None:
-            raise TxbisimError("unrelated pair violates no clause")
-        return found
 
 
 def _pair_fail(fail, rels, p, q):
@@ -701,9 +545,9 @@ def _tau_code(labels):
 _MARK_FLOOR = 48
 
 
-def _refine(labels, comp, moves, exits, block, fail):
+def _refine(labels, comp, moves, exits, block):
     """Greatest relation by signature refinement in the manner of Blom and
-    Orzan, as a :class:`_PairResult` whose clauses are ``fail``.
+    Orzan, as a :class:`_PairResult`.
 
     State ``i`` lies in component ``comp[i]``, and the components are
     refined whole.  Component ``c`` has the moves ``moves[c]``, pairs
@@ -835,7 +679,7 @@ def _refine(labels, comp, moves, exits, block, fail):
     for i, c in enumerate(comp):
         masks[block[c]] |= 1 << i
     rel = [masks[block[c]] for c in comp]
-    return _PairResult(rel, _Separations(rel, fail), rounds)
+    return _PairResult(rel, _Separations(rel), rounds)
 
 
 def _branching_fixpoint(system):
@@ -845,8 +689,7 @@ def _branching_fixpoint(system):
     ``system`` is an :class:`~txbisim.lts.Lts` or an encoding
     :class:`~txbisim.encoding.Closure`: the fixpoint reads only their
     ``labels``, ``coded_moves``, ``tau_sccs`` and ``can_reach_stable_mask``.
-    The clauses of its separations read an Lts, so a closure's are only
-    counted.  Members of a tau cycle are always related,
+    Members of a tau cycle are always related,
     so the refined components are the tau components in Tarjan's order,
     and the tau steps between them are the exits.  The first split, states
     that can reach a stable state against the rest, is the stability
@@ -874,9 +717,7 @@ def _branching_fixpoint(system):
         exits.append(tuple(out))
     reach = system.can_reach_stable_mask
     block = [0 if reach >> members[0] & 1 else 1 for members in sccs]
-
-    fail = partial(_branching_fail, system)
-    return _refine(system.labels, comp, moves, exits, block, fail)
+    return _refine(system.labels, comp, moves, exits, block)
 
 
 def _strong_fixpoint(lts):
@@ -886,8 +727,7 @@ def _strong_fixpoint(lts):
     states start in one block.
     """
     n = lts.n_states
-    fail = partial(_strong_fail, lts)
-    return _refine(lts.labels, range(n), lts.coded_moves, [()] * n, [0] * n, fail)
+    return _refine(lts.labels, range(n), lts.coded_moves, [()] * n, [0] * n)
 
 
 # --------------------------------------------------------------------------
@@ -974,8 +814,9 @@ def _pair_store(lts, rel):
 def _store_masks(lts, pf, store):
     """The table ``rows[p][x]`` of a relation store, in the columns of
     ``pf`` (None for pairs only, in the one column 0), or None when the
-    store is not symmetric, names a state outside the system, or has a
-    triple that ``pf`` cannot place in its universe."""
+    store is not symmetric, names a state outside the system, holds a pair
+    that is no 2-tuple or a triple that is no 3-tuple, or has a triple
+    whose environment is not a tuple of names in the universe of ``pf``."""
     index = lts.index
     trig = 0 if pf is None else pf.trig
     rows = [[0] * (trig + 1) for _ in range(lts.n_states)]
@@ -986,11 +827,16 @@ def _store_masks(lts, pf, store):
         rows[index[s]][x] |= 1 << index[t]
         return True
 
-    for s, t in store.pairs:
-        if not put(s, trig, t):
+    for pair in store.pairs:
+        if not (isinstance(pair, tuple) and len(pair) == 2):
             return None
-    for s, x, t in store.triples:
-        if pf is None or not all(a in pf.ubit for a in x):
+        if not put(pair[0], trig, pair[1]):
+            return None
+    for triple in store.triples:
+        if pf is None or not (isinstance(triple, tuple) and len(triple) == 3):
+            return None
+        s, x, t = triple
+        if not (isinstance(x, tuple) and all(a in pf.ubit for a in x)):
             return None
         if not put(s, pf.env_mask(x), t):
             return None
@@ -1064,27 +910,42 @@ def _verdict(method, fail, store, lts, universe=None):
     )
 
 
-def _direct(method, pf, res, i, j, x, rooted, store, universe, memo):
+def _direct(method, pf, res, i, j, x, rooted, store, memo):
     """The verdict by ``method`` of the table ``res`` on states ``i`` and
-    ``j`` in column ``x``, with the reason :func:`_rooted_fail` or
-    :func:`_first_fail` (with ``memo``) names."""
+    ``j`` in column ``x``, over the universe of ``pf``, with the reason
+    :func:`_rooted_fail` or :func:`_first_fail` (with ``memo``) names."""
     if rooted:
         fail = _rooted_fail(pf, res, i, x, j)
     elif res.has(i, x, j):
         fail = None
     else:
         fail = _first_fail(pf, i, x, j, memo, res.rows)
-    return _verdict(method, fail, store, pf.lts, universe)
+    return _verdict(method, fail, store, pf.lts, pf.names[pf.umask])
 
 
-def _plain(lts, res, s, t, rooted=False):
+def _plain(lts, res, fail, s, t, rooted=False):
+    """The verdict of the partition ``res`` on the states ``s`` and ``t``,
+    whose clauses are ``fail(lts, rel, p, row)``.  A separated pair names
+    the first clause it fails (:func:`_pair_fail`) against the relation
+    that relates everything, or if none fails there, against the partition
+    with the pair joined, as :func:`_first_fail` does on the direct route;
+    the partition is the greatest relation, so some clause fails.  With
+    ``rooted`` the first step is matched strongly into the partition."""
     i, j = lts.index[s], lts.index[t]
+    rel = res.rel
     if rooted:
-        # the first step is matched strongly into the unrooted relation
-        fail = _pair_fail(partial(_strong_fail, lts), (res.rel,), i, j)
+        found = _pair_fail(partial(_strong_fail, lts), (rel,), i, j)
+    elif rel[i] >> j & 1:
+        found = None
     else:
-        fail = res.fail(i, j)
-    return _verdict("direct", fail, lambda: _pair_store(lts, res.rel), lts)
+        joined = rel[:]
+        joined[i] |= 1 << j
+        joined[j] |= 1 << i
+        full = [(1 << lts.n_states) - 1] * lts.n_states
+        found = _pair_fail(partial(fail, lts), (full, joined), i, j)
+        if found is None:
+            raise TxbisimError("unrelated pair violates no clause")
+    return _verdict("direct", found, lambda: _pair_store(lts, rel), lts)
 
 
 # --------------------------------------------------------------------------
@@ -1093,17 +954,17 @@ def _plain(lts, res, s, t, rooted=False):
 
 def strong(lts, s, t):
     """Strong bisimilarity of two states of one system."""
-    return _plain(lts, _strong_fixpoint(lts), s, t)
+    return _plain(lts, _strong_fixpoint(lts), _strong_fail, s, t)
 
 
 def sr_branching(lts, s, t):
     """Stability respecting branching bisimilarity of two states."""
-    return _plain(lts, _branching_fixpoint(lts), s, t)
+    return _plain(lts, _branching_fixpoint(lts), _branching_fail, s, t)
 
 
 def r_sr_branching(lts, s, t):
     """Rooted stability respecting branching bisimilarity of two states."""
-    return _plain(lts, _branching_fixpoint(lts), s, t, rooted=True)
+    return _plain(lts, _branching_fixpoint(lts), _branching_fail, s, t, True)
 
 
 def brb_states(lts, s, t, universe=None, rooted=False):
@@ -1122,7 +983,7 @@ def brb_states(lts, s, t, universe=None, rooted=False):
     res = _generalized_fixpoint(pf)
     return _direct(
         "direct", pf, res, lts.index[s], lts.index[t], pf.trig, rooted,
-        lambda: _gen_store(pf, res), universe, {},
+        lambda: _gen_store(pf, res), {},
     )
 
 
@@ -1175,7 +1036,7 @@ class Analysis:
     def encoded(self):
         """The environment closure of :attr:`lts`, on indices; its wrapper
         system is ``encoded.lts``."""
-        return Closure(self.lts, self.universe, self.opts.max_states)
+        return Closure(self.profile, self.opts.max_states)
 
     @cached_property
     def enc_branch(self):
@@ -1234,8 +1095,7 @@ def _check(p, q, env, rooted, opts):
     if method == "encode":
         store = _store_thunk(an, "encoded_projection", "profile", "projection")
         return _direct(
-            "encode", pf, an.projection, an.ip, an.iq, x, rooted, store,
-            an.universe, an.memo,
+            "encode", pf, an.projection, an.ip, an.iq, x, rooted, store, an.memo
         )
     if method == "direct" and rooted:
         # the fixpoint runs either way: for the answer, or for the
@@ -1274,8 +1134,7 @@ def _direct_check(an, x, rooted):
     """The direct route's verdict on the analysis' pair in column ``x``."""
     store = _store_thunk(an, "gen_store", "profile", "gen")
     return _direct(
-        "direct", an.profile, an.gen, an.ip, an.iq, x, rooted, store,
-        an.universe, an.memo,
+        "direct", an.profile, an.gen, an.ip, an.iq, x, rooted, store, an.memo
     )
 
 

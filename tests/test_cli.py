@@ -32,7 +32,7 @@ def test_parse_reprints_parseable_text(capsys):
     code, out, _ = run(capsys, ["parse", STABILITY])
     assert code == 0
     again = parse_file(out)
-    assert set(again.defs) == set(parse_file(open(STABILITY).read()).defs)
+    assert set(again.defs) == set(parse_file(Path(STABILITY).read_text()).defs)
 
 
 def test_parse_json_payload(capsys):
@@ -229,6 +229,21 @@ def test_check_refuses_env_on_a_relation_without_one(capsys, relation):
     assert (code, out) == (2, "")
     assert err.startswith(f"error: relation {relation} takes no environment set")
     assert "-x" in err
+
+
+@pytest.mark.parametrize("relation", ["strong", "srbb", "rsrbb"])
+@pytest.mark.parametrize("method", ["both", "direct", "encode"])
+def test_check_refuses_method_on_a_relation_with_one_route(
+    capsys, relation, method
+):
+    code, out, err = run(
+        capsys, ["check", STABILITY, "P0", "Q0", relation, "--method", method]
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: relation {relation} has one decision route")
+    # without the flag the same check runs
+    code, out, _ = run(capsys, ["check", STABILITY, "P0", "Q0", relation])
+    assert code in (0, 1) and "method: direct" in out
 
 
 def test_check_json_payload(capsys):

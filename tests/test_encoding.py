@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from txbisim import AlphabetLimitError, StateBudgetError
-from txbisim.encoding import Closure, EncState, encode, eps_label
+from txbisim.encoding import Closure, EncState, _Profile, encode, eps_label
 from txbisim.equiv import _branching_fixpoint
 from txbisim.lts import Lts, iter_bits
 from txbisim.semantics import explore
@@ -176,7 +176,7 @@ def test_closure_is_its_wrapper_system_on_indices(drawn):
     the closure are those of its wrapper system; wrappers are keyed by
     base state and environment column."""
     base, universe = drawn
-    closure = Closure(base, universe)
+    closure = Closure(_Profile(base, universe))
     e = closure.lts
     assert (closure.n_states, closure.n_transitions) == (e.n_states, e.n_transitions)
     coded = {

@@ -30,6 +30,7 @@ from txbisim.equiv import (
     RelationStore,
     _Profile,
     _RowRecords,
+    _branching_fail,
     _branching_fixpoint,
     _first_fail,
     _generalized_fixpoint,
@@ -542,11 +543,12 @@ def test_rooted_branching_equals_reference(small_corpus):
     for p, q, _ in small_corpus:
         lts = explore((p, q))
         res = _branching_fixpoint(lts)
+        states = lts.states
         eng = {
             (i, j)
             for i in range(lts.n_states)
             for j in range(lts.n_states)
-            if _plain(lts, res, lts.states[i], lts.states[j], rooted=True)
+            if _plain(lts, res, _branching_fail, states[i], states[j], True)
         }
         assert eng == ref_rooted_branching(lts)
 
@@ -601,9 +603,9 @@ def assert_refinements_equal_reference(systems):
     real = equiv._refine
     large = 0
 
-    def checked(labels, comp, moves, exits, block, fail):
+    def checked(labels, comp, moves, exits, block):
         nonlocal large
-        res = real(labels, comp, moves, exits, block, fail)
+        res = real(labels, comp, moves, exits, block)
         want = reference_refine(labels, comp, moves, exits, block)
         assert (res.rel, res.rounds) == want
         large += len(block) >= equiv._MARK_FLOOR
@@ -693,7 +695,8 @@ def test_refinement_equals_reference_on_drawn_systems(lts):
     """Below the component floor every round is a full one, whose blocks
     named by first members give the reference's rows and rounds."""
     universe = envset(lab for lab in lts.labels if lab not in ("tau", "t"))
-    assert_refinements_equal_reference([lts, encoding.Closure(lts, universe)])
+    closure = encoding.Closure(_Profile(lts, universe))
+    assert_refinements_equal_reference([lts, closure])
 
 
 def test_refinement_equals_reference_with_marked_rounds():
@@ -716,7 +719,7 @@ def test_refinement_equals_reference_with_marked_rounds():
     systems += [inert_step_leaver(k, 3, 40) for k in (8, 12, 20)]
     for p, q in pairs:
         lts = explore((p, q))
-        systems += [lts, encoding.Closure(lts, process_universe(p, q))]
+        systems += [lts, encoding.Closure(_Profile(lts, process_universe(p, q)))]
     assert assert_refinements_equal_reference(systems) >= 30
 
 
@@ -746,9 +749,9 @@ def test_refinement_reads_each_components_moves_a_few_times():
 
     with mock.patch.object(equiv, "_refine", grab):
         _branching_fixpoint(an.encoded)
-    labels, comp, moves, exits, block, fail = seen[0]
+    labels, comp, moves, exits, block = seen[0]
     counting = CountingSequence(moves)
-    res = real(labels, comp, counting, exits, block, fail)
+    res = real(labels, comp, counting, exits, block)
     assert res.rounds == 203
     assert res.rel == an.enc_branch.rel
     assert counting.reads <= 8 * len(block)
@@ -902,7 +905,8 @@ def test_both_refuses_a_projection_that_fails_the_clauses(monkeypatch, stability
     monkeypatch.setattr(equiv, "_branching_fixpoint", joined)
     an = Analysis(p, q)
     x = an.encoded.trig
-    assert an.enc_branch.has(an.encoded.index(x, an.ip), an.encoded.index(x, an.iq))
+    i, j = an.encoded.index(x, an.ip), an.encoded.index(x, an.iq)
+    assert an.enc_branch.rel[i] >> j & 1
     with pytest.raises(MethodDisagreementError, match="fails the clauses"):
         brb(p, q, CheckOptions(method="both"))
 
@@ -1266,6 +1270,16 @@ def test_validators_reject_foreign_names_without_raising(kind):
     )
     assert check(outside_system) is False
     assert check(outside_universe) is False
+    # malformed entries: a pair of three members, a triple of one, and
+    # triples whose environment is no tuple of names
+    malformed = [
+        RelationStore(witness.pairs | {(p, p, p)}, witness.triples),
+        RelationStore(witness.pairs, witness.triples | {(p,)}),
+        RelationStore(witness.pairs, witness.triples | {(p, 5, p)}),
+        RelationStore(witness.pairs, witness.triples | {(p, "a", p)}),
+    ]
+    for store in malformed:
+        assert check(store) is False
 
 
 def test_branching_and_strong_witnesses(small_corpus):
@@ -1358,6 +1372,24 @@ def test_process_universe_is_the_joint_alphabet():
     assert len(process_universe(*wide[:MAX_UNIVERSE])) == MAX_UNIVERSE
     with pytest.raises(AlphabetLimitError, match=f"at most {MAX_UNIVERSE} actions"):
         process_universe(*wide)
+
+
+def test_a_universe_missing_a_label_is_refused_by_name():
+    """One check, the profile's, refuses a universe that misses a visible
+    label of the system, and names every missing label, wherever the
+    universe is given."""
+    lts = explore(parse_term("a.b.0 + c.0"))
+    root = lts.roots[0]
+    empty = RelationStore(frozenset(), frozenset())
+    for refuse in (
+        lambda: _Profile(lts, ("a",)),
+        lambda: encode(lts, ("a",)),
+        lambda: brb_states(lts, root, root, universe=("a",)),
+        lambda: generalized_witness_ok(lts, ("a",), empty),
+    ):
+        with pytest.raises(AlphabetLimitError) as exc:
+            refuse()
+        assert str(exc.value).endswith("missing: b, c")
 
 
 def test_raw_systems_refuse_a_universe_above_the_ceiling():
