@@ -931,7 +931,7 @@ def _plain(lts, res, fail, s, t, rooted=False):
     with the pair joined, as :func:`_first_fail` does on the direct route;
     the partition is the greatest relation, so some clause fails.  With
     ``rooted`` the first step is matched strongly into the partition."""
-    i, j = lts.index[s], lts.index[t]
+    i, j = lts.index_of(s), lts.index_of(t)
     rel = res.rel
     if rooted:
         found = _pair_fail(partial(_strong_fail, lts), (rel,), i, j)
@@ -982,7 +982,7 @@ def brb_states(lts, s, t, universe=None, rooted=False):
     pf = _Profile(lts, universe)
     res = _generalized_fixpoint(pf)
     return _direct(
-        "direct", pf, res, lts.index[s], lts.index[t], pf.trig, rooted,
+        "direct", pf, res, lts.index_of(s), lts.index_of(t), pf.trig, rooted,
         lambda: _gen_store(pf, res), {},
     )
 

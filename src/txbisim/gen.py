@@ -356,7 +356,7 @@ def rand_formula(rng, alphabet=("a", "b"), depth=3, cls="Lbc"):
         return _rand_lbc(rng, tuple(alphabet), depth)
     if cls == "Lbcr":
         return _rand_lbcr(rng, tuple(alphabet), depth)
-    raise ValueError(f"unknown sublogic {cls!r}")
+    raise TxbisimError(f"unknown sublogic {cls!r}")
 
 
 def _rand_lbc(rng, alphabet, depth):

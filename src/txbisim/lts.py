@@ -110,6 +110,13 @@ class Lts:
             (self.states[i], lab, self.states[j]) for i, lab, j in self.trans_idx
         )
 
+    def index_of(self, state):
+        """The index of ``state``; a state outside the system is an error."""
+        try:
+            return self.index[state]
+        except (KeyError, TypeError):
+            raise TxbisimError(f"{state!r} is not a state of the system") from None
+
     def succ_mask(self, i, label):
         """Bitmask of successor indices of state index ``i`` under ``label``."""
         return self._succ[i].get(label, 0)
@@ -118,7 +125,7 @@ class Lts:
         return self._succ[i].keys()
 
     def successors(self, state, label):
-        mask = self.succ_mask(self.index[state], label)
+        mask = self.succ_mask(self.index_of(state), label)
         return tuple(self.states[j] for j in iter_bits(mask))
 
     @cached_property
@@ -141,7 +148,7 @@ class Lts:
 
     def transitions_from(self, state):
         return tuple(
-            (lab, self.states[j]) for lab, j in self.moves[self.index[state]]
+            (lab, self.states[j]) for lab, j in self.moves[self.index_of(state)]
         )
 
     # -- tau structure
@@ -319,7 +326,7 @@ def iter_bits(mask):
 
 def tau_closure(lts, state):
     """States reachable from ``state`` by internal steps, itself included."""
-    mask = lts.tau_closure(1 << lts.index[state])
+    mask = lts.tau_closure(1 << lts.index_of(state))
     return tuple(lts.states[i] for i in iter_bits(mask))
 
 
@@ -433,8 +440,11 @@ def quotient(lts, partition):
 
     A block's representative is its lowest-indexed member.  Only defined for
     strongly guarded systems: with a cycle of internal steps the
-    representative could miss block behaviour, so that case is rejected.
+    representative could miss block behaviour, so that case is rejected,
+    as is a partition of another system.
     """
+    if partition.lts is not lts:
+        raise TxbisimError("the partition is of another system")
     if lts.divergent:
         raise TxbisimError(
             "quotient needs a strongly guarded system (no cycle of internal steps)"

@@ -352,7 +352,7 @@ def satisfies(lts, state, formula, mode=None):
                 return any(sat(j, sub, env) for j in iter_bits(reach))
         raise TxbisimError(f"not a formula: {phi!r}")
 
-    return sat(lts.index[state], formula, m)
+    return sat(lts.index_of(state), formula, m)
 
 
 # --------------------------------------------------------------------------

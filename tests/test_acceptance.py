@@ -87,7 +87,7 @@ def test_criterion_04_algebraic_laws(laws_defs):
     report(4, "timeout shadowing, branching axiom, rootedness of tau-lift")
 
 
-def test_criterion_05_method_agreement(corpus):
+def test_criterion_05_routes_agree(corpus):
     agreements = 0
     for p, q, _ in corpus:
         assert bool(brb(p, q, DIRECT)) == bool(brb(p, q, ENCODE))

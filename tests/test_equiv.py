@@ -55,7 +55,7 @@ from txbisim.equiv import (
 )
 from txbisim.encoding import MAX_UNIVERSE, encode
 from txbisim.lts import Lts, disjoint_union, iter_bits, quotient
-from txbisim.modal import distinguish, in_subclass, satisfies
+from txbisim.modal import Top, distinguish, in_subclass, satisfies
 from txbisim.semantics import explore
 from txbisim.terms import envset, mk_theta, parse_term, term_text
 
@@ -1358,6 +1358,23 @@ def test_brb_states_witness_holds_environment_sets():
     v = brb_states(explore(p), p, p, universe={"b", "a"})
     assert v.universe == ("a", "b")
     assert {x for _, x, _ in v.witness.triples} == {(), ("a",), ("b",), ("a", "b")}
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        brb_states,
+        strong,
+        sr_branching,
+        r_sr_branching,
+        lambda lts, s, t: satisfies(lts, t, Top()),
+    ],
+    ids=["brb_states", "strong", "sr_branching", "r_sr_branching", "satisfies"],
+)
+def test_state_checks_refuse_a_state_outside_the_system(check):
+    lts = explore((parse_term("a.0"), parse_term("b.0")))
+    with pytest.raises(TxbisimError, match=r"<c\.0> is not a state"):
+        check(lts, parse_term("a.0"), parse_term("c.0"))
 
 
 # -- universe handling

@@ -119,3 +119,5 @@ def test_formulas_land_in_their_sublogic(seed):
     for cls in ("Lbc", "Lbcr"):
         phi = rand_formula(rng, ("a", "b"), depth=3, cls=cls)
         assert in_subclass(phi, cls)
+    with pytest.raises(TxbisimError, match="unknown sublogic"):
+        rand_formula(rng, cls="Lbx")

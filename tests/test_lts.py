@@ -5,7 +5,7 @@ import io
 import pytest
 from hypothesis import given, strategies as st
 
-from txbisim import ParseError, TxbisimError
+from txbisim import ParseError, TxbisimError, brb_partition
 from txbisim.lts import (
     Lts,
     Partition,
@@ -210,6 +210,15 @@ def test_quotient_time_outs_need_inner_stability():
     part = Partition(lts, [(0, 1), (2,)])
     q = quotient(lts, part)
     assert [lab for _, lab, _ in q.transitions()] == ["t"]
+
+
+def test_quotient_refuses_a_partition_of_another_system():
+    _, part = brb_partition(parse_term("tau.a.0"))
+    assert part.blocks == ((0, 1), (2,))
+    # as many states as the partition covers, and more
+    for text in ("a.b.0", "a.b.c.0"):
+        with pytest.raises(TxbisimError, match="another system"):
+            quotient(explore(parse_term(text)), part)
 
 
 def test_quotient_rejects_divergent_systems():
