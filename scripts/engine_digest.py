@@ -11,7 +11,10 @@ digest, each printed as one sha256:
   witness of a positive verdict is the encode route's projection, the one
   ``encode`` reports, and its reason for a negative one is the direct
   route's);
-* ``direct``: the direct fixpoint's rows, passes and removal records;
+* ``direct``: the direct fixpoint's rows and passes, and each removed
+  entry ``(p, x, q)`` with its record ``(stamp, clause)``: the number of
+  the row judgement that removed it and the compiled clause ``(label,
+  successor, column, env)`` it failed, all four None for stability;
 * ``distinguish``: the formula text, plain and rooted;
 * ``partition``: the ``brb_partition`` blocks of the pair's state space;
 * ``encoding``: the encoded wrapper system's state texts in order, its

@@ -448,10 +448,6 @@ def _env_subsets(names):
             yield envset(combo)
 
 
-def _holds_reactively(lhs, rhs, opts):
-    return bool(rbrb(lhs, rhs, opts))
-
-
 def _check_equation(axiom, lhs, rhs, opts):
     """An equation holds reactively, and for a ``strong_ok`` law also
     under rooted stability respecting branching bisimilarity, decided on
@@ -469,9 +465,9 @@ def _check_approximation(lhs, rhs, opts):
     """Returns (holds, vacuous) for one implication instance."""
     universe = process_universe(lhs, rhs)
     for env in _env_subsets(universe):
-        if not _holds_reactively(mk_psi(env, lhs), mk_psi(env, rhs), opts):
+        if not rbrb(mk_psi(env, lhs), mk_psi(env, rhs), opts):
             return True, True
-    return _holds_reactively(lhs, rhs, opts), False
+    return bool(rbrb(lhs, rhs, opts)), False
 
 
 def fuzz_axioms(instances=50, seed=0, cfg=None, opts=None, names=None):

@@ -41,9 +41,9 @@ fixpoint loops and the reason and the witness check run once.  Match sets
 and backward tau closures are kept by value for every pass of one check
 (:attr:`Analysis.memo`).  Each row is judged against the table as it
 stands, successors first, so a chain takes two passes; the fixpoint never
-judges a state against itself.  Every removal is stamped with its row
-judgement and clause (:class:`Removal`), for the synthesis of
-distinguishing formulas in :mod:`txbisim.modal` alone.  The plain
+judges a state against itself.  Every removal is recorded as the stamp of
+its row judgement and the compiled clause that failed, for the synthesis
+of distinguishing formulas in :mod:`txbisim.modal` alone.  The plain
 relations, stability respecting branching bisimilarity
 (which the encode route decides on the index-level closure,
 :class:`~txbisim.encoding.Closure`, building no wrapper object) and strong
@@ -173,25 +173,10 @@ class Verdict:
         return out
 
 
-@dataclass(frozen=True)
-class Removal:
-    """Why a row entry left the candidate relation, and when.
-
-    On the direct route the entry is ``(p, x, q)`` of its table, ``x`` the
-    pair column or an environment mask.  ``clause`` is ``"move"`` (a
-    branching-match obligation for the recorded label failed),
-    ``"timeout"`` (a time-out obligation under environment ``env``
-    failed), or ``"stability"`` (the other side cannot reach a stable
-    state).  ``succ`` is the successor index on the failing side.
-    ``stamp`` numbers the fixpoint's row judgement that removed the entry,
-    0 for a clause failing against a given relation; no reason shows it.
-    """
-
-    stamp: int
-    clause: str
-    label: str | None = None
-    succ: int | None = None
-    env: tuple | None = None
+# the stability clause in the form of a compiled step clause ``(label, p2,
+# col, env)`` (:meth:`_Profile.clauses`); no step has the label None, while
+# ``stability`` is a legal action name
+_STABILITY = (None, None, None, None)
 
 
 def process_universe(*terms):
@@ -216,8 +201,10 @@ class _GenResult:
     """The direct route's relation as one table: ``rows[p][x]`` is the row
     of state ``p`` under the environment mask ``x``, and ``rows[p][trig]``
     its pair row (:attr:`_Profile.trig`).  ``records`` maps every removed
-    entry ``(p, x, q)`` to its :class:`Removal` when the fixpoint records
-    them (:class:`_RowRecords`, empty otherwise); ``rounds`` counts its
+    entry ``(p, x, q)`` to ``(stamp, clause)`` when the fixpoint records
+    them (:class:`_RowRecords`, empty otherwise): the number of the row
+    judgement that removed it, and the compiled clause it failed
+    (:meth:`_Profile.clauses`, or :data:`_STABILITY`); ``rounds`` counts its
     passes, the last of which removes nothing.  The encode route's
     projection (:func:`_projection`) takes the same form, with no records
     and no passes.
@@ -231,38 +218,38 @@ class _GenResult:
         return bool(self.rows[p][x] >> q & 1)
 
     def stamp(self, p, x, q):
-        """Removal stamp of an entry, from its own orientation's record or
-        else its mirror's, or None while it is still related."""
+        """The stamp of an entry's removal, from its own orientation's
+        record or else its mirror's, or None while it is still related."""
         if self.has(p, x, q):
             return None
-        return (self.records.get((p, x, q)) or self.records[q, x, p]).stamp
+        return (self.records.get((p, x, q)) or self.records[q, x, p])[0]
 
 
 class _RowRecords(Mapping):
     """The direct fixpoint's removals, kept per row: ``by_row[p, x]`` lists
-    ``(mask, removal)``, one per judgement and clause, which removed ``mask``
-    from the row of ``p`` in column ``x``.  Read as a mapping from each
-    removed entry ``(p, x, q)`` to its :class:`Removal`."""
+    ``(mask, stamp, clause)``, one per judgement and failing clause, which
+    removed ``mask`` from the row of ``p`` in column ``x``.  Read as a
+    mapping from each removed entry ``(p, x, q)`` to ``(stamp, clause)``."""
 
     def __init__(self, by_row):
         self.by_row = by_row
 
     def __len__(self):
         return sum(
-            mask.bit_count() for recs in self.by_row.values() for mask, _ in recs
+            mask.bit_count() for recs in self.by_row.values() for mask, _, _ in recs
         )
 
     def __iter__(self):
         for (p, x), recs in self.by_row.items():
-            for mask, _ in recs:
+            for mask, _, _ in recs:
                 for q in iter_bits(mask):
                     yield p, x, q
 
     def get(self, key, default=None):
         p, x, q = key
-        for mask, rec in self.by_row.get((p, x), ()):
+        for mask, stamp, clause in self.by_row.get((p, x), ()):
             if mask >> q & 1:
-                return rec
+                return stamp, clause
         return default
 
     def __getitem__(self, key):
@@ -289,8 +276,9 @@ def _round(pf, rows, live, memo, sink, stamp):
     closes; its entries depend on the system alone, so one ``memo``
     (:attr:`Analysis.memo`) serves every pass over it, on any table.
     Unless ``sink`` is None each removal goes to ``sink[p, x]`` as ``(mask,
-    removal)``, one :class:`Removal` per failing clause of a row, stamped
-    ``stamp`` plus the row's position in ``live``.
+    stamp, clause)``, one per failing clause of a row: ``stamp`` plus the
+    row's position in ``live``, and the compiled clause itself, or
+    :data:`_STABILITY`.
 
     The encoding fires time-outs from idle wrappers alone, as here, and the
     greatest relation is that of the looser clause taking the time-out of
@@ -349,9 +337,7 @@ def _round(pf, rows, live, memo, sink, stamp):
                 fresh = remaining & ~base
             if fresh:
                 if sink is not None:
-                    clause = "move" if env is None else "timeout"
-                    rec = Removal(s, clause, lab, p2, env)
-                    sink.setdefault((p, x), []).append((fresh, rec))
+                    sink.setdefault((p, x), []).append((fresh, s, cl))
                 remaining &= ~fresh
                 if not remaining:
                     break
@@ -359,8 +345,7 @@ def _round(pf, rows, live, memo, sink, stamp):
             fresh = remaining & unreach if stable[p] else 0
             if fresh:
                 if sink is not None:
-                    rec = Removal(s, "stability")
-                    sink.setdefault((p, x), []).append((fresh, rec))
+                    sink.setdefault((p, x), []).append((fresh, s, _STABILITY))
                 remaining &= ~fresh
         if remaining != row:
             bad = row & ~remaining
@@ -437,9 +422,9 @@ def _finish_order(lts):
 
 def _first_fail(pf, p, x, q, memo, rows=None):
     """The first clause the entry ``(p, x, q)`` fails, as ``(side,
-    removal)`` with stamp 0, or None: a :func:`_round` over the row of
-    ``p`` in column ``x`` judged on ``q``, then the row of ``q`` judged on
-    ``p``, against the relation that relates everything, then, if none
+    clause)`` (:func:`_pair_fail`), or None: a :func:`_round` over the row
+    of ``p`` in column ``x`` judged on ``q``, then the row of ``q`` judged
+    on ``p``, against the relation that relates everything, then, if none
     fails there and ``rows`` is given, against the table ``rows`` with the
     entry joined, where some clause must fail.  An entry the first pass
     fails lies outside every bisimulation, and the direct fixpoint removes
@@ -453,14 +438,16 @@ def _first_fail(pf, p, x, q, memo, rows=None):
         for a, b in ((p, q), (q, p)):
             table[a] = table[a][:]
             table[a][x] |= 1 << b
-        for side, (a, b) in enumerate(((p, q), (q, p))):
-            sink = {}
-            _round(pf, table, [(a, x, 1 << b, pf.clauses(a, x))], memo, sink, 0)
-            if sink:
-                return side, sink[a, x][0][1]
-    if rows is not None:
+
+    def fail(table, a, row):
+        sink = {}
+        _round(pf, table, [(a, x, row, pf.clauses(a, x))], memo, sink, 0)
+        return sink[a, x][0][2] if sink else None
+
+    found = _pair_fail(fail, tables, p, q)
+    if found is None and rows is not None:
         raise TxbisimError("unrelated entry violates no clause")
-    return None
+    return found
 
 
 # --------------------------------------------------------------------------
@@ -499,7 +486,7 @@ class _Separations:
 def _pair_fail(fail, rels, p, q):
     """The first clause ``fail(rel, a, row)`` finds for the pair ``(p, q)``,
     scanning both orientations against each relation of ``rels`` in turn,
-    as ``(side, removal)``; None when the pair passes them all."""
+    as ``(side, clause)``; None when the pair passes them all."""
     for rel in rels:
         for side, (a, b) in enumerate(((p, q), (q, p))):
             rec = fail(rel, a, 1 << b)
@@ -510,11 +497,12 @@ def _pair_fail(fail, rels, p, q):
 
 def _strong_fail(lts, rel, p, row):
     """First strong bisimulation clause of state ``p`` that some entry of
-    ``row`` fails against the relation ``rel``, as a stamp-0 removal; None
-    when every entry passes."""
+    ``row`` fails against the relation ``rel``, as a move clause ``(lab,
+    p2, None, None)`` in the form of :meth:`_Profile.clauses`; None when
+    every entry passes."""
     for lab, p2 in lts.moves[p]:
         if row & ~lts.pred_mask(lab, rel[p2]):
-            return Removal(0, "move", lab, p2)
+            return lab, p2, None, None
     return None
 
 
@@ -526,9 +514,9 @@ def _branching_fail(lts, rel, p, row):
         if lab == "tau":
             base |= target
         if row & ~lts.backward_tau_closure(base & rel[p]):
-            return Removal(0, "move", lab, p2)
+            return lab, p2, None, None
     if lts.is_stable(p) and row & ~lts.can_reach_stable_mask:
-        return Removal(0, "stability")
+        return _STABILITY
     return None
 
 
@@ -739,28 +727,33 @@ def _rooted_fail(pf, res, p, x, q):
     ``(p, x, q)``, both orientations: every step clause of the row
     (:meth:`_Profile.clauses`) is matched by one step into the unrooted
     relation, a time-out only by one the other side takes idle, as in
-    :func:`_round`.  Returns None when satisfied, else (side, removal)."""
+    :func:`_round`.  Returns None when satisfied, else ``(side, clause)``
+    with the compiled clause scanned."""
     lts = pf.lts
     for side, (a, b) in enumerate(((p, q), (q, p))):
-        for lab, a2, col, env in pf.clauses(a, x):
+        for clause in pf.clauses(a, x):
+            lab, a2, col, env = clause
             succ = lts.succ_mask(b, lab) if env is None or pf.deadend(b, col) else 0
             if not succ & res.rows[a2][x if col is None else col]:
-                clause = "move" if env is None else "timeout"
-                return side, Removal(0, clause, lab, a2, env)
+                return side, clause
     return None
 
 
-def _reason(lts, side, rec):
+def _reason(lts, side, clause):
+    """The reason dict of a failed clause ``(label, p2, col, env)`` on the
+    given side: a stability clause (:data:`_STABILITY`) has no label, a
+    move no environment, and anything else is a time-out."""
+    lab, succ, _, env = clause
     out = {
         "side": ("left", "right")[side],
-        "clause": rec.clause,
+        "clause": "stability" if lab is None else "move" if env is None else "timeout",
     }
-    if rec.label is not None:
-        out["label"] = rec.label
-    if rec.succ is not None:
-        out["successor"] = lts.state_text(lts.states[rec.succ])
-    if rec.env is not None:
-        out["env"] = list(rec.env)
+    if lab is not None:
+        out["label"] = lab
+    if succ is not None:
+        out["successor"] = lts.state_text(lts.states[succ])
+    if env is not None:
+        out["env"] = list(env)
     return out
 
 
@@ -901,7 +894,7 @@ def strong_witness_ok(lts, store):
 
 def _verdict(method, fail, store, lts, universe=None):
     """A negative verdict naming the failing clause ``fail``, a pair
-    ``(side, removal)`` over ``lts``, or with ``fail`` None a positive one
+    ``(side, clause)`` over ``lts``, or with ``fail`` None a positive one
     whose witness ``store()`` builds."""
     if fail is None:
         return Verdict(True, method, lts=lts, universe=universe, build_witness=store)

@@ -410,10 +410,13 @@ class _Synthesizer:
 
     For a removed entry ``(p, x, q)`` of the direct route's table, ``x``
     the pair column or an environment mask, the produced formula holds at
-    ``p`` and fails at ``q`` in that column.  A record stamped ``s`` only
-    ever refers to entries removed strictly earlier, so the recursion
-    terminates.  A time-out's formula refutes the timed successors of the
-    states idle under its set and the column alone, as :func:`satisfies`.
+    ``p`` and fails at ``q`` in that column.  Its record is ``(stamp,
+    clause)``, the compiled clause ``(label, p2, col, env)`` it failed
+    (:meth:`~txbisim.encoding._Profile.clauses`), whose target column
+    ``col`` None is ``x``.  A record stamped ``s`` only ever refers to
+    entries removed strictly earlier, so the recursion terminates.  A
+    time-out's formula refutes the timed successors of the states idle
+    under its set and the column alone, as :func:`satisfies`.
     """
 
     def __init__(self, analysis):
@@ -431,7 +434,7 @@ class _Synthesizer:
             if rec is None:
                 got = Not(self.formula(q, x, p))
             else:
-                got = self._from(p, x, q, rec)
+                got = self._from(p, x, q, *rec)
             self._memo[key] = got
         return got
 
@@ -448,46 +451,44 @@ class _Synthesizer:
             assert _earlier(self.res.stamp(p, x, q), stamp)
         return conjunction(self.formula(p, x, q) for q in qs)
 
-    def _from(self, p, x, q, rec):
-        if rec.clause == "stability":
+    def _from(self, p, x, q, stamp, clause):
+        lab, p2, col, env = clause
+        if lab is None:
             return Eps(Not(Diamond("tau", TOP)))
         res, lts = self.res, self.lts
-        if rec.clause == "move":
-            lab, p2 = rec.label, rec.succ
+        y = x if col is None else col
+        if env is None:
             # closure members refuted before the recorded stamp vs the rest
             bad1, good = [], []
             for q1 in self._closure(q):
-                (bad1 if _earlier(res.stamp(p, x, q1), rec.stamp) else good).append(q1)
+                (bad1 if _earlier(res.stamp(p, x, q1), stamp) else good).append(q1)
             bad2 = []
             for q1 in good:
                 bad2.extend(iter_bits(lts.succ_mask(q1, lab)))
                 if lab == "tau":
                     bad2.append(q1)
-            col = x if lab == "tau" else self.pf.trig
             first = conjunction(self.formula(p, x, q1) for q1 in bad1)
-            second = self._refuted(p2, col, bad2, rec.stamp)
+            second = self._refuted(p2, y, bad2, stamp)
             return Eps(And((first, HatDiamond(lab, second))))
         # timeout: every timed successor of a closure member idle under the
         # set and the column (trig's bit is no action's) is already refuted
-        y = self.pf.env_mask(rec.env)
         bad = [q2 for q1 in self._closure(q) if self.pf.deadend(q1, y | x)
                for q2 in iter_bits(lts.succ_mask(q1, "t"))]
-        return Eps(EnvDiamond(rec.env, self._refuted(rec.succ, y, bad, rec.stamp)))
+        return Eps(EnvDiamond(env, self._refuted(p2, y, bad, stamp)))
 
     # -- rooted layer
 
-    def rooted(self, side, rec):
-        p, q = (self.an.ip, self.an.iq) if side == 0 else (self.an.iq, self.an.ip)
+    def rooted(self, side, clause):
+        """The rooted formula of a first step ``clause`` of the pair column
+        that the given side takes and the other side cannot match."""
+        q = self.an.iq if side == 0 else self.an.ip
         lts = self.lts
-        a2 = rec.succ
-        if rec.clause == "move":
-            x, lab = self.pf.trig, rec.label
-        else:
-            x, lab = self.pf.env_mask(rec.env), "t"
+        lab, a2, col, env = clause
+        x = self.pf.trig if col is None else col
         # the other side's time-outs count only where it idles
-        succ = lts.succ_mask(q, lab) if lab != "t" or self.pf.deadend(q, x) else 0
+        succ = lts.succ_mask(q, lab) if env is None or self.pf.deadend(q, x) else 0
         body = conjunction(self.formula(a2, x, q2) for q2 in iter_bits(succ))
-        psi = Diamond(lab, body) if rec.clause == "move" else EnvDiamond(rec.env, body)
+        psi = Diamond(lab, body) if env is None else EnvDiamond(env, body)
         return psi if side == 0 else Not(psi)
 
 

@@ -22,6 +22,7 @@ from txbisim import (
     StateBudgetError,
     TxbisimError,
     equivalent_pair,
+    parse_file,
     rand_term,
 )
 from txbisim import encoding, equiv
@@ -30,6 +31,7 @@ from txbisim.equiv import (
     RelationStore,
     _Profile,
     _RowRecords,
+    _STABILITY,
     _branching_fail,
     _branching_fixpoint,
     _first_fail,
@@ -137,7 +139,7 @@ def assert_stamps_replay(pf, res):
     the final table."""
     by_stamp = {}
     for (p, x, q), rec in res.records.items():
-        by_stamp.setdefault(rec.stamp, []).append((p, x, q, rec))
+        by_stamp.setdefault(rec[0], []).append((p, x, q, rec))
     table = [[pf.full] * (pf.trig + 1) for _ in range(pf.n)]
     for s in sorted(by_stamp):
         (p, x), = {(i, y) for i, y, _, _ in by_stamp[s]}
@@ -200,15 +202,25 @@ def raw_systems(draw):
     return Lts(range(n), edges, (0,))
 
 
+def is_row_clause(pf, p, x, clause):
+    """Whether ``clause`` is the stability clause or, by identity, one of
+    the compiled step clauses of the row of ``p`` in column ``x``."""
+    return clause is _STABILITY or any(clause is c for c in pf.clauses(p, x))
+
+
 @given(raw_systems())
 def test_direct_table_is_an_equivalence_with_records_on_drawn_systems(lts):
     """Every column of the direct fixpoint's final table is reflexive and
     symmetric, and every removed entry has a record in one orientation:
-    each removal's mirror entry is cleared before the next row is
-    judged."""
+    each removal's mirror entry is cleared before the next row is judged.
+    Every record holds the compiled clause of its own row that failed, not
+    a copy of it."""
     universe = envset(lab for lab in lts.labels if lab not in ("tau", "t"))
     pf = _Profile(lts, universe)
     res = _generalized_fixpoint(pf)
+    for (p, x), recs in res.records.by_row.items():
+        for _, _, clause in recs:
+            assert is_row_clause(pf, p, x, clause)
     for x in range(pf.trig + 1):
         for p in range(pf.n):
             assert res.has(p, x, p)
@@ -250,7 +262,8 @@ def test_first_pass_failures_are_removed_in_the_fixpoints_first_pass(lts):
     table its earlier ones have cut, so it may remove an entry the first
     pass keeps, or by an earlier clause.  Given the final table
     :func:`_first_fail` names a clause for every removed entry, the first
-    pass's one where it finds one."""
+    pass's one where it finds one.  Either names a compiled clause of the
+    row of the side that fails it."""
     universe = envset(lab for lab in lts.labels if lab not in ("tau", "t"))
     pf = _Profile(lts, universe)
     res = _generalized_fixpoint(pf)
@@ -261,11 +274,11 @@ def test_first_pass_failures_are_removed_in_the_fixpoints_first_pass(lts):
                 stamp = res.stamp(p, x, q)
                 want = _first_fail(pf, p, x, q, {})
                 if want is not None:
-                    assert want[1].stamp == 0
+                    assert is_row_clause(pf, (p, q)[want[0]], x, want[1])
                     assert stamp is not None and stamp <= first_pass
                 if stamp is not None:
                     fail = _first_fail(pf, p, x, q, {}, res.rows)
-                    assert fail[1].stamp == 0
+                    assert is_row_clause(pf, (p, q)[fail[0]], x, fail[1])
                     assert want is None or fail == want
 
 
@@ -1103,8 +1116,9 @@ def test_first_pass_fails_a_time_out_with_no_idle_match():
     p, q = parse_term("t.0"), parse_term("tau.0 + tau{a}(t.0)")
     an = Analysis(p, q)
     pf = an.profile
-    side, rec = _first_fail(pf, an.ip, pf.trig, an.iq, {})
-    assert (side, rec.clause, rec.label, rec.env) == (0, "timeout", "t", ())
+    side, clause = _first_fail(pf, an.ip, pf.trig, an.iq, {})
+    assert is_row_clause(pf, an.ip, pf.trig, clause)
+    assert (side, clause[0], clause[3]) == (0, "t", ())
     for rooted, cls in ((False, "Lbc"), (True, "Lbcr")):
         phi = distinguish(p, q, rooted)
         assert in_subclass(phi, cls)
@@ -1127,6 +1141,46 @@ def test_encode_negative_builds_one_closure(monkeypatch, check):
     v = check(p, q, CheckOptions(method="encode"))
     assert not v.equivalent and v.reason == check(p, q, DIRECT).reason
     assert len(built) == 1
+
+
+def test_reasons_are_pinned_for_each_kind_of_clause():
+    """The exact reason, keys in order, of a move, a time-out and a
+    stability failure, under every method and for the rooted relation, and
+    the plain relations' reasons on the same systems: to those a time-out
+    is a move on ``t``, and strong bisimilarity has no stability clause."""
+    loop = parse_file("spec D { d = tau.d; } def X = <d|D>;").defs["X"]
+    move = [("side", "left"), ("clause", "move"), ("label", "a"), ("successor", "0")]
+    t_move = [
+        ("side", "left"), ("clause", "move"), ("label", "t"), ("successor", "a.0"),
+    ]
+    timeout = [
+        ("side", "left"), ("clause", "timeout"), ("label", "t"),
+        ("successor", "a.0"), ("env", []),
+    ]
+    stability = [("side", "left"), ("clause", "stability")]
+    tau_move = [
+        ("side", "right"), ("clause", "move"), ("label", "tau"),
+        ("successor", term_text(loop)),
+    ]
+    cases = [
+        ("a.0", "0", {"brb": move, "rbrb": move, "strong": move, "sr_branching": move}),
+        ("t.a.0", "0", {
+            "brb": timeout, "rbrb": timeout, "strong": t_move, "sr_branching": t_move,
+        }),
+        ("0", loop, {
+            "brb": stability, "rbrb": tau_move, "strong": tau_move,
+            "sr_branching": stability,
+        }),
+    ]
+    for p, q, want in cases:
+        p, q = (parse_term(t) if isinstance(t, str) else t for t in (p, q))
+        for check in (brb, rbrb):
+            for method in ("direct", "encode", "both"):
+                v = check(p, q, CheckOptions(method=method))
+                assert list(v.reason.items()) == want[check.__name__], method
+        lts = explore((p, q))
+        for check in (strong, sr_branching):
+            assert list(check(lts, p, q).reason.items()) == want[check.__name__]
 
 
 def assert_reason_fails(p, q, env, rooted, reason):
