@@ -125,7 +125,9 @@ class _Profile:
     one past them, names the pair row's column in the direct route's table:
     its bit lies outside every environment, so ``deadend(p, trig)`` is
     ``stable[p]``.  ``init_vis[p]`` is the mask of the visible labels of
-    ``p``'s steps.  A universe that misses a visible label of the system is
+    ``p``'s steps.  :meth:`clauses` compiles a row's step clauses, and
+    :meth:`first_step` names the steps that may match one as a rooted
+    first step.  A universe that misses a visible label of the system is
     refused with :class:`AlphabetLimitError`, which names every missing
     label.
     """
@@ -244,6 +246,15 @@ class _Profile:
                     got.append((lab, p2, self.trig, None))
             got = self._clauses[p][key] = tuple(got)
         return got
+
+    def first_step(self, b, clause, x):
+        """The mask of ``b``'s steps that may match the first-step ``clause``
+        of a row in column ``x``, and the column they land in: those with
+        the clause's label, but a time-out only if ``b`` is idle there."""
+        lab, _, col, env = clause
+        y = x if col is None else col
+        idle = env is None or self.deadend(b, y)
+        return (self.lts.succ_mask(b, lab) if idle else 0), y
 
 
 class Closure:

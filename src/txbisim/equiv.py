@@ -468,19 +468,13 @@ class _PairResult:
 
 class _Separations:
     """The ordered pairs a partition puts in different blocks, counted from
-    the block sizes and listed on demand."""
+    the block sizes."""
 
     def __init__(self, rel):
         self.rel = rel
 
     def __len__(self):
         return len(self.rel) ** 2 - sum(row.bit_count() for row in self.rel)
-
-    def __iter__(self):
-        full = (1 << len(self.rel)) - 1
-        for p, row in enumerate(self.rel):
-            for q in iter_bits(full & ~row):
-                yield p, q
 
 
 def _pair_fail(fail, rels, p, q):
@@ -724,19 +718,20 @@ def _strong_fixpoint(lts):
 
 def _rooted_fail(pf, res, p, x, q):
     """First-step condition for rooted equivalence of the entry
-    ``(p, x, q)``, both orientations: every step clause of the row
-    (:meth:`_Profile.clauses`) is matched by one step into the unrooted
-    relation, a time-out only by one the other side takes idle, as in
-    :func:`_round`.  Returns None when satisfied, else ``(side, clause)``
-    with the compiled clause scanned."""
-    lts = pf.lts
-    for side, (a, b) in enumerate(((p, q), (q, p))):
+    ``(p, x, q)``, both orientations (:func:`_pair_fail`): every step
+    clause of the row (:meth:`_Profile.clauses`) is matched into the
+    unrooted relation by a step :meth:`_Profile.first_step` names.
+    Returns None when satisfied, else ``(side, clause)``."""
+
+    def fail(rows, a, row):
+        b = row.bit_length() - 1
         for clause in pf.clauses(a, x):
-            lab, a2, col, env = clause
-            succ = lts.succ_mask(b, lab) if env is None or pf.deadend(b, col) else 0
-            if not succ & res.rows[a2][x if col is None else col]:
-                return side, clause
-    return None
+            succ, y = pf.first_step(b, clause, x)
+            if not succ & rows[clause[1]][y]:
+                return clause
+        return None
+
+    return _pair_fail(fail, (res.rows,), p, q)
 
 
 def _reason(lts, side, clause):
@@ -1073,14 +1068,14 @@ def _check(p, q, env, rooted, opts):
     for either route.  ``opts.method`` picks the route.  ``"encode"`` reads
     its answer and its reason off :attr:`Analysis.projection`: the pair's
     closure holds every wrapper its clauses read, as both routes fire a
-    time-out from an idle state alone (:func:`_round`).  A rooted
-    ``"direct"`` check goes straight to the direct fixpoint.  Else an entry
-    that the first pass of :func:`_first_fail` fails is outside every
-    bisimulation, and an unrooted check reports that clause at once.
-    Otherwise ``"both"`` decides by the encode route, or when rooted by the
-    first pass: a positive answer is certified by :func:`_clauses_hold`,
-    and raises if that fails; any other answer is checked against the
-    direct route, whose verdict is reported."""
+    time-out from an idle state alone (:func:`_round`).  Any other check
+    first runs the first pass of :func:`_first_fail`: an entry it fails is
+    outside every bisimulation, and an unrooted check reports that clause
+    at once.  Then ``"direct"`` decides by the direct fixpoint, and
+    ``"both"`` by the encode route, or a caught rooted entry by the first
+    pass: a positive answer is certified by :func:`_clauses_hold`, and
+    raises if that fails; any other answer is checked against the direct
+    route, whose verdict is reported."""
     an = Analysis(p, q, opts)
     method = an.opts.method
     pf = an.profile
@@ -1090,10 +1085,6 @@ def _check(p, q, env, rooted, opts):
         return _direct(
             "encode", pf, an.projection, an.ip, an.iq, x, rooted, store, an.memo
         )
-    if method == "direct" and rooted:
-        # the fixpoint runs either way: for the answer, or for the
-        # first-step reason of an entry the first pass fails
-        return _direct_check(an, x, rooted)
     caught = _first_fail(pf, an.ip, x, an.iq, an.memo)
     if caught is not None and not rooted:
         return _verdict(method, caught, None, an.lts, an.universe)

@@ -66,8 +66,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GenConfig:
-    """Shape limits for random terms: a nonempty alphabet of visible action
-    names and a depth of at least 0, checked before any draw."""
+    """Shape limits for random terms: a nonempty alphabet of distinct
+    visible action names and a depth of at least 0, checked before any draw."""
 
     alphabet: tuple = ("a", "b")
     max_depth: int = 4
@@ -76,8 +76,9 @@ class GenConfig:
     def __post_init__(self):
         if not self.alphabet:
             raise TxbisimError("the alphabet needs at least one action name")
-        for name in self.alphabet:
-            visible(name)
+        for k, name in enumerate(self.alphabet):
+            if visible(name) in self.alphabet[:k]:
+                raise TxbisimError(f"the alphabet names {name!r} more than once")
         if self.max_depth < 0:
             raise TxbisimError(f"max_depth must be at least 0, not {self.max_depth}")
 
@@ -321,7 +322,7 @@ _REWRITES = (
 )
 
 
-def equivalent_pair(rng, cfg=None, rewrites=None):
+def equivalent_pair(rng, cfg=None):
     """Two rooted-equivalent closed terms, usually distinct syntactically.
 
     The second term is the first with a few random sound rewrites applied at
@@ -330,7 +331,7 @@ def equivalent_pair(rng, cfg=None, rewrites=None):
     cfg = cfg or GenConfig()
     lhs = rand_term(rng, cfg)
     rhs = lhs
-    wanted = rewrites if rewrites is not None else rng.randint(1, 3)
+    wanted = rng.randint(1, 3)
     for _ in range(wanted * 4):
         if wanted == 0:
             break

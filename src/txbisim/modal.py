@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from .equiv import Analysis, _rooted_fail
 from .errors import ParseError, TxbisimError, WitnessError
 from .lts import iter_bits
-from .terms import MAX_NESTING, envset
+from .terms import MAX_NESTING, envset, visible
 
 __all__ = [
     "And",
@@ -132,6 +132,8 @@ def _check_diamond_label(label):
         raise TxbisimError(
             f"<{label}> is not a modality; time-outs are observed with <{{...}}>"
         )
+    if label != "tau":
+        visible(label)
 
 
 def conjunction(formulas):
@@ -480,14 +482,13 @@ class _Synthesizer:
 
     def rooted(self, side, clause):
         """The rooted formula of a first step ``clause`` of the pair column
-        that the given side takes and the other side cannot match."""
+        that the given side takes and the other side cannot match: it
+        refutes each step of the other side's that may match it
+        (:meth:`~txbisim.encoding._Profile.first_step`)."""
         q = self.an.iq if side == 0 else self.an.ip
-        lts = self.lts
-        lab, a2, col, env = clause
-        x = self.pf.trig if col is None else col
-        # the other side's time-outs count only where it idles
-        succ = lts.succ_mask(q, lab) if env is None or self.pf.deadend(q, x) else 0
-        body = conjunction(self.formula(a2, x, q2) for q2 in iter_bits(succ))
+        lab, a2, _, env = clause
+        succ, y = self.pf.first_step(q, clause, self.pf.trig)
+        body = conjunction(self.formula(a2, y, q2) for q2 in iter_bits(succ))
         psi = Diamond(lab, body) if env is None else EnvDiamond(env, body)
         return psi if side == 0 else Not(psi)
 

@@ -6,8 +6,9 @@ import pytest
 
 from txbisim import CheckOptions, GenConfig, TxbisimError, axioms, brb, equiv, rbrb
 from txbisim.axioms import AXIOMS, AxiomResult, axiom_by_name, fuzz_axioms
+from txbisim.encoding import env_columns
 from txbisim.semantics import explore
-from txbisim.terms import parse_term
+from txbisim.terms import Psi, parse_term
 
 
 def run(names=None, instances=12, seed=3):
@@ -64,6 +65,28 @@ def test_fuzz_input_is_refused_before_any_draw(monkeypatch, kwargs):
     monkeypatch.setattr(axioms, "random", SimpleNamespace(Random=no_draws))
     with pytest.raises(TxbisimError):
         fuzz_axioms(**kwargs)
+
+
+def test_approximation_premises_are_the_encodings_environments(monkeypatch):
+    """An implication instance decides ``psi{X}`` of both sides once for
+    every environment ``X`` of the pair's universe, in the order of
+    :func:`env_columns`, and then the sides themselves."""
+    lhs, rhs = parse_term("a.b.c.0"), parse_term("a.tau.b.c.0")
+    calls = []
+
+    def counted(p, q, opts=None):
+        calls.append((p, q))
+        return rbrb(p, q, opts)
+
+    monkeypatch.setattr(axioms, "rbrb", counted)
+    assert axioms._check_approximation(lhs, rhs, CheckOptions()) == (True, False)
+    envs = env_columns(("a", "b", "c"))[1]
+    assert len(envs) == 8
+    assert calls[-1] == (lhs, rhs)
+    psi = calls[:-1]
+    assert all(isinstance(p, Psi) and isinstance(q, Psi) for p, q in psi)
+    assert [(p.body, q.body) for p, q in psi] == [(lhs, rhs)] * 8
+    assert [p.env for p, _ in psi] == [q.env for _, q in psi] == list(envs)
 
 
 def test_unsound_idempotence_to_zero_fails_quickly():

@@ -531,6 +531,14 @@ def test_fuzz_axioms_refuses_bad_input(capsys, flags):
     assert "Error:" not in err
 
 
+def test_fuzz_axioms_refuses_a_repeated_action(capsys):
+    code, out, err = run(capsys, ["fuzz-axioms", "--alphabet", "a,a"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "'a' more than once" in err
+    assert "IndexError" not in err
+
+
 # -- shared plumbing
 
 

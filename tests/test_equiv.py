@@ -850,10 +850,10 @@ def test_both_runs_the_direct_fixpoint_only_for_negative_verdicts(monkeypatch):
         calls.clear()
 
 
-def test_rooted_direct_check_runs_no_first_round(monkeypatch):
-    """A rooted ``method="direct"`` check runs the fixpoint in any case, so
-    it skips the first round; under ``both`` the first round runs once.
-    A rooted reason is a first step, so no other pass follows."""
+def test_rooted_checks_run_one_first_pass(monkeypatch):
+    """A rooted check runs the first pass once under ``direct`` and under
+    ``both``, as an unrooted one does, and answers as ``encode``.  A
+    rooted reason is a first step, so no other pass follows."""
     calls = []
     first_fail = equiv._first_fail
 
@@ -864,9 +864,9 @@ def test_rooted_direct_check_runs_no_first_round(monkeypatch):
     monkeypatch.setattr(equiv, "_first_fail", counted)
     for pair in ((parse_term("a.0 + t.b.0"), parse_term("a.0")),
                  (parse_term("a.tau.b.0"), parse_term("a.b.0"))):
-        for opts, want in ((DIRECT, 0), (CheckOptions(method="both"), 1)):
+        for opts in (DIRECT, CheckOptions(method="both")):
             d = rbrb(*pair, opts)
-            assert len(calls) == want, opts.method
+            assert len(calls) == 1, opts.method
             assert d.equivalent == rbrb(*pair, CheckOptions(method="encode")).equivalent
             calls.clear()
 

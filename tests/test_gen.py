@@ -40,6 +40,7 @@ CFG = GenConfig(alphabet=("a", "b"), max_depth=4)
         {"alphabet": ("a", "B")},
         {"alphabet": ("tau",)},
         {"max_depth": -1},
+        {"alphabet": ("a", "a")},
     ],
 )
 def test_config_refuses_what_no_draw_can_use(kwargs):
@@ -105,12 +106,6 @@ def test_equivalent_pairs_are_rooted_equivalent(seed):
     rng = random.Random(seed)
     p, q = equivalent_pair(rng, GenConfig(alphabet=("a", "b"), max_depth=3))
     assert rbrb(p, q, CheckOptions(method="direct", max_states=3000))
-
-
-def test_equivalent_pair_rewrite_count_zero_is_identity():
-    rng = random.Random(4)
-    p, q = equivalent_pair(rng, CFG, rewrites=0)
-    assert p is q
 
 
 @given(st.integers(0, 10**9))

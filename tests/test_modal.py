@@ -55,13 +55,15 @@ def test_formula_round_trip(text):
 
 
 def test_time_out_labels_are_not_modalities():
-    for bad in ("<t>T", "<t_eps>T", "<eps_x>T"):
+    for bad in ("<t>T", "<t_eps>T", "<eps_x>T", "<A>T", "<^A>T", "<theta>T"):
         with pytest.raises(ParseError):
             parse_formula(bad)
     with pytest.raises(TxbisimError):
         Diamond("t", TOP)
     with pytest.raises(TxbisimError):
         HatDiamond("t_eps", TOP)
+    with pytest.raises(TxbisimError):
+        Diamond("Foo", TOP)
 
 
 def test_conjunction_normalises():
