@@ -41,6 +41,13 @@ randomised check:
 
     python3 scripts/engine_digest.py --seeds 0 --per-seed 200 --depth 5 > /dev/null
 
+Its generator draws no tau cycle through two or more states: recursions
+are strongly guarded, and only hiding a recursion's actions makes a step
+internal, which in the 910 pairs of CI's runs gives five tau self-loops
+and nothing longer.  The partition refinement on larger tau components is
+checked by the hand-built systems of ``tests/test_equiv.py``
+(``tau_cycles``).
+
 A change to the engines that should keep every answer is checked by
 running the script in the old and the new checkout and diffing the
 output:

@@ -48,11 +48,12 @@ relations, stability respecting branching bisimilarity
 (which the encode route decides on the index-level closure,
 :class:`~txbisim.encoding.Closure`, building no wrapper object) and strong
 bisimilarity, share one partition refinement (:func:`_refine`) that
-recomputes only the signatures a split can change, so a chain's time
-grows about linearly with its length.  A partition is a plain relation,
-and :func:`_plain` names the failing clause of a separated pair.  All four
-reactive checks, plain or rooted and triggered or in a fixed environment,
-go through :func:`_check`.
+reads the system's own coded moves and recomputes only the signatures a
+split can change, so a chain's time grows about linearly with its
+length.  A partition is a plain relation, and :func:`_plain` names the
+failing clause of a separated pair.  All four reactive checks, plain or
+rooted and triggered or in a fixed environment, go through
+:func:`_check`.
 """
 
 from __future__ import annotations
@@ -514,10 +515,6 @@ def _branching_fail(lts, rel, p, row):
     return None
 
 
-def _tau_code(labels):
-    return labels.index("tau") if "tau" in labels else None
-
-
 # below this many components every round is a full one.  Small closures
 # refine in a few rounds, where the predecessor lists a marked round needs
 # cost about what it saves: on the benchmark's corpus and fuzz closures a
@@ -527,43 +524,49 @@ def _tau_code(labels):
 _MARK_FLOOR = 48
 
 
-def _refine(labels, comp, moves, exits, block):
+def _refine(labels, tau, parts, coded, block):
     """Greatest relation by signature refinement in the manner of Blom and
     Orzan, as a :class:`_PairResult`.
 
-    State ``i`` lies in component ``comp[i]``, and the components are
-    refined whole.  Component ``c`` has the moves ``moves[c]``, pairs
-    ``(label code, component)`` with the codes positions in ``labels``,
-    the tau steps ``exits[c]`` to components earlier in order, and the
-    initial block ``block[c]``.  A round gives every component the
-    signature ``{(label, block of target)}`` over its own moves and those
-    of the exits inside its block (inert steps, left out themselves),
-    computed in order, then splits each block by signature, until a round
-    splits nothing.
+    Component ``c`` holds the states ``parts[c]`` and starts in the block
+    ``block[c]``; the components are refined whole.  State ``i`` has the
+    steps ``coded[i]``, pairs ``(code, j)`` whose label is
+    ``labels[code]``, the system's own coded moves; ``tau`` is the code of
+    the internal step, or None to make every step a plain move.  A round
+    gives every component, in order, a signature over its members' steps:
+    a step not coded ``tau`` adds ``(code, block of its target's
+    component)``; a tau step into another component, an *exit* to one
+    earlier in order, adds that component's signature when the two share
+    a block (an inert step) and ``(tau, its block)`` otherwise; a tau step
+    inside the component adds nothing.  Then every block splits by
+    signature, until a round splits nothing.
 
     A *full* round computes every signature and names each block by its
     first member, so a block that does not split keeps its name (the
     initial names are any integers, and round 1 may rename every block;
     that only makes round 2 a full one).  A signature can change only
     where a block name it reads changed, its own or a target's, or where the
-    signature of an inert exit changed.  So the round after one that
-    renamed at most a quarter of the components is a *marked* round, in
-    the manner of Groote and Vaandrager: it recomputes only the renamed
-    components and those with a move or an exit into one, and, in
-    component order, those with an inert exit into a component whose
-    signature it changed.  Every member of a block had the block's
-    signature, so a recomputed member leaves its block exactly when its
-    signature changed.  The leavers are grouped by signature; the members
-    that stay keep the block's name (if none stays, the first group keeps
-    it), and each other group takes a fresh one.  A marked round thus
-    splits every block as a full round would, and the rounds and the
-    partition are those of recomputing every signature in every round.
-    Below :data:`_MARK_FLOOR` components every round is a full one.
+    signature of an inert exit's target changed.  So the round after one
+    that renamed at most a quarter of the components is a *marked* round,
+    in the manner of Groote and Vaandrager: it recomputes only the renamed
+    components and those with a step into one, and, in component order,
+    those with an inert exit into a component whose signature it changed.
+    Every member of a block had the block's signature, so a recomputed
+    member leaves its block exactly when its signature changed.  The
+    leavers are grouped by signature; the members that stay keep the
+    block's name (if none stays, the first group keeps it), and each other
+    group takes a fresh one.  A marked round thus splits every block as a
+    full round would, and the rounds and the partition are those of
+    recomputing every signature in every round.  Below
+    :data:`_MARK_FLOOR` components every round is a full one.
     """
     # a signature entry (label, block) is the integer block * width + code
     width = len(labels)
-    tau = _tau_code(labels)
-    n = len(block)
+    n = len(parts)
+    comp = [0] * len(coded)
+    for c, members in enumerate(parts):
+        for i in members:
+            comp[i] = c
 
     def popped(heap):
         while heap:
@@ -581,13 +584,15 @@ def _refine(labels, comp, moves, exits, block):
                 # who reads a component's name, and who its signature
                 preds = [[] for _ in range(n)]
                 inert = [[] for _ in range(n)]
-                for c, own in enumerate(moves):
-                    for _, d in own:
-                        preds[d].append(c)
-                for c, out in enumerate(exits):
-                    for d in out:
-                        preds[d].append(c)
-                        inert[d].append(c)
+                for c, members in enumerate(parts):
+                    for i in members:
+                        for k, j in coded[i]:
+                            d = comp[j]
+                            if k != tau:
+                                preds[d].append(c)
+                            elif d != c:
+                                preds[d].append(c)
+                                inert[d].append(c)
                 stamp = [0] * n
             heap = []
             for d in moved:
@@ -605,12 +610,17 @@ def _refine(labels, comp, moves, exits, block):
             order = range(n)
         for c in order:
             b = block[c]
-            sig = {block[d] * width + k for k, d in moves[c]}
-            for d in exits[c]:
-                if block[d] == b:
-                    sig |= sigs[d]
-                else:
-                    sig.add(block[d] * width + tau)
+            sig = set()
+            for i in parts[c]:
+                for k, j in coded[i]:
+                    d = comp[j]
+                    if k != tau:
+                        sig.add(block[d] * width + k)
+                    elif d != c:
+                        if block[d] == b:
+                            sig |= sigs[d]
+                        else:
+                            sig.add(block[d] * width + tau)
             sig = frozenset(sig)
             if not marked:
                 sigs.append(sig)
@@ -671,45 +681,27 @@ def _branching_fixpoint(system):
     ``system`` is an :class:`~txbisim.lts.Lts` or an encoding
     :class:`~txbisim.encoding.Closure`: the fixpoint reads only their
     ``labels``, ``coded_moves``, ``tau_sccs`` and ``can_reach_stable_mask``.
-    Members of a tau cycle are always related,
-    so the refined components are the tau components in Tarjan's order,
-    and the tau steps between them are the exits.  The first split, states
-    that can reach a stable state against the rest, is the stability
-    clause.
+    Members of a tau cycle are always related, so :func:`_refine` refines
+    the tau components in Tarjan's order, reading the system's coded moves
+    with the code of tau.  The first split, states that can reach a stable
+    state against the rest, is the stability clause.
     """
-    sccs = system.tau_sccs
-    coded = system.coded_moves
-    tau = _tau_code(system.labels)
-    comp = [0] * len(coded)
-    for c, members in enumerate(sccs):
-        for i in members:
-            comp[i] = c
-    moves = []
-    exits = []
-    for c, members in enumerate(sccs):
-        own = set()
-        out = set()
-        for i in members:
-            for k, j in coded[i]:
-                if k != tau:
-                    own.add((k, comp[j]))
-                elif comp[j] != c:
-                    out.add(comp[j])
-        moves.append(own)
-        exits.append(tuple(out))
+    labels = system.labels
     reach = system.can_reach_stable_mask
+    sccs = system.tau_sccs
     block = [0 if reach >> members[0] & 1 else 1 for members in sccs]
-    return _refine(system.labels, comp, moves, exits, block)
+    tau = labels.index("tau") if "tau" in labels else None
+    return _refine(labels, tau, sccs, system.coded_moves, block)
 
 
 def _strong_fixpoint(lts):
     """Greatest strong bisimulation: every move matched by a single step.
 
-    Every state is its own component, tau is an ordinary label, and all
-    states start in one block.
+    Every state is its own component, tau is a plain move, and all states
+    start in one block.
     """
     n = lts.n_states
-    return _refine(lts.labels, range(n), lts.coded_moves, [()] * n, [0] * n)
+    return _refine(lts.labels, None, [(i,) for i in range(n)], lts.coded_moves, [0] * n)
 
 
 # --------------------------------------------------------------------------

@@ -48,13 +48,13 @@ class Lts:
     def __init__(self, states, transitions, roots, state_text=str):
         states = tuple(states)
         index = _index_of(states)
-        self._build(
-            states,
-            index,
-            [(index[src], lab, index[dst]) for src, lab, dst in transitions],
-            roots,
-            state_text,
-        )
+        try:
+            triples = [(index[src], lab, index[dst]) for src, lab, dst in transitions]
+        except KeyError as missing:
+            raise TxbisimError(
+                f"transition state {missing.args[0]!r} is not a state"
+            ) from None
+        self._build(states, index, triples, roots, state_text)
 
     @classmethod
     def from_indexed(cls, states, triples, roots, state_text=str):
@@ -85,6 +85,8 @@ class Lts:
                 bucket[lab] = before | 1 << j
                 kept.append(t)
                 if lab not in keys:
+                    if not isinstance(lab, str):
+                        raise TxbisimError(f"transition label {lab!r} is not a string")
                     keys[lab] = label_sort_key(lab)
         kept.sort(key=lambda t: (t[0], keys[t[1]], t[2]))
         self._succ = succ
@@ -403,8 +405,10 @@ class Partition:
         self.block_of = {}
         indices = range(lts.n_states)
         for bid, block in enumerate(self.blocks):
+            if not block:
+                raise TxbisimError("empty partition block")
             for i in block:
-                if i not in indices:
+                if not isinstance(i, int) or i not in indices:
                     raise TxbisimError(
                         f"partition block holds {i!r}, not a state index of "
                         f"the {len(indices)}-state system"

@@ -575,12 +575,25 @@ def test_strong_rows_equal_reference(small_corpus):
 # -- the refinement against a round-synchronous reference
 
 
-def reference_refine(labels, comp, moves, exits, block):
+def reference_refine(labels, tau, parts, coded, block):
     """The rows and rounds of :func:`equiv._refine` by its literal loop:
-    every round recomputes every component's signature and splits every
-    block, blocks numbered in order of first appearance."""
+    each component's moves and exits are gathered from its members' steps
+    once, then every round recomputes every component's signature and
+    splits every block, blocks numbered in order of first appearance."""
+    comp = [0] * len(coded)
+    for c, members in enumerate(parts):
+        for i in members:
+            comp[i] = c
+    moves = [set() for _ in parts]
+    exits = [set() for _ in parts]
+    for c, members in enumerate(parts):
+        for i in members:
+            for k, j in coded[i]:
+                if k != tau:
+                    moves[c].add((k, comp[j]))
+                elif comp[j] != c:
+                    exits[c].add(comp[j])
     width = len(labels)
-    tau = labels.index("tau") if "tau" in labels else None
     count = len(set(block))
     rounds = 0
     while True:
@@ -611,17 +624,18 @@ def reference_refine(labels, comp, moves, exits, block):
 
 def assert_refinements_equal_reference(systems):
     """Each of the three fixpoints on each system (closures take the
-    branching one alone) has the reference's rows and rounds; returns how
-    many refinements had at least ``equiv._MARK_FLOOR`` components."""
+    branching one alone) has the reference's rows and rounds; returns, for
+    each refinement of at least ``equiv._MARK_FLOOR`` components, the size
+    of its largest component."""
     real = equiv._refine
-    large = 0
+    large = []
 
-    def checked(labels, comp, moves, exits, block):
-        nonlocal large
-        res = real(labels, comp, moves, exits, block)
-        want = reference_refine(labels, comp, moves, exits, block)
+    def checked(labels, tau, parts, coded, block):
+        res = real(labels, tau, parts, coded, block)
+        want = reference_refine(labels, tau, parts, coded, block)
         assert (res.rel, res.rounds) == want
-        large += len(block) >= equiv._MARK_FLOOR
+        if len(block) >= equiv._MARK_FLOOR:
+            large.append(max(map(len, parts)))
         return res
 
     with mock.patch.object(equiv, "_refine", checked):
@@ -703,6 +717,33 @@ def inert_step_leaver(k, j, pad):
     return Lts(list(states), edges, ("c", "d", "g"))
 
 
+def tau_cycles(k, j, pad):
+    """Tau cycles hung on an ``a``-chain of ``k`` links, beside ``pad``
+    deadlocks, every state a root.  The three-state cycle ``A`` has an
+    ``a`` step inside it, two members with a tau step to ``d`` and ``b``
+    moves to the chain's head and its state ``j``; ``e`` has a tau
+    self-loop and the same ``b`` moves.  The two-state cycle ``C`` has a
+    ``b`` move to state ``j`` and a tau step to ``d``, whose ``b`` move
+    reaches the head, beside ``g`` with both ``b`` moves: once the two
+    chain states part, ``C`` leaves ``d``'s block with ``g``, and its tau
+    step stops being inert.  The cycle ``D`` reaches no stable state."""
+    edges = [(("s", i), "a", ("s", i + 1)) for i in range(k)]
+    edges += [(("A", 0), "tau", ("A", 1)), (("A", 1), "tau", ("A", 2)),
+              (("A", 2), "tau", ("A", 0)), (("A", 0), "a", ("A", 1)),
+              (("A", 0), "tau", "d"), (("A", 1), "tau", "d"),
+              (("A", 1), "b", ("s", 0)), (("A", 2), "b", ("s", j)),
+              ("d", "b", ("s", 0)),
+              ("e", "tau", "e"), ("e", "b", ("s", 0)), ("e", "b", ("s", j)),
+              (("C", 0), "tau", ("C", 1)), (("C", 1), "tau", ("C", 0)),
+              (("C", 0), "b", ("s", j)), (("C", 1), "tau", "d"),
+              ("g", "b", ("s", 0)), ("g", "b", ("s", j)),
+              (("D", 0), "tau", ("D", 1)), (("D", 1), "tau", ("D", 0)),
+              (("D", 0), "a", ("s", 0))]
+    states = dict.fromkeys(("p", i) for i in range(pad))
+    states.update((s, None) for p, _, q in edges for s in (p, q))
+    return Lts(list(states), edges, list(states))
+
+
 @given(raw_systems())
 def test_refinement_equals_reference_on_drawn_systems(lts):
     """Below the component floor every round is a full one, whose blocks
@@ -714,10 +755,11 @@ def test_refinement_equals_reference_on_drawn_systems(lts):
 
 def test_refinement_equals_reference_with_marked_rounds():
     """Drawn pairs, chain pairs of 20 to 60 links, the three cells,
-    systems whose last split empties a block into three groups, and
-    systems where an inert step stops being inert, as raw systems and
-    closures: most refine above the component floor, where rounds after a
-    small split recompute only what it touches."""
+    systems whose last split empties a block into three groups, systems
+    where an inert step stops being inert, and tau cycles on a chain, as
+    raw systems and closures: most refine above the component floor, where
+    rounds after a small split recompute only what it touches, and some of
+    those have a component of several states."""
     rng = random.Random(5)
     cfg = GenConfig(alphabet=("a", "b", "c"), max_depth=4)
     pairs = [chain_pair(n) for n in (20, 33, 47, 60)] + [three_cells()]
@@ -730,10 +772,15 @@ def test_refinement_equals_reference_with_marked_rounds():
         pairs.append((p, q))
     systems = [three_tails(k, pad) for k, pad in ((10, 20), (15, 0), (12, 40))]
     systems += [inert_step_leaver(k, 3, 40) for k in (8, 12, 20)]
+    for k, j, pad in ((12, 3, 30), (20, 7, 24), (40, 1, 4)):
+        lts = tau_cycles(k, j, pad)
+        systems += [lts, encoding.Closure(_Profile(lts, ("a", "b")))]
     for p, q in pairs:
         lts = explore((p, q))
         systems += [lts, encoding.Closure(_Profile(lts, process_universe(p, q)))]
-    assert assert_refinements_equal_reference(systems) >= 30
+    large = assert_refinements_equal_reference(systems)
+    assert len(large) >= 30
+    assert max(large) >= 2
 
 
 class CountingSequence(Sequence):
@@ -751,7 +798,8 @@ class CountingSequence(Sequence):
 
 def test_refinement_reads_each_components_moves_a_few_times():
     """On the 200-link chain pair's closure (203 rounds), the refinement
-    reads a component's moves a few times in all, not once per round."""
+    reads a state's coded moves a few times per component in all, not once
+    per round."""
     an = Analysis(*chain_pair(200))
     real = equiv._refine
     seen = []
@@ -762,9 +810,9 @@ def test_refinement_reads_each_components_moves_a_few_times():
 
     with mock.patch.object(equiv, "_refine", grab):
         _branching_fixpoint(an.encoded)
-    labels, comp, moves, exits, block = seen[0]
-    counting = CountingSequence(moves)
-    res = real(labels, comp, counting, exits, block)
+    labels, tau, parts, coded, block = seen[0]
+    counting = CountingSequence(coded)
+    res = real(labels, tau, parts, counting, block)
     assert res.rounds == 203
     assert res.rel == an.enc_branch.rel
     assert counting.reads <= 8 * len(block)

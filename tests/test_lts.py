@@ -35,6 +35,15 @@ def test_duplicate_states_rejected():
         Lts([0], [], (1,))
 
 
+@pytest.mark.parametrize(
+    "edge, named",
+    [((0, "a", 1), "state 1"), ((2, "a", 0), "state 2"), ((0, 5, 0), "label 5")],
+)
+def test_transitions_outside_the_states_or_with_bad_labels_are_refused(edge, named):
+    with pytest.raises(TxbisimError, match=named):
+        Lts([0], [edge], [0])
+
+
 def test_parallel_edges_are_deduplicated():
     lts = Lts(range(2), [(0, "a", 1), (0, "a", 1)], (0,))
     assert lts.n_transitions == 1
@@ -189,6 +198,8 @@ def test_partition_must_cover_and_not_overlap():
         Partition(lts, [(0, 1)])
     with pytest.raises(TxbisimError):
         Partition(lts, [(0, 1), (1, 2)])
+    with pytest.raises(TxbisimError, match="empty partition block"):
+        Partition(lts, [(), (0, 1), (2,)])
     part = Partition(lts, [(0, 1), (2,)])
     assert len(part) == 2
     assert part.same(0, 1) and not part.same(1, 2)
@@ -227,7 +238,7 @@ def test_quotient_rejects_divergent_systems():
         quotient(loop, Partition(loop, [(0, 1)]))
 
 
-@pytest.mark.parametrize("stray", [5, 2, -1])
+@pytest.mark.parametrize("stray", [5, 2, -1, 1.0])
 def test_partition_refuses_indices_outside_the_system(stray):
     # two states, so an index count of two alone does not make a partition
     lts = explore(parse_term("a.0"))
