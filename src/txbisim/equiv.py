@@ -12,22 +12,21 @@ Two independent routes lead to each reactive verdict:
   triggered and allowing wrappers' relation in the direct route's table
   form.
 
-Both routes give the same answers and the same reasons.  A negative
-verdict names the first clause the queried pair fails (:func:`_first_fail`)
-against the relation that relates everything, or if none fails there,
-against the final relation with the pair joined; a rooted one names the
-first step with no match into the final relation (:func:`_rooted_fail`).
-Either route's relation is read as a table of the direct route's form.
-``method="both"`` checks its answer without trusting the encoding.  A pair
-that fails a clause against the full relation lies outside every
-bisimulation, so the first pass of :func:`_first_fail` on the queried
-pair alone decides such a negative before any closure or fixpoint is
-built.  Otherwise ``"both"`` decides by the encode route: a positive
-answer is certified by one literal pass of the direct route's clauses over
-the encode route's relation projected onto the explored states, a
-negative one is checked against the direct fixpoint, and either check
-raises :class:`~txbisim.errors.MethodDisagreementError` if the routes
-split.
+Both routes give the same answers and the same reasons, by one rule: a
+negative verdict names the first clause the queried pair fails against
+the relation that relates everything, or if none fails there, against the
+final relation, with the pair joined when unrooted (:func:`_first_fail`);
+a rooted clause is a first step, matched by one step of the other side
+(:func:`_rooted_fail`).  Either route's relation is read as a table of the
+direct route's form.  A pair that fails a clause against the full
+relation is inequivalent, so the first pass of its own kind decides it
+before any closure or fixpoint is built.  Otherwise ``method="both"``,
+which checks its answer without trusting the encoding, decides by the
+encode route: a positive answer is certified by one literal pass of the
+direct route's clauses over the encode route's relation projected onto
+the explored states, a negative one is checked against the direct
+fixpoint, and either check raises
+:class:`~txbisim.errors.MethodDisagreementError` if the routes split.
 
 Both routes read one profile of the explored system,
 :class:`~txbisim.encoding._Profile`, which lives beside the closure it
@@ -431,10 +430,8 @@ def _first_fail(pf, p, x, q, memo, rows=None):
     fails lies outside every bisimulation, and the direct fixpoint removes
     it in its first pass.  Only the rows of ``p`` and ``q`` are written,
     and both are copies.  ``memo`` is :func:`_round`'s."""
-    full = [pf.full] * (pf.trig + 1)
-    tables = [[full] * pf.n]
-    if rows is not None:
-        tables.append(rows[:])
+    full = [[pf.full] * (pf.trig + 1)] * pf.n
+    tables = [full[:]] if rows is None else [full[:], rows[:]]
     for table in tables:
         for a, b in ((p, q), (q, p)):
             table[a] = table[a][:]
@@ -708,22 +705,24 @@ def _strong_fixpoint(lts):
 # rooted conditions on top of the unrooted fixpoints
 
 
-def _rooted_fail(pf, res, p, x, q):
+def _rooted_fail(pf, rows, p, x, q):
     """First-step condition for rooted equivalence of the entry
     ``(p, x, q)``, both orientations (:func:`_pair_fail`): every step
     clause of the row (:meth:`_Profile.clauses`) is matched into the
-    unrooted relation by a step :meth:`_Profile.first_step` names.
-    Returns None when satisfied, else ``(side, clause)``."""
+    unrooted relation by a step :meth:`_Profile.first_step` names, first
+    in the relation that relates everything, then in the table ``rows``
+    if given.  Returns None when satisfied, else ``(side, clause)``."""
 
-    def fail(rows, a, row):
+    def fail(table, a, row):
         b = row.bit_length() - 1
         for clause in pf.clauses(a, x):
             succ, y = pf.first_step(b, clause, x)
-            if not succ & rows[clause[1]][y]:
+            if not succ & table[clause[1]][y]:
                 return clause
         return None
 
-    return _pair_fail(fail, (res.rows,), p, q)
+    full = [[pf.full] * (pf.trig + 1)] * pf.n
+    return _pair_fail(fail, (full,) if rows is None else (full, rows), p, q)
 
 
 def _reason(lts, side, clause):
@@ -895,7 +894,7 @@ def _direct(method, pf, res, i, j, x, rooted, store, memo):
     ``j`` in column ``x``, over the universe of ``pf``, with the reason
     :func:`_rooted_fail` or :func:`_first_fail` (with ``memo``) names."""
     if rooted:
-        fail = _rooted_fail(pf, res, i, x, j)
+        fail = _rooted_fail(pf, res.rows, i, x, j)
     elif res.has(i, x, j):
         fail = None
     else:
@@ -910,18 +909,19 @@ def _plain(lts, res, fail, s, t, rooted=False):
     that relates everything, or if none fails there, against the partition
     with the pair joined, as :func:`_first_fail` does on the direct route;
     the partition is the greatest relation, so some clause fails.  With
-    ``rooted`` the first step is matched strongly into the partition."""
+    ``rooted`` the first step is matched strongly, into the full relation,
+    then the partition."""
     i, j = lts.index_of(s), lts.index_of(t)
     rel = res.rel
+    full = [(1 << lts.n_states) - 1] * lts.n_states
     if rooted:
-        found = _pair_fail(partial(_strong_fail, lts), (rel,), i, j)
+        found = _pair_fail(partial(_strong_fail, lts), (full, rel), i, j)
     elif rel[i] >> j & 1:
         found = None
     else:
         joined = rel[:]
         joined[i] |= 1 << j
         joined[j] |= 1 << i
-        full = [(1 << lts.n_states) - 1] * lts.n_states
         found = _pair_fail(partial(fail, lts), (full, joined), i, j)
         if found is None:
             raise TxbisimError("unrelated pair violates no clause")
@@ -953,7 +953,7 @@ def brb_states(lts, s, t, universe=None, rooted=False):
     Unlike :func:`brb` this works on an already-explored system whose states
     need not be terms (a quotient, an import, a union).  The environment
     universe defaults to all visible labels of the system.  With ``rooted``
-    the first step on each side is matched strongly.
+    the first step on each side is matched strongly; reasons as :func:`_direct`.
     """
     if universe is None:
         universe = (lab for lab in lts.labels if lab not in ("tau", "t"))
@@ -1061,12 +1061,11 @@ def _check(p, q, env, rooted, opts):
     its answer and its reason off :attr:`Analysis.projection`: the pair's
     closure holds every wrapper its clauses read, as both routes fire a
     time-out from an idle state alone (:func:`_round`).  Any other check
-    first runs the first pass of :func:`_first_fail`: an entry it fails is
-    outside every bisimulation, and an unrooted check reports that clause
-    at once.  Then ``"direct"`` decides by the direct fixpoint, and
-    ``"both"`` by the encode route, or a caught rooted entry by the first
-    pass: a positive answer is certified by :func:`_clauses_hold`, and
-    raises if that fails; any other answer is checked against the direct
+    first runs the first pass of its own kind, :func:`_rooted_fail` with
+    no table or :func:`_first_fail`, and reports a clause it finds at once.
+    Then ``"direct"`` decides by the direct fixpoint, and ``"both"`` by the
+    encode route: a positive answer is certified by :func:`_clauses_hold`,
+    and raises if that fails; a negative one is checked against the direct
     route, whose verdict is reported."""
     an = Analysis(p, q, opts)
     method = an.opts.method
@@ -1077,18 +1076,14 @@ def _check(p, q, env, rooted, opts):
         return _direct(
             "encode", pf, an.projection, an.ip, an.iq, x, rooted, store, an.memo
         )
-    caught = _first_fail(pf, an.ip, x, an.iq, an.memo)
-    if caught is not None and not rooted:
+    caught = (_rooted_fail(pf, None, an.ip, x, an.iq) if rooted
+              else _first_fail(pf, an.ip, x, an.iq, an.memo))
+    if caught is not None:
         return _verdict(method, caught, None, an.lts, an.universe)
     if method == "direct":
         return _direct_check(an, x, rooted)
-    # a caught rooted pair is known inequivalent, rooted lying within unrooted
-    e = caught is None and (
-        _rooted_fail(pf, an.projection, an.ip, x, an.iq) is None
-        if rooted else an.projection.has(an.ip, x, an.iq)
-    )
-    by = "encoding" if caught is None else "its first pass"
-    if e:
+    if (_rooted_fail(pf, an.projection.rows, an.ip, x, an.iq) is None
+            if rooted else an.projection.has(an.ip, x, an.iq)):
         if not _clauses_hold(pf, an.projection.rows, an.memo):
             raise MethodDisagreementError(
                 f"encoding says True for {term_text(p)} vs {term_text(q)}, "
@@ -1098,9 +1093,9 @@ def _check(p, q, env, rooted, opts):
         store = _store_thunk(an, "encoded_projection", "profile", "projection")
         return _verdict("both", None, store, an.lts, an.universe)
     d = _direct_check(an, x, rooted)
-    if d.equivalent != e:
+    if d.equivalent:
         raise MethodDisagreementError(
-            f"direct says {d.equivalent}, {by} says {e} "
+            "direct says True, encoding says False "
             f"for {term_text(p)} vs {term_text(q)}"
         )
     return replace(d, method="both")

@@ -401,10 +401,14 @@ class Partition:
 
     def __init__(self, lts, blocks):
         self.lts = lts
-        self.blocks = tuple(tuple(sorted(b)) for b in blocks)
         self.block_of = {}
         indices = range(lts.n_states)
-        for bid, block in enumerate(self.blocks):
+        checked = []
+        for bid, block in enumerate(blocks):
+            try:
+                block = tuple(block)
+            except TypeError:
+                raise TxbisimError(f"partition block {block!r} isn't iterable") from None
             if not block:
                 raise TxbisimError("empty partition block")
             for i in block:
@@ -416,6 +420,8 @@ class Partition:
                 if i in self.block_of:
                     raise TxbisimError("overlapping partition blocks")
                 self.block_of[i] = bid
+            checked.append(tuple(sorted(block)))
+        self.blocks = tuple(checked)
         if len(self.block_of) != lts.n_states:
             raise TxbisimError("partition does not cover all states")
 

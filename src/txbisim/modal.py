@@ -425,14 +425,13 @@ class _Synthesizer:
         self.an = analysis
         self.lts = analysis.lts
         self.pf = analysis.profile
-        self.res = analysis.gen
         self._memo: dict = {}
 
     def formula(self, p, x, q):
         key = (p, x, q)
         got = self._memo.get(key)
         if got is None:
-            rec = self.res.records.get(key)
+            rec = self.an.gen.records.get(key)
             if rec is None:
                 got = Not(self.formula(q, x, p))
             else:
@@ -450,14 +449,14 @@ class _Synthesizer:
         each removed before ``stamp``."""
         qs = list(dict.fromkeys(qs))
         for q in qs:
-            assert _earlier(self.res.stamp(p, x, q), stamp)
+            assert _earlier(self.an.gen.stamp(p, x, q), stamp)
         return conjunction(self.formula(p, x, q) for q in qs)
 
     def _from(self, p, x, q, stamp, clause):
         lab, p2, col, env = clause
         if lab is None:
             return Eps(Not(Diamond("tau", TOP)))
-        res, lts = self.res, self.lts
+        res, lts = self.an.gen, self.lts
         y = x if col is None else col
         if env is None:
             # closure members refuted before the recorded stamp vs the rest
@@ -502,21 +501,21 @@ def distinguish(p, q, rooted=False, opts=None):
 
     The result lies in the characteristic sublogic of the chosen
     equivalence, holds at ``p`` and fails at ``q``; both facts are checked
-    before returning.
+    before returning.  A rooted first step that no step can match refutes
+    no successor, so its formula needs no direct fixpoint.
     """
     an = Analysis(p, q, opts)
-    trig = an.profile.trig
+    pf, i, j = an.profile, an.ip, an.iq
     if rooted:
-        fail = _rooted_fail(an.profile, an.gen, an.ip, trig, an.iq)
-        if fail is None:
-            return None
-        phi = _Synthesizer(an).rooted(*fail)
-        cls = "Lbcr"
+        fail = (_rooted_fail(pf, None, i, pf.trig, j)
+                or _rooted_fail(pf, an.gen.rows, i, pf.trig, j))
+        phi = fail and _Synthesizer(an).rooted(*fail)
     else:
-        if an.gen.has(an.ip, trig, an.iq):
-            return None
-        phi = _Synthesizer(an).formula(an.ip, trig, an.iq)
-        cls = "Lbc"
+        phi = (None if an.gen.has(i, pf.trig, j)
+               else _Synthesizer(an).formula(i, pf.trig, j))
+    if phi is None:
+        return None
+    cls = "Lbcr" if rooted else "Lbc"
     if not in_subclass(phi, cls):
         raise WitnessError(f"synthesised formula left {cls}: {formula_text(phi)}")
     if not satisfies(an.lts, p, phi) or satisfies(an.lts, q, phi):

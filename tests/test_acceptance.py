@@ -51,7 +51,7 @@ def _equivalent(an):
 
 
 def _rooted_equivalent(an):
-    return _rooted_fail(an.profile, an.gen, an.ip, an.profile.trig, an.iq) is None
+    return _rooted_fail(an.profile, an.gen.rows, an.ip, an.profile.trig, an.iq) is None
 
 
 def test_criterion_01_stability_trio(stability_defs):

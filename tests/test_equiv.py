@@ -282,6 +282,30 @@ def test_first_pass_failures_are_removed_in_the_fixpoints_first_pass(lts):
                     assert want is None or fail == want
 
 
+@given(raw_systems())
+def test_rooted_first_pass_catches_every_unrooted_first_pass_failure(lts):
+    """Whatever entry the unrooted first pass fails, in any column, the
+    rooted one with no table fails too, so a rooted check loses nothing by
+    skipping the unrooted pass: a move with no weak match has no strong
+    one, a time-out no idle state reaches has none at the root, and a
+    stability failure leaves the divergent side a tau step the stable side
+    cannot take.  The rooted clause is one of its side's row, and the other
+    side has no step that :meth:`_Profile.first_step` names for it."""
+    universe = envset(lab for lab in lts.labels if lab not in ("tau", "t"))
+    pf = _Profile(lts, universe)
+    for x in range(pf.trig + 1):
+        for p in range(pf.n):
+            for q in range(pf.n):
+                rooted = _rooted_fail(pf, None, p, x, q)
+                if _first_fail(pf, p, x, q, {}) is not None:
+                    assert rooted is not None
+                if rooted is not None:
+                    side, clause = rooted
+                    a, b = (p, q) if side == 0 else (q, p)
+                    assert is_row_clause(pf, a, x, clause)
+                    assert pf.first_step(b, clause, x)[0] == 0
+
+
 def test_fixpoint_reuses_the_first_rounds_match_sets(monkeypatch):
     """``a.a.0`` against ``a.b.0`` passes the first pass of
     :func:`_first_fail` and leaves the direct fixpoint at its fifteenth row
@@ -375,7 +399,7 @@ def test_rooted_checks_equal_reference_relation(small_corpus):
             (i, j)
             for i in range(pf.n)
             for j in range(pf.n)
-            if _rooted_fail(pf, res, i, pf.trig, j) is None
+            if _rooted_fail(pf, res.rows, i, pf.trig, j) is None
         }
         assert eng_rp == ora_rp
         eng_rt = {
@@ -383,7 +407,7 @@ def test_rooted_checks_equal_reference_relation(small_corpus):
             for i in range(pf.n)
             for x in range(pf.trig)
             for j in range(pf.n)
-            if _rooted_fail(pf, res, i, x, j) is None
+            if _rooted_fail(pf, res.rows, i, x, j) is None
         }
         assert eng_rt == ora_rt
 
@@ -848,11 +872,11 @@ def test_method_disagreement_is_detectable():
 def test_both_runs_the_direct_fixpoint_only_for_negative_verdicts(monkeypatch):
     """Under ``method="both"`` a positive verdict is certified on the encode
     route's projection, so the direct fixpoint never runs.  A negative one
-    whose pair leaves in the first round is certified by that round alone:
-    unrooted it builds neither the closure nor the fixpoint, rooted it runs
-    the fixpoint once for the first-step reason.  Any other negative one
-    builds the closure and runs the fixpoint once.  Every negative verdict
-    reports the direct route's reason, with no round."""
+    that the first pass of its own kind catches, rooted or not, is decided
+    by that pass alone and builds neither the closure nor the fixpoint.
+    Any other negative one builds the closure and runs the fixpoint once.
+    Every negative verdict reports the direct route's reason, with no
+    round."""
     calls = []
     fixpoint = equiv._generalized_fixpoint
     closure = equiv.Closure
@@ -880,10 +904,12 @@ def test_both_runs_the_direct_fixpoint_only_for_negative_verdicts(monkeypatch):
         (rbrb_x, positive, env, True, 0, 1),
         (brb, (timed, plain), None, False, 0, 0),
         (brb_x, (timed, plain), env, False, 0, 0),
-        (rbrb, (timed, plain), None, False, 1, 0),
-        (rbrb_x, (timed, plain), envset(()), False, 1, 0),
+        (rbrb, (timed, plain), None, False, 0, 0),
+        (rbrb_x, (timed, plain), envset(()), False, 0, 0),
         (brb, deep, None, False, 1, 1),
-        (rbrb, (plain, parse_term("tau.a.0")), None, False, 1, 1),
+        (rbrb, (plain, parse_term("tau.a.0")), None, False, 0, 0),
+        # the rooted first pass misses it: both sides have an ``a`` step
+        (rbrb, deep, None, False, 1, 1),
     ]
     for check, pair, x, expect, fixpoints, closures in cases:
         args = pair if x is None else (*pair, x)
@@ -899,22 +925,28 @@ def test_both_runs_the_direct_fixpoint_only_for_negative_verdicts(monkeypatch):
 
 
 def test_rooted_checks_run_one_first_pass(monkeypatch):
-    """A rooted check runs the first pass once under ``direct`` and under
-    ``both``, as an unrooted one does, and answers as ``encode``.  A
-    rooted reason is a first step, so no other pass follows."""
+    """A rooted check runs its own first pass once under ``direct`` and
+    under ``both``, :func:`_rooted_fail` with no table, and never the
+    unrooted one, :func:`_first_fail`; it answers as ``encode``."""
     calls = []
-    first_fail = equiv._first_fail
+    rooted_fail, first_fail = equiv._rooted_fail, equiv._first_fail
 
-    def counted(*args):
-        calls.append(args)
+    def counted_rooted(pf, rows, *args):
+        calls.append("rooted" if rows is None else "rooted on a table")
+        return rooted_fail(pf, rows, *args)
+
+    def counted_first(*args):
+        calls.append("unrooted")
         return first_fail(*args)
 
-    monkeypatch.setattr(equiv, "_first_fail", counted)
+    monkeypatch.setattr(equiv, "_rooted_fail", counted_rooted)
+    monkeypatch.setattr(equiv, "_first_fail", counted_first)
     for pair in ((parse_term("a.0 + t.b.0"), parse_term("a.0")),
                  (parse_term("a.tau.b.0"), parse_term("a.b.0"))):
         for opts in (DIRECT, CheckOptions(method="both")):
             d = rbrb(*pair, opts)
-            assert len(calls) == 1, opts.method
+            assert calls.count("rooted") == 1, opts.method
+            assert "unrooted" not in calls, opts.method
             assert d.equivalent == rbrb(*pair, CheckOptions(method="encode")).equivalent
             calls.clear()
 
@@ -970,6 +1002,21 @@ def test_both_refuses_a_projection_that_fails_the_clauses(monkeypatch, stability
     assert an.enc_branch.rel[i] >> j & 1
     with pytest.raises(MethodDisagreementError, match="fails the clauses"):
         brb(p, q, CheckOptions(method="both"))
+
+
+@pytest.mark.parametrize("check", [brb, rbrb])
+def test_both_raises_when_only_the_encoding_separates_the_pair(monkeypatch, check):
+    """An equivalent pair past the first pass that a broken encode route
+    separates, its projection relating nothing, is checked against the
+    direct route, and ``both`` raises rather than report either answer."""
+
+    def empty(pf, enc, rel):
+        return equiv._GenResult([[0] * (pf.trig + 1) for _ in range(pf.n)], {}, 0)
+
+    monkeypatch.setattr(equiv, "_projection", empty)
+    p, q = parse_term("a.tau.b.0 + t.b.0"), parse_term("a.b.0 + t.b.0")
+    with pytest.raises(MethodDisagreementError, match="direct says True, encoding"):
+        check(p, q, CheckOptions(method="both"))
 
 
 # -- named examples
@@ -1195,7 +1242,10 @@ def test_reasons_are_pinned_for_each_kind_of_clause():
     """The exact reason, keys in order, of a move, a time-out and a
     stability failure, under every method and for the rooted relation, and
     the plain relations' reasons on the same systems: to those a time-out
-    is a move on ``t``, and strong bisimilarity has no stability clause."""
+    is a move on ``t``, and strong bisimilarity has no stability clause.
+    ``a.b.0 + c.0`` against ``a.c.0`` fails its ``a`` move only against
+    the final relation and its ``c`` move already against the full one,
+    which every check, rooted or not, judges first."""
     loop = parse_file("spec D { d = tau.d; } def X = <d|D>;").defs["X"]
     move = [("side", "left"), ("clause", "move"), ("label", "a"), ("successor", "0")]
     t_move = [
@@ -1210,14 +1260,23 @@ def test_reasons_are_pinned_for_each_kind_of_clause():
         ("side", "right"), ("clause", "move"), ("label", "tau"),
         ("successor", term_text(loop)),
     ]
+    c_move = [("side", "left"), ("clause", "move"), ("label", "c"), ("successor", "0")]
     cases = [
-        ("a.0", "0", {"brb": move, "rbrb": move, "strong": move, "sr_branching": move}),
+        ("a.0", "0", {
+            "brb": move, "rbrb": move, "strong": move, "sr_branching": move,
+            "r_sr_branching": move,
+        }),
         ("t.a.0", "0", {
             "brb": timeout, "rbrb": timeout, "strong": t_move, "sr_branching": t_move,
+            "r_sr_branching": t_move,
         }),
         ("0", loop, {
             "brb": stability, "rbrb": tau_move, "strong": tau_move,
-            "sr_branching": stability,
+            "sr_branching": stability, "r_sr_branching": tau_move,
+        }),
+        ("a.b.0 + c.0", "a.c.0", {
+            "brb": c_move, "rbrb": c_move, "strong": c_move, "sr_branching": c_move,
+            "r_sr_branching": c_move,
         }),
     ]
     for p, q, want in cases:
@@ -1227,7 +1286,7 @@ def test_reasons_are_pinned_for_each_kind_of_clause():
                 v = check(p, q, CheckOptions(method=method))
                 assert list(v.reason.items()) == want[check.__name__], method
         lts = explore((p, q))
-        for check in (strong, sr_branching):
+        for check in (strong, sr_branching, r_sr_branching):
             assert list(check(lts, p, q).reason.items()) == want[check.__name__]
 
 

@@ -200,6 +200,8 @@ def test_partition_must_cover_and_not_overlap():
         Partition(lts, [(0, 1), (1, 2)])
     with pytest.raises(TxbisimError, match="empty partition block"):
         Partition(lts, [(), (0, 1), (2,)])
+    with pytest.raises(TxbisimError, match="block 0 isn't iterable"):
+        Partition(lts, [0, 1, 2])
     part = Partition(lts, [(0, 1), (2,)])
     assert len(part) == 2
     assert part.same(0, 1) and not part.same(1, 2)
@@ -238,13 +240,20 @@ def test_quotient_rejects_divergent_systems():
         quotient(loop, Partition(loop, [(0, 1)]))
 
 
-@pytest.mark.parametrize("stray", [5, 2, -1, 1.0])
-def test_partition_refuses_indices_outside_the_system(stray):
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        *(pytest.param([(0,), (stray,)], id=str(stray)) for stray in (5, 2, -1, 1.0)),
+        # members that cannot be sorted together are refused, not sorted
+        pytest.param([(0, "x"), (1,)], id="mixed"),
+    ],
+)
+def test_partition_refuses_indices_outside_the_system(blocks):
     # two states, so an index count of two alone does not make a partition
     lts = explore(parse_term("a.0"))
     assert lts.n_states == 2
     with pytest.raises(TxbisimError, match="not a state index"):
-        Partition(lts, [(0,), (stray,)])
+        Partition(lts, blocks)
 
 
 def test_quotient_keeps_root_blocks():

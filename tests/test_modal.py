@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from txbisim import GenConfig, ParseError, TxbisimError, rand_formula, rand_term
+from txbisim import equiv
 from txbisim.equiv import CheckOptions, brb, process_universe, rbrb
 from txbisim.modal import (
     TOP,
@@ -280,6 +281,32 @@ def test_distinguish_rooted_only_difference(laws_defs):
     phi = distinguish(d["DirectA"], d["LazyA"], rooted=True)
     assert phi is not None
     assert in_subclass(phi, "Lbcr")
+
+
+@pytest.mark.parametrize(
+    "pair, text, fixpoints",
+    [(("a.b.0 + c.0", "a.c.0"), "<c>T", 0), (("a.a.0", "a.b.0"), None, 1)],
+)
+def test_rooted_distinguish_runs_the_fixpoint_only_past_the_first_pass(
+    monkeypatch, pair, text, fixpoints
+):
+    """A first step that no step of the other side can match refutes no
+    successor, so its rooted formula needs no direct fixpoint; ``a.a.0``
+    against ``a.b.0`` fails only against the final relation and runs it
+    once."""
+    calls = []
+    fixpoint = equiv._generalized_fixpoint
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fixpoint(*args, **kwargs)
+
+    monkeypatch.setattr(equiv, "_generalized_fixpoint", counted)
+    p, q = map(parse_term, pair)
+    phi = distinguish(p, q, rooted=True)
+    assert phi is not None and len(calls) == fixpoints
+    if text is not None:
+        assert formula_text(phi) == text
 
 
 def test_distinguish_separates_and_stays_in_sublogic(small_corpus):
