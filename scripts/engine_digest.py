@@ -11,10 +11,12 @@ digest, each printed as one sha256:
   witness of a positive verdict is the encode route's projection, the one
   ``encode`` reports, and its reason for a negative one is the direct
   route's);
-* ``direct``: the direct fixpoint's rows and passes, and each removed
-  entry ``(p, x, q)`` with its record ``(stamp, clause)``: the number of
-  the row judgement that removed it and the compiled clause ``(label,
-  successor, column, env)`` it failed, all four None for stability;
+* ``direct``: the direct fixpoint's complete table, over every column, as
+  a fresh ``Analysis`` reads it (a check judges only the columns its
+  question reads): its rows and passes, and each removed entry ``(p, x,
+  q)`` with its record ``(stamp, clause)``, the number of the row
+  judgement that removed it and the compiled clause ``(label, successor,
+  column, env)`` it failed, all four None for stability;
 * ``distinguish``: the formula text, plain and rooted;
 * ``partition``: the ``brb_partition`` blocks of the pair's state space;
 * ``encoding``: the encoded wrapper system's state texts in order, its

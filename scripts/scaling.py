@@ -5,10 +5,13 @@ about 2n explored states, and a partition refinement that takes one round
 per link.  For each n this prints the explored states, the encoded states
 (wrappers of the closure), the rounds of the encode route's branching
 fixpoint and that fixpoint's best time of three on a built closure, the
-passes of the direct route's fixpoint and its best time of three on a
-built profile, and the time of one ``brb`` call under the default method
-from a fresh ``Analysis``, parse and exploration included (the direct
-fixpoint runs too, as the verdict is negative):
+passes of the direct route's fixpoint over every column and its best
+time of three on a built profile, the same for the fixpoint over the
+pair column alone that ``brb_partition`` runs (the chain has no
+time-out, so the pair column reads no other), and the time of one
+``brb`` call under the default method from a fresh ``Analysis``, parse
+and exploration included (the direct fixpoint runs too, over the pair
+column, as the verdict is negative):
 
     PYTHONPATH=src python3 scripts/scaling.py --links 50,100,200,400
 
@@ -38,9 +41,12 @@ def row(n):
     an = Analysis(p, q, OPTS)
     enc = an.encoded
     res, best = best_of_three(lambda: _branching_fixpoint(enc))
-    direct, direct_s = best_of_three(lambda: _generalized_fixpoint(an.profile))
+    pf = an.profile
+    direct, direct_s = best_of_three(lambda: _generalized_fixpoint(pf))
+    pair, pair_s = best_of_three(
+        lambda: _generalized_fixpoint(pf, (pf.trig,), record=False))
     return verdict, (an.lts.n_states, enc.n_states, res.rounds, best,
-                     direct.rounds, direct_s, check_s)
+                     direct.rounds, direct_s, pair.rounds, pair_s, check_s)
 
 
 def best_of_three(run):
@@ -63,14 +69,16 @@ def main(argv=None):
     )
     args = parser.parse_args(argv)
     print(f"{'n':>5} {'states':>7} {'encoded':>8} {'rounds':>7} "
-          f"{'fixpoint_s':>11} {'passes':>7} {'direct_s':>9} {'brb_s':>8}")
+          f"{'fixpoint_s':>11} {'passes':>7} {'direct_s':>9} "
+          f"{'pair_passes':>12} {'pair_s':>9} {'brb_s':>8}")
     ok = True
     for n in (int(part) for part in args.links.split(",")):
         verdict, (states, encoded, rounds, fix_s, passes, direct_s,
-                  check_s) = row(n)
+                  pair_passes, pair_s, check_s) = row(n)
         ok &= not verdict.equivalent
         print(f"{n:>5} {states:>7} {encoded:>8} {rounds:>7} "
-              f"{fix_s:>11.4f} {passes:>7} {direct_s:>9.4f} {check_s:>8.3f}")
+              f"{fix_s:>11.4f} {passes:>7} {direct_s:>9.4f} "
+              f"{pair_passes:>12} {pair_s:>9.4f} {check_s:>8.3f}")
     return 0 if ok else 1
 
 

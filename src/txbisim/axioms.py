@@ -467,9 +467,15 @@ def _check_approximation(lhs, rhs, opts):
 
 def fuzz_axioms(instances=50, seed=0, cfg=None, opts=None, names=None):
     """Fuzz every law (or the named subset) with ``instances`` random
-    instances each; returns one :class:`AxiomResult` per law."""
+    instances each; returns one :class:`AxiomResult` per law.  ``names``
+    is a collection of law names; a bare string is refused, as it would
+    be read letter by letter."""
     if instances < 1:
         raise TxbisimError(f"instances must be at least 1, not {instances}")
+    if isinstance(names, str):
+        raise TxbisimError(
+            f"names must be a collection of law names, not the string {names!r}"
+        )
     if names is not None:
         unknown = sorted(set(names) - {axiom.name for axiom in AXIOMS})
         if unknown:

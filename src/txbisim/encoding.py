@@ -147,6 +147,7 @@ class _Profile:
         "_subs",
         "_idle",
         "_clauses",
+        "_reads",
     )
 
     def __init__(self, lts, universe):
@@ -176,6 +177,7 @@ class _Profile:
         self._subs = {}
         self._idle = {}
         self._clauses = [[None] * (self.trig + 1) for _ in range(self.n)]
+        self._reads = {}
 
     def env_mask(self, names):
         mask = 0
@@ -245,6 +247,31 @@ class _Profile:
                 elif self.ubit[lab] & allow or quiet:
                     got.append((lab, p2, self.trig, None))
             got = self._clauses[p][key] = tuple(got)
+        return got
+
+    def reads(self, cols):
+        """The columns ``cols`` together with every column the clauses of
+        their rows read, transitively, ascending; every column when
+        ``cols`` is None.  A row's own column counts, and a clause reads
+        the column of its target row: its own for a tau step, the pair
+        column for a visible one, its environment's for a time-out.  Kept
+        once computed."""
+        if cols is None:
+            return range(self.trig + 1)
+        key = frozenset(cols)
+        got = self._reads.get(key)
+        if got is None:
+            seen = set(key)
+            todo = list(key)
+            while todo and len(seen) <= self.trig:
+                x = todo.pop()
+                for p in range(self.n):
+                    for clause in self.clauses(p, x):
+                        y = clause[2]
+                        if y is not None and y not in seen:
+                            seen.add(y)
+                            todo.append(y)
+            got = self._reads[key] = tuple(sorted(seen))
         return got
 
     def first_step(self, b, clause, x):

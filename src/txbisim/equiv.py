@@ -40,9 +40,15 @@ fixpoint loops and the reason and the witness check run once.  Match sets
 and backward tau closures are kept by value for every pass of one check
 (:attr:`Analysis.memo`).  Each row is judged against the table as it
 stands, successors first, so a chain takes two passes; the fixpoint never
-judges a state against itself.  Every removal is recorded as the stamp of
-its row judgement and the compiled clause that failed, for the synthesis
-of distinguishing formulas in :mod:`txbisim.modal` alone.  The plain
+judges a state against itself.  A question reads its own column and the
+columns its clauses read, so the fixpoint judges only those
+(:meth:`_Profile.reads`): the pair column for a partition or a formula,
+and the query column too for a check.  Where a whole relation is needed,
+as for a positive ``direct`` verdict's witness, the same result is
+continued over the other columns (:meth:`_GenResult.complete`).  Every
+removal is recorded as the stamp of its row judgement and the compiled
+clause that failed, for the synthesis of distinguishing formulas in
+:mod:`txbisim.modal` alone.  The plain
 relations, stability respecting branching bisimilarity
 (which the encode route decides on the index-level closure,
 :class:`~txbisim.encoding.Closure`, building no wrapper object) and strong
@@ -205,14 +211,23 @@ class _GenResult:
     them (:class:`_RowRecords`, empty otherwise): the number of the row
     judgement that removed it, and the compiled clause it failed
     (:meth:`_Profile.clauses`, or :data:`_STABILITY`); ``rounds`` counts its
-    passes, the last of which removes nothing.  The encode route's
-    projection (:func:`_projection`) takes the same form, with no records
-    and no passes.
+    passes, and each run over new columns ends with one that removes
+    nothing.  Only the columns outside ``pending`` are judged; the rows of
+    a pending column still hold every state, and :meth:`complete` judges
+    them.  The encode route's
+    projection (:func:`_projection`) takes the same form, complete, with
+    no records and no passes.
     """
 
     rows: list
     records: Mapping
     rounds: int
+    pending: frozenset = frozenset()
+    # what continuing the fixpoint needs: the profile, the record sink
+    # (None when not recording) and the stamp of the next row judgement
+    pf: _Profile | None = field(default=None, repr=False)
+    sink: dict | None = field(default=None, repr=False)
+    next_stamp: int = 1
 
     def has(self, p, x, q):
         return bool(self.rows[p][x] >> q & 1)
@@ -223,6 +238,15 @@ class _GenResult:
         if self.has(p, x, q):
             return None
         return (self.records.get((p, x, q)) or self.records[q, x, p])[0]
+
+    def complete(self, memo=None):
+        """This result with every column judged: the same fixpoint
+        continued in place over the pending columns, its stamps after all
+        earlier ones, with :func:`_round`'s ``memo`` (a fresh one unless
+        given)."""
+        if self.pending:
+            _judge(self, None, {} if memo is None else memo)
+        return self
 
 
 class _RowRecords(Mapping):
@@ -361,8 +385,10 @@ def _round(pf, rows, live, memo, sink, stamp):
     return changed, still
 
 
-def _generalized_fixpoint(pf, record=True, memo=None):
-    """Greatest relation closed under the pair and triple clauses.
+def _generalized_fixpoint(pf, cols=None, record=True, memo=None):
+    """Greatest relation closed under the pair and triple clauses, judged
+    over the columns ``cols`` and every column they read
+    (:meth:`_Profile.reads`), or over every column when ``cols`` is None.
 
     The clauses are followed literally: the internal runs that precede a
     match may pass through unrelated states.  A pass is one :func:`_round`
@@ -373,29 +399,49 @@ def _generalized_fixpoint(pf, record=True, memo=None):
     greatest relation ``G``, whose entries and their mirrors match every
     clause inside ``G``, own row included, and a pass that removes nothing
     judged every row against one table, which is thus closed under the
-    clauses and within ``G``.  With ``record`` every removal is stamped
-    with its row judgement and clause in ``records``: a record stamped
-    ``s`` failed against the table less the entries stamped below ``s``,
-    in either orientation, so every entry it reads left strictly earlier.
-    Match sets and tau closures are kept by value in ``memo``, a fresh one
-    unless given, so the first pass can reuse those of :func:`_first_fail`.
-    The greatest relation is reflexive, so a row is judged without its own
-    state, and leaves the live rows once that is all it holds.
+    clauses and within ``G``.  The judged columns read no other column,
+    and a removal's mirror entry lies in its own column, so their rows
+    evolve as in the fixpoint over every column, in the same order: they
+    end equal to ``G``'s, with the same records, whose stamps keep their
+    order.  The other columns stay pending until
+    :meth:`_GenResult.complete` continues the same fixpoint over them.
+    With ``record`` every removal is stamped with its row judgement and
+    clause in ``records``: a record stamped ``s`` failed against the table
+    less the entries stamped below ``s``, in either orientation, so every
+    entry it reads left strictly earlier.  Match sets and tau closures are
+    kept by value in ``memo``, a fresh one unless given, so the first pass
+    can reuse those of :func:`_first_fail`.  The greatest relation is
+    reflexive, so a row is judged without its own state, and leaves the
+    live rows once that is all it holds.
     """
-    rows = [[pf.full] * (pf.trig + 1) for _ in range(pf.n)]
+    sink = {} if record else None
+    res = _GenResult(
+        [[pf.full] * (pf.trig + 1) for _ in range(pf.n)],
+        _RowRecords({} if sink is None else sink), 0,
+        frozenset(range(pf.trig + 1)), pf, sink,
+    )
+    return _judge(res, cols, {} if memo is None else memo)
+
+
+def _judge(res, cols, memo):
+    """Run the fixpoint of ``res`` over the pending columns among
+    ``pf.reads(cols)`` until a pass removes nothing, and return ``res``."""
+    pf = res.pf
+    new = [x for x in pf.reads(cols) if x in res.pending]
+    if not new:
+        return res
     live = [(p, x, ~(1 << p), pf.clauses(p, x))
-            for p in _finish_order(pf.lts) for x in range(pf.trig + 1)]
-    if memo is None:
-        memo = {}
-    by_row: dict | None = {} if record else None
-    rounds, stamp = 0, 1
+            for p in _finish_order(pf.lts) for x in new]
+    stamp = res.next_stamp
     changed = True
     while changed:
-        rounds += 1
+        res.rounds += 1
         judged = len(live)
-        changed, live = _round(pf, rows, live, memo, by_row, stamp)
+        changed, live = _round(pf, res.rows, live, memo, res.sink, stamp)
         stamp += judged
-    return _GenResult(rows, _RowRecords(by_row or {}), rounds)
+    res.next_stamp = stamp
+    res.pending = res.pending.difference(new)
+    return res
 
 
 def _finish_order(lts):
@@ -954,16 +1000,24 @@ def brb_states(lts, s, t, universe=None, rooted=False):
     need not be terms (a quotient, an import, a union).  The environment
     universe defaults to all visible labels of the system.  With ``rooted``
     the first step on each side is matched strongly; reasons as :func:`_direct`.
+    A pair the first pass of its kind catches runs no fixpoint, as in
+    :func:`_check`; any other runs it over the pair column and the columns
+    that reads, and a positive verdict's witness completes it.
     """
     if universe is None:
         universe = (lab for lab in lts.labels if lab not in ("tau", "t"))
     # sorted, so that the witness's triples hold canonical sets
     universe = envset(universe)
     pf = _Profile(lts, universe)
-    res = _generalized_fixpoint(pf)
+    i, j, memo = lts.index_of(s), lts.index_of(t), {}
+    caught = (_rooted_fail(pf, None, i, pf.trig, j) if rooted
+              else _first_fail(pf, i, pf.trig, j, memo))
+    if caught is not None:
+        return _verdict("direct", caught, None, lts, pf.names[pf.umask])
+    res = _generalized_fixpoint(pf, (pf.trig,), memo=memo)
     return _direct(
-        "direct", pf, res, lts.index_of(s), lts.index_of(t), pf.trig, rooted,
-        lambda: _gen_store(pf, res), {},
+        "direct", pf, res, i, j, pf.trig, rooted,
+        lambda: _gen_store(pf, res.complete()), memo,
     )
 
 
@@ -1008,9 +1062,16 @@ class Analysis:
         certificate.  A verdict's witness does not hold them."""
         return {}
 
+    # the columns the question reads, which a check sets before it reads
+    # :attr:`gen`; None asks for every column
+    columns = None
+
     @cached_property
     def gen(self):
-        return _generalized_fixpoint(self.profile, memo=self.memo)
+        """The direct fixpoint over :attr:`columns` and the columns they
+        read (:func:`_generalized_fixpoint`); ``gen.complete(memo)`` judges
+        the rest."""
+        return _generalized_fixpoint(self.profile, self.columns, memo=self.memo)
 
     @cached_property
     def encoded(self):
@@ -1032,7 +1093,7 @@ class Analysis:
         return _projection(self.profile, self.encoded, self.enc_branch.rel)
 
     def gen_store(self):
-        return _gen_store(self.profile, self.gen)
+        return _gen_store(self.profile, self.gen.complete(self.memo))
 
     def encoded_projection(self):
         """The encode route's relation store: :attr:`projection`'s pairs
@@ -1063,9 +1124,10 @@ def _check(p, q, env, rooted, opts):
     time-out from an idle state alone (:func:`_round`).  Any other check
     first runs the first pass of its own kind, :func:`_rooted_fail` with
     no table or :func:`_first_fail`, and reports a clause it finds at once.
-    Then ``"direct"`` decides by the direct fixpoint, and ``"both"`` by the
-    encode route: a positive answer is certified by :func:`_clauses_hold`,
-    and raises if that fails; a negative one is checked against the direct
+    Then ``"direct"`` decides by the direct fixpoint over the pair column
+    and column ``x`` (:func:`_direct_check`), and ``"both"`` by the encode
+    route: a positive answer is certified by :func:`_clauses_hold`, and
+    raises if that fails; a negative one is checked against the direct
     route, whose verdict is reported."""
     an = Analysis(p, q, opts)
     method = an.opts.method
@@ -1102,7 +1164,10 @@ def _check(p, q, env, rooted, opts):
 
 
 def _direct_check(an, x, rooted):
-    """The direct route's verdict on the analysis' pair in column ``x``."""
+    """The direct route's verdict on the analysis' pair in column ``x``,
+    by the fixpoint over the pair column and ``x``; a positive verdict's
+    witness completes it."""
+    an.columns = (an.profile.trig, x)
     store = _store_thunk(an, "gen_store", "profile", "gen")
     return _direct(
         "direct", an.profile, an.gen, an.ip, an.iq, x, rooted, store, an.memo
@@ -1141,7 +1206,7 @@ def brb_partition(roots, opts=None):
     universe = process_universe(*roots)
     lts = explore(roots, opts.max_states)
     pf = _Profile(lts, universe)
-    res = _generalized_fixpoint(pf, record=False)
+    res = _generalized_fixpoint(pf, (pf.trig,), record=False)
     seen = {}
     for p, cols in enumerate(res.rows):
         row = cols[pf.trig]

@@ -33,7 +33,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .equiv import Analysis, _rooted_fail
+from .equiv import Analysis, _first_fail, _rooted_fail
 from .errors import ParseError, TxbisimError, WitnessError
 from .lts import iter_bits
 from .terms import MAX_NESTING, envset, visible
@@ -416,9 +416,13 @@ class _Synthesizer:
     clause)``, the compiled clause ``(label, p2, col, env)`` it failed
     (:meth:`~txbisim.encoding._Profile.clauses`), whose target column
     ``col`` None is ``x``.  A record stamped ``s`` only ever refers to
-    entries removed strictly earlier, so the recursion terminates.  A
-    time-out's formula refutes the timed successors of the states idle
-    under its set and the column alone, as :func:`satisfies`.
+    entries removed strictly earlier, so the recursion terminates; stamp 0
+    means failed against the relation that relates everything, where a
+    failing move or time-out has no candidate successor, so nothing needs
+    refuting and no table is read.  A time-out's formula refutes the timed
+    successors of the states idle under its set and the column alone, as
+    :func:`satisfies`.  :meth:`caught` turns a failed clause of the queried
+    pair, rooted or not, into its formula.
     """
 
     def __init__(self, analysis):
@@ -439,6 +443,24 @@ class _Synthesizer:
             self._memo[key] = got
         return got
 
+    def caught(self, side, clause, rooted):
+        """The formula of the queried pair whose side ``side`` fails
+        ``clause`` of its pair row.  Unrooted, the clause failed against
+        the relation that relates everything (stamp 0).  Rooted, it is a
+        first step the other side cannot match into the relation: the
+        formula refutes each step of the other side's that may match it
+        (:meth:`~txbisim.encoding._Profile.first_step`), which reads the
+        table only when there is one."""
+        a, b = (self.an.iq, self.an.ip) if side else (self.an.ip, self.an.iq)
+        if rooted:
+            lab, a2, _, env = clause
+            succ, y = self.pf.first_step(b, clause, self.pf.trig)
+            body = conjunction(self.formula(a2, y, b2) for b2 in iter_bits(succ))
+            psi = Diamond(lab, body) if env is None else EnvDiamond(env, body)
+        else:
+            psi = self._from(a, self.pf.trig, b, 0, clause)
+        return psi if side == 0 else Not(psi)
+
     # -- clause replay
 
     def _closure(self, q):
@@ -456,13 +478,15 @@ class _Synthesizer:
         lab, p2, col, env = clause
         if lab is None:
             return Eps(Not(Diamond("tau", TOP)))
-        res, lts = self.an.gen, self.lts
+        lts = self.lts
         y = x if col is None else col
         if env is None:
-            # closure members refuted before the recorded stamp vs the rest
+            # closure members refuted before the recorded stamp vs the rest;
+            # stamp 0 reads no table
             bad1, good = [], []
             for q1 in self._closure(q):
-                (bad1 if _earlier(res.stamp(p, x, q1), stamp) else good).append(q1)
+                early = stamp and _earlier(self.an.gen.stamp(p, x, q1), stamp)
+                (bad1 if early else good).append(q1)
             bad2 = []
             for q1 in good:
                 bad2.extend(iter_bits(lts.succ_mask(q1, lab)))
@@ -477,20 +501,6 @@ class _Synthesizer:
                for q2 in iter_bits(lts.succ_mask(q1, "t"))]
         return Eps(EnvDiamond(env, self._refuted(p2, y, bad, stamp)))
 
-    # -- rooted layer
-
-    def rooted(self, side, clause):
-        """The rooted formula of a first step ``clause`` of the pair column
-        that the given side takes and the other side cannot match: it
-        refutes each step of the other side's that may match it
-        (:meth:`~txbisim.encoding._Profile.first_step`)."""
-        q = self.an.iq if side == 0 else self.an.ip
-        lab, a2, _, env = clause
-        succ, y = self.pf.first_step(q, clause, self.pf.trig)
-        body = conjunction(self.formula(a2, y, q2) for q2 in iter_bits(succ))
-        psi = Diamond(lab, body) if env is None else EnvDiamond(env, body)
-        return psi if side == 0 else Not(psi)
-
 
 def _earlier(stamp, bound):
     return stamp is not None and stamp < bound
@@ -501,18 +511,27 @@ def distinguish(p, q, rooted=False, opts=None):
 
     The result lies in the characteristic sublogic of the chosen
     equivalence, holds at ``p`` and fails at ``q``; both facts are checked
-    before returning.  A rooted first step that no step can match refutes
-    no successor, so its formula needs no direct fixpoint.
+    before returning.  The first pass of the check's own kind comes first,
+    against the relation that relates everything, as in the checks: a
+    clause it catches has no candidate match to refute, so its formula
+    needs no direct fixpoint.
+    Any other pair runs the fixpoint over the pair column and the columns
+    it reads, and replays its records.
     """
     an = Analysis(p, q, opts)
     pf, i, j = an.profile, an.ip, an.iq
-    if rooted:
-        fail = (_rooted_fail(pf, None, i, pf.trig, j)
-                or _rooted_fail(pf, an.gen.rows, i, pf.trig, j))
-        phi = fail and _Synthesizer(an).rooted(*fail)
+    syn = _Synthesizer(an)
+    fail = (_rooted_fail(pf, None, i, pf.trig, j) if rooted
+            else _first_fail(pf, i, pf.trig, j, an.memo))
+    if fail is not None:
+        phi = syn.caught(*fail, rooted)
     else:
-        phi = (None if an.gen.has(i, pf.trig, j)
-               else _Synthesizer(an).formula(i, pf.trig, j))
+        an.columns = (pf.trig,)
+        if rooted:
+            fail = _rooted_fail(pf, an.gen.rows, i, pf.trig, j)
+            phi = fail and syn.caught(*fail, rooted)
+        else:
+            phi = None if an.gen.has(i, pf.trig, j) else syn.formula(i, pf.trig, j)
     if phi is None:
         return None
     cls = "Lbcr" if rooted else "Lbc"

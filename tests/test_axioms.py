@@ -67,6 +67,21 @@ def test_fuzz_input_is_refused_before_any_draw(monkeypatch, kwargs):
         fuzz_axioms(**kwargs)
 
 
+@pytest.mark.parametrize("names", ["branching", "bi_comm"])
+def test_fuzz_refuses_a_bare_string_of_names(monkeypatch, names):
+    """A string is a collection of letters: refused as a whole, naming
+    it, rather than read as the unknown laws of its letters."""
+
+    def no_draws(seed):
+        raise AssertionError("drew a random number")
+
+    monkeypatch.setattr(axioms, "random", SimpleNamespace(Random=no_draws))
+    with pytest.raises(TxbisimError, match="not the string") as err:
+        fuzz_axioms(names=names)
+    assert repr(names) in str(err.value)
+    assert "unknown law" not in str(err.value)
+
+
 def test_approximation_premises_are_the_encodings_environments(monkeypatch):
     """An implication instance decides ``psi{X}`` of both sides once for
     every environment ``X`` of the pair's universe, in the order of

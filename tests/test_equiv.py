@@ -243,6 +243,44 @@ def test_stamps_replay_from_records_on_drawn_systems(lts):
 
 
 @given(raw_systems())
+def test_fixpoint_over_the_columns_a_question_reads_on_drawn_systems(lts):
+    """For each seed column the fixpoint judges that column and every
+    column its rows' clauses read, transitively, and no other.  Their rows
+    end as the fixpoint over every column leaves them, each removed entry
+    recorded with the same clause, and the stamps in the same order; the
+    other columns still hold every state.  Completing the result gives the
+    table over every column, with records that replay."""
+    universe = envset(lab for lab in lts.labels if lab not in ("tau", "t"))
+    pf = _Profile(lts, universe)
+    whole = _generalized_fixpoint(pf)
+    columns = set(range(pf.trig + 1))
+    for seed in columns:
+        part = _generalized_fixpoint(pf, (seed,))
+        judged = columns - part.pending
+        assert seed in judged and judged == set(pf.reads((seed,)))
+        for x in judged:
+            for p in range(pf.n):
+                assert {x if cl[2] is None else cl[2]
+                        for cl in pf.clauses(p, x)} <= judged
+        for p in range(pf.n):
+            for x in columns:
+                want = whole.rows[p][x] if x in judged else pf.full
+                assert part.rows[p][x] == want
+        keys = sorted(k for k in whole.records if k[1] in judged)
+        assert sorted(part.records) == keys
+        stamps = set()
+        for k in keys:
+            assert part.records[k][1] is whole.records[k][1]
+            stamps.add((whole.records[k][0], part.records[k][0]))
+        # one stamp for one, rising together
+        ordered = sorted(stamps)
+        assert all(a[1] < b[1] for a, b in zip(ordered, ordered[1:]))
+        assert part.complete() is part and not part.pending
+        assert part.rows == whole.rows
+        assert_stamps_replay(pf, part)
+
+
+@given(raw_systems())
 def test_direct_table_equals_the_reference_on_drawn_systems(lts):
     """The direct fixpoint matches a time-out only from a state idle in its
     environment, the reference from any state its side reaches by internal
@@ -337,7 +375,8 @@ def test_reasons_and_certificates_leave_the_tables_unchanged(monkeypatch, pair):
     check (its first pass, then the certificate of a positive or the
     reason of a negative) and :func:`_first_fail` on every removed entry of
     the final table leave the analysis' projection and direct table as a
-    fresh computation gives them."""
+    fresh computation gives them.  The check judged only the columns its
+    question reads, so the complete table is read, continued from them."""
     made = []
 
     class Kept(Analysis):
@@ -351,6 +390,7 @@ def test_reasons_and_certificates_leave_the_tables_unchanged(monkeypatch, pair):
     an, = made
     pf = an.profile
     assert an.projection.rows == _projection(pf, an.encoded, an.enc_branch.rel).rows
+    an.gen.complete(an.memo)
     for x in range(pf.trig + 1):
         for i in range(pf.n):
             for j in range(pf.n):
@@ -704,6 +744,24 @@ def test_direct_fixpoint_takes_few_passes(pair, equivalent):
     an = Analysis(*pair, DIRECT)
     assert an.gen.rounds <= 3
     assert an.gen.has(an.ip, an.profile.trig, an.iq) == equivalent
+
+
+def test_partition_judges_only_pair_rows_on_the_long_chain(monkeypatch):
+    """:func:`brb_partition` reads the pair column alone, and on the
+    400-link chain pair, which has no time-out, no pair row's clause reads
+    another column: every row the fixpoint judges is a pair row."""
+    judged = set()
+    scan = equiv._round
+
+    def seen(pf, rows, live, *args):
+        judged.update(x == pf.trig for _, x, _, _ in live)
+        return scan(pf, rows, live, *args)
+
+    monkeypatch.setattr(equiv, "_round", seen)
+    p, q = chain_pair(400)
+    lts, part = brb_partition((p, q))
+    assert judged == {True}
+    assert not part.same(lts.index[p], lts.index[q])
 
 
 def three_tails(k, pad):
@@ -1512,6 +1570,36 @@ def test_brb_states_defaults_universe_to_visible_labels():
     assert not brb_states(
         lts, parse_term("a.0"), parse_term("tau.a.0"), rooted=True
     )
+
+
+@pytest.mark.parametrize("rooted", [False, True])
+def test_brb_states_runs_the_fixpoint_only_past_the_first_pass(monkeypatch, rooted):
+    """:func:`brb_states` takes the first pass of its kind before any
+    fixpoint and names the reason the term-level check names; a pair that
+    pass misses runs the fixpoint once, and a positive verdict's witness
+    holds the complete table."""
+    runs = []
+    fixpoint = equiv._generalized_fixpoint
+
+    def counted(*args, **kwargs):
+        runs.append(fixpoint(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(equiv, "_generalized_fixpoint", counted)
+    check = rbrb if rooted else brb
+    for pair, fixpoints in [(("a.0", "b.0"), 0), (("a.a.0", "a.b.0"), 1)]:
+        p, q = map(parse_term, pair)
+        v = brb_states(explore((p, q)), p, q, rooted=rooted)
+        assert len(runs) == fixpoints
+        assert not v and v.reason == check(p, q, DIRECT).reason
+        runs.clear()
+    p, q = parse_term("a.0"), parse_term("tau.a.0")
+    lts = explore((p, q))
+    v = brb_states(lts, p, q)
+    assert v and len(runs) == 1 and runs[0].pending
+    pf = _Profile(lts, process_universe(p, q))
+    assert v.witness == equiv._gen_store(pf, fixpoint(pf))
+    assert not runs[0].pending
 
 
 def test_brb_states_witness_holds_environment_sets():

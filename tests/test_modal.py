@@ -283,6 +283,21 @@ def test_distinguish_rooted_only_difference(laws_defs):
     assert in_subclass(phi, "Lbcr")
 
 
+def distinguish_counting_fixpoints(monkeypatch, pair, rooted):
+    """``distinguish`` on the pair of texts, with the number of direct
+    fixpoints it ran."""
+    calls = []
+    fixpoint = equiv._generalized_fixpoint
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fixpoint(*args, **kwargs)
+
+    monkeypatch.setattr(equiv, "_generalized_fixpoint", counted)
+    p, q = map(parse_term, pair)
+    return distinguish(p, q, rooted=rooted), len(calls)
+
+
 @pytest.mark.parametrize(
     "pair, text, fixpoints",
     [(("a.b.0 + c.0", "a.c.0"), "<c>T", 0), (("a.a.0", "a.b.0"), None, 1)],
@@ -294,19 +309,32 @@ def test_rooted_distinguish_runs_the_fixpoint_only_past_the_first_pass(
     successor, so its rooted formula needs no direct fixpoint; ``a.a.0``
     against ``a.b.0`` fails only against the final relation and runs it
     once."""
-    calls = []
-    fixpoint = equiv._generalized_fixpoint
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return fixpoint(*args, **kwargs)
-
-    monkeypatch.setattr(equiv, "_generalized_fixpoint", counted)
-    p, q = map(parse_term, pair)
-    phi = distinguish(p, q, rooted=True)
-    assert phi is not None and len(calls) == fixpoints
+    phi, ran = distinguish_counting_fixpoints(monkeypatch, pair, True)
+    assert phi is not None and ran == fixpoints
     if text is not None:
         assert formula_text(phi) == text
+
+
+@pytest.mark.parametrize(
+    "pair, text, fixpoints",
+    [
+        (("a.0", "b.0"), "<eps>(T & <^a>T)", 0),
+        (("a.b.0 + c.0", "a.c.0"), "<eps>(T & <^c>T)", 0),
+        (("a.a.0", "a.b.0"), "<eps>(T & <^a><eps>(T & <^a>T))", 1),
+    ],
+)
+def test_distinguish_runs_the_fixpoint_only_past_the_first_pass(
+    monkeypatch, pair, text, fixpoints
+):
+    """Unrooted, as rooted: a clause that fails against the relation that
+    relates everything has no candidate match, so its formula refutes
+    nothing and needs no direct fixpoint, and the formula is that clause's
+    (the ``c`` move, where the fixpoint's record names the ``a`` move);
+    ``a.a.0`` against ``a.b.0`` passes the first pass and runs the
+    fixpoint once."""
+    phi, ran = distinguish_counting_fixpoints(monkeypatch, pair, False)
+    assert ran == fixpoints
+    assert formula_text(phi) == text
 
 
 def test_distinguish_separates_and_stays_in_sublogic(small_corpus):
