@@ -19,9 +19,10 @@ digest, each printed as one sha256:
   column, env)`` it failed, all four None for stability;
 * ``distinguish``: the formula text, plain and rooted;
 * ``partition``: the ``brb_partition`` blocks of the pair's state space;
-* ``encoding``: the encoded wrapper system's state texts in order, its
-  roots, its indexed transitions, and the rounds and block count of the
-  branching fixpoint on its closure;
+* ``encoding``: the wrapper system of the check's closure, keyed by
+  relevant environments (``Analysis.encoded.lts``): its state texts in
+  order, its roots, its indexed transitions, and the rounds and block
+  count of the branching fixpoint on its closure;
 * ``plain``: ``strong``, ``sr_branching`` and ``r_sr_branching`` on the
   pair's state space: ``equivalent``, ``reason`` and the witness relation.
 

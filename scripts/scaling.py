@@ -1,36 +1,53 @@
-"""Growth of both routes on the chain pair, one row per length.
+"""Growth of both routes on two families, one row per size.
 
-The pair is ``a.``×n ``a.0`` against ``a.``×(n-1) ``tau.a.0``: inequivalent,
-about 2n explored states, and a partition refinement that takes one round
-per link.  For each n this prints the explored states, the encoded states
-(wrappers of the closure), the rounds of the encode route's branching
-fixpoint and that fixpoint's best time of three on a built closure, the
-passes of the direct route's fixpoint over every column and its best
-time of three on a built profile, the same for the fixpoint over the
-pair column alone that ``brb_partition`` runs (the chain has no
-time-out, so the pair column reads no other), and the time of one
-``brb`` call under the default method from a fresh ``Analysis``, parse
-and exploration included (the direct fixpoint runs too, over the pair
-column, as the verdict is negative):
+The chain pair is ``a.``×n ``a.0`` against ``a.``×(n-1) ``tau.a.0``:
+inequivalent, about 2n explored states, and a partition refinement that
+takes one round per link.  For each n this prints the explored states, the
+encoded states (wrappers of the closure), the rounds of the encode route's
+branching fixpoint and that fixpoint's best time of three on a built
+closure, the passes of the direct route's fixpoint over every column and
+its best time of three on a built profile, the same for the fixpoint over
+the pair column alone that ``brb_partition`` runs (the chain has no
+time-out, so the pair column reads no other), and the time of one ``brb``
+call under the default method from a fresh ``Analysis``, parse and
+exploration included (the direct fixpoint runs too, over the pair column,
+as the verdict is negative).  The state budget is lifted for the chains,
+so every length runs.
 
-    PYTHONPATH=src python3 scripts/scaling.py --links 50,100,200,400
+The k-action pair is ``a.t.a.0 + b.t.b.0 + ...`` over k actions against
+the same sum under one ``tau``: equivalent, with a literal closure of
+about ``2k * 2^k`` wrappers.  For each k this prints, under default
+options, the explored states, the wrappers of the check's closure, keyed
+by relevant environments, the rows the certificate of ``method="both"``
+judges (the projection's rows that hold a state other than their own) and
+the time of one ``brb`` call by each of ``both``, ``direct`` and
+``encode``, parse and exploration included:
 
-The state budget is lifted, so every length runs.  The exit code is 1 if a
-verdict comes out positive.
+    PYTHONPATH=src python3 scripts/scaling.py --links 50,100,200,400 --actions 6,8,10
+
+The exit code is 1 if a chain pair comes out equivalent or a k-action pair
+inequivalent, or if a k-action check is refused, so that the default state
+budget must admit the closures asked for.
 """
 
 import argparse
 import sys
 import time
 
-from txbisim import Analysis, CheckOptions, brb, parse_term
+from txbisim import Analysis, CheckOptions, TxbisimError, brb, parse_term
 from txbisim.equiv import _branching_fixpoint, _generalized_fixpoint
 
 OPTS = CheckOptions(max_states=10**6)
+METHODS = ("both", "direct", "encode")
 
 
 def chain_pair(n):
     return parse_term("a." * n + "a.0"), parse_term("a." * (n - 1) + "tau.a.0")
+
+
+def action_pair(k):
+    body = " + ".join(f"{a}.t.{a}.0" for a in "abcdefghijkl"[:k])
+    return parse_term(body), parse_term(f"tau.({body})")
 
 
 def row(n):
@@ -47,6 +64,28 @@ def row(n):
         lambda: _generalized_fixpoint(pf, (pf.trig,), record=False))
     return verdict, (an.lts.n_states, enc.n_states, res.rounds, best,
                      direct.rounds, direct_s, pair.rounds, pair_s, check_s)
+
+
+def action_row(k):
+    """Whether every method relates the k-action pair under default
+    options but the method, and then the row's figures, or None."""
+    times = []
+    ok = True
+    for method in METHODS:
+        start = time.perf_counter()
+        try:
+            ok &= brb(*action_pair(k), CheckOptions(method=method)).equivalent
+        except TxbisimError:
+            ok = False
+        times.append(time.perf_counter() - start)
+    if not ok:
+        return False, None
+    an = Analysis(*action_pair(k))
+    judged = sum(
+        1 for i, cols in enumerate(an.projection.rows) for mask in cols
+        if mask & ~(1 << i)
+    )
+    return True, (an.lts.n_states, an.encoded.n_states, judged, *times)
 
 
 def best_of_three(run):
@@ -67,6 +106,10 @@ def main(argv=None):
         "--links", default="50,100,200,400",
         help="comma-separated chain lengths n (default: 50,100,200,400)",
     )
+    parser.add_argument(
+        "--actions", default="6,8,10",
+        help="comma-separated action counts k (default: 6,8,10)",
+    )
     args = parser.parse_args(argv)
     print(f"{'n':>5} {'states':>7} {'encoded':>8} {'rounds':>7} "
           f"{'fixpoint_s':>11} {'passes':>7} {'direct_s':>9} "
@@ -79,6 +122,17 @@ def main(argv=None):
         print(f"{n:>5} {states:>7} {encoded:>8} {rounds:>7} "
               f"{fix_s:>11.4f} {passes:>7} {direct_s:>9.4f} "
               f"{pair_passes:>12} {pair_s:>9.4f} {check_s:>8.3f}")
+    print(f"{'k':>5} {'states':>7} {'encoded':>8} {'judged':>7} "
+          + " ".join(f"{m + '_s':>9}" for m in METHODS))
+    for k in (int(part) for part in args.actions.split(",")):
+        equivalent, figures = action_row(k)
+        ok &= equivalent
+        if figures is None:
+            print(f"{k:>5} refused or found inequivalent by some method")
+            continue
+        states, encoded, judged, *times = figures
+        print(f"{k:>5} {states:>7} {encoded:>8} {judged:>7} "
+              + " ".join(f"{t:>9.3f}" for t in times))
     return 0 if ok else 1
 
 

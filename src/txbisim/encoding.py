@@ -15,36 +15,56 @@ universe is capped and canonicalised to the actions the compared processes
 can actually perform.
 
 Transition table, writing ``D(P, X)`` for "P has no internal step and
-nothing in X on offer":
+nothing in X on offer", and ``X/P`` for ``X & M+(P)``, the set cut to the
+visible actions ``M+(P)`` of the states ``P`` reaches by tau and t steps
+(:attr:`_Profile.mplus`):
 
 ==================  =========  ==================  ======================
 source              label      target              condition
 ==================  =========  ==================  ======================
 triggered P         alpha      triggered P'        P -alpha-> P', alpha not t
-triggered P         eps_X      allowing(X) P       every X in the universe
-allowing(X) P       tau        allowing(X) P'      P -tau-> P'
+triggered P         eps_X      allowing(X/P) P     every X in the universe
+allowing(X) P       tau        allowing(X/P') P'   P -tau-> P'
 allowing(X) P       a          triggered P'        P -a-> P', a in X
 allowing(X) P       t_eps      triggered P         D(P, X)
-allowing(X) P       t          allowing(X) P'      D(P, X), P -t-> P'
+allowing(X) P       t          allowing(X/P') P'   D(P, X), P -t-> P'
 ==================  =========  ==================  ======================
+
+This is the closure a check builds, keyed by relevant environments.  The
+literal closure of the paper allows ``X`` itself in every wrapper: it is
+the table read with ``M+(P)`` the whole universe, which is what
+:func:`encode` builds.  The two are strongly bisimilar, wrapper by wrapper:
+``allowing(X) P`` of the literal closure is related to ``allowing(X/P) P``
+and every triggered wrapper to itself, and this relation is a strong
+bisimulation between them.  A tau or t step keeps its set, and ``M+`` only
+shrinks along it, so ``(X/P)/P' = X/P'`` and the steps land on related
+wrappers.  A visible step needs an action in ``X`` that ``P`` can do, and
+``init(P)`` lies inside ``M+(P)``, so ``X`` and ``X/P`` allow the same
+ones.  Idleness, and with it ``t_eps`` and the t steps, reads only ``X``
+against ``init(P)``.  Strong bisimilarity lies inside stability
+respecting branching bisimilarity, so every answer read off either closure
+is the same.  The members of a tau component reach each other, so they
+share one ``M+``, and a component is still reached in a column whole or
+not at all.
 
 The closure (:class:`Closure`) is built on indices, and the table above is
 written once, in its breadth-first loop.  A wrapper is keyed by its base
 state and its environment column (:func:`env_columns`), the same index the
-direct route's table uses: the mask of the actions it allows, or one
-triggered column past them.  A wrapper is numbered when it is first
-reached, breadth first from the triggered wrappings of the base roots: a
-state's successors in the order of its base steps, then its settlings in
-the order of their sets' names.  Each wrapper keeps
-its moves as ``(label code, wrapper)`` pairs, which is all the encode
-route reads, for its answers and reasons alike, so no check makes a
-wrapper object.  A tau step keeps its environment, so the tau steps of the
-closure are those of the base copied into each environment.  Its tau
-components, and the states that can reach a stable one, are therefore
-lifted from the base system, not recomputed.  :func:`encode` gives the
-same closure as an ordinary :class:`~txbisim.lts.Lts` of :class:`EncState`
-wrappers, numbered alike; :attr:`Closure.lts` builds it from the coded
-table when first read.
+direct route's table uses: the mask of the actions it allows, cut to the
+state's relevant mask, or one triggered column past them.  A wrapper is
+numbered when it is first reached, breadth first from the triggered
+wrappings of the base roots: a state's successors in the order of its
+base steps, then its settlings in the order of their sets' names, several
+of which may land on one cut wrapper.  Each wrapper keeps its moves as
+``(label code, wrapper)`` pairs, which is all the encode route reads, for
+its answers and reasons alike, so no check makes a wrapper object.  A tau
+step keeps its environment, cut alike, so the tau steps of the closure are
+those of the base copied into each environment.  Its tau components, and
+the states that can reach a stable one, are therefore lifted from the
+base system, not recomputed.  :attr:`Closure.lts` gives a
+closure as an ordinary :class:`~txbisim.lts.Lts` of :class:`EncState`
+wrappers, numbered alike, built from the coded table when first read;
+:func:`encode` gives the literal closure so.
 
 Both routes read one bit-level view of the explored system,
 :class:`_Profile`: its columns, each state's visible mask and its
@@ -125,7 +145,8 @@ class _Profile:
     one past them, names the pair row's column in the direct route's table:
     its bit lies outside every environment, so ``deadend(p, trig)`` is
     ``stable[p]``.  ``init_vis[p]`` is the mask of the visible labels of
-    ``p``'s steps.  :meth:`clauses` compiles a row's step clauses, and
+    ``p``'s steps, and :attr:`mplus` the relevant mask that keys the
+    closure's wrappers.  :meth:`clauses` compiles a row's step clauses, and
     :meth:`first_step` names the steps that may match one as a rooted
     first step.  A universe that misses a visible label of the system is
     refused with :class:`AlphabetLimitError`, which names every missing
@@ -148,6 +169,7 @@ class _Profile:
         "_idle",
         "_clauses",
         "_reads",
+        "_mplus",
     )
 
     def __init__(self, lts, universe):
@@ -178,6 +200,36 @@ class _Profile:
         self._idle = {}
         self._clauses = [[None] * (self.trig + 1) for _ in range(self.n)]
         self._reads = {}
+        self._mplus = None
+
+    @property
+    def mplus(self):
+        """``mplus[i]``, the mask of the visible labels of the steps of the
+        states that ``i`` reaches by tau and t steps, ``i`` included: all of
+        an environment that an allowing wrapper of ``i`` can ever read, as
+        it keeps its set across both.  Computed when first read, by
+        propagating each state's mask to its tau and t predecessors from a
+        work list that starts with every state that has one, the last
+        first: exploration numbers states breadth first, so their
+        successors are mostly done before them, and a cycle is closed by
+        the states it pushes again."""
+        if self._mplus is None:
+            mplus = list(self.init_vis)
+            preds = {}
+            for i, lab, j in self.lts.trans_idx:
+                if lab == "tau" or lab == "t":
+                    preds.setdefault(j, []).append(i)
+            todo = sorted(preds)
+            while todo:
+                j = todo.pop()
+                got = mplus[j]
+                for i in preds[j]:
+                    if got & ~mplus[i]:
+                        mplus[i] |= got
+                        if i in preds:
+                            todo.append(i)
+            self._mplus = tuple(mplus)
+        return self._mplus
 
     def env_mask(self, names):
         mask = 0
@@ -289,23 +341,30 @@ class Closure:
 
     The base system, its universe's columns, and each base state's visible
     mask and stability are read off the profile ``pf`` (:class:`_Profile`).
-    The wrappers are numbered breadth first from the triggered wrappings of
-    the base roots; a time-out fires from an idle wrapper alone, as the
-    direct route's clause asks.  Wrapper ``k`` has the moves ``coded_moves[k]``,
-    pairs ``(code, j)`` whose label is ``labels[code]``; ``tau_sccs`` and
+    ``relevant[i]`` is the mask an allowing wrapper of base state ``i``
+    keeps of its set: :attr:`_Profile.mplus` unless given, which keys the
+    closure by relevant environments, or the universe's mask for every
+    state, which gives the literal closure (:func:`encode`); the module's
+    text shows the two strongly bisimilar.  The wrappers are numbered
+    breadth first from the triggered wrappings of the base roots; a
+    time-out fires from an idle wrapper alone, as the direct route's clause
+    asks.  Wrapper ``k`` has the moves ``coded_moves[k]``, pairs ``(code,
+    j)`` whose label is ``labels[code]``; ``tau_sccs`` and
     ``can_reach_stable_mask`` are those of :class:`~txbisim.lts.Lts`,
     lifted from the base system.  A wrapper is keyed by its base state and
     its column of :func:`env_columns`: ``trig`` for a triggered wrapper,
-    else the mask of the actions it allows.  :meth:`index` finds a wrapper
-    by column and base state, :meth:`wrappings` gives each wrapper's base
-    state and column, and :attr:`lts` is the closure as a system of
+    else the mask of the actions it allows, within ``relevant``.
+    :meth:`index` finds a wrapper by any column and base state, cutting
+    the column to its key, :meth:`wrappings` gives each wrapper's base
+    state and key column, and :attr:`lts` is the closure as a system of
     :class:`EncState` wrappers with the same numbering, built when first
     read.
     """
 
-    def __init__(self, pf, max_states=None):
+    def __init__(self, pf, max_states=None, relevant=None):
         base, bit, names, trig = pf.lts, pf.ubit, pf.names, pf.trig
         stable, vis = pf.stable, pf.init_vis
+        self.relevant = relevant = pf.mplus if relevant is None else relevant
         budget = max_states_budget(max_states)
         width = trig + 1
         # the allowing columns in settling order, sorted by their names
@@ -350,14 +409,15 @@ class Closure:
                 succ = []
                 for k, j, b in steps[i]:
                     if k == tau or k == t and quiet:
-                        succ.append((k, j * width + x))
+                        succ.append((k, j * width + (x & relevant[j])))
                     elif b & x:
                         succ.append((k, j * width + trig))
                 if quiet:
                     succ.append((t_eps, i * width + trig))
             else:
                 succ = [(k, j * width + trig) for k, j, _ in steps[i] if k != t]
-                succ += [(k, i * width + y) for y, k in settle]
+                keep = relevant[i]
+                succ += [(k, i * width + (y & keep)) for y, k in settle]
             own = [(k, seen[key] if key in seen else admit(key)) for k, key in succ]
             table.append(tuple(own))
             at += 1
@@ -371,11 +431,15 @@ class Closure:
 
     def index(self, x, i):
         """The number of the wrapping of base state index ``i`` in column
-        ``x``."""
+        ``x``: the wrapper keyed by ``x`` within ``relevant[i]``, or by
+        ``trig`` itself."""
+        if x != self.trig:
+            x &= self.relevant[i]
         return self._seen[i * (self.trig + 1) + x]
 
     def wrappings(self):
-        """Each wrapper's base state index and column, in wrapper order."""
+        """Each wrapper's base state index and key column, in wrapper
+        order."""
         width = self.trig + 1
         return [divmod(key, width) for key in self._keys]
 
@@ -412,21 +476,29 @@ class Closure:
         """Read the tau components, and the states that can reach a stable
         one, off the base system.
 
-        A tau step keeps its column, so the tau steps of the closure are
-        those of the base copied into every column; the states reached in a
-        column are closed under them, so each base component is reached in a
-        column whole or not at all.  Taking the base components in order and
-        their columns within (the triggered one first, then the settling
-        order) keeps every component after all components it reaches.  A
-        wrapping reaches a stable state exactly when its base state does.
+        A tau step keeps its column, cut to the target's relevant mask, and
+        the members of a base component share that mask (they reach each
+        other by tau steps), so the tau steps of the closure are those of
+        the base copied into every key column within it; the states reached
+        in a column are closed under them, so each base component is
+        reached in a column whole or not at all.  Taking the base
+        components in order and their key columns within (the triggered one
+        first, then the settling order) keeps every component after all
+        components it reaches.  A wrapping reaches a stable state exactly
+        when its base state does.
         """
         base, seen, width = self.base, self._seen, self.trig + 1
         reach = base.can_reach_stable_mask
+        within = {}
         sccs = []
         mask = 0
         for comp in base.tau_sccs:
             good = reach >> comp[0] & 1
-            for x in self._columns:
+            own = self.relevant[comp[0]]
+            if own not in within:
+                within[own] = [x for x in self._columns
+                               if x == self.trig or not x & ~own]
+            for x in within[own]:
                 if comp[0] * width + x in seen:
                     lifted = [seen[i * width + x] for i in comp]
                     sccs.append(lifted)
@@ -438,8 +510,10 @@ class Closure:
 
 
 def encode(base, universe, max_states=None):
-    """The environment closure of a system as a system of
-    :class:`EncState` wrappers: :attr:`Closure.lts`.
+    """The literal environment closure of a system as a system of
+    :class:`EncState` wrappers: the :attr:`Closure.lts` of a closure whose
+    relevant mask is the whole universe for every state, so that an
+    allowing wrapper keeps every set it settles on.
 
     ``universe`` must contain every visible label of the base system.  Its
     roots are the triggered wrappings of the base roots; allowing wrappings
@@ -447,4 +521,5 @@ def encode(base, universe, max_states=None):
     admitted breadth first, and its tau components and the states that can
     reach a stable one come lifted from the base system.
     """
-    return Closure(_Profile(base, universe), max_states).lts
+    pf = _Profile(base, universe)
+    return Closure(pf, max_states, (pf.umask,) * pf.n).lts

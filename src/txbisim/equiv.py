@@ -6,11 +6,12 @@ Two independent routes lead to each reactive verdict:
   environment-indexed state triples, following the coinductive clauses of
   branching reactive bisimilarity literally;
 * the *encode* route closes the system under a most general environment
-  (:mod:`txbisim.encoding`) and decides ordinary stability respecting
-  branching bisimilarity on the result, reading reactive verdicts off its
+  (:mod:`txbisim.encoding`), its allowing wrappers keyed by the relevant
+  part of their sets, and decides ordinary stability respecting branching
+  bisimilarity on the result, reading reactive verdicts off its
   projection onto the explored states (:attr:`Analysis.projection`), the
   triggered and allowing wrappers' relation in the direct route's table
-  form.
+  form, each keyed wrapper spread over the columns it stands for.
 
 Both routes give the same answers and the same reasons, by one rule: a
 negative verdict names the first clause the queried pair fails against
@@ -22,10 +23,12 @@ direct route's form.  A pair that fails a clause against the full
 relation is inequivalent, so the first pass of its own kind decides it
 before any closure or fixpoint is built.  Otherwise ``method="both"``,
 which checks its answer without trusting the encoding, decides by the
-encode route: a positive answer is certified by one literal pass of the
-direct route's clauses over the encode route's relation projected onto
-the explored states, a negative one is checked against the direct
-fixpoint, and either check raises
+encode route, reading an unrooted entry straight off its partition: a
+positive answer is certified by one literal pass of the direct route's
+clauses over the off-diagonal entries of the encode route's relation
+projected onto the explored states (:func:`_clauses_hold`), a negative
+one, which builds no projection when unrooted, is checked against the
+direct fixpoint, and either check raises
 :class:`~txbisim.errors.MethodDisagreementError` if the routes split.
 
 Both routes read one profile of the explored system,
@@ -145,11 +148,13 @@ class Verdict:
     single-pass validators can check.  The direct route gives the full
     greatest relation over the explored states; the encode route, and
     ``"both"``, the relation projected from the wrappers its encoding
-    reaches, which may be smaller (under ``"both"`` it has passed the
-    literal check already).  It is built by ``build_witness`` when first
-    read, and kept.  For a negative verdict ``reason`` names the first
-    clause the queried pair fails, the same under every method (see the
-    module's text).
+    reaches, each keyed wrapper spread over every environment whose cut
+    it is, which may be smaller (under ``"both"`` its off-diagonal
+    entries have passed the literal check already, which proves it a
+    bisimulation once joined with the identity).  It is built by
+    ``build_witness`` when first read, and kept.  For a negative verdict
+    ``reason`` names the first clause the queried pair fails, the same
+    under every method (see the module's text).
     """
 
     equivalent: bool
@@ -812,19 +817,34 @@ def _projection(pf, enc, rel):
     """The encode route's relation ``rel`` on the wrappers of the closure
     ``enc``, as a table of the direct route's form with no records:
     related triggered wrappers give pairs, related allowing wrappers in one
-    environment give triples.  ``rel`` is a partition, so each block is
-    split by column once, and its members share the parts.  Only the
-    wrappers the encoding reaches appear, so this can be a proper part of
-    the direct route's greatest relation."""
+    environment give triples.  A wrapper of state ``i`` keyed by column
+    ``y`` stands for every column ``x`` it is the cut of, ``x &
+    enc.relevant[i] == y`` (:meth:`~txbisim.encoding.Closure.index`): the
+    literal closure's wrapper of ``i`` in ``x`` is strongly bisimilar to
+    it, so ``(i, x, j)`` is related exactly when the keyed wrappers of
+    ``i`` and ``j`` in ``x`` share a block.  ``rel`` is a partition, so
+    each block is spread over its members' columns once, and its members
+    share the parts.  Only the wrappers the encoding reaches appear, so
+    this can be a proper part of the direct route's greatest relation."""
     wraps = enc.wrappings()
-    rows = [[0] * (pf.trig + 1) for _ in range(pf.n)]
+    trig = pf.trig
+    # the actions outside a state's relevant mask, whose subsets ``z`` give
+    # the columns ``y | z`` that its wrapper keyed ``y`` stands for
+    free = [pf.submasks_of(pf.umask & ~keep) for keep in enc.relevant]
+    rows = [[0] * (trig + 1) for _ in range(pf.n)]
     for block in dict.fromkeys(rel):
-        members = [wraps[k] for k in iter_bits(block)]
+        members = []
+        for k in iter_bits(block):
+            i, y = wraps[k]
+            members.append((i, y, (0,) if y == trig else free[i]))
         parts = {}
-        for i, x in members:
-            parts[x] = parts.get(x, 0) | 1 << i
-        for i, x in members:
-            rows[i][x] = parts[x]
+        for i, y, spread in members:
+            for z in spread:
+                parts[y | z] = parts.get(y | z, 0) | 1 << i
+        for i, y, spread in members:
+            row = rows[i]
+            for z in spread:
+                row[y | z] = parts[y | z]
     return _GenResult(rows, {}, 0)
 
 
@@ -885,16 +905,28 @@ def generalized_witness_ok(lts, universe, store):
     return rows is not None and _clauses_hold(pf, rows, {})
 
 
-def _clauses_hold(pf, rows, memo):
+def _clauses_hold(pf, rows, memo, off_diagonal=False):
     """One literal pass of every clause over the table ``rows``: True when
     every pair also stands as a triple for every environment, and one
     :func:`_round` over every nonempty row, judged whole, removes nothing,
     which writes ``rows`` only when it fails, where every caller raises or
-    returns False.  ``memo`` is :func:`_round`'s."""
+    returns False.  ``memo`` is :func:`_round`'s.
+
+    With ``off_diagonal`` the pass judges each row without its own state
+    (``keep = ~(1 << p)``), and skips a row that holds nothing else.  It
+    then proves that the table joined with the identity in every column is
+    a bisimulation, which is all a certificate needs.  The identity is
+    one: each clause of ``(p, x, p)`` is matched by the same step, and a
+    dead end matches its own time-out.  A union of bisimulations is a
+    bisimulation, and an entry that passes against ``rows`` passes against
+    any table that contains it, so if every off-diagonal entry passes, the
+    join passes whole."""
     if any(cols[pf.trig] & ~row for cols in rows for row in cols):
         return False
-    live = [(p, x, -1, pf.clauses(p, x))
-            for p, cols in enumerate(rows) for x, row in enumerate(cols) if row]
+    keep = [~(1 << p) if off_diagonal else -1 for p in range(pf.n)]
+    live = [(p, x, keep[p], pf.clauses(p, x))
+            for p, cols in enumerate(rows) for x, row in enumerate(cols)
+            if row & keep[p]]
     return not _round(pf, rows, live, memo, None, 0)[0]
 
 
@@ -1075,8 +1107,8 @@ class Analysis:
 
     @cached_property
     def encoded(self):
-        """The environment closure of :attr:`lts`, on indices; its wrapper
-        system is ``encoded.lts``."""
+        """The environment closure of :attr:`lts`, on indices, keyed by
+        relevant environments; its wrapper system is ``encoded.lts``."""
         return Closure(self.profile, self.opts.max_states)
 
     @cached_property
@@ -1126,9 +1158,13 @@ def _check(p, q, env, rooted, opts):
     no table or :func:`_first_fail`, and reports a clause it finds at once.
     Then ``"direct"`` decides by the direct fixpoint over the pair column
     and column ``x`` (:func:`_direct_check`), and ``"both"`` by the encode
-    route: a positive answer is certified by :func:`_clauses_hold`, and
-    raises if that fails; a negative one is checked against the direct
-    route, whose verdict is reported."""
+    route.  An unrooted answer is the queried entry, read off the partition
+    through :meth:`~txbisim.encoding.Closure.index`, so a negative one
+    builds no projection; a rooted answer matches the first steps into the
+    projection, which a positive answer needs anyway.  A positive answer
+    is certified by :func:`_clauses_hold` over the projection's
+    off-diagonal entries, and raises if that fails; a negative one is
+    checked against the direct route, whose verdict is reported."""
     an = Analysis(p, q, opts)
     method = an.opts.method
     pf = an.profile
@@ -1144,9 +1180,13 @@ def _check(p, q, env, rooted, opts):
         return _verdict(method, caught, None, an.lts, an.universe)
     if method == "direct":
         return _direct_check(an, x, rooted)
-    if (_rooted_fail(pf, an.projection.rows, an.ip, x, an.iq) is None
-            if rooted else an.projection.has(an.ip, x, an.iq)):
-        if not _clauses_hold(pf, an.projection.rows, an.memo):
+    if rooted:
+        related = _rooted_fail(pf, an.projection.rows, an.ip, x, an.iq) is None
+    else:
+        enc, rel = an.encoded, an.enc_branch.rel
+        related = rel[enc.index(x, an.ip)] >> enc.index(x, an.iq) & 1
+    if related:
+        if not _clauses_hold(pf, an.projection.rows, an.memo, off_diagonal=True):
             raise MethodDisagreementError(
                 f"encoding says True for {term_text(p)} vs {term_text(q)}, "
                 "but its relation fails the clauses of branching reactive "

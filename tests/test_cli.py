@@ -274,7 +274,7 @@ def test_check_json_payload(capsys):
 
 
 @pytest.mark.parametrize(
-    "method, size", [("direct", 47), ("both", 31), ("encode", 31)]
+    "method, size", [("direct", 47), ("both", 35), ("encode", 35)]
 )
 def test_check_reports_the_witness_size(capsys, method, size):
     argv = ["check", STABILITY, "Q0", "R0", "brb", "--method", method]

@@ -472,22 +472,31 @@ def test_branching_rows_equal_reference_on_raw_and_encoded(small_corpus):
 
 def assert_closure_fixpoint_is_reference(an):
     """The encode route's fixpoint, read off the closure, has the rows and
-    rounds of the fixpoint of the wrapper system, and its rows are the
-    reference relation on the literal closure (:func:`oracles.ref_encode`)."""
+    rounds of the fixpoint of the wrapper system, and read through the cut
+    (:meth:`~txbisim.encoding.Closure.index`) its rows are the reference
+    relation on the literal closure (:func:`oracles.ref_encode`): two
+    literal wrappers are related exactly when their keyed wrappers are."""
     enc = an.encoded.lts
     res = an.enc_branch
     again = _branching_fixpoint(enc)
     assert (res.rel, res.rounds) == (again.rel, again.rounds)
     states, edges = ref_encode(an.lts, an.universe)
     literal = Lts(states, edges, enc.roots)
-    assert set(literal.states) == set(enc.states)
+    assert set(enc.states) <= set(literal.states)
+    pf = an.profile
+    keyed = [
+        an.encoded.index(
+            pf.trig if s.triggered else pf.env_mask(s.mode), an.lts.index[s.inner]
+        )
+        for s in literal.states
+    ]
     eng = {
-        (enc.states[i], enc.states[j])
-        for i in range(enc.n_states)
-        for j in iter_bits(res.rel[i])
+        (i, j)
+        for i in range(literal.n_states)
+        for j in range(literal.n_states)
+        if res.rel[keyed[i]] >> keyed[j] & 1
     }
-    ref = {(literal.states[i], literal.states[j]) for i, j in ref_branching(literal)}
-    assert eng == ref
+    assert eng == ref_branching(literal)
 
 
 def test_closure_fixpoint_equals_wrapper_fixpoint_and_reference(small_corpus):
@@ -510,11 +519,72 @@ def test_closure_fixpoint_equals_reference_on_drawn_pairs(seed, rewrite):
     assert_closure_fixpoint_is_reference(Analysis(p, q))
 
 
+@given(raw_systems())
+def test_keyed_closure_is_the_literal_one_up_to_strong_bisimilarity(lts):
+    """Every state a root, so every wrapper is reached: each wrapper of the
+    literal closure (:func:`~txbisim.encoding.encode`) is strongly
+    bisimilar to its keyed wrapper, the one its set cut to the state's
+    relevant mask names, and in every column the keyed route relates
+    exactly what the direct fixpoint relates.  The keyed closure's lifted
+    tau components, each after every component it reaches, and its states
+    that can reach a stable one are those recomputed on its wrapper
+    system.  Drawn raw systems are the one
+    randomised source of tau cycles through several states."""
+    lts = Lts(lts.states, lts.transitions(), lts.states)
+    universe = envset(lab for lab in lts.labels if lab not in ("tau", "t"))
+    pf = _Profile(lts, universe)
+    closure = encoding.Closure(pf)
+    wrapped = closure.lts
+    fresh = Lts(wrapped.states, wrapped.transitions(), wrapped.roots)
+    comps = set(map(frozenset, closure.tau_sccs))
+    assert comps == set(map(frozenset, fresh.tau_sccs))
+    assert closure.can_reach_stable_mask == fresh.can_reach_stable_mask
+    position = {i: k for k, comp in enumerate(closure.tau_sccs) for i in comp}
+    for i in range(fresh.n_states):
+        for j in iter_bits(fresh.succ_mask(i, "tau")):
+            assert position[j] <= position[i]
+    literal = encode(lts, universe)
+    union = disjoint_union(literal, wrapped)
+    rel = _strong_fixpoint(union).rel
+    for s in literal.states:
+        i = lts.index[s.inner]
+        x = pf.trig if s.triggered else pf.env_mask(s.mode)
+        keyed = wrapped.states[closure.index(x, i)]
+        assert rel[union.index[0, s]] >> union.index[1, keyed] & 1
+    branch = _branching_fixpoint(closure).rel
+    rows = _projection(pf, closure, branch).rows
+    assert rows == _generalized_fixpoint(pf, record=False).rows
+
+
+def test_k_action_pair_is_decided_within_the_default_budget(monkeypatch):
+    """The 10-action pair, whose literal closure has 23575 wrappers, is
+    decided under default options: its keyed closure has at most 2112,
+    and the certificate, which judges off-diagonal entries alone, at most
+    2200 rows."""
+    judged, closures = [], []
+    scan, build = equiv._round, equiv.Closure
+
+    def counted(pf, rows, live, *args):
+        judged.append(len(live))
+        return scan(pf, rows, live, *args)
+
+    def kept(*args):
+        closures.append(build(*args))
+        return closures[-1]
+
+    monkeypatch.setattr(equiv, "_round", counted)
+    monkeypatch.setattr(equiv, "Closure", kept)
+    assert brb(*action_pair(10))
+    enc, = closures
+    assert enc.n_states <= 2112
+    assert judged[-1] <= 2200
+
+
 @pytest.mark.parametrize(
     "pair, counts",
     [
-        (two_cells(), (78, 163, 5, 5814)),
-        (tuple(map(parse_term, ("a.a.a.a.0", "a.a.a.tau.a.0"))), (27, 44, 6, 676)),
+        (two_cells(), (61, 142, 5, 3568)),
+        (tuple(map(parse_term, ("a.a.a.a.0", "a.a.a.tau.a.0"))), (26, 43, 6, 626)),
     ],
 )
 def test_encoded_fixpoint_counts_are_pinned(pair, counts):
@@ -1065,13 +1135,15 @@ def test_both_refuses_a_projection_that_fails_the_clauses(monkeypatch, stability
 @pytest.mark.parametrize("check", [brb, rbrb])
 def test_both_raises_when_only_the_encoding_separates_the_pair(monkeypatch, check):
     """An equivalent pair past the first pass that a broken encode route
-    separates, its projection relating nothing, is checked against the
-    direct route, and ``both`` raises rather than report either answer."""
+    separates, its partition relating no two wrappers, is checked against
+    the direct route, and ``both`` raises rather than report either
+    answer."""
 
-    def empty(pf, enc, rel):
-        return equiv._GenResult([[0] * (pf.trig + 1) for _ in range(pf.n)], {}, 0)
+    def apart(system):
+        rel = [1 << k for k in range(system.n_states)]
+        return equiv._PairResult(rel, equiv._Separations(rel), 1)
 
-    monkeypatch.setattr(equiv, "_projection", empty)
+    monkeypatch.setattr(equiv, "_branching_fixpoint", apart)
     p, q = parse_term("a.tau.b.0 + t.b.0"), parse_term("a.b.0 + t.b.0")
     with pytest.raises(MethodDisagreementError, match="direct says True, encoding"):
         check(p, q, CheckOptions(method="both"))
