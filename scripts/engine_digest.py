@@ -8,9 +8,9 @@ digest, each printed as one sha256:
 * ``verdicts``: ``brb``, ``rbrb``, and ``brb_x``/``rbrb_x`` under every
   environment over the pair's actions, by each method: ``equivalent``,
   ``method``, ``reason`` and the witness relation (under ``both``, the
-  witness of a positive verdict is the encode route's projection, the one
-  ``encode`` reports, and its reason for a negative one is the direct
-  route's);
+  witness of a positive verdict is the encode route's projection from the
+  closure over every column, the one ``encode`` reports, and its reason
+  for a negative one is the direct route's);
 * ``direct``: the direct fixpoint's complete table, over every column, as
   a fresh ``Analysis`` reads it (a check judges only the columns its
   question reads): its rows and passes, and each removed entry ``(p, x,
@@ -19,10 +19,13 @@ digest, each printed as one sha256:
   column, env)`` it failed, all four None for stability;
 * ``distinguish``: the formula text, plain and rooted;
 * ``partition``: the ``brb_partition`` blocks of the pair's state space;
-* ``encoding``: the wrapper system of the check's closure, keyed by
-  relevant environments (``Analysis.encoded.lts``): its state texts in
-  order, its roots, its indexed transitions, and the rounds and block
-  count of the branching fixpoint on its closure;
+* ``encoding``: the wrapper system of the closure over every column, as
+  a fresh ``Analysis`` builds it and a positive encode route's witness is
+  projected from (a check's own closure settles only into the columns
+  its question reads), keyed by relevant environments
+  (``Analysis.encoded.lts``): its state texts in order, its roots, its
+  indexed transitions, and the rounds and block count of the branching
+  fixpoint on its closure;
 * ``plain``: ``strong``, ``sr_branching`` and ``r_sr_branching`` on the
   pair's state space: ``equivalent``, ``reason`` and the witness relation.
 

@@ -3,9 +3,12 @@
 The chain pair is ``a.``×n ``a.0`` against ``a.``×(n-1) ``tau.a.0``:
 inequivalent, about 2n explored states, and a partition refinement that
 takes one round per link.  For each n this prints the explored states, the
-encoded states (wrappers of the closure), the rounds of the encode route's
-branching fixpoint and that fixpoint's best time of three on a built
-closure, the passes of the direct route's fixpoint over every column and
+encoded states (wrappers of the closure over every column), the wrappers
+of the check's closure, which settles only into the columns the pair
+column reads (none but itself, as the chain has no time-out), the rounds
+of the encode route's
+branching fixpoint and that fixpoint's best time of three on the built
+closure over every column, the passes of the direct route's fixpoint over every column and
 its best time of three on a built profile, the same for the fixpoint over
 the pair column alone that ``brb_partition`` runs (the chain has no
 time-out, so the pair column reads no other), and the time of one ``brb``
@@ -26,8 +29,9 @@ than their own) and the time of one ``brb`` call by each of ``both``,
     PYTHONPATH=src python3 scripts/scaling.py --links 50,100,200,400
 
 The exit code is 1 if a chain pair comes out equivalent or a k-action pair
-inequivalent, or if a k-action check is refused, so that the default state
-budget must admit the closure at k = 10.
+inequivalent, if a chain pair's check closure has more wrappers than
+explored states, or if a k-action check is refused, so that the default
+state budget must admit the closure at k = 10.
 """
 
 import argparse
@@ -62,11 +66,12 @@ def row(n):
     enc = an.encoded
     res, best = best_of_three(lambda: _branching_fixpoint(enc))
     pf = an.profile
+    asked = Analysis(p, q, OPTS, cols=(pf.trig,)).encoded
     direct, direct_s = best_of_three(lambda: _generalized_fixpoint(pf))
     pair, pair_s = best_of_three(
         lambda: _generalized_fixpoint(pf, (pf.trig,), record=False))
-    return verdict, (an.lts.n_states, enc.n_states, res.rounds, best,
-                     direct.rounds, direct_s, pair.rounds, pair_s, check_s)
+    return verdict, (an.lts.n_states, enc.n_states, asked.n_states, res.rounds,
+                     best, direct.rounds, direct_s, pair.rounds, pair_s, check_s)
 
 
 def action_row(k):
@@ -110,15 +115,15 @@ def main(argv=None):
         help="comma-separated chain lengths n (default: 50,100,200,400)",
     )
     args = parser.parse_args(argv)
-    print(f"{'n':>5} {'states':>7} {'encoded':>8} {'rounds':>7} "
+    print(f"{'n':>5} {'states':>7} {'encoded':>8} {'asked':>6} {'rounds':>7} "
           f"{'fixpoint_s':>11} {'passes':>7} {'direct_s':>9} "
           f"{'pair_passes':>12} {'pair_s':>9} {'brb_s':>8}")
     ok = True
     for n in (int(part) for part in args.links.split(",")):
-        verdict, (states, encoded, rounds, fix_s, passes, direct_s,
+        verdict, (states, encoded, asked, rounds, fix_s, passes, direct_s,
                   pair_passes, pair_s, check_s) = row(n)
-        ok &= not verdict.equivalent
-        print(f"{n:>5} {states:>7} {encoded:>8} {rounds:>7} "
+        ok &= not verdict.equivalent and asked <= states
+        print(f"{n:>5} {states:>7} {encoded:>8} {asked:>6} {rounds:>7} "
               f"{fix_s:>11.4f} {passes:>7} {direct_s:>9.4f} "
               f"{pair_passes:>12} {pair_s:>9.4f} {check_s:>8.3f}")
     print(f"{'k':>5} {'states':>7} {'encoded':>8} {'judged':>7} "

@@ -47,6 +47,36 @@ is the same.  The members of a tau component reach each other, so they
 share one ``M+``, and a component is still reached in a column whole or
 not at all.
 
+A check asks about few columns: the pair column and its own, closed under
+what their rows' clauses read into a set ``R`` (:meth:`_Profile.reads`).
+Its closure ``C_R`` lets a triggered wrapper settle only into the allowing
+columns of ``R``; every other step of the table stays.  Write ``C`` for the
+closure that settles into every column, and ``G`` for the direct route's
+greatest relation.  Read as a table over ``R``, the relation of ``C_R`` is
+``G`` there:
+
+(1) ``G``'s pair column lies inside every column.  In ``C`` a triggered
+    wrapper's step ``eps_Y`` asks that its partner, after an inert path,
+    which stays triggered, settle on ``Y`` into a wrapper related to its
+    own; where ``G`` relates the two triggered wrappers as a pair, it
+    relates them in ``Y`` too.  A dropped ``eps_Y`` with ``Y`` outside
+    ``R`` thus only removes constraints that ``G`` already implies.
+(2) Each step of a wrapper in ``C_R`` is matched in ``C`` by an inert path
+    and a step of the same kind, and ``C_R`` holds both: inert paths use
+    tau steps only, which ``C_R`` keeps, and a settling step it holds is
+    matched by one on the same set.  So ``G``, read on the wrappers of
+    ``C_R``, is a stability respecting branching bisimulation there, and
+    lies inside the relation of ``C_R``.
+(3) The relation of ``C_R``, read as a table over ``R``, satisfies the
+    clauses of every row in ``R``, read off its steps as they are off
+    ``C``'s: a time-out into the environment ``Y`` goes by ``t_eps`` and
+    ``eps_Y``, and ``Y`` lies in ``R``, which holds what its rows read.
+    Those clauses read only ``R``, so the table lies inside the direct
+    fixpoint over ``R``, which is ``G`` there.
+
+So a check reads its answer, its reason and the certificate of ``both``
+off ``C_R``, and a witness, which is over every column, off ``C``.
+
 The closure (:class:`Closure`) is built on indices, and the table above is
 written once, in its breadth-first loop.  A wrapper is keyed by its base
 state and its environment column (:func:`env_columns`), the same index the
@@ -345,10 +375,14 @@ class Closure:
     keeps of its set: :attr:`_Profile.mplus` unless given, which keys the
     closure by relevant environments, or the universe's mask for every
     state, which gives the literal closure (:func:`encode`); the module's
-    text shows the two strongly bisimilar.  The wrappers are numbered
-    breadth first from the triggered wrappings of the base roots; a
-    time-out fires from an idle wrapper alone, as the direct route's clause
-    asks.  Wrapper ``k`` has the moves ``coded_moves[k]``, pairs ``(code,
+    text shows the two strongly bisimilar.  A triggered wrapper settles
+    into the allowing columns of ``columns`` alone, kept as a frozenset in
+    :attr:`columns`, or into every one when it is None; the module's text
+    shows that a question's closure, settling into the columns ``R`` it
+    reads, relates there what the closure over every column relates.  The
+    wrappers are numbered breadth first from the triggered wrappings of the
+    base roots; a time-out fires from an idle wrapper alone, as the direct
+    route's clause asks.  Wrapper ``k`` has the moves ``coded_moves[k]``, pairs ``(code,
     j)`` whose label is ``labels[code]``; ``tau_sccs`` and
     ``can_reach_stable_mask`` are those of :class:`~txbisim.lts.Lts`,
     lifted from the base system.  A wrapper is keyed by its base state and
@@ -361,20 +395,23 @@ class Closure:
     read.
     """
 
-    def __init__(self, pf, max_states=None, relevant=None):
+    def __init__(self, pf, max_states=None, relevant=None, columns=None):
         base, bit, names, trig = pf.lts, pf.ubit, pf.names, pf.trig
         stable, vis = pf.stable, pf.init_vis
         self.relevant = relevant = pf.mplus if relevant is None else relevant
+        self.columns = None if columns is None else frozenset(columns)
         budget = max_states_budget(max_states)
         width = trig + 1
-        # the allowing columns in settling order, sorted by their names
+        # the allowing columns sorted by their names, and those settled on
         order = sorted(range(trig), key=names.__getitem__)
+        settled = order if columns is None else [
+            x for x in order if x in self.columns]
         labels = tuple(dict.fromkeys(
-            (*base.labels, "t_eps", *(eps_label(names[x]) for x in order))
+            (*base.labels, "t_eps", *(eps_label(names[x]) for x in settled))
         ))
         codes = {lab: k for k, lab in enumerate(labels)}
         tau, t, t_eps = codes.get("tau"), codes.get("t"), codes["t_eps"]
-        settle = [(x, codes[eps_label(names[x])]) for x in order]
+        settle = [(x, codes[eps_label(names[x])]) for x in settled]
         # per base state its steps as (code, j, bit of a visible label)
         steps = [
             tuple((codes[lab], j, bit.get(lab, 0)) for lab, j in moves)

@@ -7,7 +7,8 @@ Two independent routes lead to each reactive verdict:
   branching reactive bisimilarity literally;
 * the *encode* route closes the system under a most general environment
   (:mod:`txbisim.encoding`), its allowing wrappers keyed by the relevant
-  part of their sets, and decides ordinary stability respecting branching
+  part of their sets and settled on only in the columns the question
+  reads, and decides ordinary stability respecting branching
   bisimilarity on the result, reading reactive verdicts off its
   projection onto the explored states (:attr:`Analysis.projection`), the
   triggered and allowing wrappers' relation in the direct route's table
@@ -26,8 +27,8 @@ which checks its answer without trusting the encoding, decides by the
 encode route, reading an unrooted entry straight off its partition: a
 positive answer is certified by one literal pass of the direct route's
 clauses over the off-diagonal entries of the encode route's relation
-projected onto the explored states (:func:`_clauses_hold`), a negative
-one, which builds no projection when unrooted, is checked against the
+projected onto the explored states, in the columns the question reads
+(:func:`_clauses_hold`), a negative one, which builds no projection when unrooted, is checked against the
 direct fixpoint, and either check raises
 :class:`~txbisim.errors.MethodDisagreementError` if the routes split.
 
@@ -108,11 +109,16 @@ class CheckOptions:
 
     ``method`` selects the decision route: ``"direct"``, ``"encode"``, or
     ``"both"`` (the encode route, its answers certified or cross-checked,
-    see :func:`_check`).  ``max_states`` bounds the explored and the
-    encoded states; it must be positive, and None defers to
-    ``TXBISIM_MAX_STATES`` or the built-in default.  Outside ``"encode"``
-    a negative answer the first pass of the clauses finds builds no
-    encoding, so only the explored states count against it.  No option
+    see :func:`_check`).  ``max_states`` bounds the explored states and
+    the wrappers of each closure built: a check's own, which settles only
+    into the columns its question reads, and the closure over every
+    column that a positive ``"encode"`` or ``"both"`` verdict's witness is
+    projected from when first read, so that reading it can raise
+    :class:`~txbisim.errors.StateBudgetError` where the verdict did not.
+    It must be positive, and None defers to ``TXBISIM_MAX_STATES`` or the
+    built-in default.  Outside ``"encode"`` a negative answer the first
+    pass of the clauses finds builds no encoding, so only the explored
+    states count against it.  No option
     bounds the alphabet: the compared terms may have at most
     :data:`~txbisim.encoding.MAX_UNIVERSE` visible actions, the ceiling
     :func:`process_universe` enforces.
@@ -147,12 +153,17 @@ class Verdict:
     For a positive verdict ``witness`` holds a relation that independent
     single-pass validators can check.  The direct route gives the full
     greatest relation over the explored states; the encode route, and
-    ``"both"``, the relation projected from the wrappers its encoding
-    reaches, each keyed wrapper spread over every environment whose cut
-    it is, which may be smaller (under ``"both"`` its off-diagonal
-    entries have passed the literal check already, which proves it a
-    bisimulation once joined with the identity).  It is built by
-    ``build_witness`` when first read, and kept.  For a negative verdict
+    ``"both"``, the relation projected from the wrappers that the closure
+    over every column reaches, each keyed wrapper spread over every
+    environment whose cut it is, which may be smaller (under ``"both"``
+    its off-diagonal entries pass the literal check over every column
+    before it is handed out, which proves it a bisimulation once joined
+    with the identity).  The check itself read a closure that settles only
+    into the columns its question reads; unless that is every column, the
+    witness's closure is built when the witness is first read, within
+    ``max_states`` as well, so reading it may raise
+    :class:`~txbisim.errors.StateBudgetError` where the verdict did not.
+    It is built by ``build_witness`` when first read, and kept.  For a negative verdict
     ``reason`` names the first clause the queried pair fails, the same
     under every method (see the module's text).
     """
@@ -218,10 +229,11 @@ class _GenResult:
     (:meth:`_Profile.clauses`, or :data:`_STABILITY`); ``rounds`` counts its
     passes, and each run over new columns ends with one that removes
     nothing.  Only the columns outside ``pending`` are judged; the rows of
-    a pending column still hold every state, and :meth:`complete` judges
-    them.  The encode route's
-    projection (:func:`_projection`) takes the same form, complete, with
-    no records and no passes.
+    a pending column still hold every state, :meth:`has` and :meth:`stamp`
+    refuse to read them, and :meth:`complete` judges them.  The encode
+    route's projection (:func:`_projection`) takes the same form, with no
+    records and no passes, its pending columns those its closure did not
+    settle into, whose rows hold nothing.
     """
 
     rows: list
@@ -235,11 +247,16 @@ class _GenResult:
     next_stamp: int = 1
 
     def has(self, p, x, q):
+        """Whether the entry ``(p, x, q)`` is related; a pending column
+        holds no answer, so asking in one raises :class:`TxbisimError`."""
+        if x in self.pending:
+            raise TxbisimError(f"column {x} is pending: its rows are unjudged")
         return bool(self.rows[p][x] >> q & 1)
 
     def stamp(self, p, x, q):
         """The stamp of an entry's removal, from its own orientation's
-        record or else its mirror's, or None while it is still related."""
+        record or else its mirror's, or None while it is still related;
+        raises in a pending column, as :meth:`has` does."""
         if self.has(p, x, q):
             return None
         return (self.records.get((p, x, q)) or self.records[q, x, p])[0]
@@ -824,10 +841,13 @@ def _projection(pf, enc, rel):
     it, so ``(i, x, j)`` is related exactly when the keyed wrappers of
     ``i`` and ``j`` in ``x`` share a block.  ``rel`` is a partition, so
     each block is spread over its members' columns once, and its members
-    share the parts.  Only the wrappers the encoding reaches appear, so
-    this can be a proper part of the direct route's greatest relation."""
+    share the parts.  A closure that settles only into ``enc.columns``
+    is spread into those alone, and the other columns stay pending.  Only
+    the wrappers the encoding reaches appear, so this can be a proper part
+    of the direct route's greatest relation."""
     wraps = enc.wrappings()
     trig = pf.trig
+    cols = enc.columns
     # the actions outside a state's relevant mask, whose subsets ``z`` give
     # the columns ``y | z`` that its wrapper keyed ``y`` stands for
     free = [pf.submasks_of(pf.umask & ~keep) for keep in enc.relevant]
@@ -836,7 +856,10 @@ def _projection(pf, enc, rel):
         members = []
         for k in iter_bits(block):
             i, y = wraps[k]
-            members.append((i, y, (0,) if y == trig else free[i]))
+            spread = (0,) if y == trig else free[i]
+            if cols is not None:
+                spread = [z for z in spread if y | z in cols]
+            members.append((i, y, spread))
         parts = {}
         for i, y, spread in members:
             for z in spread:
@@ -845,7 +868,8 @@ def _projection(pf, enc, rel):
             row = rows[i]
             for z in spread:
                 row[y | z] = parts[y | z]
-    return _GenResult(rows, {}, 0)
+    pending = frozenset() if cols is None else frozenset(range(trig + 1)) - cols
+    return _GenResult(rows, {}, 0, pending)
 
 
 def _pair_store(lts, rel):
@@ -905,12 +929,17 @@ def generalized_witness_ok(lts, universe, store):
     return rows is not None and _clauses_hold(pf, rows, {})
 
 
-def _clauses_hold(pf, rows, memo, off_diagonal=False):
+def _clauses_hold(pf, rows, memo, off_diagonal=False, cols=None):
     """One literal pass of every clause over the table ``rows``: True when
     every pair also stands as a triple for every environment, and one
     :func:`_round` over every nonempty row, judged whole, removes nothing,
     which writes ``rows`` only when it fails, where every caller raises or
-    returns False.  ``memo`` is :func:`_round`'s.
+    returns False.  ``memo`` is :func:`_round`'s.  With ``cols``, a set of
+    columns closed under what their rows' clauses read
+    (:meth:`_Profile.reads`), only the rows and environments of ``cols``
+    are judged: the table over them is then closed under those clauses,
+    which read no other column, so it lies inside the greatest relation,
+    as in :func:`_generalized_fixpoint`.
 
     With ``off_diagonal`` the pass judges each row without its own state
     (``keep = ~(1 << p)``), and skips a row that holds nothing else.  It
@@ -921,12 +950,12 @@ def _clauses_hold(pf, rows, memo, off_diagonal=False):
     bisimulation, and an entry that passes against ``rows`` passes against
     any table that contains it, so if every off-diagonal entry passes, the
     join passes whole."""
-    if any(cols[pf.trig] & ~row for cols in rows for row in cols):
+    xs = range(pf.trig + 1) if cols is None else cols
+    if any(row[pf.trig] & ~row[x] for row in rows for x in xs):
         return False
     keep = [~(1 << p) if off_diagonal else -1 for p in range(pf.n)]
     live = [(p, x, keep[p], pf.clauses(p, x))
-            for p, cols in enumerate(rows) for x, row in enumerate(cols)
-            if row & keep[p]]
+            for p, row in enumerate(rows) for x in xs if row[x] & keep[p]]
     return not _round(pf, rows, live, memo, None, 0)[0]
 
 
@@ -1058,18 +1087,25 @@ def brb_states(lts, s, t, universe=None, rooted=False):
 
 
 class Analysis:
-    """Shared state space, universe, and fixpoints for one term pair.
+    """Shared state space, universe, and fixpoints for one term pair and
+    one question.
 
-    Everything is computed lazily and at most once; the modal module reuses
-    an analysis to synthesise distinguishing formulas from the recorded
-    removals.
+    The question is named once, at construction: ``cols`` are the columns
+    of :func:`~txbisim.encoding.env_columns` it asks about, or None for
+    every column.  The direct fixpoint (:attr:`gen`) judges them and the
+    columns they read, and the closure (:attr:`encoded`) settles only into
+    those, :attr:`reads`; so the encode route's relation
+    (:attr:`projection`) holds those columns alone.  Everything is computed
+    lazily and at most once; the modal module reuses an analysis to
+    synthesise distinguishing formulas from the recorded removals.
     """
 
-    def __init__(self, p, q, opts=None):
+    def __init__(self, p, q, opts=None, cols=None):
         self.opts = opts or CheckOptions()
         self.p = p
         self.q = q
         self.universe = process_universe(p, q)
+        self.cols = cols
 
     @cached_property
     def lts(self):
@@ -1094,34 +1130,39 @@ class Analysis:
         certificate.  A verdict's witness does not hold them."""
         return {}
 
-    # the columns the question reads, which a check sets before it reads
-    # :attr:`gen`; None asks for every column
-    columns = None
+    @cached_property
+    def reads(self):
+        """The columns the question reads, :meth:`_Profile.reads` of
+        ``cols``, ascending; None when that is every column."""
+        if self.cols is None:
+            return None
+        got = self.profile.reads(self.cols)
+        return None if len(got) > self.profile.trig else got
 
     @cached_property
     def gen(self):
-        """The direct fixpoint over :attr:`columns` and the columns they
-        read (:func:`_generalized_fixpoint`); ``gen.complete(memo)`` judges
-        the rest."""
-        return _generalized_fixpoint(self.profile, self.columns, memo=self.memo)
+        """The direct fixpoint over ``cols`` and the columns they read
+        (:func:`_generalized_fixpoint`); ``gen.complete(memo)`` judges the
+        rest."""
+        return _generalized_fixpoint(self.profile, self.cols, memo=self.memo)
 
     @cached_property
     def encoded(self):
         """The environment closure of :attr:`lts`, on indices, keyed by
-        relevant environments; its wrapper system is ``encoded.lts``."""
-        return Closure(self.profile, self.opts.max_states)
+        relevant environments, its triggered wrappers settling only into
+        the allowing columns of :attr:`reads`; its wrapper system is
+        ``encoded.lts``."""
+        return Closure(self.profile, self.opts.max_states, columns=self.reads)
 
     @cached_property
     def enc_branch(self):
         return _branching_fixpoint(self.encoded)
 
-    def canonical_env(self, x):
-        return tuple(a for a in envset(x) if a in self.universe)
-
     @cached_property
     def projection(self):
         """The encode route's relation on the explored states, in the
-        direct route's table form (:func:`_projection`)."""
+        direct route's table form (:func:`_projection`), over the columns
+        of :attr:`reads`."""
         return _projection(self.profile, self.encoded, self.enc_branch.rel)
 
     def gen_store(self):
@@ -1133,27 +1174,65 @@ class Analysis:
         return _gen_store(self.profile, self.projection)
 
 
-def _store_thunk(an, name, *parts):
+def _store_thunk(an, name, *parts, certify=False):
     """A thunk running the :class:`Analysis` method ``name`` on a stand-in,
-    a bare analysis that holds only the ``parts`` of ``an`` and computes
-    any other stage it reads from them when the thunk runs, so that a
-    verdict keeps no more than its store needs.  The method is looked up
-    when the thunk runs, so a wrapper set on the class in the meantime is
-    honoured.
+    a bare analysis that asks every column and holds only the ``parts`` of
+    ``an``, and computes any other stage it reads from them when the thunk
+    runs, so that a verdict keeps no more than its store needs: a witness
+    is over every column, whatever the check's question read.  With
+    ``certify`` the stand-in's projection, built there, must first pass
+    :func:`_certify` over every column.  The method is looked up when the
+    thunk runs, so a wrapper set on the class in the meantime is honoured.
     """
     held = object.__new__(Analysis)
+    held.cols = None
     held.__dict__.update((part, getattr(an, part)) for part in parts)
-    return lambda: getattr(Analysis, name)(held)
+
+    def build():
+        if certify:
+            _certify(held)
+        return getattr(Analysis, name)(held)
+
+    return build
+
+
+def _certify(an):
+    """Raise :class:`~txbisim.errors.MethodDisagreementError` unless the
+    off-diagonal entries of the encode route's relation pass the clauses of
+    the rows it holds (:func:`_clauses_hold` over :attr:`Analysis.reads`),
+    which proves them, joined with the identity, a bisimulation."""
+    if not _clauses_hold(an.profile, an.projection.rows, an.memo, True, an.reads):
+        raise MethodDisagreementError(
+            f"encoding says True for {term_text(an.p)} vs {term_text(an.q)}, "
+            "but its relation fails the clauses of branching reactive "
+            "bisimulation"
+        )
+
+
+def _encoded_store(an):
+    """The thunk of the encode route's witness, the projection of the
+    closure over every column: the check's own when it settled into every
+    column, else one the stand-in builds, under ``"both"`` certified over
+    every column."""
+    if an.reads is None:
+        return _store_thunk(an, "encoded_projection", "profile", "projection")
+    return _store_thunk(
+        an, "encoded_projection", "p", "q", "opts", "profile",
+        certify=an.opts.method == "both",
+    )
 
 
 def _check(p, q, env, rooted, opts):
     """Decide one of the four reactive relations of two closed terms:
     triggered when ``env`` is None, else in the environment ``env``, and
-    rooted or not, in one column of :func:`~txbisim.encoding.env_columns`
-    for either route.  ``opts.method`` picks the route.  ``"encode"`` reads
-    its answer and its reason off :attr:`Analysis.projection`: the pair's
-    closure holds every wrapper its clauses read, as both routes fire a
-    time-out from an idle state alone (:func:`_round`).  Any other check
+    rooted or not, in one column ``x`` of
+    :func:`~txbisim.encoding.env_columns` for either route.  The analysis
+    is built for the question ``(trig, x)``, so its direct fixpoint judges
+    and its closure settles into only the columns that reads.
+    ``opts.method`` picks the route.  ``"encode"`` reads its answer and its
+    reason off :attr:`Analysis.projection`: the pair's closure holds every
+    wrapper its clauses read, as both routes fire a time-out from an idle
+    state alone (:func:`_round`).  Any other check
     first runs the first pass of its own kind, :func:`_rooted_fail` with
     no table or :func:`_first_fail`, and reports a clause it finds at once.
     Then ``"direct"`` decides by the direct fixpoint over the pair column
@@ -1163,16 +1242,19 @@ def _check(p, q, env, rooted, opts):
     builds no projection; a rooted answer matches the first steps into the
     projection, which a positive answer needs anyway.  A positive answer
     is certified by :func:`_clauses_hold` over the projection's
-    off-diagonal entries, and raises if that fails; a negative one is
-    checked against the direct route, whose verdict is reported."""
-    an = Analysis(p, q, opts)
+    off-diagonal entries (:func:`_certify`), and raises if that fails; a
+    negative one is checked against the direct route, whose verdict is
+    reported.  A positive encode route's witness is projected from the
+    closure over every column (:func:`_encoded_store`)."""
+    bit, _, trig = env_columns(process_universe(p, q))
+    x = trig if env is None else sum(bit.get(a, 0) for a in envset(env))
+    an = Analysis(p, q, opts, (trig, x))
     method = an.opts.method
     pf = an.profile
-    x = pf.trig if env is None else pf.env_mask(an.canonical_env(env))
     if method == "encode":
-        store = _store_thunk(an, "encoded_projection", "profile", "projection")
         return _direct(
-            "encode", pf, an.projection, an.ip, an.iq, x, rooted, store, an.memo
+            "encode", pf, an.projection, an.ip, an.iq, x, rooted,
+            _encoded_store(an), an.memo,
         )
     caught = (_rooted_fail(pf, None, an.ip, x, an.iq) if rooted
               else _first_fail(pf, an.ip, x, an.iq, an.memo))
@@ -1186,14 +1268,8 @@ def _check(p, q, env, rooted, opts):
         enc, rel = an.encoded, an.enc_branch.rel
         related = rel[enc.index(x, an.ip)] >> enc.index(x, an.iq) & 1
     if related:
-        if not _clauses_hold(pf, an.projection.rows, an.memo, off_diagonal=True):
-            raise MethodDisagreementError(
-                f"encoding says True for {term_text(p)} vs {term_text(q)}, "
-                "but its relation fails the clauses of branching reactive "
-                "bisimulation"
-            )
-        store = _store_thunk(an, "encoded_projection", "profile", "projection")
-        return _verdict("both", None, store, an.lts, an.universe)
+        _certify(an)
+        return _verdict("both", None, _encoded_store(an), an.lts, an.universe)
     d = _direct_check(an, x, rooted)
     if d.equivalent:
         raise MethodDisagreementError(
@@ -1205,9 +1281,8 @@ def _check(p, q, env, rooted, opts):
 
 def _direct_check(an, x, rooted):
     """The direct route's verdict on the analysis' pair in column ``x``,
-    by the fixpoint over the pair column and ``x``; a positive verdict's
-    witness completes it."""
-    an.columns = (an.profile.trig, x)
+    by the fixpoint over the analysis' columns, the pair column and ``x``;
+    a positive verdict's witness completes it."""
     store = _store_thunk(an, "gen_store", "profile", "gen")
     return _direct(
         "direct", an.profile, an.gen, an.ip, an.iq, x, rooted, store, an.memo

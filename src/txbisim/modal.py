@@ -33,7 +33,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .equiv import Analysis, _first_fail, _rooted_fail
+from .encoding import env_columns
+from .equiv import Analysis, _first_fail, _rooted_fail, process_universe
 from .errors import ParseError, TxbisimError, WitnessError
 from .lts import iter_bits
 from .terms import MAX_NESTING, envset, visible
@@ -518,20 +519,18 @@ def distinguish(p, q, rooted=False, opts=None):
     Any other pair runs the fixpoint over the pair column and the columns
     it reads, and replays its records.
     """
-    an = Analysis(p, q, opts)
+    an = Analysis(p, q, opts, (env_columns(process_universe(p, q))[2],))
     pf, i, j = an.profile, an.ip, an.iq
     syn = _Synthesizer(an)
     fail = (_rooted_fail(pf, None, i, pf.trig, j) if rooted
             else _first_fail(pf, i, pf.trig, j, an.memo))
     if fail is not None:
         phi = syn.caught(*fail, rooted)
+    elif rooted:
+        fail = _rooted_fail(pf, an.gen.rows, i, pf.trig, j)
+        phi = fail and syn.caught(*fail, rooted)
     else:
-        an.columns = (pf.trig,)
-        if rooted:
-            fail = _rooted_fail(pf, an.gen.rows, i, pf.trig, j)
-            phi = fail and syn.caught(*fail, rooted)
-        else:
-            phi = None if an.gen.has(i, pf.trig, j) else syn.formula(i, pf.trig, j)
+        phi = None if an.gen.has(i, pf.trig, j) else syn.formula(i, pf.trig, j)
     if phi is None:
         return None
     cls = "Lbcr" if rooted else "Lbc"

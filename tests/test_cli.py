@@ -286,6 +286,24 @@ def test_check_reports_the_witness_size(capsys, method, size):
     assert f"witness size: {size}" in out.splitlines()
 
 
+@pytest.mark.parametrize("method", ["both", "encode"])
+def test_check_text_mode_needs_the_witness_closure_within_the_budget(
+    capsys, tmp_path, method
+):
+    """``a.a.0`` against ``a.tau.a.0`` under a budget of 8: the check's
+    closure, 5 triggered wrappers, fits, but text mode prints the witness
+    size, and the witness is projected from the closure over every column,
+    14 wrappers, so the command exits 2."""
+    pair = tmp_path / "pair.ccspt"
+    pair.write_text("def P = a.a.0;\ndef Q = a.tau.a.0;\n")
+    argv = ["check", str(pair), "P", "Q", "brb", "--method", method]
+    code, _, err = run(capsys, argv + ["--max-states", "8"])
+    assert code == 2
+    assert "state budget of 8 exceeded" in err
+    code, out, _ = run(capsys, argv + ["--max-states", "14"])
+    assert code == 0 and "verdict: equivalent" in out
+
+
 def test_check_method_flag_lands_in_payload(capsys):
     code, out, _ = run(
         capsys,

@@ -560,7 +560,9 @@ def test_k_action_pair_is_decided_within_the_default_budget(monkeypatch):
     """The 10-action pair, whose literal closure has 23575 wrappers, is
     decided under default options: its keyed closure has at most 2112,
     and the certificate, which judges off-diagonal entries alone, at most
-    2200 rows."""
+    2200 rows.  Its time-outs read every column, so the check's closure
+    is the one over every column, with exactly 2112 wrappers and 2050
+    judged rows, and reading the witness builds no second closure."""
     judged, closures = [], []
     scan, build = equiv._round, equiv.Closure
 
@@ -568,16 +570,136 @@ def test_k_action_pair_is_decided_within_the_default_budget(monkeypatch):
         judged.append(len(live))
         return scan(pf, rows, live, *args)
 
-    def kept(*args):
-        closures.append(build(*args))
+    def kept(*args, **kwargs):
+        closures.append(build(*args, **kwargs))
         return closures[-1]
 
     monkeypatch.setattr(equiv, "_round", counted)
     monkeypatch.setattr(equiv, "Closure", kept)
-    assert brb(*action_pair(10))
+    v = brb(*action_pair(10))
+    assert v
     enc, = closures
     assert enc.n_states <= 2112
     assert judged[-1] <= 2200
+    assert enc.columns is None
+    assert (enc.n_states, judged[-1]) == (2112, 2050)
+    assert v.witness.size > 0 and len(closures) == 1
+
+
+@given(raw_systems())
+def test_closure_over_the_columns_a_question_reads_on_drawn_systems(lts):
+    """Every state a root: for every column ``x`` the closure that settles
+    only into the columns ``R`` that the question ``(trig, x)`` reads
+    relates the wrappers of ``i`` and ``j`` in a column ``y`` of ``R``
+    exactly when the complete direct table relates ``(i, y, j)``; its
+    projection holds those rows, and the columns outside ``R`` pending."""
+    lts = Lts(lts.states, lts.transitions(), lts.states)
+    universe = envset(lab for lab in lts.labels if lab not in ("tau", "t"))
+    pf = _Profile(lts, universe)
+    whole = _generalized_fixpoint(pf, record=False).rows
+    every = set(range(pf.trig + 1))
+    for x in every:
+        cols = pf.reads((pf.trig, x))
+        closure = encoding.Closure(pf, columns=cols)
+        rel = _branching_fixpoint(closure).rel
+        for y in cols:
+            wraps = [closure.index(y, i) for i in range(pf.n)]
+            for i, a in enumerate(wraps):
+                for j, b in enumerate(wraps):
+                    assert rel[a] >> b & 1 == whole[i][y] >> j & 1
+        proj = _projection(pf, closure, rel)
+        assert proj.pending == every - set(cols)
+        assert all(proj.rows[i][y] == whole[i][y]
+                   for i in range(pf.n) for y in cols)
+
+
+def test_chain_pair_closure_settles_nowhere(monkeypatch):
+    """The 400-link chain pair has no time-out, so its question reads the
+    pair column alone: ``brb`` builds at most one wrapper per explored
+    state, all of them triggered, and no settling step."""
+    closures = []
+    build = equiv.Closure
+
+    def kept(*args, **kwargs):
+        closures.append(build(*args, **kwargs))
+        return closures[-1]
+
+    monkeypatch.setattr(equiv, "Closure", kept)
+    p, q = chain_pair(400)
+    v = brb(p, q)
+    assert not v
+    enc, = closures
+    assert enc.n_states <= v.lts.n_states
+    assert all(y == enc.trig for _, y in enc.wrappings())
+    assert not any(lab.startswith("eps_") for lab in enc.labels)
+
+
+def test_a_pending_column_is_refused():
+    """An analysis whose question is the pair column holds no answer in
+    ``{b}``: asking its table there raises, as does the direct check in
+    that column, where a fresh check answers ``b.a.0`` against ``b.c.0``
+    in ``{b}`` as inequivalent."""
+    p, q = parse_term("b.a.0"), parse_term("b.c.0")
+    trig = encoding.env_columns(process_universe(p, q))[2]
+    an = Analysis(p, q, DIRECT, (trig,))
+    x = an.profile.env_mask(("b",))
+    assert x in an.gen.pending
+    with pytest.raises(TxbisimError, match="pending"):
+        an.gen.has(an.ip, x, an.iq)
+    with pytest.raises(TxbisimError, match="pending"):
+        an.gen.stamp(an.ip, x, an.iq)
+    with pytest.raises(TxbisimError, match="pending"):
+        equiv._direct_check(an, x, False)
+    env = envset(("b",))
+    for method in ("direct", "encode", "both"):
+        assert not brb_x(p, q, env, CheckOptions(method=method))
+
+
+@pytest.mark.parametrize("method", ["both", "encode"])
+def test_state_budget_bounds_the_question_then_the_witness(method):
+    """``a.a.0`` against ``a.tau.a.0`` has no time-out: its question's
+    closure holds the 5 triggered wrappers, its every-column closure 14.
+    Under a budget between them the check answers, and reading the
+    witness, which is projected from the every-column closure, raises."""
+    p, q = parse_term("a.a.0"), parse_term("a.tau.a.0")
+    an = Analysis(p, q)
+    trig = an.profile.trig
+    asked = Analysis(p, q, None, (trig,)).encoded.n_states
+    budget = 8
+    assert asked < budget < an.encoded.n_states
+    v = brb(p, q, CheckOptions(method=method, max_states=budget))
+    assert v.equivalent
+    with pytest.raises(StateBudgetError):
+        v.witness
+
+
+def test_both_certifies_the_witness_over_every_column(monkeypatch):
+    """Under ``both`` the check certifies the projection over the columns
+    its question reads; the witness, projected from the every-column
+    closure when first read, is certified over every column before it is
+    handed out, and a failed certificate raises there."""
+    calls = []
+    holds = equiv._clauses_hold
+
+    def counted(pf, rows, memo, off_diagonal=False, cols=None):
+        calls.append(cols)
+        return holds(pf, rows, memo, off_diagonal, cols)
+
+    monkeypatch.setattr(equiv, "_clauses_hold", counted)
+    p, q = parse_term("a.a.0"), parse_term("a.tau.a.0")
+    v = brb(p, q)
+    trig = encoding.env_columns(v.universe)[2]
+    assert v and calls == [(trig,)]
+    assert v.witness == brb(p, q, CheckOptions(method="encode")).witness
+    assert calls == [(trig,), None]
+    assert generalized_witness_ok(v.lts, v.universe, v.witness)
+    monkeypatch.setattr(
+        equiv, "_clauses_hold",
+        lambda pf, rows, memo, off_diagonal=False, cols=None: cols is not None,
+    )
+    v = brb(p, q)
+    with pytest.raises(MethodDisagreementError, match="fails the clauses"):
+        v.witness
 
 
 @pytest.mark.parametrize(
