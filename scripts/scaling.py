@@ -1,4 +1,5 @@
-"""Growth of both routes on two families, one row per size.
+"""Growth of both routes on two families, and of explanations on a third,
+one row per size.
 
 The chain pair is ``a.``×n ``a.0`` against ``a.``×(n-1) ``tau.a.0``:
 inequivalent, about 2n explored states, and a partition refinement that
@@ -24,28 +25,39 @@ under default options, the explored states, the wrappers of the check's
 closure, keyed by relevant environments, the rows the certificate of
 ``method="both"`` judges (the projection's rows that hold a state other
 than their own) and the time of one ``brb`` call by each of ``both``,
-``direct`` and ``encode``, parse and exploration included:
+``direct`` and ``encode``, parse and exploration included.
+
+The explanation pair is ``a.``×n ``a.0`` against ``a.``×n ``b.0``, n = 50
+and 100: its distinguishing formula is three nodes deep per link.  For
+each n this prints the time of one ``distinguish`` call, parse and
+exploration included, and the formula's distinct nodes:
 
     PYTHONPATH=src python3 scripts/scaling.py --links 50,100,200,400
 
 The exit code is 1 if a chain pair comes out equivalent or a k-action pair
 inequivalent, if a chain pair's check closure has more wrappers than
-explored states, or if a k-action check is refused, so that the default
-state budget must admit the closure at k = 10.
+explored states, if a k-action check is refused, so that the default
+state budget must admit the closure at k = 10, or if an explanation
+raises or finds no formula.
 """
 
 import argparse
 import sys
 import time
 
-from txbisim import Analysis, CheckOptions, TxbisimError, brb, parse_term
+from txbisim import (
+    Analysis, CheckOptions, TxbisimError, brb, distinguish, parse_term,
+)
 from txbisim.equiv import _branching_fixpoint, _generalized_fixpoint
+from txbisim.modal import _layout
 
 OPTS = CheckOptions(max_states=10**6)
 METHODS = ("both", "direct", "encode")
 # the k-action pairs' sizes and their actions; ``t`` is the time-out
 ACTION_COUNTS = (6, 8, 10)
 ACTIONS = "abcdefghij"
+# the explanation pairs' lengths
+EXPLAIN_LINKS = (50, 100)
 
 
 def chain_pair(n):
@@ -96,6 +108,32 @@ def action_row(k):
     return an.lts.n_states, an.encoded.n_states, judged, *times
 
 
+def explain_row(n):
+    """The time of ``distinguish`` on the explanation pair of ``n`` links
+    and its formula's distinct nodes, or None if it raises or finds no
+    formula."""
+    start = time.perf_counter()
+    try:
+        phi = distinguish(parse_term("a." * n + "a.0"),
+                          parse_term("a." * n + "b.0"))
+    except (TxbisimError, RecursionError):
+        return None
+    took = time.perf_counter() - start
+    return None if phi is None else (took, formula_size(phi))
+
+
+def formula_size(phi):
+    """Distinct nodes of a formula, whose subformulas may be shared."""
+    seen = {id(phi)}
+    stack = [phi]
+    while stack:
+        for sub in _layout(stack.pop())[1]:
+            if id(sub) not in seen:
+                seen.add(id(sub))
+                stack.append(sub)
+    return len(seen)
+
+
 def best_of_three(run):
     """The last result of three calls of ``run`` and the fastest call's
     time."""
@@ -137,6 +175,15 @@ def main(argv=None):
         states, encoded, judged, *times = figures
         print(f"{k:>5} {states:>7} {encoded:>8} {judged:>7} "
               + " ".join(f"{t:>9.3f}" for t in times))
+    print(f"{'n':>5} {'explain_s':>10} {'formula':>8}")
+    for n in EXPLAIN_LINKS:
+        figures = explain_row(n)
+        if figures is None:
+            ok = False
+            print(f"{n:>5} raised or found no formula")
+            continue
+        took, size = figures
+        print(f"{n:>5} {took:>10.3f} {size:>8}")
     return 0 if ok else 1
 
 

@@ -1092,19 +1092,21 @@ class Analysis:
 
     The question is named once, at construction: ``cols`` are the columns
     of :func:`~txbisim.encoding.env_columns` it asks about, or None for
-    every column.  The direct fixpoint (:attr:`gen`) judges them and the
-    columns they read, and the closure (:attr:`encoded`) settles only into
-    those, :attr:`reads`; so the encode route's relation
-    (:attr:`projection`) holds those columns alone.  Everything is computed
-    lazily and at most once; the modal module reuses an analysis to
-    synthesise distinguishing formulas from the recorded removals.
+    every column.  A caller that named them from :func:`process_universe`
+    passes that ``universe`` along, so that it is not computed twice.  The
+    direct fixpoint (:attr:`gen`) judges them and the columns they read,
+    and the closure (:attr:`encoded`) settles only into those,
+    :attr:`reads`; so the encode route's relation (:attr:`projection`)
+    holds those columns alone.  Everything is computed lazily and at most
+    once; the modal module reuses an analysis to synthesise distinguishing
+    formulas from the recorded removals.
     """
 
-    def __init__(self, p, q, opts=None, cols=None):
+    def __init__(self, p, q, opts=None, cols=None, universe=None):
         self.opts = opts or CheckOptions()
         self.p = p
         self.q = q
-        self.universe = process_universe(p, q)
+        self.universe = process_universe(p, q) if universe is None else universe
         self.cols = cols
 
     @cached_property
@@ -1183,15 +1185,22 @@ def _store_thunk(an, name, *parts, certify=False):
     ``certify`` the stand-in's projection, built there, must first pass
     :func:`_certify` over every column.  The method is looked up when the
     thunk runs, so a wrapper set on the class in the meantime is honoured.
+    Once the store is built the stand-in goes, and a second call returns
+    the same store.
     """
     held = object.__new__(Analysis)
     held.cols = None
     held.__dict__.update((part, getattr(an, part)) for part in parts)
+    store = None
 
     def build():
-        if certify:
-            _certify(held)
-        return getattr(Analysis, name)(held)
+        nonlocal held, store
+        if store is None:
+            if certify:
+                _certify(held)
+            store = getattr(Analysis, name)(held)
+            held = None
+        return store
 
     return build
 
@@ -1246,9 +1255,10 @@ def _check(p, q, env, rooted, opts):
     negative one is checked against the direct route, whose verdict is
     reported.  A positive encode route's witness is projected from the
     closure over every column (:func:`_encoded_store`)."""
-    bit, _, trig = env_columns(process_universe(p, q))
+    universe = process_universe(p, q)
+    bit, _, trig = env_columns(universe)
     x = trig if env is None else sum(bit.get(a, 0) for a in envset(env))
-    an = Analysis(p, q, opts, (trig, x))
+    an = Analysis(p, q, opts, (trig, x), universe)
     method = an.opts.method
     pf = an.profile
     if method == "encode":

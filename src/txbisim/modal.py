@@ -148,25 +148,48 @@ def conjunction(formulas):
 
 
 def formula_text(phi):
-    def wrap(sub):
-        text = formula_text(sub)
-        return f"({text})" if isinstance(sub, And) else text
+    """The textual syntax of a formula, by one iterative post-order walk
+    over its nodes, so that depth costs no stack frames; a subformula
+    shared by several parents is written once and reused."""
+    texts: dict = {}
+    stack = [phi]
+    while stack:
+        node = stack[-1]
+        if id(node) in texts:
+            stack.pop()
+            continue
+        op, subs = _layout(node)
+        todo = [sub for sub in subs if id(sub) not in texts]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        parts = [
+            f"({texts[id(sub)]})" if isinstance(sub, And) else texts[id(sub)]
+            for sub in subs
+        ]
+        texts[id(node)] = " & ".join(parts) if op is None else op + "".join(parts)
+    return texts[id(phi)]
 
+
+def _layout(phi):
+    """A node's operator text, written before its one subformula (None for
+    a conjunction, whose conjuncts are joined), and its subformulas."""
     match phi:
         case Top():
-            return "T"
+            return "T", ()
         case And(children):
-            return " & ".join(wrap(c) for c in children)
+            return None, children
         case Not(sub):
-            return "~" + wrap(sub)
+            return "~", (sub,)
         case Diamond(label, sub):
-            return f"<{label}>" + wrap(sub)
+            return f"<{label}>", (sub,)
         case HatDiamond(label, sub):
-            return f"<^{label}>" + wrap(sub)
+            return f"<^{label}>", (sub,)
         case EnvDiamond(names, sub):
-            return "<{" + ",".join(names) + "}>" + wrap(sub)
+            return "<{" + ",".join(names) + "}>", (sub,)
         case Eps(sub):
-            return "<eps>" + wrap(sub)
+            return "<eps>", (sub,)
     raise TxbisimError(f"not a formula: {phi!r}")
 
 
@@ -295,67 +318,112 @@ def parse_formula(text):
 # satisfaction
 
 
-def _visible_labels(lts, i):
-    return [lab for lab in lts.out_labels(i) if lab not in ("tau", "t")]
-
-
-def _lts_deadend(lts, i, allowed):
-    if not lts.is_stable(i):
-        return False
-    return all(lab not in allowed for lab in _visible_labels(lts, i))
-
-
 def satisfies(lts, state, formula, mode=None):
     """Whether a state satisfies a formula, triggered (``mode=None``) or
-    under a set of allowed actions."""
+    under a set of allowed actions: one bit of :func:`_sat_mask`."""
     m = None if mode is None else envset(mode)
-    memo: dict = {}
+    i = lts.index_of(state)
+    return _sat_mask(lts, formula, m) >> i & 1 == 1
 
-    def sat(i, phi, env):
-        # keyed by id(): only nodes of ``formula``, which stay alive, may be
-        # evaluated, never a temporary whose id a later one could reuse
-        key = (id(phi), i, env)
-        hit = memo.get(key)
-        if hit is None:
-            memo[key] = hit = _eval(i, phi, env)
-        return hit
 
-    def _eval(i, phi, env):
-        match phi:
-            case Top():
-                return True
-            case And(children):
-                return all(sat(i, c, env) for c in children)
-            case Not(sub):
-                return not sat(i, sub, env)
-            case Diamond("tau", sub):
-                return any(
-                    sat(j, sub, env) for j in iter_bits(lts.succ_mask(i, "tau"))
-                )
-            case HatDiamond("tau", sub):
-                return sat(i, sub, env) or any(
-                    sat(j, sub, env) for j in iter_bits(lts.succ_mask(i, "tau"))
-                )
-            case Diamond(label, sub) | HatDiamond(label, sub):
-                if env is not None and label not in env:
-                    if not _lts_deadend(lts, i, env):
-                        return False
-                return any(
-                    sat(j, sub, None) for j in iter_bits(lts.succ_mask(i, label))
-                )
-            case EnvDiamond(x, sub):
-                blocked = x if env is None else envset((*x, *env))
-                if not _lts_deadend(lts, i, blocked):
-                    return False
-                return any(
-                    sat(j, sub, x) for j in iter_bits(lts.succ_mask(i, "t"))
-                )
-            case Eps(sub):
-                reach = lts.tau_closure(1 << i)
-                return any(sat(j, sub, env) for j in iter_bits(reach))
-        raise TxbisimError(f"not a formula: {phi!r}")
+def _sat_mask(lts, formula, mode):
+    """The states of ``lts`` that satisfy ``formula`` under ``mode``, as a
+    mask: the global labelling of CTL model checking (Clarke, Emerson and
+    Sistla, 1986).
 
-    return sat(lts.index_of(state), formula, m)
+    One iterative post-order sweep computes the satisfying states of each
+    pair of a subformula and a mode that the formula reads, once, keyed by
+    node identity (every node of ``formula`` stays alive meanwhile, so no
+    id is reused):
+
+    - ``T`` is every state, ``&`` the intersection, ``~`` the complement;
+    - ``<tau>phi`` is the states with a tau step into ``phi``'s set, and
+      ``<^tau>phi`` adds that set;
+    - ``<a>phi`` and ``<^a>phi`` are the states with an ``a`` step into
+      ``phi``'s triggered set, cut to the mode's dead ends when the mode
+      does not allow ``a``;
+    - ``<{X}>phi`` is the dead ends under ``X`` and the mode with a ``t``
+      step into ``phi``'s set under ``X``;
+    - ``<eps>phi`` is the states with a tau path into ``phi``'s set.
+
+    A dead end under a set of actions is a stable state with no step on an
+    action of that set (:func:`_dead_ends`).
+    """
+    full = (1 << lts.n_states) - 1
+    got: dict = {}
+    idle: dict = {}
+    stack = [(formula, mode)]
+    while stack:
+        phi, env = stack[-1]
+        key = (id(phi), env)
+        if key in got:
+            stack.pop()
+            continue
+        # dispatched on the node's class: a match statement here made the
+        # sweep about twice as slow
+        kind = type(phi)
+        if kind not in _KINDS:
+            raise TxbisimError(f"not a formula: {phi!r}")
+        if kind is And:
+            mask = full
+            todo = False
+            for c in phi.children:
+                inner = got.get((id(c), env))
+                if inner is None:
+                    stack.append((c, env))
+                    todo = True
+                elif not todo:
+                    mask &= inner
+            if todo:
+                continue
+        elif kind is Top:
+            mask = full
+        else:
+            if kind is EnvDiamond:
+                at = phi.names
+            elif kind is Not or kind is Eps:
+                at = env
+            else:
+                label = phi.label
+                at = env if label == "tau" else None
+            inner = got.get((id(phi.sub), at))
+            if inner is None:
+                stack.append((phi.sub, at))
+                continue
+            if kind is Eps:
+                mask = lts.backward_tau_closure(inner)
+            elif kind is Not:
+                mask = full & ~inner
+            elif kind is EnvDiamond:
+                mask = _dead_ends(lts, at, idle) & lts.pred_mask("t", inner)
+                if env is not None:
+                    mask &= _dead_ends(lts, env, idle)
+            else:
+                mask = lts.pred_mask(label, inner)
+                if label == "tau":
+                    if kind is HatDiamond:
+                        mask |= inner
+                elif env is not None and label not in env:
+                    mask &= _dead_ends(lts, env, idle)
+        stack.pop()
+        got[key] = mask
+    return got[id(formula), mode]
+
+
+_KINDS = frozenset((Top, And, Not, Diamond, HatDiamond, EnvDiamond, Eps))
+
+
+def _dead_ends(lts, names, known):
+    """The stable states of ``lts`` with no step on an action of
+    ``names``, kept in ``known`` by set."""
+    got = known.get(names)
+    if got is None:
+        got = lts.stable_mask
+        for name in names:
+            # a target of -1 holds every state
+            got &= ~lts.pred_mask(name, -1)
+        known[names] = got
+    return got
 
 
 # --------------------------------------------------------------------------
@@ -364,44 +432,46 @@ def satisfies(lts, state, formula, mode=None):
 
 def in_subclass(phi, cls):
     """Membership in the characteristic sublogic ``"Lbc"`` (unrooted) or
-    ``"Lbcr"`` (rooted)."""
-    if cls == "Lbc":
-        return _lbc(phi)
-    if cls == "Lbcr":
-        return _lbcr(phi)
-    raise TxbisimError(f"unknown sublogic {cls!r}")
+    ``"Lbcr"`` (rooted).
+
+    A formula is a member exactly when each of the memberships it names
+    (:func:`_needs`) holds, so one iterative walk over those obligations
+    decides it, each pair of a node and a sublogic once."""
+    if cls not in ("Lbc", "Lbcr"):
+        raise TxbisimError(f"unknown sublogic {cls!r}")
+    seen = set()
+    stack = [(phi, cls)]
+    while stack:
+        node, want = stack.pop()
+        if (id(node), want) in seen:
+            continue
+        seen.add((id(node), want))
+        needs = _needs(node, want)
+        if needs is None:
+            return False
+        stack.extend(needs)
+    return True
 
 
-def _lbc(phi):
+def _needs(phi, cls):
+    """The memberships ``(subformula, sublogic)`` that together make
+    ``phi`` a member of ``cls``, or None if nothing does."""
     match phi:
         case Top():
-            return True
+            return ()
         case And(children):
-            return all(_lbc(c) for c in children)
+            return [(c, cls) for c in children]
         case Not(sub):
-            return _lbc(sub)
-        case Eps(And((first, HatDiamond(_, second)))):
-            return _lbc(first) and _lbc(second)
-        case Eps(EnvDiamond(_, sub)):
-            return _lbc(sub)
-        case Eps(Not(Diamond("tau", Top()))):
-            return True
-    return False
-
-
-def _lbcr(phi):
-    match phi:
-        case Top():
-            return True
-        case And(children):
-            return all(_lbcr(c) for c in children)
-        case Not(sub):
-            return _lbcr(sub)
-        case Diamond(_, sub):
-            return _lbc(sub)
-        case EnvDiamond(_, sub):
-            return _lbc(sub)
-    return False
+            return [(sub, cls)]
+        case Eps(And((first, HatDiamond(_, second)))) if cls == "Lbc":
+            return [(first, cls), (second, cls)]
+        case Eps(EnvDiamond(_, sub)) if cls == "Lbc":
+            return [(sub, cls)]
+        case Eps(Not(Diamond("tau", Top()))) if cls == "Lbc":
+            return ()
+        case Diamond(_, sub) | EnvDiamond(_, sub) if cls == "Lbcr":
+            return [(sub, "Lbc")]
+    return None
 
 
 # --------------------------------------------------------------------------
@@ -512,14 +582,16 @@ def distinguish(p, q, rooted=False, opts=None):
 
     The result lies in the characteristic sublogic of the chosen
     equivalence, holds at ``p`` and fails at ``q``; both facts are checked
-    before returning.  The first pass of the check's own kind comes first,
+    before returning, the second two read off one sweep of
+    :func:`_sat_mask`.  The first pass of the check's own kind comes first,
     against the relation that relates everything, as in the checks: a
     clause it catches has no candidate match to refute, so its formula
     needs no direct fixpoint.
     Any other pair runs the fixpoint over the pair column and the columns
     it reads, and replays its records.
     """
-    an = Analysis(p, q, opts, (env_columns(process_universe(p, q))[2],))
+    universe = process_universe(p, q)
+    an = Analysis(p, q, opts, (env_columns(universe)[2],), universe)
     pf, i, j = an.profile, an.ip, an.iq
     syn = _Synthesizer(an)
     fail = (_rooted_fail(pf, None, i, pf.trig, j) if rooted
@@ -536,7 +608,8 @@ def distinguish(p, q, rooted=False, opts=None):
     cls = "Lbcr" if rooted else "Lbc"
     if not in_subclass(phi, cls):
         raise WitnessError(f"synthesised formula left {cls}: {formula_text(phi)}")
-    if not satisfies(an.lts, p, phi) or satisfies(an.lts, q, phi):
+    holds = _sat_mask(an.lts, phi, None)
+    if not holds >> i & 1 or holds >> j & 1:
         raise WitnessError(
             f"synthesised formula fails to separate the terms: {formula_text(phi)}"
         )

@@ -16,7 +16,10 @@ worse and proud of it.
 from itertools import chain, combinations
 
 from txbisim.encoding import EncState, eps_label
+from txbisim.errors import TxbisimError
 from txbisim.lts import iter_bits
+from txbisim.modal import And, Diamond, EnvDiamond, Eps, HatDiamond, Not, Top
+from txbisim.terms import envset
 
 __all__ = [
     "all_env_sets",
@@ -25,6 +28,7 @@ __all__ = [
     "ref_reactive",
     "ref_rooted",
     "ref_rooted_branching",
+    "ref_satisfies",
     "ref_strong",
     "tau_reach",
 ]
@@ -369,3 +373,71 @@ def ref_encode(base, universe):
         frontier = found - states
         states |= frontier
     return states, edges
+
+
+# ---------------------------------------------------------------------------
+# modal satisfaction, one state at a time
+
+
+def _visible_labels(lts, i):
+    return [lab for lab in lts.out_labels(i) if lab not in ("tau", "t")]
+
+
+def _lts_deadend(lts, i, allowed):
+    if not lts.is_stable(i):
+        return False
+    return all(lab not in allowed for lab in _visible_labels(lts, i))
+
+
+def ref_satisfies(lts, state, formula, mode=None):
+    """Whether a state satisfies a formula, triggered (``mode=None``) or
+    under a set of allowed actions: the per-state recursive evaluator that
+    :func:`txbisim.modal.satisfies` replaced, kept as it was."""
+    m = None if mode is None else envset(mode)
+    memo: dict = {}
+
+    def sat(i, phi, env):
+        # keyed by id(): only nodes of ``formula``, which stay alive, may be
+        # evaluated, never a temporary whose id a later one could reuse
+        key = (id(phi), i, env)
+        hit = memo.get(key)
+        if hit is None:
+            memo[key] = hit = _eval(i, phi, env)
+        return hit
+
+    def _eval(i, phi, env):
+        match phi:
+            case Top():
+                return True
+            case And(children):
+                return all(sat(i, c, env) for c in children)
+            case Not(sub):
+                return not sat(i, sub, env)
+            case Diamond("tau", sub):
+                return any(
+                    sat(j, sub, env) for j in iter_bits(lts.succ_mask(i, "tau"))
+                )
+            case HatDiamond("tau", sub):
+                return sat(i, sub, env) or any(
+                    sat(j, sub, env) for j in iter_bits(lts.succ_mask(i, "tau"))
+                )
+            case Diamond(label, sub) | HatDiamond(label, sub):
+                if env is not None and label not in env:
+                    if not _lts_deadend(lts, i, env):
+                        return False
+                return any(
+                    sat(j, sub, None) for j in iter_bits(lts.succ_mask(i, label))
+                )
+            case EnvDiamond(x, sub):
+                blocked = x if env is None else envset((*x, *env))
+                if not _lts_deadend(lts, i, blocked):
+                    return False
+                return any(
+                    sat(j, sub, x) for j in iter_bits(lts.succ_mask(i, "t"))
+                )
+            case Eps(sub):
+                reach = lts.tau_closure(1 << i)
+                return any(sat(j, sub, env) for j in iter_bits(reach))
+        raise TxbisimError(f"not a formula: {phi!r}")
+
+    return sat(lts.index_of(state), formula, m)

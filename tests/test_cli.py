@@ -426,20 +426,16 @@ def test_distinguish_rooted_json(capsys):
 
 
 def test_distinguish_on_a_long_chain_fails_cleanly_or_succeeds(capsys, tmp_path):
-    # a formula as deep as the chain: found (exit 1) once synthesis needs no
-    # stack frame per link, else one clean error line (exit 2)
+    # a formula as deep as the chain is found (exit 1): checking it and
+    # writing it take no stack frame per link
     chains = tmp_path / "chains.ccspt"
     chains.write_text(
         "def L = " + "a." * 100 + "a.0;\n" + "def R = " + "a." * 100 + "b.0;\n"
     )
     code, out, err = run(capsys, ["distinguish", str(chains), "L", "R"])
-    assert code in (1, 2)
+    assert code == 1
     assert "Traceback" not in err
-    if code == 2:
-        lines = err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:")
-    else:
-        assert out.splitlines()[1] == "holds in L, fails in R (Lbc)"
+    assert out.splitlines()[1] == "holds in L, fails in R (Lbc)"
 
 
 def test_distinguish_equivalent_pair(capsys):

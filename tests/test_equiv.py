@@ -429,6 +429,20 @@ def test_verdicts_hold_no_match_sets(monkeypatch, method):
     assert generalized_witness_ok(v.lts, v.universe, v.witness)
 
 
+@pytest.mark.parametrize("method", ["direct", "encode", "both"])
+def test_a_built_witness_keeps_only_its_store(method):
+    """Once a verdict's witness is built, its thunk holds the store alone,
+    not the stand-in analysis with its closure, partition, projection and
+    match sets, and a second call returns the same store."""
+    opts = CheckOptions(method=method)
+    v = brb(parse_term("a.a.0"), parse_term("a.tau.a.0"), opts)
+    store = v.witness
+    held = [cell.cell_contents for cell in v.build_witness.__closure__]
+    assert store in held
+    assert not any(isinstance(value, Analysis) for value in held)
+    assert v.build_witness() is store
+
+
 def test_rooted_checks_equal_reference_relation(small_corpus):
     for p, q, _ in small_corpus:
         lts = explore((p, q))

@@ -1,12 +1,15 @@
 """Modal layer: formula syntax, satisfaction, sublogics, synthesis."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
+from oracles import all_env_sets, ref_satisfies
+from test_equiv import raw_systems
 
 from txbisim import GenConfig, ParseError, TxbisimError, rand_formula, rand_term
-from txbisim import equiv
+from txbisim import equiv, modal
 from txbisim.equiv import CheckOptions, brb, process_universe, rbrb
 from txbisim.modal import (
     TOP,
@@ -196,6 +199,9 @@ def test_firing_a_visible_action_triggers_the_environment():
     # after b fires under mode {b}, the successor is evaluated triggered:
     # c is not in the mode yet it may fire
     assert sat("b.c.0", "<b><c>T", mode=("b",))
+    # even where the mode would keep c from firing: b, which it allows, is
+    # on offer beside c
+    assert sat("b.(c.0 + b.0)", "<b><c>T", mode=("b",))
 
 
 def test_env_diamond_joins_the_ambient_mode():
@@ -222,6 +228,47 @@ def test_idle_states_forget_the_environment(seed):
             assert satisfies(lts, state, phi, mode=mode) == satisfies(
                 lts, state, phi
             )
+
+
+@given(raw_systems(), st.integers(0, 10**9))
+def test_satisfaction_equals_the_per_state_reference_on_drawn_systems(
+    lts, seed
+):
+    """The set-at-a-time sweep answers as the per-state evaluator it
+    replaced, :func:`oracles.ref_satisfies`, at every state, triggered and
+    under every subset of the alphabet, on raw systems with time-outs and
+    tau self-loops, for drawn formulas of both sublogics."""
+    rng = random.Random(seed)
+    for cls in ("Lbc", "Lbcr") * 4:
+        phi = rand_formula(rng, ("a", "b"), depth=3, cls=cls)
+        for mode in (None, *all_env_sets(("a", "b"))):
+            for state in lts.states:
+                assert satisfies(lts, state, phi, mode) == ref_satisfies(
+                    lts, state, phi, mode
+                )
+
+
+def chain_formula(links):
+    """``<eps>(T & <^a>`` nested ``links`` times around ``T``: three nodes
+    a link, in Lbc."""
+    phi = TOP
+    for _ in range(links):
+        phi = Eps(And((TOP, HatDiamond("a", phi))))
+    return phi
+
+
+def test_deep_formulas_take_no_stack_frame_per_node():
+    """Satisfaction, sublogic membership and the text walk a formula
+    without recursion, so one nested past the interpreter's recursion
+    limit is answered."""
+    links = sys.getrecursionlimit()
+    phi = chain_formula(links)
+    p = parse_term("a." * links + "0")
+    lts = explore(p)
+    longer = Eps(And((TOP, HatDiamond("a", phi))))
+    assert satisfies(lts, p, phi) and not satisfies(lts, p, longer)
+    assert in_subclass(phi, "Lbc") and not in_subclass(phi, "Lbcr")
+    assert formula_text(phi) == "<eps>(T & <^a>" * links + "T" + ")" * links
 
 
 # -- sublogics
@@ -349,6 +396,35 @@ def test_distinguish_separates_and_stays_in_sublogic(small_corpus):
             assert in_subclass(phi, cls)
             lts = explore((p, q))
             assert satisfies(lts, p, phi) and not satisfies(lts, q, phi)
+
+
+def test_distinguish_separates_a_long_chain():
+    """A formula three nodes deep per link: checked and returned, where
+    the recursive evaluator and text walk once ran out of stack."""
+    p = parse_term("a." * 120 + "a.0")
+    q = parse_term("a." * 120 + "b.0")
+    phi = distinguish(p, q)
+    assert phi is not None and in_subclass(phi, "Lbc")
+    lts = explore((p, q))
+    assert satisfies(lts, p, phi) and not satisfies(lts, q, phi)
+
+
+def test_a_check_computes_its_universe_once(monkeypatch):
+    """``_check`` and ``distinguish`` name their question's columns from
+    the universe they hand to the analysis."""
+    calls = []
+    universe = equiv.process_universe
+
+    def counted(*terms):
+        calls.append(terms)
+        return universe(*terms)
+
+    monkeypatch.setattr(equiv, "process_universe", counted)
+    monkeypatch.setattr(modal, "process_universe", counted)
+    p, q = parse_term("a.a.0"), parse_term("a.b.0")
+    assert not brb(p, q)
+    assert distinguish(p, q) is not None
+    assert len(calls) == 2
 
 
 def test_equivalent_terms_agree_on_random_sublogic_formulas(small_corpus):
