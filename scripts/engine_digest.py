@@ -13,10 +13,12 @@ digest, each printed as one sha256:
   for a negative one is the direct route's);
 * ``direct``: the direct fixpoint's complete table, over every column, as
   a fresh ``Analysis`` reads it (a check judges only the columns its
-  question reads): its rows and passes, and each removed entry ``(p, x,
-  q)`` with its record ``(stamp, clause)``, the number of the row
-  judgement that removed it and the compiled clause ``(label, successor,
-  column, env)`` it failed, all four None for stability;
+  question reads): its rows and passes, and each entry ``(p, x, q)`` a
+  row judgement removed with its record ``(stamp, clause)``, the number
+  of that judgement and the compiled clause ``(label, successor, column,
+  env)`` it failed, all four None for stability.  An entry the
+  fixpoint's start excludes, as the states reach different visible
+  actions of its column by tau steps, has no record;
 * ``distinguish``: the formula text, plain and rooted;
 * ``partition``: the ``brb_partition`` blocks of the pair's state space;
 * ``encoding``: the wrapper system of the closure over every column, as

@@ -27,6 +27,14 @@ closure, keyed by relevant environments, the rows the certificate of
 than their own) and the time of one ``brb`` call by each of ``both``,
 ``direct`` and ``encode``, parse and exploration included.
 
+The cells pair is k timed cells ``(a.0 + t.tau.a.0) ||{} ...`` against
+the plain cells ``(a.0 + t.a.0) ||{} ...``, k = 2, 3 and 4: equivalent,
+with few passes and wide rows.  For each k this prints, for the direct
+fixpoint over the pair column and the columns it reads, run once with
+records on a built profile: the explored states, its row judgements
+over all its passes, the entries its start excludes, the entries its
+judgements remove (both counted in both orientations) and its time.
+
 The explanation pair is ``a.``×n ``a.0`` against ``a.``×n ``b.0``, n = 50
 and 100: its distinguishing formula is three nodes deep per link.  For
 each n this prints the time of one ``distinguish`` call, parse and
@@ -37,8 +45,9 @@ exploration included, and the formula's distinct nodes:
 The exit code is 1 if a chain pair comes out equivalent or a k-action pair
 inequivalent, if a chain pair's check closure has more wrappers than
 explored states, if a k-action check is refused, so that the default
-state budget must admit the closure at k = 10, or if an explanation
-raises or finds no formula.
+state budget must admit the closure at k = 10, if a cells pair's direct
+fixpoint gives blocks other than ``brb_partition``'s, or if an
+explanation raises or finds no formula.
 """
 
 import argparse
@@ -46,9 +55,11 @@ import sys
 import time
 
 from txbisim import (
-    Analysis, CheckOptions, TxbisimError, brb, distinguish, parse_term,
+    Analysis, CheckOptions, TxbisimError, brb, brb_partition, distinguish,
+    explore, parse_term, process_universe,
 )
-from txbisim.equiv import _branching_fixpoint, _generalized_fixpoint
+from txbisim.encoding import _Profile
+from txbisim.equiv import _branching_fixpoint, _generalized_fixpoint, _start
 from txbisim.modal import _layout
 
 OPTS = CheckOptions(max_states=10**6)
@@ -56,6 +67,8 @@ METHODS = ("both", "direct", "encode")
 # the k-action pairs' sizes and their actions; ``t`` is the time-out
 ACTION_COUNTS = (6, 8, 10)
 ACTIONS = "abcdefghij"
+# the cells pairs' sizes
+CELL_COUNTS = (2, 3, 4)
 # the explanation pairs' lengths
 EXPLAIN_LINKS = (50, 100)
 
@@ -67,6 +80,31 @@ def chain_pair(n):
 def action_pair(k):
     body = " + ".join(f"{a}.t.{a}.0" for a in ACTIONS[:k])
     return parse_term(body), parse_term(f"tau.({body})")
+
+
+def cells_pair(k):
+    return tuple(
+        parse_term(" ||{} ".join(f"({a}.0 + t.{inner}{a}.0)" for a in ACTIONS[:k]))
+        for inner in ("tau.", "")
+    )
+
+
+def cells_row(k):
+    """The cells pair's figures, and whether the pair-column fixpoint's
+    blocks are ``brb_partition``'s."""
+    pair = cells_pair(k)
+    lts = explore(pair)
+    pf = _Profile(lts, process_universe(*pair))
+    start = time.perf_counter()
+    res = _generalized_fixpoint(pf, (pf.trig,))
+    took = time.perf_counter() - start
+    excluded = sum(pf.n - row.bit_count()
+                   for x in pf.reads((pf.trig,)) for row in _start(pf, x))
+    blocks = {row[pf.trig] for row in res.rows}
+    same = blocks == {
+        sum(1 << i for i in block) for block in brb_partition(pair)[1].blocks}
+    return same, (lts.n_states, res.next_stamp - 1, excluded,
+                  2 * len(res.records), took)
 
 
 def row(n):
@@ -175,6 +213,14 @@ def main(argv=None):
         states, encoded, judged, *times = figures
         print(f"{k:>5} {states:>7} {encoded:>8} {judged:>7} "
               + " ".join(f"{t:>9.3f}" for t in times))
+    print(f"{'k':>5} {'states':>7} {'judged':>7} {'excluded':>9} "
+          f"{'removed':>8} {'direct_s':>9}")
+    for k in CELL_COUNTS:
+        same, (states, judged, excluded, removed, took) = cells_row(k)
+        ok &= same
+        print(f"{k:>5} {states:>7} {judged:>7} {excluded:>9} "
+              f"{removed:>8} {took:>9.4f}"
+              + ("" if same else "  blocks differ from brb_partition's"))
     print(f"{'n':>5} {'explain_s':>10} {'formula':>8}")
     for n in EXPLAIN_LINKS:
         figures = explain_row(n)

@@ -175,12 +175,13 @@ class _Profile:
     one past them, names the pair row's column in the direct route's table:
     its bit lies outside every environment, so ``deadend(p, trig)`` is
     ``stable[p]``.  ``init_vis[p]`` is the mask of the visible labels of
-    ``p``'s steps, and :attr:`mplus` the relevant mask that keys the
-    closure's wrappers.  :meth:`clauses` compiles a row's step clauses, and
-    :meth:`first_step` names the steps that may match one as a rooted
-    first step.  A universe that misses a visible label of the system is
-    refused with :class:`AlphabetLimitError`, which names every missing
-    label.
+    ``p``'s steps, :attr:`mplus` the relevant mask that keys the
+    closure's wrappers, and :attr:`mtau` its tau counterpart, on which the
+    direct route's fixpoint starts.  :meth:`clauses` compiles a row's step
+    clauses, and :meth:`first_step` names the steps that may match one as
+    a rooted first step.  A universe that misses a visible label of the
+    system is refused with :class:`AlphabetLimitError`, which names every
+    missing label.
     """
 
     __slots__ = (
@@ -200,6 +201,7 @@ class _Profile:
         "_clauses",
         "_reads",
         "_mplus",
+        "_mtau",
     )
 
     def __init__(self, lts, universe):
@@ -231,35 +233,60 @@ class _Profile:
         self._clauses = [[None] * (self.trig + 1) for _ in range(self.n)]
         self._reads = {}
         self._mplus = None
+        self._mtau = None
 
     @property
     def mplus(self):
         """``mplus[i]``, the mask of the visible labels of the steps of the
         states that ``i`` reaches by tau and t steps, ``i`` included: all of
         an environment that an allowing wrapper of ``i`` can ever read, as
-        it keeps its set across both.  Computed when first read, by
-        propagating each state's mask to its tau and t predecessors from a
-        work list that starts with every state that has one, the last
-        first: exploration numbers states breadth first, so their
-        successors are mostly done before them, and a cycle is closed by
-        the states it pushes again."""
+        it keeps its set across both.  Computed when first read
+        (:meth:`_reach_vis`)."""
         if self._mplus is None:
-            mplus = list(self.init_vis)
-            preds = {}
-            for i, lab, j in self.lts.trans_idx:
-                if lab == "tau" or lab == "t":
-                    preds.setdefault(j, []).append(i)
-            todo = sorted(preds)
-            while todo:
-                j = todo.pop()
-                got = mplus[j]
-                for i in preds[j]:
-                    if got & ~mplus[i]:
-                        mplus[i] |= got
-                        if i in preds:
-                            todo.append(i)
-            self._mplus = tuple(mplus)
+            self._mplus = self._reach_vis(("tau", "t"))
         return self._mplus
+
+    @property
+    def mtau(self):
+        """``mtau[i]``, the tau counterpart of :attr:`mplus`: the mask of the
+        visible labels of the steps of the states that ``i`` reaches by tau
+        steps alone, ``i`` included.  Two states the direct route relates
+        agree on it within their column (:meth:`apart`).  Computed when
+        first read (:meth:`_reach_vis`)."""
+        if self._mtau is None:
+            self._mtau = self._reach_vis(("tau",))
+        return self._mtau
+
+    def _reach_vis(self, follow):
+        """Each state's visible mask joined with those of the states it
+        reaches by steps labelled in ``follow``, as a tuple: propagated to
+        the predecessors by those steps from a work list that starts with
+        every state that has one, the last first.  Exploration numbers
+        states breadth first, so their successors are mostly done before
+        them, and a cycle is closed by the states it pushes again."""
+        got = list(self.init_vis)
+        preds = {}
+        for i, lab, j in self.lts.trans_idx:
+            if lab in follow:
+                preds.setdefault(j, []).append(i)
+        todo = sorted(preds)
+        while todo:
+            j = todo.pop()
+            mask = got[j]
+            for i in preds[j]:
+                if mask & ~got[i]:
+                    got[i] |= mask
+                    if i in preds:
+                        todo.append(i)
+        return tuple(got)
+
+    def apart(self, p, x, q):
+        """The actions of column ``x``, every visible one in the pair
+        column, that exactly one of ``p`` and ``q`` reaches by tau steps
+        (:attr:`mtau`): nonzero only when the entry ``(p, x, q)`` lies
+        outside the direct route's greatest relation."""
+        cut = self.umask if x == self.trig else x
+        return (self.mtau[p] ^ self.mtau[q]) & cut
 
     def env_mask(self, names):
         mask = 0

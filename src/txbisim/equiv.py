@@ -49,9 +49,12 @@ columns its clauses read, so the fixpoint judges only those
 (:meth:`_Profile.reads`): the pair column for a partition or a formula,
 and the query column too for a check.  Where a whole relation is needed,
 as for a positive ``direct`` verdict's witness, the same result is
-continued over the other columns (:meth:`_GenResult.complete`).  Every
-removal is recorded as the stamp of its row judgement and the compiled
-clause that failed, for the synthesis of distinguishing formulas in
+continued over the other columns (:meth:`_GenResult.complete`).  A
+column starts as the states that reach the same visible actions of it by
+tau steps, which every related entry does (:func:`_start`), so a row
+judgement removes only what the start kept.  Every such removal is
+recorded as the stamp of its row judgement and the compiled clause that
+failed, for the synthesis of distinguishing formulas in
 :mod:`txbisim.modal` alone.  The plain
 relations, stability respecting branching bisimilarity
 (which the encode route decides on the index-level closure,
@@ -222,14 +225,15 @@ def process_universe(*terms):
 class _GenResult:
     """The direct route's relation as one table: ``rows[p][x]`` is the row
     of state ``p`` under the environment mask ``x``, and ``rows[p][trig]``
-    its pair row (:attr:`_Profile.trig`).  ``records`` maps every removed
-    entry ``(p, x, q)`` to ``(stamp, clause)`` when the fixpoint records
-    them (:class:`_RowRecords`, empty otherwise): the number of the row
-    judgement that removed it, and the compiled clause it failed
-    (:meth:`_Profile.clauses`, or :data:`_STABILITY`); ``rounds`` counts its
-    passes, and each run over new columns ends with one that removes
-    nothing.  Only the columns outside ``pending`` are judged; the rows of
-    a pending column still hold every state, :meth:`has` and :meth:`stamp`
+    its pair row (:attr:`_Profile.trig`).  ``records`` maps every entry
+    ``(p, x, q)`` a row judgement removed to ``(stamp, clause)`` when the
+    fixpoint records them (:class:`_RowRecords`, empty otherwise): the
+    number of the judgement, and the compiled clause it failed
+    (:meth:`_Profile.clauses`, or :data:`_STABILITY`); an entry the start
+    excluded (:func:`_start`) has no record.  ``rounds`` counts its passes,
+    and each run over new columns ends with one that removes nothing.
+    Only the columns outside ``pending`` are judged; the rows of a pending
+    column still hold every state, :meth:`has` and :meth:`stamp`
     refuse to read them, and :meth:`complete` judges them.  The encode
     route's projection (:func:`_projection`) takes the same form, with no
     records and no passes, its pending columns those its closure did not
@@ -255,10 +259,13 @@ class _GenResult:
 
     def stamp(self, p, x, q):
         """The stamp of an entry's removal, from its own orientation's
-        record or else its mirror's, or None while it is still related;
-        raises in a pending column, as :meth:`has` does."""
+        record or else its mirror's, 0 when the start excluded it, before
+        every row judgement, or None while it is still related; raises in a
+        pending column, as :meth:`has` does."""
         if self.has(p, x, q):
             return None
+        if self.pf.apart(p, x, q):
+            return 0
         return (self.records.get((p, x, q)) or self.records[q, x, p])[0]
 
     def complete(self, memo=None):
@@ -413,28 +420,44 @@ def _generalized_fixpoint(pf, cols=None, record=True, memo=None):
     (:meth:`_Profile.reads`), or over every column when ``cols`` is None.
 
     The clauses are followed literally: the internal runs that precede a
-    match may pass through unrelated states.  A pass is one :func:`_round`
-    over the live rows, state by state in depth-first finish order
-    (:func:`_finish_order`), until a pass removes nothing: a chain or a fan
-    takes two.  The order costs passes, never the answer (chaotic
-    iteration; Cousot and Cousot 1977): the table always contains the
-    greatest relation ``G``, whose entries and their mirrors match every
-    clause inside ``G``, own row included, and a pass that removes nothing
-    judged every row against one table, which is thus closed under the
-    clauses and within ``G``.  The judged columns read no other column,
-    and a removal's mirror entry lies in its own column, so their rows
-    evolve as in the fixpoint over every column, in the same order: they
-    end equal to ``G``'s, with the same records, whose stamps keep their
-    order.  The other columns stay pending until
-    :meth:`_GenResult.complete` continues the same fixpoint over them.
-    With ``record`` every removal is stamped with its row judgement and
-    clause in ``records``: a record stamped ``s`` failed against the table
-    less the entries stamped below ``s``, in either orientation, so every
-    entry it reads left strictly earlier.  Match sets and tau closures are
-    kept by value in ``memo``, a fresh one unless given, so the first pass
-    can reuse those of :func:`_first_fail`.  The greatest relation is
-    reflexive, so a row is judged without its own state, and leaves the
-    live rows once that is all it holds.
+    match may pass through unrelated states.  A column's rows start as
+    :func:`_start` gives them, when it is first judged, and a pass is one
+    :func:`_round` over the live rows, state by state in depth-first
+    finish order (:func:`_finish_order`), until a pass removes nothing: a
+    chain or a fan takes two.  The start and the order cost passes, never
+    the answer (chaotic iteration; Cousot and Cousot 1977): the table
+    always contains the greatest relation ``G``, whose entries and their
+    mirrors match every clause inside ``G``, own row included, and a pass
+    that removes nothing judged every row against one table, which is thus
+    closed under the clauses and within ``G``.
+
+    The start contains ``G`` (H2): an entry ``(p, x, q)`` of ``G`` has
+    ``pf.apart(p, x, q) == 0``.  Let ``q`` reach ``q'`` by tau steps, and
+    ``q' -b->`` with ``b`` counted in ``x``: in the pair column every
+    visible action is, in an environment column those of ``x``.  ``G`` is
+    symmetric, so each tau step of that path is a clause of the row of the
+    state it leaves, matched by internal steps of the partner to a state
+    related in ``x`` to the step's target; so ``p`` reaches by tau steps
+    some ``p'`` with ``(q', x, p')`` in ``G``.  The row of ``q'`` holds the
+    clause of its ``b`` step, which ``p'`` matches by tau steps and a ``b``
+    step, so ``b`` lies in :attr:`_Profile.mtau` of ``p``, and by symmetry
+    the two masks agree on what ``x`` counts.
+
+    The judged columns read no other column, and a removal's mirror entry
+    lies in its own column, so their rows evolve as in the fixpoint over
+    every column, in the same order: they end equal to ``G``'s, with the
+    same records, whose stamps keep their order.  The other columns stay
+    pending until :meth:`_GenResult.complete` continues the same fixpoint
+    over them.  With ``record`` every removal is stamped with its row
+    judgement and clause in ``records``: a record stamped ``s`` failed
+    against the start less the entries stamped below ``s``, in either
+    orientation, so every entry it reads left strictly earlier; an entry
+    the start excludes is never judged, and :meth:`_GenResult.stamp` reads
+    it as 0.  Match sets and tau closures are kept by value in ``memo``, a
+    fresh one unless given, so the first pass can reuse those of
+    :func:`_first_fail`.  The greatest relation is reflexive, so a row is
+    judged without its own state, and leaves the live rows once that is all
+    it holds.
     """
     sink = {} if record else None
     res = _GenResult(
@@ -447,11 +470,15 @@ def _generalized_fixpoint(pf, cols=None, record=True, memo=None):
 
 def _judge(res, cols, memo):
     """Run the fixpoint of ``res`` over the pending columns among
-    ``pf.reads(cols)`` until a pass removes nothing, and return ``res``."""
+    ``pf.reads(cols)``, their rows first set to :func:`_start`, until a
+    pass removes nothing, and return ``res``."""
     pf = res.pf
     new = [x for x in pf.reads(cols) if x in res.pending]
     if not new:
         return res
+    for x in new:
+        for state_rows, start in zip(res.rows, _start(pf, x)):
+            state_rows[x] = start
     live = [(p, x, ~(1 << p), pf.clauses(p, x))
             for p in _finish_order(pf.lts) for x in new]
     stamp = res.next_stamp
@@ -464,6 +491,20 @@ def _judge(res, cols, memo):
     res.next_stamp = stamp
     res.pending = res.pending.difference(new)
     return res
+
+
+def _start(pf, x):
+    """The rows of column ``x`` that the direct fixpoint starts from: for
+    each state ``p``, the states ``q`` with ``pf.apart(p, x, q) == 0``,
+    which agree with it on the actions of ``x`` (every visible one in the
+    pair column) that they reach by tau steps.  It is an equivalence, so a
+    state's row is its class."""
+    cut = pf.umask if x == pf.trig else x
+    mtau = pf.mtau
+    classes = {}
+    for q, m in enumerate(mtau):
+        classes[m & cut] = classes.get(m & cut, 0) | 1 << q
+    return [classes[m & cut] for m in mtau]
 
 
 def _finish_order(lts):
@@ -495,9 +536,9 @@ def _first_fail(pf, p, x, q, memo, rows=None):
     on ``p``, against the relation that relates everything, then, if none
     fails there and ``rows`` is given, against the table ``rows`` with the
     entry joined, where some clause must fail.  An entry the first pass
-    fails lies outside every bisimulation, and the direct fixpoint removes
-    it in its first pass.  Only the rows of ``p`` and ``q`` are written,
-    and both are copies.  ``memo`` is :func:`_round`'s."""
+    fails lies outside every bisimulation, and the direct fixpoint's start
+    excludes it or its first pass removes it.  Only the rows of ``p`` and
+    ``q`` are written, and both are copies.  ``memo`` is :func:`_round`'s."""
     full = [[pf.full] * (pf.trig + 1)] * pf.n
     tables = [full[:]] if rows is None else [full[:], rows[:]]
     for table in tables:

@@ -486,14 +486,20 @@ class _Synthesizer:
     ``p`` and fails at ``q`` in that column.  Its record is ``(stamp,
     clause)``, the compiled clause ``(label, p2, col, env)`` it failed
     (:meth:`~txbisim.encoding._Profile.clauses`), whose target column
-    ``col`` None is ``x``.  A record stamped ``s`` only ever refers to
-    entries removed strictly earlier, so the recursion terminates; stamp 0
-    means failed against the relation that relates everything, where a
-    failing move or time-out has no candidate successor, so nothing needs
-    refuting and no table is read.  A time-out's formula refutes the timed
-    successors of the states idle under its set and the column alone, as
-    :func:`satisfies`.  :meth:`caught` turns a failed clause of the queried
-    pair, rooted or not, into its formula.
+    ``col`` None is ``x``.  An entry the fixpoint's start excluded has no
+    record: one side reaches by tau steps an action ``b`` of the column
+    that the other does not (:meth:`~txbisim.encoding._Profile.apart`),
+    and ``<eps>(T & <^b>T)`` for the lowest such ``b``, negated when ``q``
+    is the side that reaches it, tells them apart in one step.  A record
+    stamped ``s`` only ever refers to entries removed strictly earlier, or
+    excluded, whose stamp is 0, so the recursion terminates; a clause
+    replayed at stamp 0 failed against the relation that relates
+    everything, where a failing move or time-out has no candidate
+    successor, so nothing needs refuting and no table is read.  A
+    time-out's formula refutes the timed successors of the states idle
+    under its set and the column alone, as :func:`satisfies`.
+    :meth:`caught` turns a failed clause of the queried pair, rooted or
+    not, into its formula.
     """
 
     def __init__(self, analysis):
@@ -506,11 +512,18 @@ class _Synthesizer:
         key = (p, x, q)
         got = self._memo.get(key)
         if got is None:
-            rec = self.an.gen.records.get(key)
-            if rec is None:
-                got = Not(self.formula(q, x, p))
+            apart = self.pf.apart(p, x, q)
+            if apart:
+                b = apart & -apart
+                got = Eps(And((TOP, HatDiamond(self.pf.names[b][0], TOP))))
+                if not self.pf.mtau[p] & b:
+                    got = Not(got)
             else:
-                got = self._from(p, x, q, *rec)
+                rec = self.an.gen.records.get(key)
+                if rec is None:
+                    got = Not(self.formula(q, x, p))
+                else:
+                    got = self._from(p, x, q, *rec)
             self._memo[key] = got
         return got
 

@@ -151,10 +151,11 @@ def _next_uid():
 class Term:
     """Base class of interned process terms.
 
-    A node is made once, by :func:`_interned`, which sets its fields (the
-    subclass's slots), a stable ``uid`` and two static facts derived from
-    its parts: ``closed``, true when no variable occurs free, and ``valid``,
-    false when the term reaches a recursive specification that has a
+    A node is made once, by its ``mk_*`` factory, which sets its fields
+    (the subclass's slots), and by :func:`_fresh`, which gives it a stable
+    ``uid`` and two static facts the factory derives from its parts:
+    ``closed``, true when no variable occurs free, and ``valid``, false
+    when the term reaches a recursive specification that has a
     ``theta``/``psi`` above one of its own variables.
 
     Three more slots cache what a node computes on first request and never
@@ -233,34 +234,24 @@ def operands(term):
     return ()
 
 
-def _interned(key, cls, *fields):
-    """The one node of class ``cls`` with ``fields`` (its slots, in order),
-    made under ``key`` on first request.
+def _fresh(key, cls, closed, valid):
+    """A new node of class ``cls``, interned under ``key``: the next uid,
+    the facts ``closed`` and ``valid``, and empty caches.  Each factory
+    looks its key up first, calls this on a miss and sets its own slots.
 
-    Its facts come from its operands.  A variable is open; a recursive call
-    has no operands, is closed, as every specification is, and is valid
-    when its specification is.
+    A node is closed and valid when its operands are.  A variable is open;
+    a recursive call has no operands, is closed, as every specification
+    is, and is valid when its specification is.
     """
-    node = _INTERN.get(key)
-    if node is not None:
-        return node
-    node = cls()
-    for slot, value in zip(cls.__slots__, fields):
-        setattr(node, slot, value)
+    node = _INTERN[key] = cls()
     node.uid = _next_uid()
+    node.closed = closed
+    node.valid = valid
     node.alpha = node.moves = node.init = None
-    closed, valid = cls is not Var, True
-    for part in operands(node):
-        closed = closed and part.closed
-        valid = valid and part.valid
-    if cls is RecCall:
-        valid = node.spec.valid
-    node.closed, node.valid = closed, valid
-    _INTERN[key] = node
     return node
 
 
-NIL = _interned(("nil",), Nil)
+NIL = _fresh(("nil",), Nil, True, True)
 
 
 class RecSpec:
@@ -332,7 +323,13 @@ def mk_prefix(action, body):
     visible name."""
     if action != TAU and action != TIMEOUT:
         visible(action)
-    return _interned(("pre", action, body.uid), Prefix, action, body)
+    key = ("pre", action, body.uid)
+    node = _INTERN.get(key)
+    if node is None:
+        node = _fresh(key, Prefix, body.closed, body.valid)
+        node.action = action
+        node.body = body
+    return node
 
 
 def summands(term):
@@ -361,7 +358,7 @@ def mk_choice(left, right):
     if left is not NIL and right is not NIL and not isinstance(right, Choice):
         last = left.right if isinstance(left, Choice) else left
         if right.uid >= last.uid:
-            return _interned(("cho", left.uid, right.uid), Choice, left, right)
+            return _choice(left, right)
     items = [s for s in summands(left) + summands(right) if s is not NIL]
     if not items:
         return NIL
@@ -369,8 +366,20 @@ def mk_choice(left, right):
     acc = items[0]
     for item in items[1:]:
         # a plain binary node, left-nested in summand order
-        acc = _interned(("cho", acc.uid, item.uid), Choice, acc, item)
+        acc = _choice(acc, item)
     return acc
+
+
+def _choice(left, right):
+    """The plain binary sum node of ``left`` and ``right``."""
+    key = ("cho", left.uid, right.uid)
+    node = _INTERN.get(key)
+    if node is None:
+        node = _fresh(key, Choice, left.closed and right.closed,
+                      left.valid and right.valid)
+        node.left = left
+        node.right = right
+    return node
 
 
 def sum_of(terms):
@@ -382,12 +391,26 @@ def sum_of(terms):
 
 def mk_par(left, sync, right):
     sync = envset(sync)
-    return _interned(("par", left.uid, sync, right.uid), Par, left, sync, right)
+    key = ("par", left.uid, sync, right.uid)
+    node = _INTERN.get(key)
+    if node is None:
+        node = _fresh(key, Par, left.closed and right.closed,
+                      left.valid and right.valid)
+        node.left = left
+        node.sync = sync
+        node.right = right
+    return node
 
 
 def mk_abstract(hide, body):
     hide = envset(hide)
-    return _interned(("abs", hide, body.uid), Abstract, hide, body)
+    key = ("abs", hide, body.uid)
+    node = _INTERN.get(key)
+    if node is None:
+        node = _fresh(key, Abstract, body.closed, body.valid)
+        node.hide = hide
+        node.body = body
+    return node
 
 
 def mk_rename(pairs, body):
@@ -396,7 +419,13 @@ def mk_rename(pairs, body):
     for src, dst in canon:
         visible(src)
         visible(dst)
-    return _interned(("ren", canon, body.uid), Rename, canon, body)
+    key = ("ren", canon, body.uid)
+    node = _INTERN.get(key)
+    if node is None:
+        node = _fresh(key, Rename, body.closed, body.valid)
+        node.pairs = canon
+        node.body = body
+    return node
 
 
 def mk_theta(lower, upper, body):
@@ -406,24 +435,48 @@ def mk_theta(lower, upper, body):
             "theta needs lower within upper: "
             f"{{{','.join(lower)}}} vs {{{','.join(upper)}}}"
         )
-    return _interned(("theta", lower, upper, body.uid), Theta, lower, upper, body)
+    key = ("theta", lower, upper, body.uid)
+    node = _INTERN.get(key)
+    if node is None:
+        node = _fresh(key, Theta, body.closed, body.valid)
+        node.lower = lower
+        node.upper = upper
+        node.body = body
+    return node
 
 
 def mk_psi(env, body):
     env = envset(env)
-    return _interned(("psi", env, body.uid), Psi, env, body)
+    key = ("psi", env, body.uid)
+    node = _INTERN.get(key)
+    if node is None:
+        node = _fresh(key, Psi, body.closed, body.valid)
+        node.env = env
+        node.body = body
+    return node
 
 
 def mk_var(name):
     if not _NAME_RE.match(name) or name in RESERVED:
         raise InvalidTermError(f"bad variable name: {name!r}")
-    return _interned(("var", name), Var, name)
+    key = ("var", name)
+    node = _INTERN.get(key)
+    if node is None:
+        node = _fresh(key, Var, False, True)
+        node.name = name
+    return node
 
 
 def mk_reccall(var, spec):
     if var not in spec.vars:
         raise InvalidTermError(f"{var!r} is not a variable of the specification")
-    return _interned(("rec", var, spec.uid), RecCall, var, spec)
+    key = ("rec", var, spec.uid)
+    node = _INTERN.get(key)
+    if node is None:
+        node = _fresh(key, RecCall, True, spec.valid)
+        node.var = var
+        node.spec = spec
+    return node
 
 
 def with_operand(term, slot, child):

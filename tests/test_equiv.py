@@ -40,6 +40,7 @@ from txbisim.equiv import (
     _projection,
     _rooted_fail,
     _round,
+    _start,
     _strong_fixpoint,
     branching_witness_ok,
     brb,
@@ -57,7 +58,9 @@ from txbisim.equiv import (
 )
 from txbisim.encoding import MAX_UNIVERSE, encode
 from txbisim.lts import Lts, disjoint_union, iter_bits, quotient
-from txbisim.modal import Top, distinguish, in_subclass, satisfies
+from txbisim.modal import (
+    Top, _Synthesizer, distinguish, formula_text, in_subclass, satisfies,
+)
 from txbisim.semantics import explore
 from txbisim.terms import envset, mk_theta, parse_term, term_text
 
@@ -69,6 +72,7 @@ from oracles import (
     ref_reactive,
     ref_rooted,
     ref_rooted_branching,
+    ref_satisfies,
     ref_strong,
     tau_reach,
 )
@@ -130,17 +134,25 @@ def three_cells():
     return p, q
 
 
+def start_table(pf):
+    """The direct fixpoint's start (:func:`_start`) in every column."""
+    cols = [_start(pf, x) for x in range(pf.trig + 1)]
+    return [[col[p] for col in cols] for p in range(pf.n)]
+
+
 def assert_stamps_replay(pf, res):
     """Every row judgement of the fixpoint that recorded a removal,
-    replayed alone from the table without the entries stamped below its
-    stamp ``s``, in either orientation, by one scan pass that carries no
-    match sets over, removes exactly the entries stamped ``s``, for the
-    same reasons, and writes them and their mirrors; the last one leaves
-    the final table."""
+    replayed alone from the start relation in every column without the
+    entries stamped below its stamp ``s``, in either orientation, by one
+    scan pass that carries no match sets over, removes exactly the entries
+    stamped ``s``, for the same reasons, and writes them and their
+    mirrors; the last one leaves the final table.  A column's start is
+    set when the fixpoint first judges it, and the judged columns read no
+    other, so replaying from the start in every column is exact."""
     by_stamp = {}
     for (p, x, q), rec in res.records.items():
         by_stamp.setdefault(rec[0], []).append((p, x, q, rec))
-    table = [[pf.full] * (pf.trig + 1) for _ in range(pf.n)]
+    table = start_table(pf)
     for s in sorted(by_stamp):
         (p, x), = {(i, y) for i, y, _, _ in by_stamp[s]}
         judged = [cols[:] for cols in table]
@@ -156,8 +168,8 @@ def assert_stamps_replay(pf, res):
 
 
 def test_stamps_replay_from_records(small_corpus):
-    """:func:`assert_stamps_replay` on the small corpus, two chains and the
-    two cells."""
+    """:func:`assert_stamps_replay`, from the start relation, on the small
+    corpus, two chains and the two cells."""
     chains = [
         ("a.a.a.a.a.0", "a.a.a.a.b.0"),
         ("a.a.a.a.0", "a.a.a.tau.a.0"),
@@ -172,20 +184,29 @@ def test_stamps_replay_from_records(small_corpus):
 @pytest.mark.parametrize(
     "pair, counts",
     [
-        (two_cells(), (21, 2, 913, 142)),
-        (three_cells(), (83, 2, 29118, 1008)),
-        (tuple(map(parse_term, ("a.a.a.a.0", "a.a.a.tau.a.0"))), (9, 2, 96, 24)),
+        (two_cells(), (21, 2, 489, 117, 848, 913)),
+        (three_cells(), (83, 2, 13606, 939, 31024, 29118)),
+        (tuple(map(parse_term, ("a.a.a.a.0", "a.a.a.tau.a.0"))),
+         (9, 2, 80, 22, 32, 96)),
     ],
 )
 def test_direct_fixpoint_counts_are_pinned(pair, counts):
     """States, passes, removed entries and ``by_row`` records of three
-    fixpoints, so that a change to the order in which a pass judges its
-    rows, or to how it records their removals, cannot go unnoticed."""
+    fixpoints, and the entries the start excludes, so that a change to the
+    start, to the order in which a pass judges its rows, or to how it
+    records their removals, cannot go unnoticed.  A judgement records one
+    orientation of each entry it removes, and the start excludes both, so
+    the records and half the excluded entries make up every pair the
+    fixpoint separates, the last count: as many as it removed from the
+    relation that relates everything."""
     p, q = pair
     lts = explore(pair)
-    _, res, _, _ = engine_rows(lts, process_universe(p, q))
+    pf, res, _, _ = engine_rows(lts, process_universe(p, q))
     entries = sum(len(recs) for recs in res.records.by_row.values())
-    assert (lts.n_states, res.rounds, len(res.records), entries) == counts
+    excluded = sum(
+        pf.full.bit_count() - m.bit_count() for r in start_table(pf) for m in r)
+    assert (lts.n_states, res.rounds, len(res.records), entries, excluded,
+            len(res.records) + excluded // 2) == counts
 
 
 @st.composite
@@ -211,8 +232,9 @@ def is_row_clause(pf, p, x, clause):
 @given(raw_systems())
 def test_direct_table_is_an_equivalence_with_records_on_drawn_systems(lts):
     """Every column of the direct fixpoint's final table is reflexive and
-    symmetric, and every removed entry has a record in one orientation:
-    each removal's mirror entry is cleared before the next row is judged.
+    symmetric, and every removed entry has a record in one orientation or
+    was excluded by the start, which reads no record: each removal's
+    mirror entry is cleared before the next row is judged.
     Every record holds the compiled clause of its own row that failed, not
     a copy of it."""
     universe = envset(lab for lab in lts.labels if lab not in ("tau", "t"))
@@ -227,7 +249,8 @@ def test_direct_table_is_an_equivalence_with_records_on_drawn_systems(lts):
             for q in range(pf.n):
                 assert res.has(p, x, q) == res.has(q, x, p)
                 if not res.has(p, x, q):
-                    assert (p, x, q) in res.records or (q, x, p) in res.records
+                    recorded = (p, x, q) in res.records or (q, x, p) in res.records
+                    assert recorded != bool(pf.apart(p, x, q))
     s = lts.states[0]
     for j, t in enumerate(lts.states):
         assert brb_states(lts, s, t).equivalent == res.has(0, pf.trig, j)
@@ -249,7 +272,8 @@ def test_fixpoint_over_the_columns_a_question_reads_on_drawn_systems(lts):
     end as the fixpoint over every column leaves them, each removed entry
     recorded with the same clause, and the stamps in the same order; the
     other columns still hold every state.  Completing the result gives the
-    table over every column, with records that replay."""
+    table over every column, with records that replay from the start
+    relation."""
     universe = envset(lab for lab in lts.labels if lab not in ("tau", "t"))
     pf = _Profile(lts, universe)
     whole = _generalized_fixpoint(pf)
@@ -281,6 +305,42 @@ def test_fixpoint_over_the_columns_a_question_reads_on_drawn_systems(lts):
 
 
 @given(raw_systems())
+def test_start_holds_the_reference_and_excluded_entries_have_one_step_formulas(lts):
+    """In every column the direct fixpoint's start (:func:`_start`), the
+    states that reach the same visible actions of the column by tau steps,
+    holds the reference table (H2).  Every entry the recording fixpoint
+    leaves out has a record in one orientation, or the start excluded it.
+    Each excluded entry, which has no record, gets its one-step formula
+    from the synthesis: it lies in Lbc, and by the reference evaluator it
+    holds at ``p`` and fails at ``q`` under the column's mode."""
+    universe = envset(lab for lab in lts.labels if lab not in ("tau", "t"))
+    pf = _Profile(lts, universe)
+    res = _generalized_fixpoint(pf)
+    pairs, trips = ref_reactive(lts, universe)
+    syn = _Synthesizer(SimpleNamespace(lts=lts, profile=pf, gen=res))
+    states = lts.states
+    for x in range(pf.trig + 1):
+        mode = None if x == pf.trig else pf.names[x]
+        start = _start(pf, x)
+        for p in range(pf.n):
+            for q in range(pf.n):
+                kept = start[p] >> q & 1
+                if mode is None:
+                    assert kept or (p, q) not in pairs
+                else:
+                    assert kept or (p, frozenset(mode), q) not in trips
+                if res.has(p, x, q):
+                    continue
+                recorded = (p, x, q) in res.records or (q, x, p) in res.records
+                assert recorded or not kept
+                if not kept:
+                    phi = syn.formula(p, x, q)
+                    assert in_subclass(phi, "Lbc"), formula_text(phi)
+                    assert ref_satisfies(lts, states[p], phi, mode)
+                    assert not ref_satisfies(lts, states[q], phi, mode)
+
+
+@given(raw_systems())
 def test_direct_table_equals_the_reference_on_drawn_systems(lts):
     """The direct fixpoint matches a time-out only from a state idle in its
     environment, the reference from any state its side reaches by internal
@@ -294,9 +354,9 @@ def test_direct_table_equals_the_reference_on_drawn_systems(lts):
 @given(raw_systems())
 def test_first_pass_failures_are_removed_in_the_fixpoints_first_pass(lts):
     """An entry that the first pass of :func:`_first_fail`, judged on two
-    rows alone against the full relation, fails is removed in the direct
-    fixpoint's first pass, in every column and for every pair of states, a
-    state with itself included.  The fixpoint judges later rows against a
+    rows alone against the full relation, fails is excluded by the direct
+    fixpoint's start (stamp 0) or removed in its first pass, in every
+    column and for every pair of states, a state with itself included.  The fixpoint judges later rows against a
     table its earlier ones have cut, so it may remove an entry the first
     pass keeps, or by an earlier clause.  Given the final table
     :func:`_first_fail` names a clause for every removed entry, the first
