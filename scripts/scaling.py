@@ -18,6 +18,13 @@ exploration included (the direct fixpoint runs too, over the pair column,
 as the verdict is negative).  The state budget is lifted for the chains,
 so every length runs.
 
+The short chain pairs are the chain pair at n = 5, 9 and 13, where a
+check's fixed costs weigh most.  For each n this prints the wrappers of
+the check's closure, whether that closure is the explored system itself
+(it settles nowhere and the chain has no time-out, so ``brb`` reuses the
+system's tables and builds no wrapper), and the rounds of the encode
+route's branching fixpoint on it, with its best time of 200 runs.
+
 The k-action pair is ``a.t.a.0 + b.t.b.0 + ...`` over k actions, k = 6,
 8 and 10, against the same sum under one ``tau``: equivalent, with a
 literal closure of about ``2k * 2^k`` wrappers.  For each k this prints,
@@ -44,7 +51,8 @@ exploration included, and the formula's distinct nodes:
 
 The exit code is 1 if a chain pair comes out equivalent or a k-action pair
 inequivalent, if a chain pair's check closure has more wrappers than
-explored states, if a k-action check is refused, so that the default
+explored states, if a short chain pair's check closure is not the
+explored system, if a k-action check is refused, so that the default
 state budget must admit the closure at k = 10, if a cells pair's direct
 fixpoint gives blocks other than ``brb_partition``'s, or if an
 explanation raises or finds no formula.
@@ -58,7 +66,7 @@ from txbisim import (
     Analysis, CheckOptions, TxbisimError, brb, brb_partition, distinguish,
     explore, parse_term, process_universe,
 )
-from txbisim.encoding import _Profile
+from txbisim.encoding import _Profile, env_columns
 from txbisim.equiv import _branching_fixpoint, _generalized_fixpoint, _start
 from txbisim.modal import _layout
 
@@ -67,6 +75,8 @@ METHODS = ("both", "direct", "encode")
 # the k-action pairs' sizes and their actions; ``t`` is the time-out
 ACTION_COUNTS = (6, 8, 10)
 ACTIONS = "abcdefghij"
+# the short chain pairs' lengths
+SHORT_LINKS = (5, 9, 13)
 # the cells pairs' sizes
 CELL_COUNTS = (2, 3, 4)
 # the explanation pairs' lengths
@@ -114,14 +124,25 @@ def row(n):
     check_s = time.perf_counter() - start
     an = Analysis(p, q, OPTS)
     enc = an.encoded
-    res, best = best_of_three(lambda: _branching_fixpoint(enc))
+    res, best = best_of(lambda: _branching_fixpoint(enc))
     pf = an.profile
     asked = Analysis(p, q, OPTS, cols=(pf.trig,)).encoded
-    direct, direct_s = best_of_three(lambda: _generalized_fixpoint(pf))
-    pair, pair_s = best_of_three(
+    direct, direct_s = best_of(lambda: _generalized_fixpoint(pf))
+    pair, pair_s = best_of(
         lambda: _generalized_fixpoint(pf, (pf.trig,), record=False))
     return verdict, (an.lts.n_states, enc.n_states, asked.n_states, res.rounds,
                      best, direct.rounds, direct_s, pair.rounds, pair_s, check_s)
+
+
+def short_row(n):
+    """The short chain pair's check closure: its wrappers, whether it is
+    the explored system, and its refinement's rounds and best time."""
+    p, q = chain_pair(n)
+    trig = env_columns(process_universe(p, q))[2]
+    an = Analysis(p, q, OPTS, cols=(trig,))
+    enc = an.encoded
+    res, best = best_of(lambda: _branching_fixpoint(enc), 200)
+    return enc.n_states, enc.coded_moves is an.lts.coded_moves, res.rounds, best
 
 
 def action_row(k):
@@ -172,11 +193,11 @@ def formula_size(phi):
     return len(seen)
 
 
-def best_of_three(run):
-    """The last result of three calls of ``run`` and the fastest call's
-    time."""
+def best_of(run, times=3):
+    """The last result of ``times`` calls of ``run`` and the fastest
+    call's time."""
     best = None
-    for _ in range(3):
+    for _ in range(times):
         start = time.perf_counter()
         got = run()
         took = time.perf_counter() - start
@@ -202,6 +223,12 @@ def main(argv=None):
         print(f"{n:>5} {states:>7} {encoded:>8} {asked:>6} {rounds:>7} "
               f"{fix_s:>11.4f} {passes:>7} {direct_s:>9.4f} "
               f"{pair_passes:>12} {pair_s:>9.4f} {check_s:>8.3f}")
+    print(f"{'n':>5} {'asked':>6} {'system':>7} {'rounds':>7} {'refine_s':>10}")
+    for n in SHORT_LINKS:
+        asked, system, rounds, took = short_row(n)
+        ok &= system
+        print(f"{n:>5} {asked:>6} {'yes' if system else 'no':>7} {rounds:>7} "
+              f"{took:>10.6f}")
     print(f"{'k':>5} {'states':>7} {'encoded':>8} {'judged':>7} "
           + " ".join(f"{m + '_s':>9}" for m in METHODS))
     for k in ACTION_COUNTS:

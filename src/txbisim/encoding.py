@@ -91,7 +91,19 @@ its answers and reasons alike, so no check makes a wrapper object.  A tau
 step keeps its environment, cut alike, so the tau steps of the closure are
 those of the base copied into each environment.  Its tau components, and
 the states that can reach a stable one, are therefore lifted from the
-base system, not recomputed.  :attr:`Closure.lts` gives a
+base system, not recomputed.  The closure's labels begin with the base
+system's, so a base step keeps its code and the loop reads the base's
+coded moves; ``t_eps`` and the settling labels follow, cached per
+universe and columns beside :func:`env_columns`.
+
+A closure that settles into no allowing column, over a system with no
+time-out step, reaches no allowing wrapper, and a triggered wrapper drops
+only time-outs, so its triggered wrappers take exactly the base steps: it
+is the base system itself.  It numbers wrapper ``i`` as base state ``i``
+and reads the system's own coded moves, tau components and stable reach,
+with no breadth-first loop and no lift; its wrappers are then every base
+state, which for an explored system are those the loop would reach.
+:attr:`Closure.lts` gives a
 closure as an ordinary :class:`~txbisim.lts.Lts` of :class:`EncState`
 wrappers, numbered alike, built from the coded table when first read;
 :func:`encode` gives the literal closure so.
@@ -107,10 +119,10 @@ label is the only one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .errors import AlphabetLimitError, StateBudgetError, TxbisimError
-from .lts import Lts
+from .lts import Lts, lazy
 from .semantics import max_states_budget
 
 __all__ = [
@@ -166,6 +178,20 @@ def env_columns(universe):
     return bit, tuple(names), len(names)
 
 
+@lru_cache(maxsize=64)
+def _settlings(universe, columns, first):
+    """The allowing columns of :func:`env_columns` of ``universe`` sorted
+    by their names, then the labels of the settlings into those of
+    ``columns`` (every one when None) in that order, and the settlings as
+    ``(column, code)`` pairs, coded from ``first`` up; cached beside the
+    columns themselves."""
+    _, names, trig = env_columns(universe)
+    order = tuple(sorted(range(trig), key=names.__getitem__))
+    settled = [x for x in order if columns is None or x in columns]
+    return (order, tuple(eps_label(names[x]) for x in settled),
+            tuple(zip(settled, range(first, first + len(settled)))))
+
+
 class _Profile:
     """Bit-level view of one system against a fixed environment universe.
 
@@ -186,6 +212,7 @@ class _Profile:
 
     __slots__ = (
         "lts",
+        "universe",
         "n",
         "full",
         "trig",
@@ -208,25 +235,34 @@ class _Profile:
         self.lts = lts
         self.n = lts.n_states
         self.full = (1 << self.n) - 1
-        self.ubit, self.names, self.trig = env_columns(tuple(universe))
+        self.universe = tuple(universe)
+        self.ubit, self.names, self.trig = env_columns(self.universe)
         self.umask = self.trig - 1
+        ubit = self.ubit
         init_vis = []
-        for moves in lts.moves:
+        stable = []
+        unstable = 0
+        # each state's labels once, from the same dict as its stability
+        for i in range(self.n):
+            labs = lts.out_labels(i)
             vis = 0
-            for lab, _ in moves:
-                if lab not in ("tau", "t"):
-                    bit = self.ubit.get(lab)
+            for lab in labs:
+                if lab != "tau" and lab != "t":
+                    bit = ubit.get(lab)
                     if bit is None:
-                        stray = set(lts.labels) - {"tau", "t"} - set(self.ubit)
+                        stray = set(lts.labels) - {"tau", "t"} - set(ubit)
                         raise AlphabetLimitError(
                             "universe must cover the visible labels; missing: "
                             + ", ".join(sorted(stray))
                         )
                     vis |= bit
             init_vis.append(vis)
+            stable.append("tau" not in labs)
+            if "tau" in labs:
+                unstable |= 1 << i
         self.init_vis = tuple(init_vis)
-        self.stable = tuple(lts.is_stable(i) for i in range(self.n))
-        self.unstable = self.full & ~lts.stable_mask
+        self.stable = tuple(stable)
+        self.unstable = unstable
         self.notinit = tuple(self.umask & ~vis for vis in init_vis)
         self._subs = {}
         self._idle = {}
@@ -409,10 +445,15 @@ class Closure:
     reads, relates there what the closure over every column relates.  The
     wrappers are numbered breadth first from the triggered wrappings of the
     base roots; a time-out fires from an idle wrapper alone, as the direct
-    route's clause asks.  Wrapper ``k`` has the moves ``coded_moves[k]``, pairs ``(code,
-    j)`` whose label is ``labels[code]``; ``tau_sccs`` and
+    route's clause asks.  Wrapper ``k`` has the moves ``coded_moves[k]``,
+    pairs ``(code, j)`` whose label is ``labels[code]``, which begin with
+    the base's labels, so a base step keeps its code; ``tau_sccs`` and
     ``can_reach_stable_mask`` are those of :class:`~txbisim.lts.Lts`,
-    lifted from the base system.  A wrapper is keyed by its base state and
+    lifted from the base system.  A closure that settles into no allowing
+    column, over a system with no time-out step, is the base system
+    itself (:attr:`reused`): wrapper ``i`` is the triggered wrapping of
+    base state ``i``, and the coded moves, tau components and stable reach
+    are the system's own.  A wrapper is keyed by its base state and
     its column of :func:`env_columns`: ``trig`` for a triggered wrapper,
     else the mask of the actions it allows, within ``relevant``.
     :meth:`index` finds a wrapper by any column and base state, cutting
@@ -423,31 +464,44 @@ class Closure:
     """
 
     def __init__(self, pf, max_states=None, relevant=None, columns=None):
-        base, bit, names, trig = pf.lts, pf.ubit, pf.names, pf.trig
+        base, bit, trig = pf.lts, pf.ubit, pf.trig
         stable, vis = pf.stable, pf.init_vis
-        self.relevant = relevant = pf.mplus if relevant is None else relevant
+        self._pf = pf
         self.columns = None if columns is None else frozenset(columns)
         budget = max_states_budget(max_states)
         width = trig + 1
-        # the allowing columns sorted by their names, and those settled on
-        order = sorted(range(trig), key=names.__getitem__)
-        settled = order if columns is None else [
-            x for x in order if x in self.columns]
-        labels = tuple(dict.fromkeys(
-            (*base.labels, "t_eps", *(eps_label(names[x]) for x in settled))
-        ))
-        codes = {lab: k for k, lab in enumerate(labels)}
-        tau, t, t_eps = codes.get("tau"), codes.get("t"), codes["t_eps"]
-        settle = [(x, codes[eps_label(names[x])]) for x in settled]
-        # per base state its steps as (code, j, bit of a visible label)
-        steps = [
-            tuple((codes[lab], j, bit.get(lab, 0)) for lab, j in moves)
-            for moves in base.moves
-        ]
         self.base = base
-        self.labels = labels
         self.trig = trig
-        self._names = names
+        self._names = pf.names
+        if relevant is not None:
+            self.relevant = relevant
+        # triggered wrappers that settle nowhere and drop no time-out take
+        # the base steps alone, and every base state is one
+        self.reused = (self.columns is not None and self.columns <= {trig}
+                       and "t" not in base.labels)
+        if self.reused:
+            self._keys = range(trig, base.n_states * width, width)
+            if base.n_states > budget:
+                left = self._wrap(self._keys[budget])
+                raise StateBudgetError(budget, self._text(left))
+            self._seen = {}
+            self.labels = base.labels
+            self.coded_moves = base.coded_moves
+            self.n_transitions = base.n_transitions
+            self.tau_sccs = base.tau_sccs
+            self.can_reach_stable_mask = base.can_reach_stable_mask
+            return
+        relevant = self.relevant
+        known = base.labels
+        order, eps, settle = _settlings(pf.universe, self.columns, len(known) + 1)
+        # a base step keeps its code, and the fresh labels come after
+        self.labels = (*known, "t_eps", *eps)
+        tau = known.index("tau") if "tau" in known else None
+        t = known.index("t") if "t" in known else None
+        t_eps = len(known)
+        # per code of a base label its bit in the universe, 0 for tau and t
+        cbit = [bit.get(lab, 0) for lab in known]
+        steps = base.coded_moves
         self._columns = (trig, *order)
 
         # a state is the key base index * width + column until it is numbered
@@ -471,15 +525,15 @@ class Closure:
             if x != trig:
                 quiet = stable[i] and not vis[i] & x
                 succ = []
-                for k, j, b in steps[i]:
+                for k, j in steps[i]:
                     if k == tau or k == t and quiet:
                         succ.append((k, j * width + (x & relevant[j])))
-                    elif b & x:
+                    elif cbit[k] & x:
                         succ.append((k, j * width + trig))
                 if quiet:
                     succ.append((t_eps, i * width + trig))
             else:
-                succ = [(k, j * width + trig) for k, j, _ in steps[i] if k != t]
+                succ = [(k, j * width + trig) for k, j in steps[i] if k != t]
                 keep = relevant[i]
                 succ += [(k, i * width + (y & keep)) for y, k in settle]
             own = [(k, seen[key] if key in seen else admit(key)) for k, key in succ]
@@ -488,6 +542,12 @@ class Closure:
         self.coded_moves = tuple(table)
         self.n_transitions = sum(map(len, table))
         self._lift_tau_structure()
+
+    @lazy
+    def relevant(self):
+        """``relevant[i]``, the mask an allowing wrapper of base state ``i``
+        keeps of its set: :attr:`_Profile.mplus` unless given."""
+        return self._pf.mplus
 
     @property
     def n_states(self):
@@ -499,6 +559,8 @@ class Closure:
         ``trig`` itself."""
         if x != self.trig:
             x &= self.relevant[i]
+        elif self.reused:
+            return i
         return self._seen[i * (self.trig + 1) + x]
 
     def wrappings(self):
@@ -518,7 +580,7 @@ class Closure:
             return inner
         return "[{" + ",".join(state.mode) + "}] " + inner
 
-    @cached_property
+    @lazy
     def lts(self):
         """The closure as a system whose states are :class:`EncState`
         wrappers, numbered as here, its roots the triggered wrappings of the

@@ -58,12 +58,14 @@ failed, for the synthesis of distinguishing formulas in
 :mod:`txbisim.modal` alone.  The plain
 relations, stability respecting branching bisimilarity
 (which the encode route decides on the index-level closure,
-:class:`~txbisim.encoding.Closure`, building no wrapper object) and strong
-bisimilarity, share one partition refinement (:func:`_refine`) that
-reads the system's own coded moves and recomputes only the signatures a
-split can change, so a chain's time grows about linearly with its
-length.  A partition is a plain relation, and :func:`_plain` names the
-failing clause of a separated pair.  All four reactive checks, plain or
+:class:`~txbisim.encoding.Closure`, building no wrapper object, and for a
+question that settles nowhere on a system without time-outs on the
+explored system itself) and strong bisimilarity, share one partition
+refinement (:func:`_refine`) that reads the system's own coded moves and,
+at every size, recomputes after a small split only the signatures it can
+change, so a chain's time grows about linearly with its length.  A
+partition is a plain relation, and :func:`_plain` names the failing
+clause of a separated pair.  All four reactive checks, plain or
 rooted and triggered or in a fixed environment, go through
 :func:`_check`.
 """
@@ -72,12 +74,12 @@ from __future__ import annotations
 
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import partial
 from heapq import heapify, heappop, heappush
 
 from .encoding import Closure, _Profile, env_columns
 from .errors import MethodDisagreementError, TxbisimError
-from .lts import Lts, Partition, iter_bits
+from .lts import Lts, Partition, iter_bits, lazy
 from .semantics import explore
 from .terms import Term, alphabet, envset, term_text
 
@@ -183,7 +185,7 @@ class Verdict:
     def __bool__(self):
         return self.equivalent
 
-    @cached_property
+    @lazy
     def witness(self) -> RelationStore | None:
         return None if self.build_witness is None else self.build_witness()
 
@@ -471,14 +473,18 @@ def _generalized_fixpoint(pf, cols=None, record=True, memo=None):
 def _judge(res, cols, memo):
     """Run the fixpoint of ``res`` over the pending columns among
     ``pf.reads(cols)``, their rows first set to :func:`_start`, until a
-    pass removes nothing, and return ``res``."""
+    pass removes nothing, and return ``res``.  A pending row holds every
+    state, so a start of one class, whose first row holds every state
+    too, is not written."""
     pf = res.pf
     new = [x for x in pf.reads(cols) if x in res.pending]
     if not new:
         return res
     for x in new:
-        for state_rows, start in zip(res.rows, _start(pf, x)):
-            state_rows[x] = start
+        start = _start(pf, x)
+        if start and start[0] != pf.full:
+            for state_rows, row in zip(res.rows, start):
+                state_rows[x] = row
     live = [(p, x, ~(1 << p), pf.clauses(p, x))
             for p in _finish_order(pf.lts) for x in new]
     stamp = res.next_stamp
@@ -564,13 +570,15 @@ def _first_fail(pf, p, x, q, memo, rows=None):
 @dataclass
 class _PairResult:
     """A partition as a relation: ``rel[i]`` is the block of state ``i``,
-    ``records`` are the pairs it separates (:class:`_Separations`), and
+    ``records`` are the pairs it separates (:class:`_Separations`),
     ``rounds`` counts the refinement rounds, the last of which splits
-    nothing."""
+    nothing, and ``marked`` those of them that were marked
+    (:func:`_refine`)."""
 
     rel: list
     records: _Separations
     rounds: int
+    marked: int = 0
 
 
 class _Separations:
@@ -621,15 +629,6 @@ def _branching_fail(lts, rel, p, row):
     return None
 
 
-# below this many components every round is a full one.  Small closures
-# refine in a few rounds, where the predecessor lists a marked round needs
-# cost about what it saves: on the benchmark's corpus and fuzz closures a
-# floor of 16 made the refinement 3-4 % slower than never marking, none
-# 4-7 %, and 32 or 48 no slower; chains of more than a few links lie
-# above it
-_MARK_FLOOR = 48
-
-
 def _refine(labels, tau, parts, coded, block):
     """Greatest relation by signature refinement in the manner of Blom and
     Orzan, as a :class:`_PairResult`.
@@ -663,8 +662,9 @@ def _refine(labels, tau, parts, coded, block):
     block's name (if none stays, the first group keeps it), and each other
     group takes a fresh one.  A marked round thus splits every block as a
     full round would, and the rounds and the partition are those of
-    recomputing every signature in every round.  Below
-    :data:`_MARK_FLOOR` components every round is a full one.
+    recomputing every signature in every round.  Rounds are marked at
+    every size, so a short chain's closure, a few dozen components that
+    split one block per round, recomputes a few signatures per round.
     """
     # a signature entry (label, block) is the integer block * width + code
     width = len(labels)
@@ -681,10 +681,11 @@ def _refine(labels, tau, parts, coded, block):
     count = len(set(block))
     moved = None  # the components the last round renamed, if few
     preds = None
-    rounds = 0
+    rounds = marks = 0
     while True:
         rounds += 1
         marked = moved is not None
+        marks += marked
         if marked:
             if preds is None:
                 # who reads a component's name, and who its signature
@@ -743,13 +744,12 @@ def _refine(labels, tau, parts, coded, block):
                 block = fresh
                 break
             count = len(ids)
-            if n >= _MARK_FLOOR:
-                moved = [c for c, b in enumerate(block) if fresh[c] != b]
-                if 4 * len(moved) <= n:
-                    # block sizes by name; fresh names are appended
-                    size = [0] * n
-                    for b in fresh:
-                        size[b] += 1
+            moved = [c for c, b in enumerate(block) if fresh[c] != b]
+            if 4 * len(moved) <= n:
+                # block sizes by name; fresh names are appended
+                size = [0] * n
+                for b in fresh:
+                    size[b] += 1
             block = fresh
         else:
             left = {}
@@ -777,7 +777,7 @@ def _refine(labels, tau, parts, coded, block):
     for i, c in enumerate(comp):
         masks[block[c]] |= 1 << i
     rel = [masks[block[c]] for c in comp]
-    return _PairResult(rel, _Separations(rel), rounds)
+    return _PairResult(rel, _Separations(rel), rounds, marks)
 
 
 def _branching_fixpoint(system):
@@ -889,15 +889,15 @@ def _projection(pf, enc, rel):
     wraps = enc.wrappings()
     trig = pf.trig
     cols = enc.columns
-    # the actions outside a state's relevant mask, whose subsets ``z`` give
-    # the columns ``y | z`` that its wrapper keyed ``y`` stands for
-    free = [pf.submasks_of(pf.umask & ~keep) for keep in enc.relevant]
     rows = [[0] * (trig + 1) for _ in range(pf.n)]
     for block in dict.fromkeys(rel):
         members = []
         for k in iter_bits(block):
             i, y = wraps[k]
-            spread = (0,) if y == trig else free[i]
+            # the subsets ``z`` of the actions outside the state's relevant
+            # mask give the columns ``y | z`` its wrapper stands for
+            spread = (0,) if y == trig else pf.submasks_of(
+                pf.umask & ~enc.relevant[i])
             if cols is not None:
                 spread = [z for z in spread if y | z in cols]
             members.append((i, y, spread))
@@ -1150,7 +1150,7 @@ class Analysis:
         self.universe = process_universe(p, q) if universe is None else universe
         self.cols = cols
 
-    @cached_property
+    @lazy
     def lts(self):
         return explore((self.p, self.q), self.opts.max_states)
 
@@ -1162,18 +1162,18 @@ class Analysis:
     def iq(self):
         return self.lts.index[self.q]
 
-    @cached_property
+    @lazy
     def profile(self):
         return _Profile(self.lts, self.universe)
 
-    @cached_property
+    @lazy
     def memo(self):
         """The match sets and tau closures of :func:`_round` on :attr:`lts`,
         shared by the first pass, the direct fixpoint, the reason and the
         certificate.  A verdict's witness does not hold them."""
         return {}
 
-    @cached_property
+    @lazy
     def reads(self):
         """The columns the question reads, :meth:`_Profile.reads` of
         ``cols``, ascending; None when that is every column."""
@@ -1182,14 +1182,14 @@ class Analysis:
         got = self.profile.reads(self.cols)
         return None if len(got) > self.profile.trig else got
 
-    @cached_property
+    @lazy
     def gen(self):
         """The direct fixpoint over ``cols`` and the columns they read
         (:func:`_generalized_fixpoint`); ``gen.complete(memo)`` judges the
         rest."""
         return _generalized_fixpoint(self.profile, self.cols, memo=self.memo)
 
-    @cached_property
+    @lazy
     def encoded(self):
         """The environment closure of :attr:`lts`, on indices, keyed by
         relevant environments, its triggered wrappers settling only into
@@ -1197,11 +1197,11 @@ class Analysis:
         ``encoded.lts``."""
         return Closure(self.profile, self.opts.max_states, columns=self.reads)
 
-    @cached_property
+    @lazy
     def enc_branch(self):
         return _branching_fixpoint(self.encoded)
 
-    @cached_property
+    @lazy
     def projection(self):
         """The encode route's relation on the explored states, in the
         direct route's table form (:func:`_projection`), over the columns

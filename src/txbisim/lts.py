@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import re
-from functools import cached_property
 
 from .errors import ParseError, TxbisimError
 
@@ -42,8 +41,35 @@ def label_sort_key(label):
     return (1, label)
 
 
+class lazy:
+    """An attribute computed from its instance when first read and kept in
+    the instance's ``__dict__``, where every later read finds it first:
+    :func:`functools.cached_property` without the lock that Python 3.11's
+    takes on each first read.  ``func`` is the function it computes, which
+    a caller may wrap and install again."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
+
+
 class Lts:
-    """An immutable labelled transition system with designated roots."""
+    """An immutable labelled transition system with designated roots.
+
+    Each state index ``i`` has its successor masks per label, read by
+    :meth:`succ_mask`, and its steps :attr:`moves`, both built in one pass
+    over the transitions; every other view (the labels, the coded moves,
+    the tau structure) is computed from them when first read and kept.
+    """
 
     def __init__(self, states, transitions, roots, state_text=str):
         states = tuple(states)
@@ -91,6 +117,12 @@ class Lts:
         kept.sort(key=lambda t: (t[0], keys[t[1]], t[2]))
         self._succ = succ
         self.trans_idx = tuple(kept)
+        moves = [[] for _ in states]
+        for i, lab, j in kept:
+            moves[i].append((lab, j))
+        # per state index, its steps ``(label, j)`` in label order, then by
+        # target index
+        self.moves = tuple(map(tuple, moves))
 
     # -- basic queries
 
@@ -102,7 +134,7 @@ class Lts:
     def n_transitions(self):
         return len(self.trans_idx)
 
-    @cached_property
+    @lazy
     def labels(self):
         return tuple(sorted({lab for _, lab, _ in self.trans_idx}, key=label_sort_key))
 
@@ -130,16 +162,7 @@ class Lts:
         mask = self.succ_mask(self.index_of(state), label)
         return tuple(self.states[j] for j in iter_bits(mask))
 
-    @cached_property
-    def moves(self):
-        """Per state index, its steps ``(label, j)`` in label order, then by
-        target index."""
-        moves = [[] for _ in self.states]
-        for i, lab, j in self.trans_idx:
-            moves[i].append((lab, j))
-        return tuple(map(tuple, moves))
-
-    @cached_property
+    @lazy
     def coded_moves(self):
         """:attr:`moves` with each label given by its position in
         :attr:`labels`."""
@@ -155,14 +178,14 @@ class Lts:
 
     # -- tau structure
 
-    @cached_property
+    @lazy
     def _tau_pred(self):
         """Per state its tau predecessors as a mask, and the mask of the
         states that have one."""
         pred = [0] * self.n_states
         reached = 0
-        for i in range(self.n_states):
-            for j in iter_bits(self.succ_mask(i, "tau")):
+        for i, succ in enumerate(self._succ):
+            for j in iter_bits(succ.get("tau", 0)):
                 pred[j] |= 1 << i
                 reached |= 1 << j
         return pred, reached
@@ -170,11 +193,11 @@ class Lts:
     def is_stable(self, i):
         return self.succ_mask(i, "tau") == 0
 
-    @cached_property
+    @lazy
     def stable_mask(self):
         mask = 0
-        for i in range(self.n_states):
-            if self.is_stable(i):
+        for i, succ in enumerate(self._succ):
+            if "tau" not in succ:
                 mask |= 1 << i
         return mask
 
@@ -207,7 +230,7 @@ class Lts:
             frontier = grown & reached
         return mask
 
-    @cached_property
+    @lazy
     def _steps(self):
         """Per label, the states that carry it as ``(bit, successor mask)``."""
         steps = {}
@@ -224,18 +247,18 @@ class Lts:
                 base |= bit
         return base
 
-    @cached_property
+    @lazy
     def can_reach_stable_mask(self):
         """States having some tau path to a stable state."""
         return self.backward_tau_closure(self.stable_mask)
 
-    @cached_property
+    @lazy
     def tau_sccs(self):
         """Strongly connected components of the tau steps, each a list of
         state indices, every component after all components it reaches
         (Tarjan's order, iteratively)."""
         n = self.n_states
-        succ = [tuple(iter_bits(self.succ_mask(i, "tau"))) for i in range(n)]
+        succ = [tuple(iter_bits(own.get("tau", 0))) for own in self._succ]
         index = [-1] * n
         low = [0] * n
         on_stack = [False] * n
@@ -279,7 +302,7 @@ class Lts:
                     sccs.append(comp)
         return sccs
 
-    @cached_property
+    @lazy
     def divergent(self):
         """Whether some state lies on a cycle of internal steps."""
         return any(len(comp) > 1 for comp in self.tau_sccs) or any(

@@ -62,32 +62,53 @@ __all__ = [
 
 
 class Formula:
-    __slots__ = ()
+    """A formula node.  Each node keeps its hash, the hash of its fields as
+    a frozen dataclass's would be, taken once at construction from its
+    children's kept hashes, so that hashing a node of any depth, as
+    :func:`conjunction` does, costs no walk and no stack frame."""
+
+    __slots__ = ("_hash",)
+
+    def __post_init__(self):
+        fields = tuple(getattr(self, name) for name in self.__match_args__)
+        object.__setattr__(self, "_hash", hash(fields))
+
+    def __hash__(self):
+        return self._hash
 
     def __str__(self):
         return formula_text(self)
 
 
-@dataclass(frozen=True, slots=True)
+def _node(cls):
+    """``cls`` as a frozen formula dataclass that keeps the hash
+    :meth:`Formula.__post_init__` takes."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls.__hash__ = Formula.__hash__
+    return cls
+
+
+@_node
 class Top(Formula):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class And(Formula):
     children: tuple
 
     def __post_init__(self):
         if len(self.children) < 2:
             raise TxbisimError("a conjunction needs at least two conjuncts")
+        Formula.__post_init__(self)
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Not(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Diamond(Formula):
     """One strong step: label ``tau`` or a visible action, never ``t``."""
 
@@ -96,9 +117,10 @@ class Diamond(Formula):
 
     def __post_init__(self):
         _check_diamond_label(self.label)
+        Formula.__post_init__(self)
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class HatDiamond(Formula):
     """Like Diamond, but ``tau`` may also be satisfied without moving."""
 
@@ -107,9 +129,10 @@ class HatDiamond(Formula):
 
     def __post_init__(self):
         _check_diamond_label(self.label)
+        Formula.__post_init__(self)
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class EnvDiamond(Formula):
     """A time-out fired while the environment allows exactly ``names``."""
 
@@ -118,9 +141,10 @@ class EnvDiamond(Formula):
 
     def __post_init__(self):
         object.__setattr__(self, "names", envset(self.names))
+        Formula.__post_init__(self)
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Eps(Formula):
     sub: Formula
 

@@ -708,6 +708,79 @@ def test_chain_pair_closure_settles_nowhere(monkeypatch):
     assert not any(lab.startswith("eps_") for lab in enc.labels)
 
 
+def test_a_pair_column_question_on_a_time_out_free_pair_reuses_the_system():
+    """The closure of a question that settles nowhere, on a pair with no
+    time-out, is the explored system itself: its coded moves, tau
+    components and stable reach, wrapper ``i`` being state ``i``; the
+    verdict is unchanged.  With a time-out, or a column to settle into,
+    the closure is built breadth first."""
+    p, q = chain_pair(13)
+    trig = encoding.env_columns(process_universe(p, q))[2]
+    an = Analysis(p, q, cols=(trig,))
+    enc = an.encoded
+    assert enc.reused
+    assert enc.coded_moves is an.lts.coded_moves
+    assert enc.tau_sccs is an.lts.tau_sccs
+    assert enc.n_states == an.lts.n_states
+    assert enc.index(trig, an.ip) == an.ip
+    assert not brb(p, q) and not brb(p, q, CheckOptions(method="encode"))
+    assert not Analysis(p, q, cols=(trig, 1)).encoded.reused
+    timed = two_cells()
+    trig = encoding.env_columns(process_universe(*timed))[2]
+    assert not Analysis(*timed, cols=(trig,)).encoded.reused
+
+
+@given(raw_systems())
+def test_a_closure_that_settles_nowhere_reuses_only_a_time_out_free_system(lts):
+    """Every state a root: the closure of the pair column's question,
+    which settles into the columns that column reads, is the system itself
+    exactly when the system has no time-out, and on the base states it
+    relates what the breadth-first closure over every column relates, and
+    what the direct table's pair column does."""
+    lts = Lts(lts.states, lts.transitions(), lts.states)
+    universe = envset(lab for lab in lts.labels if lab not in ("tau", "t"))
+    pf = _Profile(lts, universe)
+    closure = encoding.Closure(pf, columns=pf.reads((pf.trig,)))
+    assert closure.reused == ("t" not in lts.labels)
+    assert (closure.coded_moves is lts.coded_moves) == closure.reused
+    whole = encoding.Closure(pf)
+    assert not whole.reused
+    rel = _branching_fixpoint(closure).rel
+    every = _branching_fixpoint(whole).rel
+    pair = _generalized_fixpoint(pf, (pf.trig,), record=False).rows
+    own = [closure.index(pf.trig, i) for i in range(pf.n)]
+    built = [whole.index(pf.trig, i) for i in range(pf.n)]
+    for i in range(pf.n):
+        for j in range(pf.n):
+            assert (rel[own[i]] >> own[j] & 1 == every[built[i]] >> built[j] & 1
+                    == pair[i][pf.trig] >> j & 1)
+
+
+def test_analysis_stages_expose_their_function_and_compute_once(monkeypatch):
+    """The stages a tracer rewraps by their ``func`` (the explored system,
+    the profile, the direct fixpoint, the closure and its refinement) are
+    each computed once, however often they are read."""
+    calls = []
+    for name in ("explore", "_Profile", "_generalized_fixpoint", "Closure",
+                 "_branching_fixpoint"):
+        real = getattr(equiv, name)
+
+        def counted(*args, real=real, name=name, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(equiv, name, counted)
+    stages = ("lts", "profile", "gen", "encoded", "enc_branch")
+    assert all(callable(Analysis.__dict__[attr].func) for attr in stages)
+    an = Analysis(*two_cells())
+    first = [getattr(an, attr) for attr in stages]
+    again = [getattr(an, attr) for attr in stages]
+    assert all(a is b for a, b in zip(first, again))
+    assert sorted(calls) == sorted(
+        ("explore", "_Profile", "_generalized_fixpoint", "Closure",
+         "_branching_fixpoint"))
+
+
 def test_a_pending_column_is_refused():
     """An analysis whose question is the pair column holds no answer in
     ``{b}``: asking its table there raises, as does the direct check in
@@ -955,8 +1028,8 @@ def reference_refine(labels, tau, parts, coded, block):
 def assert_refinements_equal_reference(systems):
     """Each of the three fixpoints on each system (closures take the
     branching one alone) has the reference's rows and rounds; returns, for
-    each refinement of at least ``equiv._MARK_FLOOR`` components, the size
-    of its largest component."""
+    each refinement that ran a marked round, the size of its largest
+    component."""
     real = equiv._refine
     large = []
 
@@ -964,7 +1037,7 @@ def assert_refinements_equal_reference(systems):
         res = real(labels, tau, parts, coded, block)
         want = reference_refine(labels, tau, parts, coded, block)
         assert (res.rel, res.rounds) == want
-        if len(block) >= equiv._MARK_FLOOR:
+        if res.marked:
             large.append(max(map(len, parts)))
         return res
 
@@ -1094,24 +1167,36 @@ def tau_cycles(k, j, pad):
 
 @given(raw_systems())
 def test_refinement_equals_reference_on_drawn_systems(lts):
-    """Below the component floor every round is a full one, whose blocks
-    named by first members give the reference's rows and rounds."""
+    """Full rounds, whose blocks are named by first members, and marked
+    rounds give the reference's rows and rounds."""
     universe = envset(lab for lab in lts.labels if lab not in ("tau", "t"))
     closure = encoding.Closure(_Profile(lts, universe))
     assert_refinements_equal_reference([lts, closure])
 
 
+def bench_chain_pairs(n):
+    """The benchmark's chain pairs of ``n`` links: ``a.``×n ``0`` against
+    the copy with an inert ``tau`` before the last action, and against the
+    copy whose last action is ``b``."""
+    p = parse_term("a." * n + "0")
+    return [(p, parse_term("a." * (n - 1) + last + "0"))
+            for last in ("tau.a.", "b.")]
+
+
 def test_refinement_equals_reference_with_marked_rounds():
-    """Drawn pairs, chain pairs of 20 to 60 links, the three cells,
-    systems whose last split empties a block into three groups, systems
-    where an inert step stops being inert, and tau cycles on a chain, as
-    raw systems and closures: most refine above the component floor, where
-    rounds after a small split recompute only what it touches, and some of
-    those have a component of several states."""
+    """Drawn pairs, chain pairs of 20 to 60 links, the one, two and three
+    cells, the benchmark's chain pairs of 5 to 13 links as the closures of
+    the pair column and of column ``{a}``, systems whose last split
+    empties a block into three groups, systems where an inert step stops
+    being inert, and tau cycles on a chain, as raw systems and closures:
+    most run marked rounds, which recompute only what the split before
+    touches, and some of those have a component of several states."""
     rng = random.Random(5)
     cfg = GenConfig(alphabet=("a", "b", "c"), max_depth=4)
-    pairs = [chain_pair(n) for n in (20, 33, 47, 60)] + [three_cells()]
-    while len(pairs) < 45:
+    one_cell = parse_term("a.0 + t.tau.a.0"), parse_term("a.0 + t.a.0")
+    pairs = [chain_pair(n) for n in (20, 33, 47, 60)]
+    pairs += [one_cell, two_cells(), three_cells()]
+    while len(pairs) < 47:
         p, q = rand_term(rng, cfg), rand_term(rng, cfg)
         try:
             explore((p, q), 200)
@@ -1126,8 +1211,13 @@ def test_refinement_equals_reference_with_marked_rounds():
     for p, q in pairs:
         lts = explore((p, q))
         systems += [lts, encoding.Closure(_Profile(lts, process_universe(p, q)))]
+    for n in range(5, 14):
+        for p, q in bench_chain_pairs(n):
+            bit, _, trig = encoding.env_columns(process_universe(p, q))
+            systems += [Analysis(p, q, cols=cols).encoded
+                        for cols in ((trig,), (trig, bit["a"]))]
     large = assert_refinements_equal_reference(systems)
-    assert len(large) >= 30
+    assert len(large) >= 120
     assert max(large) >= 2
 
 

@@ -271,6 +271,19 @@ def test_deep_formulas_take_no_stack_frame_per_node():
     assert formula_text(phi) == "<eps>(T & <^a>" * links + "T" + ")" * links
 
 
+def test_deep_formulas_hash_without_recursion():
+    """A node keeps the hash of its fields, taken at construction from its
+    children's, so a formula nested past the recursion limit hashes, and
+    :func:`conjunction` deduplicates it; the hash is still the one of a
+    frozen dataclass, the tuple of the node's fields."""
+    phi = chain_formula(sys.getrecursionlimit() + 10)
+    assert hash(phi) == hash((phi.sub,))
+    assert conjunction([phi, phi]) is phi
+    two = And((TOP, Diamond("a", TOP)))
+    assert hash(two) == hash(((TOP, Diamond("a", TOP)),))
+    assert two == And((TOP, Diamond("a", TOP))) and hash(TOP) == hash(())
+
+
 # -- sublogics
 
 
